@@ -3,10 +3,10 @@
 // The sharded simulation core posts cross-shard events (link
 // deliveries, migration completions, scheduler replies) through one
 // mailbox per ordered shard pair.  Within an epoch only the source
-// shard's thread pushes and only the destination shard's thread pops
-// (and those phases are further separated by the epoch barriers), so a
-// wait-free SPSC ring with acquire/release indices is sufficient -- no
-// locks, no allocation after construction.
+// shard's thread pushes; at the boundary one thread flushes and drains
+// every ring while the workers wait (the epoch barrier separates the
+// two phases), so a wait-free SPSC ring with acquire/release indices is
+// sufficient -- no locks, no allocation after construction.
 //
 // Capacity is fixed: `try_push` refuses when the ring is full and the
 // caller (the shard) spills to an unbounded per-destination overflow

@@ -1,7 +1,9 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <barrier>
+#include <chrono>
 #include <exception>
 #include <limits>
 #include <thread>
@@ -36,32 +38,96 @@ void pin_to_cpu(std::size_t w) {
 #endif
 }
 
+/// Sense-reversing barrier on a generation word, for the per-window
+/// boundary.  The last arriver runs the completion and bumps the
+/// generation; everyone else yields the CPU until the generation moves,
+/// and after `kYields` yields parks on the word with std::atomic::wait.
+/// Yielding instead of pausing keeps the wait live when workers share a
+/// CPU (the peer it is waiting for gets the CPU).  Control-heavy models
+/// run windows of a few microseconds -- shorter than a futex round trip
+/// -- so most waits end before anyone parks.  The releaser only issues
+/// the wake syscall when somebody did park.
+class BoundaryBarrier {
+ public:
+  explicit BoundaryBarrier(std::size_t n)
+      : n_(static_cast<std::uint32_t>(n)) {}
+
+  /// Arrive, run `complete` if last, and wait for the release.  Returns
+  /// an estimate of the thread-CPU seconds this caller burned
+  /// yield-waiting (0 for the completer), so busy accounting can leave
+  /// the wait out without a per-window thread-CPU clock read.
+  template <class F>
+  double arrive_and_wait(F&& complete) {
+    // Read the generation before arriving: once our arrival counts, the
+    // last arriver may bump it at any moment.
+    const std::uint32_t gen = generation_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      complete();
+      // seq_cst pairs with the parker's seq_cst increment of parked_:
+      // either it sees the new generation or we see it parked.
+      generation_.store(gen + 1, std::memory_order_seq_cst);
+      if (parked_.load(std::memory_order_seq_cst) != 0) {
+        generation_.notify_all();
+      }
+      return 0.0;
+    }
+    // Each yield is timed on the monotonic clock and charged at most
+    // kYieldCpu: a longer one handed the CPU to a peer (or the host
+    // preempted us), and that time is the peer's work, not ours.  Timing
+    // the loop as a whole would charge the peers' windows to every
+    // waiter whenever workers share a CPU.
+    double yielded = 0.0;
+    auto last = Clock::now();
+    for (int i = 0; i < kYields; ++i) {
+      if (generation_.load(std::memory_order_acquire) != gen) return yielded;
+      std::this_thread::yield();
+      const auto now = Clock::now();
+      yielded += std::min(std::chrono::duration<double>(now - last).count(),
+                          kYieldCpu);
+      last = now;
+    }
+    parked_.fetch_add(1, std::memory_order_seq_cst);
+    generation_.wait(gen, std::memory_order_seq_cst);
+    parked_.fetch_sub(1, std::memory_order_relaxed);
+    return yielded;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  static constexpr int kYields = 2048;
+  /// Upper bound on one yield's own CPU cost: a sched_yield that finds
+  /// no other runnable thread takes ~0.4 us on a 4-vCPU KVM guest, and
+  /// a round trip through a peer adds about as much in switches.
+  static constexpr double kYieldCpu = 1e-6;
+
+  const std::uint32_t n_;
+  alignas(64) std::atomic<std::uint32_t> arrived_{0};
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
+  std::atomic<std::uint32_t> parked_{0};
+};
+
 }  // namespace
 
 // Persistent worker pool.  Threads for workers 1..W-1 are created on
 // the first parallel span and then park on `start_gate` between spans;
-// the calling thread is worker 0.  `drained`'s completion step -- run
-// on exactly one thread while every other participant is blocked in
-// the barrier -- is the single-threaded boundary where the epoch
-// adapts, shards migrate between workers, and the next window is
-// sized.
+// the calling thread is worker 0.  `boundary`'s completion -- run on
+// exactly one thread while every other worker waits in the barrier --
+// is the single-threaded boundary step.  The span gates stay parking
+// std::barriers: the scheduler places a thread on an idle CPU when it
+// wakes, and on a 4-vCPU KVM guest a pool thread that never slept
+// stayed on the CPU that created it -- yield-waiting gates stacked the
+// whole pool on one CPU.
 struct ShardedSimulation::Pool {
-  struct Boundary {
-    ShardedSimulation* s;
-    void operator()() noexcept { s->on_drained(); }
-  };
-
-  std::barrier<> flushed;
-  std::barrier<Boundary> drained;
+  BoundaryBarrier boundary;
   std::barrier<> start_gate;  ///< span kickoff + shutdown release
   std::barrier<> end_gate;    ///< span completion
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors;  ///< by worker
   bool shutdown = false;  ///< written before start_gate, read after
 
-  Pool(ShardedSimulation* s, std::size_t w)
-      : flushed(static_cast<std::ptrdiff_t>(w)),
-        drained(static_cast<std::ptrdiff_t>(w), Boundary{s}),
+  explicit Pool(std::size_t w)
+      : boundary(w),
         start_gate(static_cast<std::ptrdiff_t>(w)),
         end_gate(static_cast<std::ptrdiff_t>(w)),
         errors(w) {}
@@ -105,8 +171,7 @@ ShardedSimulation::ShardedSimulation(Options opts) : opts_(opts) {
                       ? opts.max_epoch.to_ms()
                       : base_epoch_ms_;
   executed_at_rebalance_.assign(n, 0);
-  // Pre-size so the boundary step never allocates (it runs inside a
-  // noexcept barrier completion).
+  // Pre-size so the rebalancer never allocates at a boundary.
   load_scratch_.reserve(workers_);
 }
 
@@ -192,9 +257,9 @@ void ShardedSimulation::flush_spill(ShardId src) {
 void ShardedSimulation::drain_inbound(ShardId dst) {
   // Occupancy check first: a boundary with no inbound traffic costs
   // one relaxed load instead of probing every source's ring.  Exact
-  // here because every producer is past the flush barrier (which also
-  // publishes its relaxed increments) and none posts again until after
-  // the drain barrier.
+  // here because the boundary step runs alone: every producer has
+  // arrived at the boundary barrier (which publishes its relaxed
+  // increments), and the spill flush ran just before on this thread.
   auto& pending = inbound_[dst].n;
   if (pending.load(std::memory_order_relaxed) == 0) return;
   ShardState& d = *shards_[dst];
@@ -215,10 +280,10 @@ void ShardedSimulation::drain_inbound(ShardId dst) {
   // Exact inbound occupancy at this boundary: what the rings delivered
   // plus backlog still spilled at the sources.  Reading the sources'
   // spill bookkeeping here is race-free -- spill is written only in
-  // the flush/run phases, and the flushed barrier (which every worker
-  // has passed before any drain starts) orders those writes before
-  // this read.  Backlog can only be nonzero while the source's ring to
-  // us is full, so the pending==0 early-out above never skips it.
+  // the run phase and the flush, and the boundary barrier orders both
+  // before this read.  Backlog can only be nonzero while the source's
+  // ring to us is full, so the pending==0 early-out above never skips
+  // it.
   std::uint64_t backlog = 0;
   for (ShardId src = 0; src < shards_.size(); ++src) {
     if (src == dst) continue;
@@ -342,13 +407,17 @@ bool ShardedSimulation::plan_next_window(double horizon_ms) {
   return true;
 }
 
+bool ShardedSimulation::boundary_step(double horizon_ms) {
+  for (ShardId s = 0; s < shards_.size(); ++s) flush_spill(s);
+  for (ShardId s = 0; s < shards_.size(); ++s) drain_inbound(s);
+  return plan_next_window(horizon_ms);
+}
+
 std::size_t ShardedSimulation::run_span_serial(TimePoint horizon) {
   const std::uint64_t before = executed_events();
   const double horizon_ms = horizon.to_ms();
   for (;;) {
-    for (ShardId s = 0; s < shards_.size(); ++s) flush_spill(s);
-    for (ShardId s = 0; s < shards_.size(); ++s) drain_inbound(s);
-    if (!plan_next_window(horizon_ms)) break;
+    if (!boundary_step(horizon_ms)) break;
     const TimePoint window_end = TimePoint::at_ms(window_end_ms_);
     for (ShardId s = 0; s < shards_.size(); ++s) {
       run_shard(s, window_end, /*account_cpu=*/true);
@@ -357,44 +426,41 @@ std::size_t ShardedSimulation::run_span_serial(TimePoint horizon) {
   return executed_events() - before;
 }
 
-void ShardedSimulation::on_drained() noexcept {
+void ShardedSimulation::on_boundary(std::size_t w) {
+  done_ = true;
   for (const auto& e : pool_->errors) {
-    if (e != nullptr) {
-      done_ = true;
-      return;
-    }
+    if (e != nullptr) return;
   }
-  done_ = !plan_next_window(span_horizon_ms_);
+  try {
+    done_ = !boundary_step(span_horizon_ms_);
+  } catch (...) {
+    // A drain can throw (e.g. heap growth); it ran on worker w's thread.
+    pool_->errors[w] = std::current_exception();
+  }
 }
 
 void ShardedSimulation::worker_span(std::size_t w) {
   // One thread-CPU measurement spans the whole call: worker busy time
-  // covers event execution, mailbox work and barrier arrival -- but
-  // not time blocked or descheduled -- at the cost of two clock reads
-  // per span instead of two per window.
+  // covers event execution and the boundary steps this worker ran --
+  // minus the barrier's yield-waits, and never time parked or
+  // descheduled -- at the cost of two clock reads per span instead of
+  // two per window.
   const double cpu0 = thread_cpu_seconds();
+  double waited = 0.0;
   std::uint64_t executed = 0;
   const std::size_t n = shards_.size();
-  // Boundary protocol per window: every worker flushes its shards'
-  // outbound spill, barrier; drains their inbound mailboxes, barrier
-  // (whose completion -- run on exactly one thread while the rest are
-  // parked -- adapts the epoch, rebalances the map, and sizes the next
-  // window or declares termination); runs its shards.  The run phase
-  // of window W overlaps other workers' flush for the next boundary,
-  // which is safe: each mailbox has one producer (flush/post from the
-  // shard's owner) and one consumer (the destination owner's drain,
-  // strictly after the flush barrier).  The shard -> worker map is
-  // only written inside the drain barrier's completion, so every read
-  // here is ordered against it.
+  // Protocol per window: one boundary barrier, whose completion -- run
+  // by the last worker to arrive while the rest wait -- is the serial
+  // boundary step run_span_serial also uses (flush every shard's spill,
+  // drain every shard's inbound mailboxes in source order, adapt the
+  // epoch, rebalance the map, size the next window or declare
+  // termination); then each worker runs its shards.  Mailboxes need no
+  // further ordering: producers (post) only run in the run phase, the
+  // flush and the drain only inside the completion, and the barrier
+  // separates the two.  The shard -> worker map is likewise written
+  // only inside the completion.
   for (;;) {
-    for (std::size_t c = 0; c < n; ++c) {
-      if (cell_worker_[c] == w) flush_spill(static_cast<ShardId>(c));
-    }
-    pool_->flushed.arrive_and_wait();
-    for (std::size_t c = 0; c < n; ++c) {
-      if (cell_worker_[c] == w) drain_inbound(static_cast<ShardId>(c));
-    }
-    pool_->drained.arrive_and_wait();
+    waited += pool_->boundary.arrive_and_wait([this, w] { on_boundary(w); });
     if (done_) break;
     const TimePoint window_end = TimePoint::at_ms(window_end_ms_);
     try {
@@ -405,12 +471,12 @@ void ShardedSimulation::worker_span(std::size_t w) {
         }
       }
     } catch (...) {
-      // Park the error and keep honoring the barriers so no peer
+      // Park the error and keep honoring the barrier so no peer
       // deadlocks; the next boundary terminates everyone.
       pool_->errors[w] = std::current_exception();
     }
   }
-  const double cpu = thread_cpu_seconds() - cpu0;
+  const double cpu = std::max(0.0, thread_cpu_seconds() - cpu0 - waited);
   worker_stats_[w].executed += executed;
   worker_stats_[w].busy_seconds += cpu;
   // With the static 1:1 map, worker w's whole-span measurement is also
@@ -431,7 +497,7 @@ void ShardedSimulation::worker_thread(std::size_t w) {
 
 void ShardedSimulation::ensure_pool() {
   if (pool_ != nullptr) return;
-  pool_ = std::make_unique<Pool>(this, workers_);
+  pool_ = std::make_unique<Pool>(workers_);
   pool_->threads.reserve(workers_ - 1);
   for (std::size_t w = 1; w < workers_; ++w) {
     pool_->threads.emplace_back([this, w] { worker_thread(w); });

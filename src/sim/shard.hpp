@@ -31,8 +31,8 @@
 //     (doubling, up to `Options::max_epoch`, the model's legal
 //     maximum: the minimum cross-shard latency); any cross-shard
 //     traffic snaps it back to the base epoch.  The decision is a pure
-//     function of the per-window post counters, computed at the drain
-//     boundary, so serial and parallel runs size identical windows.
+//     function of the per-window post counters, computed in the
+//     boundary step, so serial and parallel runs size identical windows.
 //   * Deterministic shard stealing (`Options::steal`): every
 //     `steal_period` windows the boundary step re-evaluates the live
 //     shard->worker map from per-shard executed-event counters and
@@ -43,7 +43,12 @@
 //
 // In parallel mode shard workers are created ONCE and parked on a
 // start gate between `run_span` calls (no per-call spawn/join), and
-// `Options::pin_threads` pins each pool thread to a CPU.
+// `Options::pin_threads` pins each pool thread to a CPU.  Windows are
+// separated by ONE boundary barrier: the last worker to arrive runs the
+// serial boundary step (flush every spill, drain every mailbox, plan
+// the next window) while the others yield the CPU, parking on the
+// barrier's generation word only if the wait runs long.  The step is
+// the same function the serial mode calls between windows.
 //
 // Determinism: each shard's local execution is the ordinary (time,
 // insertion-seq) order of its own Simulation; at a boundary, inbound
@@ -95,7 +100,8 @@ struct ShardStats {
   /// overflow (delivery slips by whole epochs, order preserved).
   std::uint64_t backpressure_stalls = 0;
   /// CPU seconds this shard's thread spent executing events (excludes
-  /// barrier waits and time spent descheduled), so summing
+  /// barrier waits -- the yield-waits are measured and subtracted --
+  /// and time spent descheduled), so summing
   /// events/busy_seconds across shards measures aggregate processing
   /// capacity even on an oversubscribed host.
   double busy_seconds = 0.0;
@@ -113,8 +119,9 @@ struct ShardStats {
 /// critical-path capacity metric reads these).
 struct WorkerStats {
   std::uint64_t executed = 0;  ///< events run on this lane
-  /// Whole-span thread-CPU time: event execution, mailbox work and
-  /// barrier arrivals, but not time blocked or descheduled.
+  /// Whole-span thread-CPU time: event execution and the boundary
+  /// steps this lane ran, but not barrier waits (yield-waits are
+  /// subtracted) or time parked or descheduled.
   double busy_seconds = 0.0;
 };
 
@@ -278,12 +285,14 @@ class ShardedSimulation {
   /// +inf.  Call only at a boundary (mailboxes already drained).
   [[nodiscard]] double min_next_ms();
 
-  /// The boundary step, identical in serial and parallel mode: adapt
-  /// the epoch from the per-window post counters, re-evaluate the
-  /// shard->worker map, then size the next window.  Returns false when
-  /// no work remains at or before `horizon_ms`.  Runs single-threaded
-  /// (serial loop, or the drain barrier's completion while every
-  /// worker is parked).
+  /// The boundary step, identical in serial and parallel mode: flush
+  /// every shard's spill, drain every shard's inbound mailboxes, then
+  /// plan_next_window.  Returns false when no work remains at or before
+  /// `horizon_ms`.  Runs single-threaded (serial loop, or the boundary
+  /// barrier's completion while every other worker waits).
+  bool boundary_step(double horizon_ms);
+  /// Adapt the epoch from the per-window post counters, re-evaluate
+  /// the shard->worker map, then size the next window.
   bool plan_next_window(double horizon_ms);
   void adapt_epoch();
   void maybe_rebalance();
@@ -297,7 +306,8 @@ class ShardedSimulation {
   void ensure_pool();
   void worker_thread(std::size_t w);
   void worker_span(std::size_t w);
-  void on_drained() noexcept;
+  /// Boundary-barrier completion, run on worker `w`'s thread.
+  void on_boundary(std::size_t w);
 
   Options opts_;
   std::vector<std::unique_ptr<ShardState>> shards_;

@@ -4,6 +4,11 @@
 // mailbox overflow backpressure.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -147,9 +152,9 @@ struct RingChain {
 
 std::vector<std::unique_ptr<RingChain>> build_ring(ShardedSimulation& ssim,
                                                    RingResult& result,
-                                                   std::size_t post_every) {
+                                                   std::size_t post_every,
+                                                   int fires = 40) {
   constexpr int kChains = 8;
-  constexpr int kFires = 40;
   result.fires.resize(kChains);
   result.arrivals.resize(kChains);
   const std::size_t shards = ssim.shard_count();
@@ -163,7 +168,7 @@ std::vector<std::unique_ptr<RingChain>> build_ring(ShardedSimulation& ssim,
     chain->to_next = CrossShardChannel(ssim, home, next, Duration::ms(2.0));
     chain->fires = &result.fires[c];
     chain->arrivals = &result.arrivals[c];
-    chain->remaining = kFires;
+    chain->remaining = fires;
     chain->period = 0.31 + 0.173 * c;  // no cross-chain ties
     chain->post_every = post_every;
     chains.push_back(std::move(chain));
@@ -558,6 +563,114 @@ TEST(ShardedSimulationTest, MailboxHighWaterStatTracksInboundBursts) {
     max_hwm = std::max(max_hwm, ssim.stats(s).mailbox_hwm);
   }
   EXPECT_GT(max_hwm, 1u);
+}
+
+// --- boundary barrier under stress -----------------------------------------
+
+RingResult run_long_ring(bool parallel) {
+  ShardedSimulation::Options opts;
+  opts.shards = 4;
+  opts.epoch = Duration::ms(1.0);
+  opts.mailbox_capacity = 64;
+  opts.parallel = parallel;
+  ShardedSimulation ssim(opts);
+  RingResult result;
+  auto keep = build_ring(ssim, result, 4, 4000);
+  result.executed = ssim.run();
+  EXPECT_GT(ssim.windows(), 2000u);
+  return result;
+}
+
+#if defined(__linux__)
+// Four workers sharing one CPU: every boundary wait must hand the CPU
+// to the peers it is waiting for, or each window costs a scheduler
+// tick.  Pool threads inherit the affinity mask of the thread that
+// creates them, so restricting the test thread first confines them all.
+TEST(ShardedSimulationTest, ParallelStaysLiveOnOneCpu) {
+  struct RestoreMask {
+    cpu_set_t saved;
+    ~RestoreMask() { (void)sched_setaffinity(0, sizeof(saved), &saved); }
+  } restore{};
+  ASSERT_EQ(sched_getaffinity(0, sizeof(restore.saved), &restore.saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &restore.saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const RingResult serial = run_long_ring(false);
+  const auto t0 = std::chrono::steady_clock::now();
+  const RingResult parallel = run_long_ring(true);
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+  EXPECT_EQ(parallel.fires, serial.fires);
+  EXPECT_EQ(parallel.arrivals, serial.arrivals);
+  EXPECT_EQ(parallel.executed, serial.executed);
+  EXPECT_LT(wall_s, 2.0);
+}
+#endif
+
+// Hundreds of short run_until spans, a few windows each (some none),
+// with cross-shard posts submitted from outside between spans -- the
+// shape of a 50 ms run_for stepping loop.  Every span re-enters the
+// pool through the parking gates and the boundary barrier.
+struct SpanResult {
+  RingResult ring;
+  std::vector<std::vector<double>> posted;  // arrival times, by shard
+  std::vector<std::uint64_t> received;      // ShardStats::received
+};
+
+SpanResult run_short_spans(bool parallel) {
+  constexpr ShardId kShards = 4;
+  constexpr int kSpans = 600;
+  ShardedSimulation::Options opts;
+  opts.shards = kShards;
+  opts.epoch = Duration::ms(1.0);
+  opts.mailbox_capacity = 64;
+  opts.parallel = parallel;
+  ShardedSimulation ssim(opts);
+  SpanResult result;
+  result.posted.resize(kShards);
+  auto keep = build_ring(ssim, result.ring, 4, 400);
+  for (int i = 0; i < kSpans; ++i) {
+    const auto src = static_cast<ShardId>(i % kShards);
+    const auto dst = static_cast<ShardId>((i + 1 + i / kShards) % kShards);
+    if (src != dst) {
+      auto* log = &result.posted[dst];
+      Simulation* local = &ssim.shard(dst);
+      ssim.post(src, dst, ssim.now() + Duration::ms(1.0 + 0.01 * (i % 7)),
+                [log, local] { log->push_back(local->now().to_ms()); });
+    }
+    result.ring.executed += ssim.run_until(ssim.now() + Duration::ms(0.7));
+  }
+  result.ring.executed += ssim.run();
+  for (ShardId s = 0; s < kShards; ++s) {
+    result.received.push_back(ssim.stats(s).received);
+  }
+  return result;
+}
+
+TEST(ShardedSimulationTest, ManyShortSpansMatchSerial) {
+  const SpanResult serial = run_short_spans(false);
+  const SpanResult parallel = run_short_spans(true);
+  EXPECT_EQ(parallel.ring.fires, serial.ring.fires);
+  EXPECT_EQ(parallel.ring.arrivals, serial.ring.arrivals);
+  EXPECT_EQ(parallel.posted, serial.posted);
+  EXPECT_EQ(parallel.ring.executed, serial.ring.executed);
+  EXPECT_EQ(parallel.received, serial.received);
+  // Exactly what arrived: ring tokens land on the receiving chain's
+  // home shard (chain c lives on shard c % 4), plus the posts.
+  for (ShardId s = 0; s < 4; ++s) {
+    std::uint64_t expected = parallel.posted[s].size();
+    for (std::size_t c = s; c < parallel.ring.arrivals.size(); c += 4) {
+      expected += parallel.ring.arrivals[c].size();
+    }
+    EXPECT_EQ(parallel.received[s], expected) << "shard " << s;
+  }
+  std::size_t posts = 0;
+  for (const auto& p : parallel.posted) posts += p.size();
+  EXPECT_GT(posts, 400u);
 }
 
 // --- API contracts ----------------------------------------------------------
