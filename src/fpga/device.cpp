@@ -47,7 +47,12 @@ const char* to_string(ReconfigureResult r) {
 
 FpgaDevice::FpgaDevice(sim::Simulation& sim, hw::Link& pcie, FpgaSpec spec,
                        Logger log)
-    : sim_(sim), pcie_(pcie), spec_(std::move(spec)), log_(std::move(log)) {}
+    : sim_(sim),
+      pcie_(pcie),
+      spec_(std::move(spec)),
+      log_(std::move(log)),
+      slot_capacity_(spec_.usable()),
+      slots_(1) {}
 
 void FpgaDevice::notify_done(ReconfigureCallback done,
                              ReconfigureResult result) {
@@ -61,6 +66,13 @@ void FpgaDevice::notify_done(ReconfigureCallback done,
     return;
   }
   done(result);
+}
+
+void FpgaDevice::refuse(ReconfigureCallback done, ReconfigureResult result) {
+  sim_.schedule_in(Duration::zero(),
+                   [this, done = std::move(done), result]() mutable {
+                     notify_done(std::move(done), result);
+                   });
 }
 
 void FpgaDevice::finish_port(ReconfigureCallback done,
@@ -86,11 +98,21 @@ void FpgaDevice::retire_cus(
   std::erase_if(draining_cus_, [](const auto& cu) { return !cu->busy(); });
 }
 
+void FpgaDevice::clear_slot(Slot& slot, Slot::State state) {
+  slot.state = state;
+  for (LoadedKernel& k : slot.kernels) retire_cus(k.cus);
+  slot.kernels.clear();
+  slot.image.clear();
+  ++slot.version;
+}
+
 void FpgaDevice::enable_slots(SlotConfig cfg) {
   XAR_EXPECTS(cfg.slots >= 1);
   XAR_EXPECTS(!slot_mode());
   XAR_EXPECTS(!reconfiguring() && !offline_);
-  XAR_EXPECTS(kernels_.empty() && !loaded_.has_value());
+  XAR_EXPECTS(slots_.front().state == Slot::State::kEmpty);
+  // Slot 0 keeps its version, so a view cached against the one-slot
+  // carve can never read as current against the new table.
   slot_capacity_ = spec_.usable() / cfg.slots;
   slots_.resize(cfg.slots);
   slot_cfg_ = cfg;
@@ -108,7 +130,7 @@ std::optional<std::string> FpgaDevice::slot_kernel(std::uint32_t slot) const {
   XAR_EXPECTS(slot_mode() && slot < slots_.size());
   const Slot& s = slots_[slot];
   if (s.state != Slot::State::kLoaded) return std::nullopt;
-  return s.config.name;
+  return s.kernels.front().config.name;
 }
 
 void FpgaDevice::reconfigure(const XclbinImage& image,
@@ -117,26 +139,15 @@ void FpgaDevice::reconfigure(const XclbinImage& image,
   // Whole-image downloads and slot virtualization don't mix: a full
   // bitstream would overwrite every slot.
   XAR_EXPECTS(!slot_mode());
-  XAR_EXPECTS(
-      FpgaResources::fits_within(image.total_kernel_resources(),
-                                 spec_.usable()));
-  if (offline_) {
-    // Device lost: the request completes (the driver returns an error
-    // the caller treats as "not resident") without loading anything.
-    log_.warn("fpga: reconfiguration of ", image.id,
-              " dropped -- device offline");
-    sim_.schedule_in(Duration::zero(),
-                     [this, done = std::move(on_done)]() mutable {
-                       notify_done(std::move(done),
-                                   ReconfigureResult::kOfflineDrop);
-                     });
-    return;
-  }
+  XAR_EXPECTS(FpgaResources::fits_within(image.total_kernel_resources(),
+                                         slot_capacity_));
   PendingReconfig req;
-  req.image = image;
+  req.image = image.id;
+  req.kernels = image.kernels;
+  req.bitstream_bytes = image.size_bytes;
+  req.program_time = spec_.programming_time;
   req.on_done = std::move(on_done);
-  reconfig_queue_.push_back(std::move(req));
-  if (!reconfig_active_) start_reconfigure();
+  submit(std::move(req));
 }
 
 void FpgaDevice::reconfigure_slot(std::uint32_t slot,
@@ -154,28 +165,28 @@ void FpgaDevice::reconfigure_slot(std::uint32_t slot,
     // scheduler probes fits speculatively and consumes the result.
     log_.warn("fpga: ", kernel.name, " x", replicas,
               " does not fit slot ", slot, " -- refused");
-    sim_.schedule_in(Duration::zero(),
-                     [this, done = std::move(on_done)]() mutable {
-                       notify_done(std::move(done),
-                                   ReconfigureResult::kNoFit);
-                     });
-    return;
-  }
-  if (offline_) {
-    log_.warn("fpga: slot programming of ", kernel.name,
-              " dropped -- device offline");
-    sim_.schedule_in(Duration::zero(),
-                     [this, done = std::move(on_done)]() mutable {
-                       notify_done(std::move(done),
-                                   ReconfigureResult::kOfflineDrop);
-                     });
+    refuse(std::move(on_done), ReconfigureResult::kNoFit);
     return;
   }
   PendingReconfig req;
   req.slot = slot;
-  req.kernel = kernel;
-  req.replicas = replicas;
+  req.kernels.push_back(kernel);
+  req.kernels.back().compute_units = static_cast<int>(replicas);
+  req.bitstream_bytes = slot_cfg_->slot_bitstream_bytes;
+  req.program_time = slot_cfg_->slot_program_time;
   req.on_done = std::move(on_done);
+  submit(std::move(req));
+}
+
+void FpgaDevice::submit(PendingReconfig req) {
+  if (offline_) {
+    // Device lost: the request completes (the driver returns an error
+    // the caller treats as "not resident") without loading anything.
+    log_.warn("fpga: programming of slot ", req.slot,
+              " dropped -- device offline");
+    refuse(std::move(req.on_done), ReconfigureResult::kOfflineDrop);
+    return;
+  }
   reconfig_queue_.push_back(std::move(req));
   if (!reconfig_active_) start_reconfigure();
 }
@@ -185,23 +196,12 @@ void FpgaDevice::set_offline(bool offline) {
   bump_epoch();
   if (offline) {
     ++offline_events_;
-    for (auto& [name, k] : kernels_) retire_cus(k.cus);
-    kernels_.clear();
-    loaded_.reset();
-    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-      Slot& s = slots_[i];
-      if (s.state == Slot::State::kEmpty && s.cus.empty()) continue;
-      s.state = Slot::State::kEmpty;
-      retire_cus(s.cus);
-      ++s.version;
+    for (Slot& s : slots_) {
+      if (s.state != Slot::State::kEmpty) clear_slot(s, Slot::State::kEmpty);
     }
     // Drop queued downloads; their completions fire as offline drops.
     for (auto& req : reconfig_queue_) {
-      sim_.schedule_in(Duration::zero(),
-                       [this, done = std::move(req.on_done)]() mutable {
-                         notify_done(std::move(done),
-                                     ReconfigureResult::kOfflineDrop);
-                       });
+      refuse(std::move(req.on_done), ReconfigureResult::kOfflineDrop);
     }
     reconfig_queue_.clear();
     log_.warn("fpga: device taken offline");
@@ -231,209 +231,118 @@ void FpgaDevice::start_reconfigure() {
   reconfig_active_ = true;
   PendingReconfig req = std::move(reconfig_queue_.front());
   reconfig_queue_.pop_front();
-  if (req.slot == kNoSlot) {
-    start_whole_image(std::move(req));
-  } else {
-    start_slot(std::move(req));
-  }
-}
-
-void FpgaDevice::start_whole_image(PendingReconfig req) {
   const std::uint64_t offline_mark = offline_events_;
-  bump_epoch();  // the old configuration dies right below
-  // The old configuration stops being callable the moment programming
-  // starts; CUs with work still in flight drain in the graveyard (their
-  // completions fire with the old service times).
-  for (auto& [name, k] : kernels_) retire_cus(k.cus);
-  kernels_.clear();
-  loaded_.reset();
-
-  log_.debug("fpga: downloading xclbin ", req.image.id, " (",
-             req.image.size_bytes, " bytes)");
-  pcie_.transfer(
-      req.image.size_bytes,
-      [this, offline_mark, req = std::move(req)]() mutable {
-        sim_.schedule_in(
-            spec_.programming_time,
-            [this, offline_mark, req = std::move(req)]() mutable {
-              if (offline_ || offline_events_ != offline_mark) {
-                // Card died -- or blipped -- mid-programming: the
-                // bitstream write is torn, nothing becomes resident.
-                bump_epoch();
-                finish_port(std::move(req.on_done),
-                            ReconfigureResult::kTornWrite);
-                return;
-              }
-              if (draw_injected_failure()) {
-                // Injected programming failure (corrupted bitstream /
-                // ICAP error): the card survives but nothing becomes
-                // resident.  One-shot arm, or a flaky-port draw.
-                bump_epoch();
-                log_.warn("fpga: programming of ", req.image.id,
-                          " failed (injected)");
-                finish_port(std::move(req.on_done),
-                            ReconfigureResult::kInjectedFailure);
-                return;
-              }
-              for (const auto& k : req.image.kernels) {
-                LoadedKernel loaded;
-                loaded.config = k;
-                for (int cu = 0; cu < k.compute_units; ++cu) {
-                  loaded.cus.push_back(std::make_unique<sim::FifoStation>(
-                      sim_, req.image.id + "/" + k.name + "." +
-                                std::to_string(cu)));
-                }
-                kernels_.emplace(k.name, std::move(loaded));
-              }
-              loaded_ = std::move(req.image);
-              ++reconfigs_;
-              bump_epoch();
-              log_.info("fpga: xclbin ", loaded_->id, " live with ",
-                        kernels_.size(), " kernel(s)");
-              finish_port(std::move(req.on_done), ReconfigureResult::kOk);
-            });
-      });
-}
-
-void FpgaDevice::start_slot(PendingReconfig req) {
-  const std::uint64_t offline_mark = offline_events_;
-  Slot& target = slots_[req.slot];
-  // Only this slot goes dark while its partial bitstream programs; the
-  // other slots keep serving -- the point of the virtualization.
-  target.state = Slot::State::kProgramming;
-  retire_cus(target.cus);
-  ++target.version;
+  // Only the target slot goes dark while it programs; any other slots
+  // keep serving -- the point of the virtualization.  CUs with work
+  // still in flight drain in the graveyard (their completions fire with
+  // the old service times).
+  clear_slot(slots_[req.slot], Slot::State::kProgramming);
   bump_epoch();
 
-  log_.debug("fpga: programming slot ", req.slot, " with ", req.kernel.name,
-             " x", req.replicas);
-  pcie_.transfer(
-      slot_cfg_->slot_bitstream_bytes,
-      [this, offline_mark, req = std::move(req)]() mutable {
-        sim_.schedule_in(
-            slot_cfg_->slot_program_time,
-            [this, offline_mark, req = std::move(req)]() mutable {
-              Slot& slot = slots_[req.slot];
-              if (offline_ || offline_events_ != offline_mark) {
-                // Torn write confined to this slot: set_offline already
-                // emptied the table; record the tear and move on.
-                slot.state = Slot::State::kEmpty;
-                retire_cus(slot.cus);
-                ++slot.version;
-                bump_epoch();
-                finish_port(std::move(req.on_done),
-                            ReconfigureResult::kTornWrite);
-                return;
-              }
-              if (draw_injected_failure()) {
-                slot.state = Slot::State::kEmpty;
-                ++slot.version;
-                bump_epoch();
-                log_.warn("fpga: slot ", req.slot, " programming of ",
-                          req.kernel.name, " failed (injected)");
-                finish_port(std::move(req.on_done),
-                            ReconfigureResult::kInjectedFailure);
-                return;
-              }
-              slot.state = Slot::State::kLoaded;
-              slot.config = req.kernel;
-              for (std::uint32_t cu = 0; cu < req.replicas; ++cu) {
-                slot.cus.push_back(std::make_unique<sim::FifoStation>(
-                    sim_, "slot" + std::to_string(req.slot) + "/" +
-                              req.kernel.name + "." + std::to_string(cu)));
-              }
-              ++slot.version;
-              ++reconfigs_;
-              bump_epoch();
-              log_.info("fpga: slot ", req.slot, " live with ",
-                        req.kernel.name, " x", req.replicas);
-              finish_port(std::move(req.on_done), ReconfigureResult::kOk);
-            });
-      });
+  log_.debug("fpga: programming slot ", req.slot, " (",
+             req.bitstream_bytes, " bytes)");
+  const std::uint64_t bytes = req.bitstream_bytes;
+  pcie_.transfer(bytes, [this, offline_mark, req = std::move(req)]() mutable {
+    const Duration program_time = req.program_time;
+    sim_.schedule_in(
+        program_time, [this, offline_mark, req = std::move(req)]() mutable {
+          Slot& slot = slots_[req.slot];
+          if (offline_ || offline_events_ != offline_mark) {
+            // Card died -- or blipped -- mid-programming: the bitstream
+            // write is torn, nothing becomes resident in this slot.
+            clear_slot(slot, Slot::State::kEmpty);
+            bump_epoch();
+            finish_port(std::move(req.on_done),
+                        ReconfigureResult::kTornWrite);
+            return;
+          }
+          if (draw_injected_failure()) {
+            // Injected programming failure (corrupted bitstream / ICAP
+            // error): the card survives but nothing becomes resident.
+            // One-shot arm, or a flaky-port draw.
+            clear_slot(slot, Slot::State::kEmpty);
+            bump_epoch();
+            log_.warn("fpga: slot ", req.slot,
+                      " programming failed (injected)");
+            finish_port(std::move(req.on_done),
+                        ReconfigureResult::kInjectedFailure);
+            return;
+          }
+          slot.state = Slot::State::kLoaded;
+          slot.image = std::move(req.image);
+          for (HwKernelConfig& k : req.kernels) {
+            LoadedKernel loaded;
+            for (int cu = 0; cu < k.compute_units; ++cu) {
+              loaded.cus.push_back(std::make_unique<sim::FifoStation>(
+                  sim_, "slot" + std::to_string(req.slot) + "/" + k.name +
+                            "." + std::to_string(cu)));
+            }
+            loaded.config = std::move(k);
+            slot.kernels.push_back(std::move(loaded));
+          }
+          ++slot.version;
+          ++reconfigs_;
+          bump_epoch();
+          log_.info("fpga: slot ", req.slot, " live with ",
+                    slot.kernels.size(), " kernel(s)");
+          finish_port(std::move(req.on_done), ReconfigureResult::kOk);
+        });
+  });
 }
 
 bool FpgaDevice::has_kernel(const std::string& name) const {
-  if (slot_mode()) {
-    for (const Slot& s : slots_) {
-      if (s.state == Slot::State::kLoaded && s.config.name == name)
-        return true;
-    }
-    return false;
-  }
-  return !reconfig_active_ && kernels_.contains(name);
+  return residency(name).resident();
 }
 
 std::vector<std::string> FpgaDevice::available_kernels() const {
   std::vector<std::string> names;
-  if (slot_mode()) {
-    for (const Slot& s : slots_) {
-      if (s.state == Slot::State::kLoaded) names.push_back(s.config.name);
-    }
-    std::sort(names.begin(), names.end());
-    names.erase(std::unique(names.begin(), names.end()), names.end());
-    return names;
+  for (const Slot& s : slots_) {
+    for (const LoadedKernel& k : s.kernels) names.push_back(k.config.name);
   }
-  if (reconfig_active_) return names;
-  names.reserve(kernels_.size());
-  for (const auto& [name, k] : kernels_) names.push_back(name);
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
   return names;
 }
 
 ResidencyView FpgaDevice::residency(std::string_view kernel) const {
   ResidencyView view;
   view.version = residency_epoch_;
-  if (slot_mode()) {
-    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-      const Slot& s = slots_[i];
-      if (s.state != Slot::State::kLoaded || s.config.name != kernel)
-        continue;
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+    const Slot& s = slots_[i];
+    for (const LoadedKernel& k : s.kernels) {
+      if (k.config.name != kernel) continue;
       if (view.slot == kNoSlot) {
         view.slot = i;
         view.version = s.version;
       }
-      view.cus += static_cast<std::uint32_t>(s.cus.size());
+      view.cus += static_cast<std::uint32_t>(k.cus.size());
     }
-    return view;
   }
-  if (reconfig_active_) return view;
-  auto it = kernels_.find(std::string(kernel));
-  if (it == kernels_.end()) return view;
-  view.cus = static_cast<std::uint32_t>(it->second.cus.size());
   return view;
 }
 
 bool FpgaDevice::residency_current(const ResidencyView& view) const {
-  if (slot_mode() && view.slot != kNoSlot) {
+  if (view.slot != kNoSlot) {
     return view.slot < slots_.size() &&
            slots_[view.slot].version == view.version;
   }
   return view.version == residency_epoch_;
 }
 
-sim::FifoStation& FpgaDevice::LoadedKernel::pick_cu() const {
-  XAR_ASSERT(!cus.empty());
-  sim::FifoStation* best = cus.front().get();
-  auto backlog = [](const sim::FifoStation& cu) {
-    return cu.queue_length() + (cu.busy() ? 1 : 0);
-  };
-  for (const auto& cu : cus) {
-    if (backlog(*cu) < backlog(*best)) best = cu.get();
-  }
-  return *best;
-}
-
-sim::FifoStation* FpgaDevice::pick_slot_cu(const std::string& name,
-                                           const HwKernelConfig** cfg) {
+sim::FifoStation* FpgaDevice::pick_cu(const std::string& name,
+                                      const HwKernelConfig** cfg) {
   sim::FifoStation* best = nullptr;
   auto backlog = [](const sim::FifoStation& cu) {
     return cu.queue_length() + (cu.busy() ? 1 : 0);
   };
   for (Slot& s : slots_) {
-    if (s.state != Slot::State::kLoaded || s.config.name != name) continue;
-    for (const auto& cu : s.cus) {
-      if (best == nullptr || backlog(*cu) < backlog(*best)) {
-        best = cu.get();
-        *cfg = &s.config;
+    for (const LoadedKernel& k : s.kernels) {
+      if (k.config.name != name) continue;
+      for (const auto& cu : k.cus) {
+        if (best == nullptr || backlog(*cu) < backlog(*best)) {
+          best = cu.get();
+          *cfg = &k.config;
+        }
       }
     }
   }
@@ -443,30 +352,20 @@ sim::FifoStation* FpgaDevice::pick_slot_cu(const std::string& name,
 void FpgaDevice::execute(const std::string& name, std::uint64_t items,
                          Callback on_done) {
   XAR_EXPECTS(on_done != nullptr);
-  if (slot_mode()) {
-    const HwKernelConfig* cfg = nullptr;
-    sim::FifoStation* cu = pick_slot_cu(name, &cfg);
-    XAR_EXPECTS(cu != nullptr);
-    const Duration service = kernel_latency(*cfg, items);
-    cu->enqueue(service, [this, cb = std::move(on_done)]() mutable {
-      ++retired_invocations_;
-      cb();
-    });
-    return;
-  }
-  auto it = kernels_.find(name);
-  XAR_EXPECTS(it != kernels_.end() && !reconfig_active_);
-  const Duration service = kernel_latency(it->second.config, items);
-  it->second.pick_cu().enqueue(service,
-                               [this, cb = std::move(on_done)]() mutable {
-                                 ++retired_invocations_;
-                                 cb();
-                               });
+  const HwKernelConfig* cfg = nullptr;
+  sim::FifoStation* cu = pick_cu(name, &cfg);
+  XAR_EXPECTS(cu != nullptr);
+  cu->enqueue(kernel_latency(*cfg, items),
+              [this, cb = std::move(on_done)]() mutable {
+                ++retired_invocations_;
+                cb();
+              });
 }
 
 std::optional<std::string> FpgaDevice::loaded_image() const {
-  if (!loaded_) return std::nullopt;
-  return loaded_->id;
+  const Slot& s = slots_.front();
+  if (s.state != Slot::State::kLoaded || s.image.empty()) return std::nullopt;
+  return s.image;
 }
 
 std::uint64_t FpgaDevice::kernel_invocations() const {

@@ -1,20 +1,23 @@
 // FPGA accelerator-card device model.
 //
-// Models an Alveo-class PCIe card in one of two modes:
+// Models an Alveo-class PCIe card whose usable (post-shell) region is a
+// table of partial-reconfiguration slots -- the device's only residency
+// state.  Every programming, whatever its size, is one request on the
+// single reconfiguration port that tears one slot down and installs a
+// set of kernels, each with its compute units:
 //
-//  * Whole-image mode (default): the programmable region holds the
-//    kernels of exactly one XCLBIN at a time and a reconfiguration
-//    swaps the entire fabric (download over PCIe + full programming
-//    time).
+//  * Whole-image mode (default): the table holds one slot spanning
+//    usable().  `reconfigure(image)` programs it with every kernel of
+//    the XCLBIN at the full-image cost (download over PCIe + full
+//    programming time), so exactly one image is resident at a time.
 //
-//  * Slot mode (`enable_slots`): the usable region is carved into N
-//    equal partial-reconfiguration slots.  Each slot hosts one kernel
-//    with a replication count (CUs per slot), programs independently at
-//    a per-slot latency much cheaper than a full bitstream download,
-//    and keeps serving while *other* slots reprogram.  This is the
-//    SYNERGY-style virtualization the ROADMAP calls for: several
-//    tenants resident at once instead of one hot tenant monopolizing
-//    the device.
+//  * Slot mode (`enable_slots`): the quiescent table is re-carved into
+//    N equal slots.  `reconfigure_slot` programs one of them with one
+//    kernel at a replication count (CUs per slot) at a per-slot latency
+//    much cheaper than a full bitstream download, and the other slots
+//    keep serving meanwhile.  This is the SYNERGY-style virtualization
+//    the ROADMAP calls for: several tenants resident at once instead of
+//    one hot tenant monopolizing the device.
 //
 // The device is deliberately dumb: *when* to reconfigure and *whether* a
 // kernel is worth calling are the Xar-Trek scheduler's decisions (the
@@ -23,7 +26,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -118,27 +120,27 @@ struct SlotConfig {
   std::uint64_t slot_bitstream_bytes = 4ull << 20;
 };
 
-/// Where a slot-addressable reconfiguration may also target the whole
-/// device (whole-image mode requests).
+/// "No slot", e.g. the hosting slot of a non-resident ResidencyView.
 inline constexpr std::uint32_t kNoSlot = ~0u;
 
 /// Snapshot of one kernel's residency, the unit the scheduler's
-/// per-batch memo caches.  `version` is the hosting slot's programming
-/// version (slot mode) or the device residency epoch (whole-image mode
-/// and non-resident answers); `FpgaDevice::residency_current` says
-/// whether the snapshot still holds, replacing the old scheme of
-/// comparing a device-wide `residency_version()` by hand.
+/// per-batch memo caches.  A resident view carries its hosting slot
+/// and that slot's programming version (in whole-image mode: slot 0,
+/// the one-slot carve); a non-resident one carries the device residency
+/// epoch.  `FpgaDevice::residency_current` says whether the snapshot
+/// still holds, replacing the old scheme of comparing a device-wide
+/// `residency_version()` by hand.
 struct ResidencyView {
-  std::uint32_t slot = kNoSlot;  ///< hosting slot, kNoSlot if none/whole
+  std::uint32_t slot = kNoSlot;  ///< first hosting slot, kNoSlot if none
   std::uint32_t cus = 0;         ///< callable compute units right now
   std::uint64_t version = 0;
 
   [[nodiscard]] constexpr bool resident() const { return cus != 0; }
 };
 
-/// The device model.  Owns the loaded image (or slot table) and the
-/// per-kernel compute units; reconfiguration requests are serialized
-/// FIFO through the single reconfiguration port.
+/// The device model.  Owns the slot table and the per-kernel compute
+/// units; reconfiguration requests are serialized FIFO through the
+/// single reconfiguration port.
 class FpgaDevice {
  public:
   using Callback = sim::UniqueCallback;
@@ -155,20 +157,21 @@ class FpgaDevice {
 
   // ---- whole-image mode -------------------------------------------------
 
-  /// Download and program `image`.  During reconfiguration the previous
-  /// kernels are torn down immediately (the scheduler must not route work
-  /// here until `on_done`).  Concurrent requests queue FIFO.  Requires
-  /// the image's kernels to fit the usable region, and whole-image mode.
+  /// Download and program `image` into the one slot.  When programming
+  /// starts the previous kernels are torn down (the scheduler must not
+  /// route work here until `on_done`).  Concurrent requests queue FIFO.
+  /// Requires the image's kernels to fit the usable region, and
+  /// whole-image mode.
   void reconfigure(const XclbinImage& image, ReconfigureCallback on_done);
 
-  /// The currently loaded image id, if any (always nullopt in slot mode).
+  /// The image loaded in slot 0, if any (always nullopt in slot mode).
   [[nodiscard]] std::optional<std::string> loaded_image() const;
 
   // ---- slot mode --------------------------------------------------------
 
-  /// Switch to slot mode: carve usable() into cfg.slots equal PR slots.
-  /// One-way, and requires a quiescent device (nothing loaded, nothing
-  /// queued, online).
+  /// Switch to slot mode: re-carve the one-slot table into cfg.slots
+  /// equal PR slots of usable().  One-way, and requires a quiescent
+  /// device (nothing loaded, nothing queued, online).
   void enable_slots(SlotConfig cfg);
 
   [[nodiscard]] bool slot_mode() const { return slot_cfg_.has_value(); }
@@ -198,8 +201,8 @@ class FpgaDevice {
     return reconfig_active_ || !reconfig_queue_.empty();
   }
 
-  /// True when `name` is loaded and callable right now.  In slot mode a
-  /// kernel is callable while *other* slots reprogram.
+  /// True when `name` is loaded and callable right now: some slot holds
+  /// it.  A kernel stays callable while *other* slots reprogram.
   [[nodiscard]] bool has_kernel(const std::string& name) const;
 
   /// Names of callable kernels (the scheduler's "Query Available HW
@@ -212,10 +215,10 @@ class FpgaDevice {
   /// its per-batch memo on this.
   [[nodiscard]] ResidencyView residency(std::string_view kernel) const;
 
-  /// Whether a cached view still describes the device: in slot mode a
-  /// resident view stays valid until *its* slot reprograms (other slots
-  /// churning doesn't invalidate it); otherwise it is compared against
-  /// the device residency epoch.
+  /// Whether a cached view still describes the device: a resident view
+  /// stays valid until *its* slot reprograms (other slots churning
+  /// doesn't invalidate it); a non-resident one is compared against the
+  /// device residency epoch.
   [[nodiscard]] bool residency_current(const ResidencyView& view) const;
 
   /// Run kernel `name` over `items` work items; routed to the
@@ -223,8 +226,8 @@ class FpgaDevice {
   void execute(const std::string& name, std::uint64_t items,
                Callback on_done);
 
-  /// Failure injection: take the card offline (XRT device lost).  All
-  /// kernels -- every slot in slot mode -- are torn down and every
+  /// Failure injection: take the card offline (XRT device lost).  Every
+  /// slot is torn down and every
   /// subsequent reconfiguration request completes with kOfflineDrop, so
   /// `has_kernel` stays false until the card is brought back.  The
   /// Xar-Trek scheduler degrades to the CPU-only branches of Algorithm
@@ -269,8 +272,8 @@ class FpgaDevice {
 
   /// Bumped on every event that can change `has_kernel` answers
   /// (programming start/completion, offline transitions).  Prefer
-  /// residency()/residency_current() -- in slot mode they avoid
-  /// invalidating cached answers for slots that didn't change.
+  /// residency()/residency_current() -- they avoid invalidating cached
+  /// answers for slots that didn't change.
   [[nodiscard]] std::uint64_t residency_epoch() const {
     return residency_epoch_;
   }
@@ -284,41 +287,47 @@ class FpgaDevice {
   struct LoadedKernel {
     HwKernelConfig config;
     std::vector<std::unique_ptr<sim::FifoStation>> cus;
-
-    /// The least-backlogged compute unit (ties -> lowest index).
-    [[nodiscard]] sim::FifoStation& pick_cu() const;
   };
 
-  /// One partial-reconfiguration slot.
+  /// One partial-reconfiguration slot (whole-image mode: the only one).
   struct Slot {
     enum class State : std::uint8_t { kEmpty, kProgramming, kLoaded };
     State state = State::kEmpty;
-    HwKernelConfig config;  ///< valid when kLoaded
-    std::vector<std::unique_ptr<sim::FifoStation>> cus;
+    std::string image;  ///< XCLBIN id when kLoaded by reconfigure()
+    std::vector<LoadedKernel> kernels;  ///< non-empty when kLoaded
     /// Bumped whenever this slot's contents change (programming start,
     /// completion, teardown).  ResidencyView caching keys on it.
     std::uint64_t version = 0;
   };
 
-  /// A queued programming: whole-image when slot == kNoSlot.
+  /// A queued programming of one slot: its kernels (each with
+  /// `compute_units` CUs) and what the port pays to install them.
   struct PendingReconfig {
-    std::uint32_t slot = kNoSlot;
-    XclbinImage image;       ///< whole-image payload
-    HwKernelConfig kernel;   ///< slot payload
-    std::uint32_t replicas = 0;
+    std::uint32_t slot = 0;
+    std::string image;  ///< XCLBIN id; empty for a partial bitstream
+    std::vector<HwKernelConfig> kernels;
+    std::uint64_t bitstream_bytes = 0;
+    Duration program_time;
     ReconfigureCallback on_done;
   };
 
+  /// Queue `req` on the port, or drop it as kOfflineDrop when the card
+  /// is offline.
+  void submit(PendingReconfig req);
   void start_reconfigure();
-  void start_whole_image(PendingReconfig req);
-  void start_slot(PendingReconfig req);
   void finish_port(ReconfigureCallback done, ReconfigureResult result);
+  /// Complete a request that never reached the port with `result`, one
+  /// zero-delay event later.
+  void refuse(ReconfigureCallback done, ReconfigureResult result);
   /// Fire `done(result)` locally, or through the notify channel when
   /// one is set.
   void notify_done(ReconfigureCallback done, ReconfigureResult result);
-  /// Least-backlogged CU hosting `name` across slots; null if absent.
-  [[nodiscard]] sim::FifoStation* pick_slot_cu(const std::string& name,
-                                               const HwKernelConfig** cfg);
+  /// Tear `slot` down into `state`: its CUs retire, its version bumps.
+  void clear_slot(Slot& slot, Slot::State state);
+  /// Least-backlogged CU hosting `name` across slots (ties -> lowest
+  /// slot, then lowest index); null if absent.
+  [[nodiscard]] sim::FifoStation* pick_cu(const std::string& name,
+                                          const HwKernelConfig** cfg);
   void bump_epoch() { ++residency_epoch_; }
   /// One-shot arm plus flaky-port draw: decides whether the programming
   /// completing right now fails with kInjectedFailure.
@@ -336,13 +345,11 @@ class FpgaDevice {
   Logger log_;
   sim::CrossShardChannel notify_;
 
-  std::optional<XclbinImage> loaded_;
-  std::map<std::string, LoadedKernel> kernels_;
   /// Displaced CUs still draining in-flight work (see retire_cus).
   std::vector<std::unique_ptr<sim::FifoStation>> draining_cus_;
   std::uint64_t retired_invocations_ = 0;
 
-  std::optional<SlotConfig> slot_cfg_;
+  std::optional<SlotConfig> slot_cfg_;  ///< set once slot mode is on
   FpgaResources slot_capacity_;
   std::vector<Slot> slots_;
 

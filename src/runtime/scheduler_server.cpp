@@ -113,22 +113,22 @@ const fpga::XclbinImage* SchedulerServer::image_with(
   return it == kernel_index_.end() ? nullptr : &xclbins_[it->second];
 }
 
-void SchedulerServer::maybe_start_reconfiguration(std::string_view kernel) {
-  if (device_.reconfiguring()) return;  // one download at a time
-  if (!fpga_healthy_) return;  // evicted target: don't feed it downloads
-  if (!breaker_closed()) return;  // gray target: no new downloads either
+bool SchedulerServer::start_image_download(std::string_view kernel) {
   const fpga::XclbinImage* image = image_with(kernel);
   if (image == nullptr) {
     log_.warn("server: no XCLBIN provides kernel ", kernel);
-    return;
+    return false;
   }
-  ++stats_.reconfigurations_started;
   log_.info("server: reconfiguring FPGA with ", image->id, " for kernel ",
             kernel);
-  const obs::SpanRef span = begin_reconfigure_span();
+  obs::SpanRef span;
+  if (tracer_ != nullptr && tracer_->sampled(0)) {
+    span = tracer_->begin(trace_lane_, obs::kTrackFpga, "fpga.reconfigure",
+                          /*trace_id=*/0, sim_.now());
+  }
   device_.reconfigure(
       *image, [this, span, id = image->id](fpga::ReconfigureResult result) {
-        end_reconfigure_span(span);
+        if (tracer_ != nullptr) tracer_->end(span, sim_.now());
         if (succeeded(result)) {
           log_.debug("server: reconfiguration ", id, " complete");
         } else {
@@ -136,16 +136,7 @@ void SchedulerServer::maybe_start_reconfiguration(std::string_view kernel) {
                     fpga::to_string(result), ") -- kernels not resident");
         }
       });
-}
-
-obs::SpanRef SchedulerServer::begin_reconfigure_span() {
-  if (tracer_ == nullptr || !tracer_->sampled(0)) return obs::SpanRef{};
-  return tracer_->begin(trace_lane_, obs::kTrackFpga, "fpga.reconfigure",
-                        /*trace_id=*/0, sim_.now());
-}
-
-void SchedulerServer::end_reconfigure_span(obs::SpanRef span) {
-  if (tracer_ != nullptr) tracer_->end(span, sim_.now());
+  return true;
 }
 
 fpga::ResidencyView SchedulerServer::residency(
@@ -162,22 +153,7 @@ bool SchedulerServer::ensure_resident(std::string_view kernel) {
   }
   if (device_.residency(kernel).resident()) return false;
   if (slots_ != nullptr) return slots_->provision(kernel);
-  const fpga::XclbinImage* image = image_with(kernel);
-  if (image == nullptr) {
-    log_.warn("server: no XCLBIN provides kernel ", kernel);
-    return false;
-  }
-  log_.debug("server: warming ", image->id, " for kernel ", kernel);
-  const obs::SpanRef span = begin_reconfigure_span();
-  device_.reconfigure(
-      *image, [this, span, id = image->id](fpga::ReconfigureResult result) {
-        end_reconfigure_span(span);
-        if (!succeeded(result)) {
-          log_.warn("server: warm load of ", id, " failed (",
-                    fpga::to_string(result), ")");
-        }
-      });
-  return true;
+  return start_image_download(kernel);
 }
 
 void SchedulerServer::start_health_checks() {
@@ -438,9 +414,10 @@ void SchedulerServer::finish_one(std::uint32_t slot, int load,
   // apps).  A batch-mate's decision (or its callback) can mutate
   // residency synchronously -- starting a reconfiguration tears
   // fabric down, a callback may even take the card offline -- so each
-  // cached ResidencyView is revalidated against the device: in slot
-  // mode it stays good until *its* slot reprograms, otherwise until
-  // the device's residency epoch moves.
+  // cached ResidencyView is revalidated against the device: a resident
+  // answer stays good until *its* slot reprograms (in whole-image mode
+  // the one slot), a non-resident one until the device's residency
+  // epoch moves.
   fpga::ResidencyView view;
   bool probed = false;
   std::size_t cached = probe_cache_.size();
@@ -502,8 +479,12 @@ void SchedulerServer::finish_one(std::uint32_t slot, int load,
       }
     }
   } else if (wants_reconfigure && breaker_closed()) {
+    // One download at a time, and none into an evicted target.
     const bool was_reconfiguring = device_.reconfiguring();
-    maybe_start_reconfiguration(entry.kernel_name);
+    if (!was_reconfiguring && fpga_healthy_ &&
+        start_image_download(entry.kernel_name)) {
+      ++stats_.reconfigurations_started;
+    }
     decision.reconfiguration_started = !was_reconfiguring;
     if (!opts_.hide_reconfiguration && load > fpga_thr &&
         entry.fpga_threshold < entry.arm_threshold) {

@@ -309,16 +309,17 @@ class SchedulerServer {
 
   /// The image that contains `kernel`, or nullptr (the server's "Query
   /// Available HW Kernels" bookkeeping).  O(log kernels) via an index
-  /// built at construction.  Whole-image mode only; external callers
-  /// use residency()/ensure_resident() instead of the raw image.
+  /// built at construction.  External callers use
+  /// residency()/ensure_resident() instead of the raw image.
   [[nodiscard]] const fpga::XclbinImage* image_with(
       std::string_view kernel) const;
 
-  void maybe_start_reconfiguration(std::string_view kernel);
-  /// "fpga.reconfigure" span around a whole-image download (invalid ref
-  /// / no-op when no tracer is attached).
-  obs::SpanRef begin_reconfigure_span();
-  void end_reconfigure_span(obs::SpanRef span);
+  /// Start a whole-image download of the XCLBIN providing `kernel`,
+  /// wrapped in an "fpga.reconfigure" span, with its typed result
+  /// logged.  Shared by Algorithm 2 and the warm path; the caller owns
+  /// the port/health gating and any counting.  False (with a warning)
+  /// when no registered image provides the kernel.
+  bool start_image_download(std::string_view kernel);
   /// One heartbeat tick: ping, arm the timeout, schedule the next tick.
   void heartbeat_tick();
   void heartbeat_reply(std::uint64_t seq, bool slow);
@@ -357,12 +358,13 @@ class SchedulerServer {
   std::uint32_t open_batch_ = sim::SlotPool<int>::kNoSlot;
   TimePoint open_batch_at_;
   /// The eviction/replication policy when the device is in slot mode;
-  /// null against a whole-image device.
+  /// null while the device is the one-slot whole-image carve, whose
+  /// swaps stay Algorithm 2's plain whole-image policy.
   std::unique_ptr<fpga::SlotScheduler> slots_;
   /// Per-batch memo of kernel residency by app (cleared per pass; keeps
   /// capacity, so the steady state stays allocation-free).  Each entry
-  /// is revalidated with FpgaDevice::residency_current -- in slot mode
-  /// a cached answer keys on *its* slot's version, so batch-mates
+  /// is revalidated with FpgaDevice::residency_current -- a cached
+  /// resident answer keys on *its* slot's version, so batch-mates
   /// churning other slots don't force a re-probe.
   std::vector<std::pair<AppId, fpga::ResidencyView>> probe_cache_;
   /// Decision-pass scratch: the finishing batch's arena is swapped in

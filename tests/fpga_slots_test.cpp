@@ -3,12 +3,15 @@
 // Mechanism tests pin the FpgaDevice slot-mode contracts -- the carve
 // geometry, per-slot programming cost, serving-while-programming, the
 // kNoFit completion, slot-confined ResidencyView invalidation, and
-// drain-in-place eviction.  Policy tests pin the SlotScheduler's three
+// drain-in-place eviction -- plus the whole-image device as the
+// one-slot carve (multi-kernel images, replicated CUs, slot-0-keyed
+// views).  Policy tests pin the SlotScheduler's three
 // decision arms (place / replicate-hottest / evict-coldest) and their
 // hysteresis.  The last tests run the multi-tenant contention workload
 // serial and parallel and require bitwise-identical traces while the
-// scheduler is evicting and replicating mid-run -- the PR 5/6
-// determinism contract extended to the virtualized device.
+// scheduler is evicting and replicating mid-run -- the determinism
+// contract extended to the virtualized device -- and pin the serial
+// traces of both residency models.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -207,6 +210,28 @@ TEST_F(SlotDeviceTest, SameKernelAcrossSlotsAggregatesCus) {
   EXPECT_EQ(view.slot, 0u);  // first hosting slot
 }
 
+TEST_F(SlotDeviceTest, BacklogTiesRouteToTheLowestSlot) {
+  // Two idle CUs of A, one per slot: the tie goes to slot 0.  That is
+  // observable because reprogramming slot 1 retires only slot 1's CU,
+  // so the second call must queue behind the first.
+  device.enable_slots(fpga::SlotConfig{});
+  const fpga::FpgaResources quarter = device.slot_capacity() / 4;
+  ASSERT_EQ(program(0, kernel_with("A", quarter), 1),
+            fpga::ReconfigureResult::kOk);
+  ASSERT_EQ(program(1, kernel_with("A", quarter), 1),
+            fpga::ReconfigureResult::kOk);
+  const double t0 = sim.now().to_ms();
+  double first = -1.0;
+  double second = -1.0;
+  device.execute("A", 0, [&] { first = sim.now().to_ms() - t0; });
+  device.reconfigure_slot(1, kernel_with("B", quarter), 1,
+                          [](fpga::ReconfigureResult) {});
+  device.execute("A", 0, [&] { second = sim.now().to_ms() - t0; });
+  sim.run();
+  EXPECT_NEAR(first, 1.0, 1e-9);
+  EXPECT_NEAR(second, 2.0, 1e-9);
+}
+
 TEST_F(SlotDeviceTest, EvictionDrainsInFlightWorkInPlace) {
   device.enable_slots(fpga::SlotConfig{});
   const fpga::FpgaResources quarter = device.slot_capacity() / 4;
@@ -226,6 +251,83 @@ TEST_F(SlotDeviceTest, EvictionDrainsInFlightWorkInPlace) {
   sim.run();
   EXPECT_EQ(completions, 2);
   EXPECT_EQ(device.kernel_invocations(), 2u);
+  EXPECT_TRUE(device.has_kernel("B"));
+}
+
+// --- whole-image mode: the one-slot carve --------------------------------
+
+using WholeImageDeviceTest = SlotDeviceTest;
+
+TEST_F(WholeImageDeviceTest, MultiKernelImageRoutesToLeastBackloggedCu) {
+  // K1 at two CUs plus K2 at one, all in the single slot.  Service is
+  // `items` ms, so each completion time says which CU ran the call.
+  fpga::HwKernelConfig k1 = kernel_with("K1", device.spec().usable() / 8);
+  k1.fixed_cycles = 0;
+  k1.cycles_per_item = 300'000.0;  // 1 ms per item at 300 MHz
+  k1.compute_units = 2;
+  fpga::XclbinImage image;
+  image.id = "img0";
+  image.size_bytes = 1 << 20;
+  image.kernels = {k1, kernel_with("K2", device.spec().usable() / 8)};
+  auto result = fpga::ReconfigureResult::kOfflineDrop;
+  device.reconfigure(image, [&](fpga::ReconfigureResult r) { result = r; });
+  sim.run();
+  ASSERT_EQ(result, fpga::ReconfigureResult::kOk);
+  EXPECT_EQ(device.slot_count(), 0u);
+  EXPECT_EQ(device.available_kernels(),
+            (std::vector<std::string>{"K1", "K2"}));
+  EXPECT_EQ(device.residency("K1").cus, 2u);
+  EXPECT_EQ(device.residency("K2").cus, 1u);
+
+  // A (10 ms) and B (1 ms) take the two idle CUs.  At 5 ms B is done:
+  // C takes its idle CU, D ties at one each and joins A's CU (the lower
+  // index), and E takes the lighter CU behind C.  Round-robin or
+  // first-CU routing would finish C, D and E at other times.
+  const double t0 = sim.now().to_ms();
+  std::vector<double> done(5, -1.0);
+  auto call = [&](int i, std::uint64_t items) {
+    device.execute("K1", items, [&, i] { done[i] = sim.now().to_ms() - t0; });
+  };
+  call(0, 10);
+  call(1, 1);
+  sim.run_until(sim.now() + Duration::ms(5.0));
+  call(2, 1);
+  call(3, 1);
+  call(4, 1);
+  sim.run();
+  EXPECT_NEAR(done[0], 10.0, 1e-9);
+  EXPECT_NEAR(done[1], 1.0, 1e-9);
+  EXPECT_NEAR(done[2], 6.0, 1e-9);
+  EXPECT_NEAR(done[3], 11.0, 1e-9);
+  EXPECT_NEAR(done[4], 7.0, 1e-9);
+  EXPECT_EQ(device.kernel_invocations(), 5u);
+}
+
+TEST_F(WholeImageDeviceTest, ResidentViewGoesStaleWhenNextImageStarts) {
+  fpga::XclbinImage a;
+  a.id = "img_a";
+  a.size_bytes = 1 << 20;
+  a.kernels.push_back(kernel_with("A", device.spec().usable() / 4));
+  fpga::XclbinImage b = a;
+  b.id = "img_b";
+  b.kernels[0].name = "B";
+
+  device.reconfigure(a, [](fpga::ReconfigureResult) {});
+  sim.run();
+  const fpga::ResidencyView view = device.residency("A");
+  ASSERT_TRUE(view.resident());
+  EXPECT_EQ(view.slot, 0u);  // keyed on the one slot's version
+  EXPECT_TRUE(device.residency_current(view));
+
+  // The old image stops being callable the moment the next one starts
+  // programming, and the cached view says so before completion.
+  device.reconfigure(b, [](fpga::ReconfigureResult) {});
+  EXPECT_FALSE(device.residency_current(view));
+  EXPECT_FALSE(device.has_kernel("A"));
+  EXPECT_EQ(device.loaded_image(), std::nullopt);
+  sim.run();
+  EXPECT_FALSE(device.residency_current(view));
+  EXPECT_EQ(device.loaded_image(), std::optional<std::string>("img_b"));
   EXPECT_TRUE(device.has_kernel("B"));
 }
 
@@ -426,6 +528,25 @@ TEST(FpgaContentionTest, SlotModeBeatsWholeImageAtEqualArea) {
   ASSERT_GT(base.fpga_completions, 0u);
   EXPECT_GE(static_cast<double>(slots.fpga_completions),
             2.0 * static_cast<double>(base.fpga_completions));
+}
+
+TEST(FpgaContentionTest, SerialTracesArePinned) {
+  // Both residency models share one device programming path; any drift
+  // in programming cost or CU routing moves these serial-run figures.
+  exp::ContentionSpec spec;
+  spec.span = Duration::ms(500.0);
+  spec.parallel = false;
+  const exp::ContentionResult slots = exp::run_fpga_contention(spec);
+  EXPECT_EQ(slots.trace_hash, 2473527478742084320ull);
+  EXPECT_EQ(slots.fpga_completions, 1462u);
+  EXPECT_EQ(slots.executed_events, 6882u);
+
+  exp::ContentionSpec whole = spec;
+  whole.slots = 0;
+  const exp::ContentionResult base = exp::run_fpga_contention(whole);
+  EXPECT_EQ(base.trace_hash, 5828368870703382336ull);
+  EXPECT_EQ(base.fpga_completions, 450u);
+  EXPECT_EQ(base.executed_events, 5804u);
 }
 
 }  // namespace
