@@ -238,9 +238,9 @@ void ClusterExperiment::run_for(Duration d) {
 
 void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
                                          FaultInjectionOptions opts) {
-  fault_opts_ = opts;
   // An empty plan must leave the run bit-identical to never having
-  // called this -- so don't even start health checks.
+  // called this: no health checks, and `opts` is not kept either (a
+  // later kill_cell would drain and back off with it).
   if (plan.empty()) return;
   const std::size_t n = cells_.size();
   std::string error;
@@ -249,6 +249,7 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
                      &error)) {
     throw Error("fault plan rejected: " + error);
   }
+  fault_opts_ = opts;
   if (n > 1) build_drain_channels();  // pick up opts.drain_channel
   // Every gray draw stream is split from (kind, victim): reproducible
   // from the seed, independent of event order, and never perturbing the
@@ -348,7 +349,7 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
       }
     }
   }
-  for (auto& cell : cells_) cell->server().start_health_checks(opts.health);
+  for (auto& cell : cells_) cell->server().start_health_checks();
 }
 
 void ClusterExperiment::kill_cell(std::size_t i) {
@@ -408,10 +409,7 @@ void ClusterExperiment::place_job(std::uint64_t id) {
   // which stays live in the simulation -- only the modeled cell died.
   ++job.attempts;
   job.state = JobState::kBackoff;
-  const std::uint32_t exp =
-      std::min(job.attempts - 1, fault_opts_.backoff_cap_exponent);
-  const Duration delay =
-      fault_opts_.backoff_base * static_cast<double>(std::uint64_t{1} << exp);
+  const Duration delay = fault_opts_.backoff.delay(job.attempts);
   if (tracer_ != nullptr && tracer_->sampled(trace_id_of(id))) {
     tracer_->emit(static_cast<std::uint32_t>(c), obs::kTrackJob,
                   "job.backoff", trace_id_of(id),

@@ -44,7 +44,6 @@
 #include "obs/trace.hpp"
 #include "popcorn/checkpoint.hpp"
 #include "popcorn/state_transform.hpp"
-#include "runtime/scheduler_server.hpp"
 #include "sim/exec_options.hpp"
 #include "sim/fault.hpp"
 #include "sim/shard.hpp"
@@ -80,15 +79,11 @@ struct ClusterSpec {
 
 /// Tunables for fault handling (apply_fault_plan).
 struct FaultInjectionOptions {
-  /// First re-placement delay after finding a dead cell; doubles per
-  /// attempt (exponential backoff), capped at base * 2^cap_exponent.
-  Duration backoff_base = Duration::ms(1.0);
-  std::uint32_t backoff_cap_exponent = 6;
+  /// Re-placement delay after finding a dead cell: attempt k waits
+  /// backoff.delay(k).
+  hw::Backoff backoff = {Duration::ms(1.0), 6};
   /// Working-set bytes shipped alongside a drained job's checkpoint.
   std::uint64_t drain_payload_bytes = 64 * 1024;
-  /// Heartbeat tunables for every cell's scheduler (health checking
-  /// starts when a non-empty plan is applied).
-  runtime::SchedulerServer::HealthOptions health = {};
   /// Latency inflation on a kLinkDegraded ring link (the drop
   /// probability rides in the fault event's magnitude).
   double degraded_latency_factor = 4.0;
@@ -97,7 +92,7 @@ struct FaultInjectionOptions {
   /// worst healthy transfer; attempts are generous because an abandoned
   /// drain is a lost job.
   hw::ReliableChannel::Options drain_channel = {
-      Duration::ms(10.0), Duration::ms(1.0), 6, 0.25, 16};
+      Duration::ms(10.0), {Duration::ms(1.0), 6}, 0.25, 16};
   /// Seed of the gray-fault randomness streams (drop/corrupt/flaky
   /// draws and retry jitter), split per victim and kind so injection
   /// never perturbs the workload's own draws.

@@ -11,7 +11,7 @@ ReliableChannel::ReliableChannel(sim::Simulation& sim, Link& link,
                                  Options opts, Rng rng)
     : sim_(sim), link_(link), opts_(opts), rng_(rng) {
   XAR_EXPECTS(opts_.timeout > Duration::zero());
-  XAR_EXPECTS(opts_.backoff_base > Duration::zero());
+  XAR_EXPECTS(opts_.backoff.base > Duration::zero());
   XAR_EXPECTS(opts_.max_attempts >= 1);
   XAR_EXPECTS(opts_.jitter_fraction >= 0.0);
 }
@@ -106,18 +106,11 @@ void ReliableChannel::attempt_timed_out(std::uint32_t slot,
 }
 
 Duration ReliableChannel::backoff_for(std::uint32_t retry_number) {
-  XAR_ASSERT(retry_number >= 1);
-  const std::uint32_t exponent =
-      retry_number - 1 < opts_.backoff_cap_exponent
-          ? retry_number - 1
-          : opts_.backoff_cap_exponent;
-  const double base_ms =
-      opts_.backoff_base.to_ms() * static_cast<double>(1ull << exponent);
   const double jitter =
       opts_.jitter_fraction > 0.0
           ? rng_.uniform_real(0.0, opts_.jitter_fraction)
           : 0.0;
-  return Duration::ms(base_ms * (1.0 + jitter));
+  return opts_.backoff.delay(retry_number) * (1.0 + jitter);
 }
 
 void ReliableChannel::register_metrics(obs::Registry& registry,

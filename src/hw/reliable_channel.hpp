@@ -16,8 +16,10 @@
 // and the retry trace is deterministic.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "hw/link.hpp"
@@ -27,6 +29,20 @@
 
 namespace xartrek::hw {
 
+/// Capped exponential backoff, the one retry-delay policy: the reliable
+/// channel's re-sends and the cluster's dead-cell re-placements both
+/// wait delay(retry) = base * 2^min(retry-1, cap_exponent).
+struct Backoff {
+  Duration base;
+  std::uint32_t cap_exponent = 6;
+
+  [[nodiscard]] Duration delay(std::uint32_t retry) const {
+    XAR_ASSERT(retry >= 1);
+    const std::uint32_t exponent = std::min(retry - 1, cap_exponent);
+    return base * static_cast<double>(std::uint64_t{1} << exponent);
+  }
+};
+
 class ReliableChannel {
  public:
   using Callback = sim::UniqueCallback;
@@ -35,9 +51,8 @@ class ReliableChannel {
     /// Per-attempt delivery deadline.  Must exceed the link's worst
     /// undegraded round-trip or healthy traffic re-sends spuriously.
     Duration timeout = Duration::ms(2.0);
-    /// Backoff before retry k is base * 2^min(k-1, cap), plus jitter.
-    Duration backoff_base = Duration::ms(0.5);
-    std::uint32_t backoff_cap_exponent = 6;
+    /// Wait before retry k: backoff.delay(k), stretched by jitter.
+    Backoff backoff = {Duration::ms(0.5), 6};
     /// Uniform jitter in [0, fraction) of the backoff, drawn from the
     /// channel's split Rng -- deterministic, but de-synchronized across
     /// channels seeded from different streams.

@@ -53,7 +53,7 @@ const IsaInfo& aarch64_info() {
     for (int r = 0; r <= 28; ++r) {
       // x19..x28 are callee-saved under AAPCS64.
       i.general_regs.push_back(
-          Register{"x" + std::to_string(r), r >= 19 && r <= 28});
+          Register{std::string("x") + std::to_string(r), r >= 19 && r <= 28});
     }
     i.general_regs.push_back(Register{"x29", true});   // frame pointer
     i.general_regs.push_back(Register{"x30", false});  // link register

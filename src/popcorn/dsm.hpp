@@ -180,7 +180,7 @@ class Dsm {
     std::uint64_t npages = 0;
     std::uint32_t next = kNone;  ///< next unit waiting on the pair window
     std::uint32_t attempts = 0;  ///< wire attempts so far (retry bound)
-    obs::SpanRef span;           ///< open "dsm.burst" span, if traced
+    obs::SpanRef span = {};      ///< open "dsm.burst" span, if traced
   };
 
   /// Window state for one (destination, source) node pair.

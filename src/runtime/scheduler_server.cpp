@@ -143,12 +143,12 @@ fpga::ResidencyView SchedulerServer::residency(
     std::string_view kernel) const {
   // An evicted target answers no residency probes: its kernels read as
   // absent, exactly as a physically absent card would.
-  if (!fpga_healthy_) return fpga::ResidencyView{};
+  if (health_ == TargetHealth::kEvicted) return fpga::ResidencyView{};
   return device_.residency(kernel);
 }
 
 bool SchedulerServer::ensure_resident(std::string_view kernel) {
-  if (!fpga_healthy_ || !breaker_closed() || device_.reconfiguring()) {
+  if (health_ != TargetHealth::kClosed || device_.reconfiguring()) {
     return false;
   }
   if (device_.residency(kernel).resident()) return false;
@@ -157,135 +157,102 @@ bool SchedulerServer::ensure_resident(std::string_view kernel) {
 }
 
 void SchedulerServer::start_health_checks() {
-  start_health_checks(HealthOptions());
-}
-
-void SchedulerServer::start_health_checks(HealthOptions opts) {
-  XAR_EXPECTS(opts.period > Duration::zero());
-  XAR_EXPECTS(opts.timeout > Duration::zero());
-  XAR_EXPECTS(opts.miss_limit >= 1);
-  health_opts_ = opts;
-  if (health_on_) return;  // retune only; the running loop picks it up
+  if (health_on_) return;
   health_on_ = true;
   ++health_generation_;
   const std::uint64_t gen = health_generation_;
-  sim_.schedule_in(health_opts_.period, [this, gen] {
+  sim_.schedule_in(kHeartbeatPeriod, [this, gen] {
     if (health_on_ && gen == health_generation_) heartbeat_tick();
   });
 }
 
 void SchedulerServer::stop_health_checks() {
   health_on_ = false;
-  ++health_generation_;  // orphan any in-flight tick/timeout events
-  fpga_healthy_ = true;
-  consecutive_misses_ = 0;
-  breaker_ = BreakerState::kClosed;
-  breaker_gray_streak_ = 0;
+  ++health_generation_;  // orphan any in-flight tick/outcome events
+  health_ = TargetHealth::kClosed;
+  miss_streak_ = 0;
+  gray_streak_ = 0;
 }
 
 void SchedulerServer::heartbeat_tick() {
-  const std::uint64_t seq = ++heartbeat_seq_;
   const std::uint64_t gen = health_generation_;
   ++stats_.heartbeats_sent;
   // A live card answers one reply latency later; a dead card never
   // does (the ping vanishes into the dead PCIe slot).  A *slowed* cell
-  // answers -- late: the modeled ping handler rides the degraded
-  // service rate (set_reply_latency_scale), and a reply above the
-  // slow-reply bar is the breaker's gray signal even when it beats the
-  // timeout.
-  if (!device_.offline()) {
-    const Duration delay =
-        Duration::ms(health_opts_.reply_latency.to_ms() *
-                     reply_latency_scale_);
-    const bool slow = delay > health_opts_.slow_reply;
-    sim_.schedule_in(delay, [this, seq, gen, slow] {
-      if (health_on_ && gen == health_generation_) {
-        heartbeat_reply(seq, slow);
-      }
+  // answers late: the modeled ping handler rides the degraded service
+  // rate (set_reply_latency_scale).  Both facts are known now, so the
+  // ping resolves here into its one outcome event.  A reply due at the
+  // deadline instant counts as in time.
+  const bool online = !device_.offline();
+  const Duration delay =
+      Duration::ms(kReplyLatency.to_ms() * reply_latency_scale_);
+  const TimePoint reply_at = sim_.now() + delay;
+  const TimePoint deadline = sim_.now() + kHeartbeatTimeout;
+  if (online && reply_at <= deadline) {
+    const bool slow = delay > kSlowReply;
+    sim_.schedule_at(reply_at, [this, gen, slow] {
+      if (health_on_ && gen == health_generation_) heartbeat_reply(slow);
+    });
+  } else {
+    sim_.schedule_at(deadline, [this, gen, late = online] {
+      if (health_on_ && gen == health_generation_) heartbeat_miss(late);
     });
   }
-  sim_.schedule_in(health_opts_.timeout, [this, seq, gen] {
-    if (health_on_ && gen == health_generation_) heartbeat_timeout(seq);
-  });
-  sim_.schedule_in(health_opts_.period, [this, gen] {
+  sim_.schedule_in(kHeartbeatPeriod, [this, gen] {
     if (health_on_ && gen == health_generation_) heartbeat_tick();
   });
 }
 
-void SchedulerServer::breaker_note_gray() {
-  if (breaker_ != BreakerState::kClosed) {
-    // An open breaker absorbs further gray signals; a half-open probe
-    // that comes back gray slams it shut again and restarts the
-    // cooldown.
-    breaker_ = BreakerState::kOpen;
-    breaker_opened_at_ = sim_.now();
-    return;
-  }
-  if (++breaker_gray_streak_ >= health_opts_.breaker_trip_limit) {
-    breaker_ = BreakerState::kOpen;
-    breaker_opened_at_ = sim_.now();
+void SchedulerServer::note_gray() {
+  if (health_ == TargetHealth::kClosed) {
+    if (++gray_streak_ < kTripLimit) return;
     ++stats_.breaker_trips;
-    log_.warn("server: circuit breaker OPEN after ", breaker_gray_streak_,
-              " gray signals -- FPGA target demoted");
+    log_.warn("server: FPGA target OPEN after ", gray_streak_,
+              " gray signals -- demoted");
   }
+  // A gray half-open probe re-opens the target; an open or evicted one
+  // absorbs the signal.  Either way the cooldown restarts.
+  if (health_ != TargetHealth::kEvicted) health_ = TargetHealth::kOpen;
+  opened_at_ = sim_.now();
 }
 
-void SchedulerServer::breaker_note_ok() {
-  breaker_gray_streak_ = 0;
-  switch (breaker_) {
-    case BreakerState::kClosed:
-      return;
-    case BreakerState::kOpen:
-      // Probing starts only after the cooldown; the first clean reply
-      // after it half-opens the breaker.
-      if (sim_.now() - breaker_opened_at_ >= health_opts_.breaker_cooldown) {
-        breaker_ = BreakerState::kHalfOpen;
-      }
-      return;
-    case BreakerState::kHalfOpen:
-      breaker_ = BreakerState::kClosed;
-      ++stats_.breaker_closes;
-      log_.info("server: circuit breaker closed -- FPGA target reinstated "
-                "in placement scoring");
-      return;
+void SchedulerServer::heartbeat_reply(bool slow) {
+  miss_streak_ = 0;
+  if (health_ == TargetHealth::kEvicted) {
+    // Alive again, but not yet trusted: the target re-enters placement
+    // open and earns its way closed like any gray one.
+    health_ = TargetHealth::kOpen;
+    ++stats_.reinstatements;
+    log_.info("server: FPGA target reinstated");
   }
-}
-
-void SchedulerServer::heartbeat_reply(std::uint64_t seq, bool slow) {
-  if (seq <= expired_seq_) {
-    // The reply lost the race: its timeout already fired and the miss
-    // was counted.  Ignoring it keeps the state machine monotone -- a
-    // stale packet cannot resurrect a target the tracker gave up on.
-    // (The timeout already fed the breaker; no second gray signal.)
-    ++stats_.late_replies;
-    return;
-  }
-  if (seq <= replied_seq_) return;  // duplicate
-  replied_seq_ = seq;
-  consecutive_misses_ = 0;
   if (slow) {
     ++stats_.slow_replies;
-    breaker_note_gray();
-  } else {
-    breaker_note_ok();
+    note_gray();
+    return;
   }
-  if (!fpga_healthy_) {
-    fpga_healthy_ = true;
-    ++stats_.reinstatements;
-    log_.info("server: FPGA target reinstated (heartbeat ", seq, ")");
+  gray_streak_ = 0;
+  if (health_ == TargetHealth::kOpen) {
+    // Probing starts only after the cooldown; the first clean reply
+    // after it half-opens the target.
+    if (sim_.now() - opened_at_ >= kBreakerCooldown) {
+      health_ = TargetHealth::kHalfOpen;
+    }
+  } else if (health_ == TargetHealth::kHalfOpen) {
+    health_ = TargetHealth::kClosed;
+    ++stats_.breaker_closes;
+    log_.info("server: FPGA target closed -- reinstated in placement "
+              "scoring");
   }
 }
 
-void SchedulerServer::heartbeat_timeout(std::uint64_t seq) {
-  if (seq <= replied_seq_) return;  // answered in time
-  if (seq > expired_seq_) expired_seq_ = seq;
+void SchedulerServer::heartbeat_miss(bool late) {
   ++stats_.heartbeats_missed;
-  ++consecutive_misses_;
-  breaker_note_gray();
-  if (consecutive_misses_ >= health_opts_.miss_limit && fpga_healthy_) {
-    fpga_healthy_ = false;
+  if (late) ++stats_.late_replies;
+  note_gray();
+  if (++miss_streak_ >= kMissLimit && health_ != TargetHealth::kEvicted) {
+    health_ = TargetHealth::kEvicted;
     ++stats_.evictions;
-    log_.warn("server: FPGA target evicted after ", consecutive_misses_,
+    log_.warn("server: FPGA target evicted after ", miss_streak_,
               " missed heartbeats");
   }
 }
@@ -442,20 +409,20 @@ void SchedulerServer::finish_one(std::uint32_t slot, int load,
   // An evicted target answers no residency probes: the tracker treats
   // its kernels as absent, which drops Algorithm 2 into its CPU-only
   // branches exactly as a physically absent card would.
-  const bool kernel_ready = fpga_healthy_ && view.resident();
+  const bool kernel_ready =
+      health_ != TargetHealth::kEvicted && view.resident();
 
   PlacementDecision decision;
   decision.observed_load = load;
 
-  // Gray demotion: an open (or probing) breaker inflates the effective
-  // FPGA threshold instead of evicting the target -- resident kernels
-  // still serve genuinely heavy load, but marginal traffic stays on the
-  // CPUs until the cell proves itself again.
+  // Gray demotion: a target that is not closed gets an inflated
+  // effective FPGA threshold -- resident kernels still serve genuinely
+  // heavy load, but marginal traffic stays on the CPUs until the cell
+  // proves itself again.
+  const bool closed = health_ == TargetHealth::kClosed;
   int fpga_thr = entry.fpga_threshold;
-  if (!breaker_closed()) {
-    fpga_thr = static_cast<int>(
-                   fpga_thr * health_opts_.breaker_demotion_factor) +
-               1;
+  if (!closed) {
+    fpga_thr = static_cast<int>(fpga_thr * kDemotionFactor) + 1;
   }
 
   bool wants_reconfigure = false;
@@ -468,21 +435,19 @@ void SchedulerServer::finish_one(std::uint32_t slot, int load,
     // the kernel deserves fabric (fresh slot, eviction) or more of it
     // (replication).  Replication is also consulted when the kernel is
     // already resident but the load is past FPGA_THR: sustained
-    // pressure grows CUs.  A tripped breaker stops feeding the gray
-    // cell new programmings without touching what is already resident.
+    // pressure grows CUs.  A target that is not closed gets no new
+    // programmings, and what is already resident stays untouched.
     slots_->note_demand(entry.kernel_name);
-    if (fpga_healthy_ && breaker_closed() &&
-        (wants_reconfigure || (kernel_ready && load > fpga_thr))) {
+    if (closed && (wants_reconfigure || (kernel_ready && load > fpga_thr))) {
       if (slots_->provision(entry.kernel_name)) {
         ++stats_.reconfigurations_started;
         decision.reconfiguration_started = true;
       }
     }
-  } else if (wants_reconfigure && breaker_closed()) {
-    // One download at a time, and none into an evicted target.
+  } else if (wants_reconfigure && closed) {
+    // One download at a time, and none into a gray or evicted target.
     const bool was_reconfiguring = device_.reconfiguring();
-    if (!was_reconfiguring && fpga_healthy_ &&
-        start_image_download(entry.kernel_name)) {
+    if (!was_reconfiguring && start_image_download(entry.kernel_name)) {
       ++stats_.reconfigurations_started;
     }
     decision.reconfiguration_started = !was_reconfiguring;

@@ -115,59 +115,68 @@ class SchedulerServer {
     std::uint64_t residency_probes = 0;
     // Health checking (all zero while health checks are off).
     std::uint64_t heartbeats_sent = 0;
-    std::uint64_t heartbeats_missed = 0;  ///< timeouts with no reply
-    /// Replies that arrived after their timeout already fired; they are
-    /// ignored (the eviction decision stands until an in-time reply).
+    std::uint64_t heartbeats_missed = 0;  ///< pings with no in-time reply
+    /// Misses on a live card whose reply would have landed after the
+    /// timeout.  Counted at the miss: the policy ignores late replies.
     std::uint64_t late_replies = 0;
-    std::uint64_t evictions = 0;       ///< healthy -> evicted transitions
-    std::uint64_t reinstatements = 0;  ///< evicted -> healthy transitions
-    // Circuit breaker (gray-failure degradation; zero while closed).
-    std::uint64_t slow_replies = 0;    ///< in-time but above slow_reply
-    std::uint64_t breaker_trips = 0;   ///< closed -> open transitions
-    std::uint64_t breaker_closes = 0;  ///< half-open -> closed transitions
+    std::uint64_t evictions = 0;       ///< any -> kEvicted transitions
+    std::uint64_t reinstatements = 0;  ///< kEvicted -> kOpen transitions
+    // Gray degradation (zero while the target stays closed).
+    std::uint64_t slow_replies = 0;    ///< in time but above kSlowReply
+    std::uint64_t breaker_trips = 0;   ///< kClosed -> kOpen transitions
+    std::uint64_t breaker_closes = 0;  ///< kHalfOpen -> kClosed transitions
   };
 
-  /// Per-cell circuit breaker over the FPGA target.  Distinct from
-  /// eviction: an evicted target is treated as dead (kernels read
-  /// absent); an *open breaker* merely demotes the target in placement
-  /// scoring -- already-resident kernels stay callable under enough
-  /// load, but the bar is raised and no new reconfigurations start.
-  enum class BreakerState : std::uint8_t {
+  /// Health of the FPGA target as the heartbeat loop sees it: one
+  /// machine for gray degradation and death.
+  ///
+  ///   kClosed   -> kOpen      kTripLimit gray signals in a row
+  ///   kOpen     -> kHalfOpen  clean reply after kBreakerCooldown
+  ///   kHalfOpen -> kClosed    clean reply
+  ///   kHalfOpen -> kOpen      gray signal
+  ///   any       -> kEvicted   kMissLimit misses in a row
+  ///   kEvicted  -> kOpen      in-time reply
+  ///
+  /// Every state but kClosed demotes the target in placement scoring
+  /// and starts no new programmings; already-resident kernels stay
+  /// callable under enough load.  kEvicted also reads every kernel as
+  /// absent, exactly as a physically absent card would.
+  enum class TargetHealth : std::uint8_t {
     kClosed,    ///< normal scoring
-    kOpen,      ///< gray target: demoted, no new programmings
-    kHalfOpen,  ///< cooldown elapsed, one good probe seen; one more
+    kOpen,      ///< gray: demoted, no new programmings
+    kHalfOpen,  ///< cooldown elapsed, one clean reply seen; one more
                 ///< closes it, any gray signal re-opens it
+    kEvicted,   ///< dead: kernels read absent until an in-time reply
   };
 
-  /// Heartbeat tunables.  Health checking is opt-in (start_health_checks);
-  /// with it off the server's event schedule is bit-identical to pre-PR
-  /// behavior and `fpga_healthy()` is pinned true.
-  struct HealthOptions {
-    /// Ping cadence.
-    Duration period = Duration::ms(10.0);
-    /// Device-side round trip of one ping when the card is up.
-    Duration reply_latency = Duration::micros(200.0);
-    /// How long after the ping the server waits before declaring a miss.
-    Duration timeout = Duration::ms(2.0);
-    /// Consecutive misses before the target is evicted.
-    std::uint32_t miss_limit = 3;
-    /// An in-time reply slower than this is a *gray* signal: the target
-    /// answers, but sluggishly.  Feeds the circuit breaker, not the
-    /// evictor.  Sits between the healthy reply (200us) and the miss
-    /// timeout so a 4x-slowed cell reads gray, not dead.
-    Duration slow_reply = Duration::ms(0.5);
-    /// Consecutive gray signals (timeouts or slow replies) that trip
-    /// the breaker open.  Kept below miss_limit so degradation is
-    /// noticed before death would be.
-    std::uint32_t breaker_trip_limit = 2;
-    /// Open-state dwell before half-open probing may begin.
-    Duration breaker_cooldown = Duration::ms(20.0);
-    /// While the breaker is open or half-open, the app's FPGA threshold
-    /// is inflated by this factor (plus one) in placement scoring --
-    /// demotion, not eviction: resident kernels stay callable under
-    /// enough load.
-    double breaker_demotion_factor = 2.0;
-  };
+  /// Ping cadence.
+  static constexpr Duration kHeartbeatPeriod = Duration::ms(10.0);
+  /// Device-side round trip of one ping when the card is up, before
+  /// set_reply_latency_scale stretches it.
+  static constexpr Duration kReplyLatency = Duration::micros(200.0);
+  /// A ping with no reply this long after it left is a miss.
+  static constexpr Duration kHeartbeatTimeout = Duration::ms(2.0);
+  /// Consecutive misses that evict the target.
+  static constexpr std::uint32_t kMissLimit = 3;
+  /// An in-time reply slower than this is a gray signal.  Sits between
+  /// the healthy reply and the timeout, so a 4x-slowed cell reads gray,
+  /// not dead.
+  static constexpr Duration kSlowReply = Duration::ms(0.5);
+  /// Consecutive gray signals (misses or slow replies) that trip a
+  /// closed target open.
+  static constexpr std::uint32_t kTripLimit = 2;
+  /// Quiet time after the last gray signal before a clean reply may
+  /// half-open the target.
+  static constexpr Duration kBreakerCooldown = Duration::ms(20.0);
+  /// While the target is not closed, the app's FPGA threshold is
+  /// scaled by this factor (plus one) in placement scoring.
+  static constexpr double kDemotionFactor = 2.0;
+  // The two conditions under which one machine with two streaks is
+  // exact.
+  static_assert(kHeartbeatTimeout <= kHeartbeatPeriod,
+                "a ping must resolve before the next one leaves");
+  static_assert(kTripLimit <= kMissLimit,
+                "an eviction must always find the target already open");
 
   SchedulerServer(sim::Simulation& sim, LoadMonitor& monitor,
                   fpga::FpgaDevice& device, ThresholdTable& table,
@@ -207,33 +216,30 @@ class SchedulerServer {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const Options& options() const { return opts_; }
 
-  /// Start the heartbeat loop against the FPGA target.  Each tick pings
-  /// the device: an online card answers `reply_latency` later, a dead
-  /// one never does, and a reply landing after its `timeout` is *late*
-  /// -- counted, but ignored, so an eviction already decided is not
-  /// retroactively undone by a stale packet.  `miss_limit` consecutive
-  /// timeouts evict the target: `fpga_healthy()` goes false and
-  /// Algorithm 2 stops routing to (or reconfiguring) the card until an
-  /// in-time reply reinstates it.
-  void start_health_checks(HealthOptions opts);
-  void start_health_checks();  // default tunables
+  /// Start the heartbeat loop against the FPGA target.  Every
+  /// kHeartbeatPeriod the server pings the device and resolves the ping
+  /// as it leaves: whether the card is up and how long its handler
+  /// takes are both known then.  Each ping schedules one outcome event
+  /// -- the reply when it beats kHeartbeatTimeout, the miss otherwise
+  /// -- and the outcomes drive health().  No-op while already running.
+  void start_health_checks();
+  /// Stop the loop (pending outcomes are dropped) and reset the target
+  /// to kClosed.
   void stop_health_checks();
   [[nodiscard]] bool health_checks_active() const { return health_on_; }
 
-  /// False while the heartbeat tracker has the FPGA target evicted.
-  /// Always true when health checks are off.
-  [[nodiscard]] bool fpga_healthy() const { return fpga_healthy_; }
-
-  /// Circuit-breaker state (kClosed whenever health checks are off).
-  [[nodiscard]] BreakerState breaker_state() const { return breaker_; }
-  [[nodiscard]] bool breaker_closed() const {
-    return breaker_ == BreakerState::kClosed;
+  /// The target's health (kClosed whenever health checks are off).
+  [[nodiscard]] TargetHealth health() const { return health_; }
+  /// False while the target is evicted.  Always true when health checks
+  /// are off.
+  [[nodiscard]] bool fpga_healthy() const {
+    return health_ != TargetHealth::kEvicted;
   }
 
   /// Gray-failure hook (kCellSlow): scale the modeled device-side
   /// heartbeat reply latency -- the ping handler on a slowed cell
-  /// answers late, which is exactly the slow-reply signal the breaker
-  /// watches for.  1.0 restores nominal.
+  /// answers late: a gray signal while the reply still beats the
+  /// timeout, a miss once it does not.  1.0 restores nominal.
   void set_reply_latency_scale(double scale) {
     XAR_EXPECTS(scale > 0.0);
     reply_latency_scale_ = scale;
@@ -251,7 +257,7 @@ class SchedulerServer {
   /// Warm path: make `kernel` resident if it isn't already -- a slot
   /// programming through the slot scheduler, or a whole-image download
   /// otherwise.  Returns true when a (re)configuration was started.
-  /// No-op while the port is busy or the target is unhealthy.  Not
+  /// No-op while the port is busy or the target is not kClosed.  Not
   /// counted in Stats::reconfigurations_started (which tracks
   /// Algorithm-2-driven reconfigurations only).
   bool ensure_resident(std::string_view kernel);
@@ -320,14 +326,16 @@ class SchedulerServer {
   /// the port/health gating and any counting.  False (with a warning)
   /// when no registered image provides the kernel.
   bool start_image_download(std::string_view kernel);
-  /// One heartbeat tick: ping, arm the timeout, schedule the next tick.
+  /// One heartbeat: ping, schedule the ping's one outcome event, and
+  /// schedule the next tick.
   void heartbeat_tick();
-  void heartbeat_reply(std::uint64_t seq, bool slow);
-  void heartbeat_timeout(std::uint64_t seq);
-  /// Breaker inputs: one gray signal (timeout / slow reply) or one
-  /// clean in-time reply.
-  void breaker_note_gray();
-  void breaker_note_ok();
+  /// Ping outcomes: an in-time reply (a gray signal when `slow`), or a
+  /// miss (`late` when the card was up but answered past the timeout).
+  void heartbeat_reply(bool slow);
+  void heartbeat_miss(bool late);
+  /// One gray signal: counts toward a trip while closed, otherwise
+  /// (re)opens the target and restarts the cooldown.
+  void note_gray();
   /// Event body: one decision pass over every request in `batch_slot`
   /// (one arena decode sweep, one load sample, shared residency
   /// probes), answering each client.
@@ -374,24 +382,18 @@ class SchedulerServer {
   std::vector<std::byte> arena_scratch_;
   std::vector<PlacementRequestView> views_scratch_;
 
-  // Heartbeat state.  Sequence numbers disambiguate the reply/timeout
-  // race: a reply for seq s is *late* exactly when s's timeout already
-  // fired, and a timeout is a miss exactly when no in-time reply for s
-  // (or a later ping) arrived first.
-  HealthOptions health_opts_;
+  // Heartbeat state: one machine, two streaks.  Misses evict; gray
+  // signals (misses and slow replies) trip.  The streaks stay separate
+  // so a slowed cell that still answers reads gray, never dead.
   bool health_on_ = false;
-  bool fpga_healthy_ = true;
-  std::uint64_t heartbeat_seq_ = 0;    ///< last ping sent
-  std::uint64_t replied_seq_ = 0;      ///< highest seq answered in time
-  std::uint64_t expired_seq_ = 0;      ///< highest seq whose timeout fired
-  std::uint32_t consecutive_misses_ = 0;
-  /// Generation guard: stop/start invalidates in-flight tick events.
+  TargetHealth health_ = TargetHealth::kClosed;
+  std::uint32_t miss_streak_ = 0;
+  std::uint32_t gray_streak_ = 0;  ///< counted only while closed
+  /// Last trip or gray signal while not closed: the cooldown runs from
+  /// here.
+  TimePoint opened_at_;
+  /// Generation guard: stop/start invalidates in-flight events.
   std::uint64_t health_generation_ = 0;
-
-  // Circuit breaker state (closed while health checks are off).
-  BreakerState breaker_ = BreakerState::kClosed;
-  std::uint32_t breaker_gray_streak_ = 0;
-  TimePoint breaker_opened_at_;
   double reply_latency_scale_ = 1.0;
 
   // Observability (inert until set_tracer / register_metrics).

@@ -6,10 +6,10 @@
 // This module defines that artifact: a line-oriented text file that the
 // run-time loads at startup and that operators can inspect and edit.
 // The scenario reference times ride along because Algorithm 1 needs
-// them.
+// them.  Each record is one line (wrapped here to fit):
 //
 //   # xar-trek threshold table
-//   app cg_a kernel KNL_HW_CG_A fpga_thr 29 arm_thr 23 \
+//   app cg_a kernel KNL_HW_CG_A fpga_thr 29 arm_thr 23
 //       x86_ms 2182.0 arm_ms 8406.0 fpga_ms 10597.8
 #pragma once
 

@@ -59,7 +59,7 @@ struct FaultEvent {
   double magnitude = 0.0;
   /// Degraded kinds only: when the degradation lifts.  Ignored by the
   /// binary kinds, excluded from the plan's sort key.
-  TimePoint until;
+  TimePoint until = {};
 };
 
 /// True for the windowed degradation kinds (kCellSlow and later).

@@ -264,13 +264,33 @@ std::vector<double> run_fault_free_cluster(bool apply_empty_plan) {
   cluster.submit(0, "facedet320");
   cluster.submit(1, "digit500");
   if (apply_empty_plan) {
-    // Even with aggressive tunables attached, an empty plan must not
-    // start health checks or schedule anything.
-    exp::FaultInjectionOptions opts;
-    opts.health.period = Duration::ms(1.0);
-    cluster.apply_fault_plan(sim::FaultPlan{}, opts);
+    // An empty plan must not start health checks or schedule anything.
+    cluster.apply_fault_plan(sim::FaultPlan{});
     EXPECT_FALSE(cluster.cell(0).server().health_checks_active());
   }
+  EXPECT_TRUE(cluster.run_until_jobs_complete());
+  return cluster.job_completion_times_ms();
+}
+
+std::vector<double> run_kill_after_empty_plan(bool apply_empty_plan) {
+  const auto specs = apps::paper_benchmarks();
+  exp::ClusterSpec spec;
+  spec.cells = 2;
+  exp::ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  exp::ClusterExperiment cluster(specs, shared_table(), spec, options);
+  cluster.submit(0, "facedet320");
+  cluster.submit(0, "digit500");
+  if (apply_empty_plan) {
+    // Options that would change a drain if they were kept: a heavier
+    // checkpoint payload and a slower backoff.
+    exp::FaultInjectionOptions opts;
+    opts.drain_payload_bytes = 512 * 1024;
+    opts.backoff.base = Duration::ms(50.0);
+    cluster.apply_fault_plan(sim::FaultPlan{}, opts);
+  }
+  cluster.run_for(Duration::ms(5.0));
+  cluster.kill_cell(0);
   EXPECT_TRUE(cluster.run_until_jobs_complete());
   return cluster.job_completion_times_ms();
 }
@@ -281,6 +301,13 @@ TEST(ChaosClusterTest, EmptyFaultPlanIsBitIdenticalNoOp) {
   ASSERT_EQ(baseline.size(), with_empty_plan.size());
   for (std::size_t i = 0; i < baseline.size(); ++i) {
     EXPECT_DOUBLE_EQ(baseline[i], with_empty_plan[i]) << "job " << i;
+  }
+  // Nor does it leave its options behind for a later hand-made kill.
+  const auto killed = run_kill_after_empty_plan(false);
+  const auto killed_after_empty_plan = run_kill_after_empty_plan(true);
+  ASSERT_EQ(killed.size(), killed_after_empty_plan.size());
+  for (std::size_t i = 0; i < killed.size(); ++i) {
+    EXPECT_DOUBLE_EQ(killed[i], killed_after_empty_plan[i]) << "job " << i;
   }
 }
 

@@ -4,22 +4,28 @@
 // opportunistic escape valve, not a dependency: when the card is
 // reclaimed by a paying tenant -- or simply dies -- Xar-Trek must keep
 // serving from the CPUs, while the traditional always-FPGA flow has
-// nowhere to go.  The health-check tests pin the heartbeat state
-// machine's race behavior; the link tests pin partition park/replay
-// down to the DSM's windowed data path.
+// nowhere to go.  The health-check tests pin the target-health state
+// machine: its late-reply handling, its event cost, the reinstatement
+// path, and a gray storm's decisions; the link tests pin partition
+// park/replay down to the DSM's windowed data path.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "apps/application.hpp"
 #include "apps/benchmark_spec.hpp"
+#include "common/hash.hpp"
+#include "exp/cluster.hpp"
 #include "exp/experiment.hpp"
 #include "exp/threshold_estimator.hpp"
 #include "fpga/device.hpp"
 #include "hw/link.hpp"
 #include "popcorn/dsm.hpp"
 #include "runtime/scheduler_server.hpp"
+#include "sim/fault.hpp"
 #include "sim/simulation.hpp"
 
 namespace xartrek {
@@ -323,22 +329,19 @@ TEST(FpgaOfflineTest, MidFlightOutageFallsBackToSoftware) {
 
 // --- heartbeat health checks ------------------------------------------------
 
+using TargetHealth = runtime::SchedulerServer::TargetHealth;
+
 TEST(SchedulerHealthTest, TimeoutRacingLateReplyEvictsAndIgnoresReply) {
-  // Pathological tunables: the card's reply takes longer than the
-  // server is willing to wait, so every heartbeat's timeout wins the
-  // race and the reply always arrives late.  The state machine must
-  // stay monotone: a late reply is counted and dropped, never
-  // resurrecting the target its own timeout just condemned.
+  // A live card whose ping handler is 25x slow: every reply (5 ms)
+  // would land after the 2 ms timeout, so every ping is a miss.  The
+  // state machine must stay monotone: a late reply is counted and
+  // dropped, never resurrecting the target its own miss just condemned.
   const auto specs = apps::paper_benchmarks();
   exp::Experiment exp(specs, seeded_table());
   auto& server = exp.server();
 
-  runtime::SchedulerServer::HealthOptions opts;
-  opts.period = Duration::ms(10.0);
-  opts.reply_latency = Duration::ms(5.0);  // loses to the 2 ms timeout
-  opts.timeout = Duration::ms(2.0);
-  opts.miss_limit = 2;
-  server.start_health_checks(opts);
+  server.set_reply_latency_scale(25.0);
+  server.start_health_checks();
   EXPECT_TRUE(server.health_checks_active());
 
   exp.simulation().run_until(TimePoint::at_ms(100));
@@ -353,23 +356,120 @@ TEST(SchedulerHealthTest, TimeoutRacingLateReplyEvictsAndIgnoresReply) {
 }
 
 TEST(SchedulerHealthTest, OfflineCardEvictedThenReinstatedOnRecovery) {
+  // Pings leave every 10 ms; a reply lands 0.2 ms later, a miss 2 ms.
   const auto specs = apps::paper_benchmarks();
   exp::Experiment exp(specs, seeded_table());
   auto& server = exp.server();
+  auto& sim = exp.simulation();
 
-  server.start_health_checks();  // default tunables: 10 ms period
+  server.start_health_checks();
+  EXPECT_EQ(server.health(), TargetHealth::kClosed);
   exp.testbed().fpga().set_offline(true);
-  exp.simulation().run_until(TimePoint::at_ms(100));
-  // A dead card never answers: misses accumulate to the limit.
+  // Misses at 12, 22, 32, 42, 52 ms: the second trips the target open,
+  // the third evicts it.
+  sim.run_until(TimePoint::at_ms(55));
+  EXPECT_EQ(server.health(), TargetHealth::kEvicted);
   EXPECT_FALSE(server.fpga_healthy());
-  EXPECT_GE(server.stats().heartbeats_missed, 3u);
+  EXPECT_EQ(server.stats().heartbeats_missed, 5u);
+  EXPECT_EQ(server.stats().breaker_trips, 1u);
   EXPECT_EQ(server.stats().evictions, 1u);
 
   exp.testbed().fpga().set_offline(false);
-  exp.simulation().run_until(TimePoint::at_ms(200));
-  // First in-time reply reinstates the target.
+  // The first in-time reply (60.2 ms) reinstates it -- open, not closed.
+  sim.run_until(TimePoint::at_ms(61));
+  EXPECT_EQ(server.health(), TargetHealth::kOpen);
   EXPECT_TRUE(server.fpga_healthy());
   EXPECT_EQ(server.stats().reinstatements, 1u);
+  // 70.2 ms is 18.2 ms after the last gray signal (the 52 ms miss):
+  // still inside the 20 ms cooldown.
+  sim.run_until(TimePoint::at_ms(71));
+  EXPECT_EQ(server.health(), TargetHealth::kOpen);
+  // 80.2 ms is the first clean reply past the cooldown: half-open.
+  sim.run_until(TimePoint::at_ms(81));
+  EXPECT_EQ(server.health(), TargetHealth::kHalfOpen);
+  EXPECT_EQ(server.stats().breaker_closes, 0u);
+  // The next clean reply closes it.
+  sim.run_until(TimePoint::at_ms(91));
+  EXPECT_EQ(server.health(), TargetHealth::kClosed);
+  EXPECT_EQ(server.stats().breaker_closes, 1u);
+  EXPECT_EQ(server.stats().evictions, 1u);
+  EXPECT_EQ(server.stats().breaker_trips, 1u);
+}
+
+std::uint64_t idle_events(int periods, bool health) {
+  const auto specs = apps::paper_benchmarks();
+  exp::Experiment exp(specs, seeded_table());
+  if (health) exp.server().start_health_checks();
+  // Stop between ticks, after the last ping's outcome has resolved.
+  exp.simulation().run_until(TimePoint::origin() +
+                             runtime::SchedulerServer::kHeartbeatPeriod *
+                                 (periods + 0.5));
+  return exp.simulation().executed_events();
+}
+
+TEST(SchedulerHealthTest, AnsweredPingCostsTwoEvents) {
+  // Each ping resolves as it leaves into one outcome event, so a live
+  // card costs one tick and one reply per period.
+  for (const int n : {1, 5, 20}) {
+    EXPECT_EQ(idle_events(n, true) - idle_events(n, false),
+              2u * static_cast<std::uint64_t>(n))
+        << n << " periods";
+  }
+}
+
+TEST(SchedulerHealthTest, GrayStormHealthOutcomesArePinned) {
+  // Four cells: one 4x slow (gray, never dead), one 20x slow (replies
+  // past the timeout: evicted, then reinstated when the window lifts),
+  // one lossy corrupting link, one flaky port, and one kill.  The
+  // completion instants and health counters are pinned, so any drift
+  // in the health machine's decisions shows up here.
+  const auto specs = apps::paper_benchmarks();
+  exp::ClusterSpec spec;
+  spec.cells = 4;
+  exp::ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  exp::ClusterExperiment cluster(specs, seeded_table(), spec, options);
+  for (std::size_t c = 0; c < 4; ++c) {
+    cluster.submit(c, "facedet320");
+    cluster.submit(c, "digit500");
+  }
+  using Kind = sim::FaultEvent::Kind;
+  sim::FaultPlan plan;
+  plan.add({Kind::kCellSlow, TimePoint::at_ms(15.0), 0, 0.25,
+            TimePoint::at_ms(120.0)});
+  plan.add({Kind::kCellSlow, TimePoint::at_ms(20.0), 2, 0.05,
+            TimePoint::at_ms(90.0)});
+  plan.add({Kind::kLinkDegraded, TimePoint::at_ms(20.0), 1, 0.3,
+            TimePoint::at_ms(200.0)});
+  plan.add({Kind::kPortFlaky, TimePoint::at_ms(20.0), 3, 0.5,
+            TimePoint::at_ms(250.0)});
+  plan.add({Kind::kDsmCorrupt, TimePoint::at_ms(20.0), 1, 0.5,
+            TimePoint::at_ms(200.0)});
+  plan.add({Kind::kCellKill, TimePoint::at_ms(50.0), 1});
+  cluster.apply_fault_plan(plan);
+  ASSERT_TRUE(cluster.run_until_jobs_complete());
+
+  std::uint64_t hash = kFnvOffset;
+  for (const double t : cluster.job_completion_times_ms()) {
+    hash = fnv_mix(hash, std::bit_cast<std::uint64_t>(t));
+  }
+  runtime::SchedulerServer::Stats sum;
+  for (std::size_t c = 0; c < 4; ++c) {
+    const auto& s = cluster.cell(c).server().stats();
+    sum.slow_replies += s.slow_replies;
+    sum.breaker_trips += s.breaker_trips;
+    sum.breaker_closes += s.breaker_closes;
+    sum.evictions += s.evictions;
+    sum.reinstatements += s.reinstatements;
+    sum.heartbeats_missed += s.heartbeats_missed;
+  }
+  EXPECT_EQ(hash, 11589638624144801952ull);
+  EXPECT_EQ(sum.slow_replies, 10u);
+  EXPECT_EQ(sum.breaker_trips, 3u);
+  EXPECT_EQ(sum.breaker_closes, 2u);
+  EXPECT_EQ(sum.evictions, 2u);
+  EXPECT_EQ(sum.reinstatements, 1u);
+  EXPECT_EQ(sum.heartbeats_missed, 102u);
 }
 
 // --- link partitions reaching into the DSM window ---------------------------

@@ -310,8 +310,8 @@ TEST(GrayClusterTest, SlowCellTripsBreakerThenRecovers) {
   EXPECT_GE(srv.breaker_trips, 1u);   // demoted while slowed...
   EXPECT_GE(srv.breaker_closes, 1u);  // ...reinstated after the window
   EXPECT_EQ(srv.evictions, 0u);       // never treated as dead
-  EXPECT_EQ(cluster.cell(0).server().breaker_state(),
-            runtime::SchedulerServer::BreakerState::kClosed);
+  EXPECT_EQ(cluster.cell(0).server().health(),
+            runtime::SchedulerServer::TargetHealth::kClosed);
   EXPECT_TRUE(cluster.cell(0).server().fpga_healthy());
 
   const auto stats = cluster.job_stats();
@@ -396,7 +396,6 @@ std::vector<double> run_gray_fault_free(bool apply_empty_plan) {
     // Gray tunables attached and everything: an empty plan still must
     // not schedule a single event or start health checks.
     exp::FaultInjectionOptions opts;
-    opts.health.period = Duration::ms(1.0);
     opts.degraded_latency_factor = 16.0;
     opts.drain_channel.timeout = Duration::ms(1.0);
     opts.gray_seed = 0xDEADBEEF;
