@@ -26,20 +26,18 @@ int main() {
   const auto profile = apps::make_profile_spec(specs);
   std::cout << "Step A -- profiling spec:\n" << profile.serialize() << "\n";
 
-  // --- Steps B-F: the compiler pipeline --------------------------------
-  const compiler::XarCompiler xar;
-  const auto suite = xar.compile(profile, apps::make_irs(specs),
-                                 apps::make_kernel_profiles(specs));
-  std::cout << "Steps B-F -- compiled " << suite.apps.size()
-            << " applications; " << suite.xclbins.size()
+  // --- Steps B-F: the compiler pipeline, once for every run below -----
+  const auto suite = exp::compile_suite(specs);
+  std::cout << "Steps B-F -- compiled " << suite->apps.size()
+            << " applications; " << suite->xclbins.size()
             << " XCLBIN image(s):\n";
-  for (const auto& image : suite.xclbins) {
+  for (const auto& image : suite->xclbins) {
     std::cout << "  " << image.id << " (" << image.size_bytes / 1024
               << " KiB) kernels:";
     for (const auto& k : image.kernels) std::cout << " " << k.name;
     std::cout << "\n";
   }
-  const auto* fd = suite.find_app("facedet320");
+  const auto* fd = suite->find_app("facedet320");
   std::cout << "  facedet320 multi-ISA binary: "
             << fd->binary.file_bytes() / 1024 << " KiB ("
             << fd->binary.metadata().sites().size()
@@ -60,7 +58,7 @@ int main() {
   auto run_once = [&](int background, const char* label) {
     exp::ExperimentOptions options;
     options.mode = apps::SystemMode::kXarTrek;
-    exp::Experiment exp(specs, estimation.table, options);
+    exp::Experiment exp(specs, suite, estimation.table, options);
     exp.warm_fpga_for("facedet320");  // image already live (eager config)
     exp.add_background_load(background);
     exp.simulation().run_until(exp.simulation().now() +

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
       argc > 1 ? argv[1] : "/tmp/xartrek_thresholds.txt";
 
   const auto specs = apps::paper_benchmarks();
+  const auto suite = exp::compile_suite(specs);  // steps A-F, once
 
   // Step G, then persist the artifact.
   const auto estimation = exp::ThresholdEstimator().estimate(specs);
@@ -45,7 +46,7 @@ int main(int argc, char** argv) {
                              const std::string& app, int background) {
     exp::ExperimentOptions options;
     options.mode = apps::SystemMode::kXarTrek;
-    exp::Experiment exp(specs, table, options);
+    exp::Experiment exp(specs, suite, table, options);
     exp.warm_fpga_for(app);
     exp.add_background_load(background);
     exp.simulation().run_until(exp.simulation().now() + Duration::ms(50));
@@ -70,11 +71,7 @@ int main(int argc, char** argv) {
                     : "\nERROR: placements diverged after reload!\n\n");
 
   // Synthesis reports for the suite (step-D artifacts).
-  const compiler::XarCompiler xar;
-  const auto suite = xar.compile(apps::make_profile_spec(specs),
-                                 apps::make_irs(specs),
-                                 apps::make_kernel_profiles(specs));
-  for (const auto& app : suite.apps) {
+  for (const auto& app : suite->apps) {
     std::cout << hls::utilization_report(app.xos[0],
                                          fpga::alveo_u50_spec())
               << "\n";

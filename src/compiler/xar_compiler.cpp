@@ -45,17 +45,18 @@ CompiledSuite XarCompiler::compile(
     }
     validate_ir_or_throw(ir_it->second);
 
-    CompiledApp app{
-        app_profile.name,
-        instrumenter.instrument(ir_it->second, app_profile),  // B
-        fat_builder.build(ir_it->second),                     // placeholder
-        x86_builder.build(ir_it->second),                     // baseline
-        {},
-    };
+    InstrumentedApp instrumented =
+        instrumenter.instrument(ir_it->second, app_profile);  // B
     // Step C operates on the *instrumented* IR (the dispatch stubs and
     // their call sites are migration points with metadata).
-    app.binary = fat_builder.build(app.instrumented.ir);
-    app.xos = xo_gen.generate(app_profile, kernel_profiles);  // D
+    popcorn::MultiIsaBinary binary = fat_builder.build(instrumented.ir);
+    CompiledApp app{
+        app_profile.name,
+        std::move(instrumented),
+        std::move(binary),
+        x86_builder.build(ir_it->second),               // baseline
+        xo_gen.generate(app_profile, kernel_profiles),  // D
+    };
     for (const auto& xo : app.xos) all_xos.push_back(xo);
     suite.apps.push_back(std::move(app));
   }

@@ -62,16 +62,18 @@ ClusterExperiment::ClusterExperiment(
                                                      popts);
 
   // One full experiment stack per cell, constructed against the cell's
-  // shard through the testbed's shard-aware hook.  Construction order
-  // within a cell is exactly exp::Experiment's, so a 1-cell cluster
-  // schedules the identical event sequence.
+  // shard through the testbed's shard-aware hook, all on one compiled
+  // suite.  Construction order within a cell is exactly
+  // exp::Experiment's, so a 1-cell cluster schedules the identical event
+  // sequence.
+  const auto compiled = compile_suite(specs);
   cells_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ExperimentOptions cell_options = options;
     cell_options.testbed = cluster_.cell_config;
     cell_options.testbed.external_sim = &engine_->sim_of(x86_nodes_[i]);
-    cells_.push_back(std::make_unique<Experiment>(specs, seed_table,
-                                                  cell_options));
+    cells_.push_back(std::make_unique<Experiment>(specs, compiled,
+                                                  seed_table, cell_options));
     // Derived wiring instead of hand-assembled channels: in-cell
     // registrations resolve to inert channels (local behavior), and
     // would resolve to mailbox channels automatically if the plan ever

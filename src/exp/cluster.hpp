@@ -7,11 +7,12 @@
 // reply hop, and the inter-cell links (a ring, each carrying the
 // modeled Ethernet latency) -- as edges, and lets the partitioner map
 // the graph onto ShardedSimulation shards, auto-picking the largest
-// legal epoch.  Each cell is then a full exp::Experiment (compiler
-// pipeline, threshold table, scheduler, executor) constructed against
-// its shard's engine through the testbed's shard-aware hook, so the
-// sharded core is the default execution engine rather than a
-// hand-wired special case:
+// legal epoch.  The suite is compiled once for the whole cluster; each
+// cell is then a full exp::Experiment (threshold table, scheduler,
+// executor) on that shared suite, constructed against its shard's
+// engine through the testbed's shard-aware hook, so the sharded core
+// is the default execution engine rather than a hand-wired special
+// case:
 //
 //   * 1 cell degenerates to one shard whose trace is identical to
 //     exp::Experiment on the classic single-queue testbed (pinned by

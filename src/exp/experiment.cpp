@@ -6,21 +6,37 @@
 
 namespace xartrek::exp {
 
+std::shared_ptr<const compiler::CompiledSuite> compile_suite(
+    const std::vector<apps::BenchmarkSpec>& specs) {
+  const compiler::XarCompiler xar_compiler;
+  return std::make_shared<const compiler::CompiledSuite>(
+      xar_compiler.compile(apps::make_profile_spec(specs),
+                           apps::make_irs(specs),
+                           apps::make_kernel_profiles(specs)));
+}
+
 Experiment::Experiment(std::vector<apps::BenchmarkSpec> specs,
                        const runtime::ThresholdTable& seed_table,
                        ExperimentOptions options)
-    : specs_(std::move(specs)), options_(std::move(options)) {
+    : Experiment(specs, compile_suite(specs), seed_table,
+                 std::move(options)) {}
+
+Experiment::Experiment(
+    std::vector<apps::BenchmarkSpec> specs,
+    std::shared_ptr<const compiler::CompiledSuite> compiled,
+    const runtime::ThresholdTable& seed_table, ExperimentOptions options)
+    : specs_(std::move(specs)),
+      options_(std::move(options)),
+      suite_(std::move(compiled)) {
   XAR_EXPECTS(!specs_.empty());
+  XAR_EXPECTS(suite_ != nullptr);
+  for (const auto& spec : specs_) {
+    XAR_EXPECTS(suite_->find_app(spec.name) != nullptr);
+  }
 
   platform::TestbedConfig tb_cfg = options_.testbed;
   tb_cfg.log = options_.log;
   testbed_ = std::make_unique<platform::Testbed>(tb_cfg);
-
-  // Pipeline steps A-F over the whole suite.
-  const compiler::XarCompiler xar_compiler;
-  suite_ = xar_compiler.compile(apps::make_profile_spec(specs_),
-                                apps::make_irs(specs_),
-                                apps::make_kernel_profiles(specs_));
 
   // Threshold table: seeded rows where step G provided them, otherwise
   // cold (zero-threshold) rows that Algorithm 1 will refine.
@@ -41,7 +57,7 @@ Experiment::Experiment(std::vector<apps::BenchmarkSpec> specs,
   server_opts.hide_reconfiguration = options_.hide_reconfiguration;
   server_ = std::make_unique<runtime::SchedulerServer>(
       testbed_->simulation(), *monitor_, testbed_->fpga(), table_,
-      suite_.xclbins, server_opts, options_.log);
+      suite_->xclbins, server_opts, options_.log);
 
   runtime::SchedulerClient::Options client_opts;
   client_opts.refinement_enabled = options_.dynamic_thresholds;

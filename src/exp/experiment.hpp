@@ -1,12 +1,16 @@
 // Experiment context: one system under test on one fresh testbed.
 //
-// Owns the whole stack an experiment run needs -- the simulated
-// platform, the compiled suite (pipeline steps A-F), the threshold
-// table, the load monitor, the scheduler server and client, and the
-// migration executor -- with construction order and lifetimes in one
-// place.  Every paper figure boils down to: build an Experiment per
-// (system, run), launch applications and background load, step the
-// simulation until the measured set completes, and collect times.
+// Owns the whole run-time stack an experiment run needs -- the
+// simulated platform, the threshold table, the load monitor, the
+// scheduler server and client, and the migration executor -- with
+// construction order and lifetimes in one place.  The compiled suite
+// (pipeline steps A-F) is a pure function of the specs, so it is
+// shared, read-only, by every Experiment built from one compile_suite
+// call: as in Xar-Trek, the suite is compiled once and placed many
+// times.  Every paper figure boils down to: compile the suite, build an
+// Experiment per (system, run), launch applications and background
+// load, step the simulation until the measured set completes, and
+// collect times.
 #pragma once
 
 #include <functional>
@@ -41,12 +45,24 @@ struct ExperimentOptions {
   Logger log = {};
 };
 
+/// Pipeline steps A-F over `specs`.  Deterministic, so one result can
+/// back every Experiment built from the same specs.
+[[nodiscard]] std::shared_ptr<const compiler::CompiledSuite> compile_suite(
+    const std::vector<apps::BenchmarkSpec>& specs);
+
 /// One system-under-test instance.
 class Experiment {
  public:
-  /// Compiles `specs` through the pipeline (A-F) onto a fresh testbed.
-  /// `seed_table` carries step-G thresholds; pass an empty table for a
-  /// cold start (ablation 4).
+  /// Builds the run-time stack for `specs` on a fresh testbed around
+  /// `compiled`, which must hold every app in `specs` (a compile_suite
+  /// result; shared, never modified).  `seed_table` carries step-G
+  /// thresholds; pass an empty table for a cold start (ablation 4).
+  Experiment(std::vector<apps::BenchmarkSpec> specs,
+             std::shared_ptr<const compiler::CompiledSuite> compiled,
+             const runtime::ThresholdTable& seed_table,
+             ExperimentOptions options = {});
+
+  /// Same, with a fresh compile_suite(specs).
   Experiment(std::vector<apps::BenchmarkSpec> specs,
              const runtime::ThresholdTable& seed_table,
              ExperimentOptions options = {});
@@ -60,7 +76,7 @@ class Experiment {
   }
   [[nodiscard]] runtime::ThresholdTable& table() { return table_; }
   [[nodiscard]] const compiler::CompiledSuite& suite() const {
-    return suite_;
+    return *suite_;
   }
   [[nodiscard]] runtime::SchedulerServer& server() { return *server_; }
   [[nodiscard]] runtime::MigrationExecutor& executor() { return *executor_; }
@@ -110,7 +126,7 @@ class Experiment {
   std::vector<apps::BenchmarkSpec> specs_;
   ExperimentOptions options_;
   std::unique_ptr<platform::Testbed> testbed_;
-  compiler::CompiledSuite suite_;
+  std::shared_ptr<const compiler::CompiledSuite> suite_;
   runtime::ThresholdTable table_;
   std::unique_ptr<runtime::LoadMonitor> monitor_;
   std::unique_ptr<runtime::SchedulerServer> server_;

@@ -53,6 +53,7 @@ AvgExecResult run_avg_exec_experiment(
   XAR_EXPECTS(!config.set_sizes.empty() && !config.systems.empty());
   XAR_EXPECTS(config.runs >= 1);
 
+  const auto compiled = compile_suite(specs);
   AvgExecResult result;
   for (int size : config.set_sizes) {
     std::vector<RunningStats> stats(config.systems.size());
@@ -64,7 +65,7 @@ AvgExecResult run_avg_exec_experiment(
       for (std::size_t s = 0; s < config.systems.size(); ++s) {
         ExperimentOptions options = config.base_options;
         options.mode = config.systems[s];
-        Experiment exp(specs, seed_table, options);
+        Experiment exp(specs, compiled, seed_table, options);
         const int background =
             config.total_processes > 0
                 ? std::max(0, config.total_processes - size)
@@ -105,6 +106,7 @@ ThroughputResult run_throughput_experiment(
   ThroughputResult result;
   const apps::BenchmarkSpec& face =
       apps::benchmark_by_name(specs, config.face_app);
+  const auto compiled = compile_suite(specs);
 
   for (int load : config.background_loads) {
     for (apps::SystemMode system : config.systems) {
@@ -112,7 +114,7 @@ ThroughputResult run_throughput_experiment(
       for (int run = 0; run < config.runs; ++run) {
         ExperimentOptions options = config.base_options;
         options.mode = system;
-        Experiment exp(specs, seed_table, options);
+        Experiment exp(specs, compiled, seed_table, options);
         exp.add_background_load(load);
 
         bool finished = false;
@@ -163,11 +165,12 @@ std::vector<PeriodicExecCell> run_periodic_exec_experiment(
   const std::size_t total_apps =
       static_cast<std::size_t>(config.waves) *
       static_cast<std::size_t>(config.apps_per_wave);
+  const auto compiled = compile_suite(specs);
 
   for (apps::SystemMode system : config.systems) {
     ExperimentOptions options = config.base_options;
     options.mode = system;
-    Experiment exp(specs, seed_table, options);
+    Experiment exp(specs, compiled, seed_table, options);
 
     std::unique_ptr<TraceRecorder> trace;
     if (config.record_load_trace) {
@@ -224,11 +227,12 @@ std::vector<PeriodicTputCell> run_periodic_throughput_experiment(
   std::vector<PeriodicTputCell> cells;
   const apps::BenchmarkSpec& face =
       apps::benchmark_by_name(specs, config.face_app);
+  const auto compiled = compile_suite(specs);
 
   for (apps::SystemMode system : config.systems) {
     ExperimentOptions options = config.base_options;
     options.mode = system;
-    Experiment exp(specs, seed_table, options);
+    Experiment exp(specs, compiled, seed_table, options);
 
     // Triangular load wave: min -> max -> min per period, adjusted every
     // step interval for the lifetime of the experiment.
@@ -295,6 +299,7 @@ ProfitabilityResult run_profitability_experiment(
     const runtime::ThresholdTable& seed_table,
     const ProfitabilityConfig& config) {
   XAR_EXPECTS(!config.cg_counts.empty());
+  const auto compiled = compile_suite(specs);
   ProfitabilityResult result;
 
   for (int cg : config.cg_counts) {
@@ -304,7 +309,7 @@ ProfitabilityResult run_profitability_experiment(
       for (int run = 0; run < config.runs; ++run) {
         ExperimentOptions options = config.base_options;
         options.mode = system;
-        Experiment exp(specs, seed_table, options);
+        Experiment exp(specs, compiled, seed_table, options);
         exp.add_background_load(
             std::max(0, config.total_processes - config.set_size));
         for (int i = 0; i < config.set_size; ++i) {

@@ -14,11 +14,13 @@
 // `max_load` means the scenario never won within the sweep.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/benchmark_spec.hpp"
 #include "common/time.hpp"
+#include "compiler/xar_compiler.hpp"
 #include "runtime/threshold_table.hpp"
 
 namespace xartrek::exp {
@@ -51,20 +53,25 @@ class ThresholdEstimator {
   ThresholdEstimator() : ThresholdEstimator(Options()) {}
   explicit ThresholdEstimator(Options opts) : opts_(opts) {}
 
-  /// Run scenarios + sweeps for every benchmark.  Deterministic.
+  /// Run scenarios + sweeps for every benchmark, all on one compiled
+  /// suite.  Deterministic.
   [[nodiscard]] EstimationResult estimate(
       const std::vector<apps::BenchmarkSpec>& specs) const;
 
   /// Measure one scenario time in isolation (exposed for tests).
+  /// `compiled` is compile_suite(specs).
   [[nodiscard]] Duration scenario_time(
-      const std::vector<apps::BenchmarkSpec>& specs, const std::string& app,
-      runtime::Target target) const;
+      const std::vector<apps::BenchmarkSpec>& specs,
+      const std::shared_ptr<const compiler::CompiledSuite>& compiled,
+      const std::string& app, runtime::Target target) const;
 
   /// Measure the app's x86 time with `load` total resident processes
-  /// (itself + load-1 instances of the same application).
+  /// (itself + load-1 instances of the same application).  `compiled`
+  /// is compile_suite(specs).
   [[nodiscard]] Duration x86_time_under_load(
-      const std::vector<apps::BenchmarkSpec>& specs, const std::string& app,
-      int load) const;
+      const std::vector<apps::BenchmarkSpec>& specs,
+      const std::shared_ptr<const compiler::CompiledSuite>& compiled,
+      const std::string& app, int load) const;
 
  private:
   Options opts_;

@@ -26,7 +26,7 @@ TEST(BenchmarkSpecTest, FiveBenchmarksWellFormed) {
     EXPECT_GT(specs[i].total_loc, specs[i].hot_loc);
   }
   EXPECT_EQ(benchmark_by_name(specs, "cg_a").kernel_name, "KNL_HW_CG_A");
-  EXPECT_THROW(benchmark_by_name(specs, "nope"), Error);
+  EXPECT_THROW((void)benchmark_by_name(specs, "nope"), Error);
 }
 
 TEST(BenchmarkSpecTest, KernelNamesMatchPaperTable2) {
@@ -62,14 +62,18 @@ class Table1CalibrationTest : public ::testing::TestWithParam<Table1Row> {};
 TEST_P(Table1CalibrationTest, ScenarioTimesMatchPaper) {
   const auto& row = GetParam();
   const auto specs = paper_benchmarks();
+  const auto compiled = exp::compile_suite(specs);
   const exp::ThresholdEstimator estimator;
 
   const double x86 =
-      estimator.scenario_time(specs, row.app, runtime::Target::kX86).to_ms();
+      estimator.scenario_time(specs, compiled, row.app, runtime::Target::kX86)
+          .to_ms();
   const double fpga =
-      estimator.scenario_time(specs, row.app, runtime::Target::kFpga).to_ms();
+      estimator.scenario_time(specs, compiled, row.app, runtime::Target::kFpga)
+          .to_ms();
   const double arm =
-      estimator.scenario_time(specs, row.app, runtime::Target::kArm).to_ms();
+      estimator.scenario_time(specs, compiled, row.app, runtime::Target::kArm)
+          .to_ms();
 
   EXPECT_NEAR(x86, row.vanilla_x86, 0.05 * row.vanilla_x86) << row.app;
   EXPECT_NEAR(fpga, row.xar_fpga, 0.05 * row.xar_fpga) << row.app;
@@ -84,16 +88,18 @@ TEST(BenchmarkSpecTest, FpgaWinnersAndLosersMatchPaper) {
   // Digit2000, x86 wins for CG-A and FaceDet320; ARM is always the
   // slowest scenario in isolation.
   const auto specs = paper_benchmarks();
+  const auto compiled = exp::compile_suite(specs);
   const exp::ThresholdEstimator estimator;
   for (const auto& row : kTable1) {
     const double x86 =
-        estimator.scenario_time(specs, row.app, runtime::Target::kX86)
+        estimator.scenario_time(specs, compiled, row.app, runtime::Target::kX86)
             .to_ms();
     const double fpga =
-        estimator.scenario_time(specs, row.app, runtime::Target::kFpga)
+        estimator
+            .scenario_time(specs, compiled, row.app, runtime::Target::kFpga)
             .to_ms();
     const double arm =
-        estimator.scenario_time(specs, row.app, runtime::Target::kArm)
+        estimator.scenario_time(specs, compiled, row.app, runtime::Target::kArm)
             .to_ms();
     const bool fpga_wins = std::string(row.app) == "facedet640" ||
                            std::string(row.app) == "digit500" ||

@@ -237,6 +237,50 @@ TEST(XarCompilerTest, CompilesTheFiveBenchmarkSuite) {
   EXPECT_EQ(suite.xclbin_with("NOPE"), nullptr);
 }
 
+void expect_same_binary(const popcorn::MultiIsaBinary& got,
+                        const popcorn::MultiIsaBinary& want,
+                        const std::string& app) {
+  EXPECT_EQ(got.file_bytes(), want.file_bytes()) << app;
+  ASSERT_EQ(got.isas(), want.isas()) << app;
+  for (const isa::IsaKind isa : want.isas()) {
+    const auto& g = got.sections_for(isa);
+    const auto& w = want.sections_for(isa);
+    EXPECT_EQ(g.text, w.text) << app;
+    EXPECT_EQ(g.rodata, w.rodata) << app;
+    EXPECT_EQ(g.data, w.data) << app;
+    EXPECT_EQ(g.bss, w.bss) << app;
+  }
+  EXPECT_EQ(got.metadata().sites().size(), want.metadata().sites().size())
+      << app;
+  EXPECT_EQ(got.metadata().encoded_size_bytes(),
+            want.metadata().encoded_size_bytes())
+      << app;
+}
+
+TEST(XarCompilerTest, BuildsFatBinaryFromInstrumentedIr) {
+  // Step C: the fat binary comes from the instrumented IR (its dispatch
+  // stubs are migration points); the x86-only baseline from the raw IR.
+  const auto specs = apps::paper_benchmarks();
+  const auto irs = apps::make_irs(specs);
+  const XarCompiler xar;
+  const auto suite = xar.compile(apps::make_profile_spec(specs), irs,
+                                 apps::make_kernel_profiles(specs));
+  const MultiIsaBuilder fat;
+  MultiIsaBuildOptions x86_opts;
+  x86_opts.targets = {isa::IsaKind::kX86_64};
+  const MultiIsaBuilder x86(x86_opts);
+  ASSERT_EQ(suite.apps.size(), specs.size());
+  for (const auto& app : suite.apps) {
+    expect_same_binary(app.binary, fat.build(app.instrumented.ir), app.name);
+    expect_same_binary(app.x86_only_binary, x86.build(irs.at(app.name)),
+                       app.name);
+    // The two IRs differ, so the first check tells them apart.
+    EXPECT_GT(app.binary.metadata().sites().size(),
+              fat.build(irs.at(app.name)).metadata().sites().size())
+        << app.name;
+  }
+}
+
 TEST(XarCompilerTest, MissingIrThrows) {
   const auto specs = apps::paper_benchmarks();
   const XarCompiler xar;

@@ -3,6 +3,9 @@
 // small end-to-end figure experiments.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <iterator>
 #include <set>
 
 #include "exp/experiment.hpp"
@@ -65,6 +68,38 @@ TEST(ThresholdEstimatorTest, Table2Shape) {
   EXPECT_LT(row("cg_a").arm_threshold, row("cg_a").fpga_threshold);
 }
 
+// Step G's exact output on the paper suite: Table 1 times (ms) and
+// Table 2 thresholds.  Any drift means the simulation itself moved.
+struct PinnedRow {
+  const char* app;
+  double x86_ms;
+  double fpga_ms;
+  double arm_ms;
+  int fpga_threshold;
+  int arm_threshold;
+};
+constexpr PinnedRow kPinnedEstimate[] = {
+    {"cg_a", 2182, 10597.845837860108, 8405.5400000000009, 29, 23},
+    {"facedet320", 175, 332.01907755533853, 641.53999847412115, 11, 21},
+    {"facedet640", 885, 832.02606608072927, 2990.5400030517576, 0, 20},
+    {"digit500", 883, 470.01770401000977, 2280.5700030517578, 0, 15},
+    {"digit2000", 3521, 1229.05598429362, 8962.6499972534184, 0, 15},
+};
+
+TEST(ThresholdEstimatorTest, RowsPinnedExactly) {
+  const auto& rows = shared_estimate().rows;
+  ASSERT_EQ(rows.size(), std::size(kPinnedEstimate));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const PinnedRow& pin = kPinnedEstimate[i];
+    EXPECT_EQ(rows[i].app, pin.app);
+    EXPECT_EQ(rows[i].x86_exec.to_ms(), pin.x86_ms) << pin.app;
+    EXPECT_EQ(rows[i].fpga_exec.to_ms(), pin.fpga_ms) << pin.app;
+    EXPECT_EQ(rows[i].arm_exec.to_ms(), pin.arm_ms) << pin.app;
+    EXPECT_EQ(rows[i].fpga_threshold, pin.fpga_threshold) << pin.app;
+    EXPECT_EQ(rows[i].arm_threshold, pin.arm_threshold) << pin.app;
+  }
+}
+
 TEST(ThresholdEstimatorTest, TableMatchesRows) {
   const auto& result = shared_estimate();
   for (const auto& row : result.rows) {
@@ -79,18 +114,22 @@ TEST(ThresholdEstimatorTest, TableMatchesRows) {
 TEST(ThresholdEstimatorTest, LoadSweepIsMonotone) {
   const ThresholdEstimator estimator;
   const auto specs = apps::paper_benchmarks();
+  const auto compiled = compile_suite(specs);
   double prev = 0.0;
   for (int load : {1, 6, 12, 24}) {
     const double t =
-        estimator.x86_time_under_load(specs, "facedet320", load).to_ms();
+        estimator.x86_time_under_load(specs, compiled, "facedet320", load)
+            .to_ms();
     EXPECT_GE(t, prev);
     prev = t;
   }
   // Beyond the core count, time scales ~linearly with load.
   const double t12 =
-      estimator.x86_time_under_load(specs, "facedet320", 12).to_ms();
+      estimator.x86_time_under_load(specs, compiled, "facedet320", 12)
+          .to_ms();
   const double t24 =
-      estimator.x86_time_under_load(specs, "facedet320", 24).to_ms();
+      estimator.x86_time_under_load(specs, compiled, "facedet320", 24)
+          .to_ms();
   EXPECT_NEAR(t24 / t12, 2.0, 0.2);
 }
 
@@ -147,6 +186,39 @@ TEST(FigureExperimentTest, MediumLoadXarTrekBeatsVanilla) {
   EXPECT_LT(xartrek, vanilla);
 }
 
+TEST(FigureExperimentTest, AvgExecCellsPinnedExactly) {
+  // A small Figure 4 run on one shared suite: every cell's mean, exact.
+  AvgExecConfig config;
+  config.set_sizes = {1, 3};
+  config.total_processes = 60;
+  config.systems = {apps::SystemMode::kVanillaX86, apps::SystemMode::kXarTrek,
+                    apps::SystemMode::kVanillaArm,
+                    apps::SystemMode::kAlwaysFpga};
+  config.runs = 2;
+  config.seed = 2021;
+  const auto result = run_avg_exec_experiment(
+      apps::paper_benchmarks(), shared_estimate_table(), config);
+  const struct {
+    apps::SystemMode system;
+    int set_size;
+    double mean_ms;
+  } pins[] = {
+      {apps::SystemMode::kVanillaX86, 1, 8840},
+      {apps::SystemMode::kXarTrek, 1, 1943.3780345662435},
+      {apps::SystemMode::kVanillaArm, 1, 2755.4499999999998},
+      {apps::SystemMode::kAlwaysFpga, 1, 1373.0218850453696},
+      {apps::SystemMode::kVanillaX86, 3, 12849.000000000002},
+      {apps::SystemMode::kXarTrek, 3, 2763.186452331543},
+      {apps::SystemMode::kVanillaArm, 3, 4121.6666666666661},
+      {apps::SystemMode::kAlwaysFpga, 3, 2981.1936097208654},
+  };
+  ASSERT_EQ(result.cells.size(), std::size(pins));
+  for (const auto& pin : pins) {
+    EXPECT_EQ(result.cell(pin.system, pin.set_size).mean_ms, pin.mean_ms)
+        << apps::to_string(pin.system) << " x" << pin.set_size;
+  }
+}
+
 TEST(FigureExperimentTest, LowLoadXarTrekCompetitiveWithVanilla) {
   // Figure 3 regime: no background load; Xar-Trek must not lose badly
   // anywhere (it mostly does not migrate, paper §4.1).
@@ -191,6 +263,57 @@ TEST(ExperimentTest, ColdStartStillCompletes) {
                  options);
   exp.launch("facedet320");
   EXPECT_TRUE(exp.run_until_complete(1));
+}
+
+std::array<std::uint64_t, 16> stats_fields(
+    const runtime::SchedulerServer::Stats& s) {
+  return {s.requests,         s.to_x86,          s.to_arm,
+          s.to_fpga,          s.batches,         s.max_batch,
+          s.residency_probes, s.heartbeats_sent, s.heartbeats_missed,
+          s.late_replies,     s.evictions,       s.reinstatements,
+          s.slow_replies,     s.breaker_trips,   s.breaker_closes,
+          s.reconfigurations_started};
+}
+
+TEST(ExperimentTest, SharedSuiteRunsIdenticallyToOwnCompile) {
+  // An Experiment on a compile_suite result and one that compiles for
+  // itself must run the same simulation, placement for placement.
+  const auto specs = apps::paper_benchmarks();
+  ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  Experiment own(specs, shared_estimate_table(), options);
+  Experiment shared(specs, compile_suite(specs), shared_estimate_table(),
+                    options);
+  for (Experiment* exp : {&own, &shared}) {
+    exp->add_background_load(60);
+    for (int round = 0; round < 2; ++round) {
+      for (const auto& s : specs) exp->launch(s.name);
+    }
+    ASSERT_TRUE(exp->run_until_complete(2 * specs.size()));
+  }
+
+  ASSERT_EQ(shared.results().size(), own.results().size());
+  for (std::size_t i = 0; i < own.results().size(); ++i) {
+    const auto& want = own.results()[i];
+    const auto& got = shared.results()[i];
+    EXPECT_EQ(got.app, want.app) << i;
+    EXPECT_EQ(got.func_target, want.func_target) << i;
+    EXPECT_EQ(got.elapsed().to_ms(), want.elapsed().to_ms()) << i;
+  }
+  EXPECT_GT(own.server().stats().to_fpga, 0u);  // the run did place work
+  EXPECT_EQ(stats_fields(shared.server().stats()),
+            stats_fields(own.server().stats()));
+}
+
+TEST(ExperimentTest, SharedSuiteMustHoldEverySpec) {
+  const auto specs = apps::paper_benchmarks();
+  EXPECT_THROW(Experiment(specs, nullptr, runtime::ThresholdTable{}),
+               ContractViolation);
+  auto fewer = specs;
+  fewer.pop_back();
+  EXPECT_THROW(
+      Experiment(specs, compile_suite(fewer), runtime::ThresholdTable{}),
+      ContractViolation);
 }
 
 TEST(ExperimentTest, BackgroundLoadAdjustable) {

@@ -178,7 +178,7 @@ TEST(SchedulerCrossShardTest, DecisionArrivesOnClientShard) {
   // through the reply channel and fires on the client's shard one
   // channel latency after the decision pass.
   sim::ShardedSimulation ssim(sim::ShardedSimulation::Options{
-      2, Duration::micros(50.0), 64, false});
+      2, Duration::micros(50.0), 64, false, Duration::zero(), {}});
   sim::Simulation& server_sim = ssim.shard(0);
   hw::CpuCluster x86(server_sim, hw::xeon_bronze_3104());
   hw::Link pcie(server_sim, hw::pcie_gen3());

@@ -103,8 +103,8 @@ TEST(ShardedSimulationTest, OneShardReproducesPlainSimulationTrace) {
   plain.run();
 
   std::vector<std::pair<double, int>> sharded_trace;
-  ShardedSimulation sharded(
-      ShardedSimulation::Options{1, Duration::ms(0.5), 64, false});
+  ShardedSimulation sharded(ShardedSimulation::Options{
+      1, Duration::ms(0.5), 64, false, Duration::zero(), {}});
   auto keep2 = drive(sharded.shard(0), sharded_trace);
   sharded.run();
 
@@ -209,9 +209,10 @@ RingResult run_ring_opts(
 RingResult run_ring(std::size_t shards, bool parallel,
                     std::size_t mailbox_capacity = 64,
                     std::size_t post_every = 4) {
-  return run_ring_opts(ShardedSimulation::Options{shards, Duration::ms(1.0),
-                                                  mailbox_capacity, parallel},
-                       post_every);
+  return run_ring_opts(
+      ShardedSimulation::Options{shards, Duration::ms(1.0), mailbox_capacity,
+                                 parallel, Duration::zero(), {}},
+      post_every);
 }
 
 TEST(ShardedSimulationTest, TracesIdenticalAcrossShardCounts) {
@@ -250,8 +251,8 @@ TEST(ShardedSimulationTest, BackpressureDelaysButDeliversEverything) {
 TEST(ShardedSimulationTest, MailboxOverflowBurstSpillsAndDrains) {
   // 100 same-window posts through a capacity-4 mailbox: all must land,
   // FIFO, even though delivery slips across several boundaries.
-  ShardedSimulation ssim(
-      ShardedSimulation::Options{2, Duration::ms(1.0), 4, false});
+  ShardedSimulation ssim(ShardedSimulation::Options{
+      2, Duration::ms(1.0), 4, false, Duration::zero(), {}});
   std::vector<int> received;
   ssim.shard(0).schedule_at(TimePoint::at_ms(1.0), [&] {
     for (int i = 0; i < 100; ++i) {
@@ -676,8 +677,8 @@ TEST(ShardedSimulationTest, ManyShortSpansMatchSerial) {
 // --- API contracts ----------------------------------------------------------
 
 TEST(ShardedSimulationTest, ChannelLatencyMustCoverEpoch) {
-  ShardedSimulation ssim(
-      ShardedSimulation::Options{2, Duration::ms(1.0), 64, false});
+  ShardedSimulation ssim(ShardedSimulation::Options{
+      2, Duration::ms(1.0), 64, false, Duration::zero(), {}});
   EXPECT_THROW(CrossShardChannel(ssim, 0, 1, Duration::micros(10.0)),
                ContractViolation);
   // Same-shard channels may be arbitrarily fast.
@@ -685,8 +686,8 @@ TEST(ShardedSimulationTest, ChannelLatencyMustCoverEpoch) {
 }
 
 TEST(ShardedSimulationTest, RunUntilAlignsEveryShardClock) {
-  ShardedSimulation ssim(
-      ShardedSimulation::Options{3, Duration::ms(1.0), 64, false});
+  ShardedSimulation ssim(ShardedSimulation::Options{
+      3, Duration::ms(1.0), 64, false, Duration::zero(), {}});
   int fired = 0;
   ssim.shard(1).schedule_at(TimePoint::at_ms(5.0), [&] { ++fired; });
   ssim.shard(2).schedule_at(TimePoint::at_ms(50.0), [&] { ++fired; });
@@ -702,8 +703,8 @@ TEST(ShardedSimulationTest, RunUntilAlignsEveryShardClock) {
 TEST(ShardedSimulationTest, FastForwardsOverIdleGaps) {
   // Two events 10 seconds apart with a 0.1 ms epoch: the window
   // scheduler must jump the gap instead of grinding 100k empty epochs.
-  ShardedSimulation ssim(
-      ShardedSimulation::Options{2, Duration::micros(100.0), 64, false});
+  ShardedSimulation ssim(ShardedSimulation::Options{
+      2, Duration::micros(100.0), 64, false, Duration::zero(), {}});
   int fired = 0;
   ssim.shard(0).schedule_at(TimePoint::at_ms(1.0), [&] { ++fired; });
   ssim.shard(1).schedule_at(TimePoint::at_ms(10'000.0), [&] { ++fired; });
@@ -712,8 +713,8 @@ TEST(ShardedSimulationTest, FastForwardsOverIdleGaps) {
 }
 
 TEST(ShardedSimulationTest, ErrorInParallelShardPropagates) {
-  ShardedSimulation ssim(
-      ShardedSimulation::Options{2, Duration::ms(1.0), 64, true});
+  ShardedSimulation ssim(ShardedSimulation::Options{
+      2, Duration::ms(1.0), 64, true, Duration::zero(), {}});
   ssim.shard(1).schedule_at(TimePoint::at_ms(1.0),
                             [] { throw Error("shard boom"); });
   ssim.shard(0).schedule_at(TimePoint::at_ms(0.5), [] {});

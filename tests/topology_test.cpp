@@ -413,6 +413,24 @@ TEST(ClusterExperimentTest, AdaptiveAndStealingKeepTheTraceIdentical) {
   }
 }
 
+TEST(ClusterExperimentTest, CellsShareOneCompiledSuite) {
+  // One compile per cluster: every cell reads the same immutable suite,
+  // including while the cells run in parallel.
+  const auto specs = apps::paper_benchmarks();
+  exp::ClusterSpec spec;
+  spec.cells = 4;
+  spec.parallel = true;
+  exp::ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  exp::ClusterExperiment cluster(specs, shared_table(), spec, options);
+  const compiler::CompiledSuite* suite = &cluster.cell(0).suite();
+  for (std::size_t i = 0; i < cluster.cell_count(); ++i) {
+    EXPECT_EQ(&cluster.cell(i).suite(), suite) << "cell " << i;
+    cluster.launch(i, specs[i].name);
+  }
+  EXPECT_TRUE(cluster.run_until_complete(cluster.cell_count()));
+}
+
 TEST(ClusterExperimentTest, HandoffRidesTheIntercellLink) {
   const auto specs = apps::paper_benchmarks();
   exp::ClusterSpec spec;

@@ -64,7 +64,7 @@ TEST(DigitrecTest, AccuracyDegradesWithNoise) {
 
 TEST(DigitrecTest, KnnRequiresTraining) {
   std::vector<LabeledDigit> empty;
-  EXPECT_THROW(knn_classify(empty, DigitBits{}, 3), ContractViolation);
+  EXPECT_THROW((void)knn_classify(empty, DigitBits{}, 3), ContractViolation);
 }
 
 TEST(DigitrecTest, OpProfileStreamsTraining) {
@@ -187,7 +187,7 @@ TEST(IntegralImageTest, MatchesNaiveSums) {
 TEST(IntegralImageTest, RejectsOutOfBounds) {
   GrayImage img(10, 10, 100);
   const IntegralImage ii(img);
-  EXPECT_THROW(ii.rect_sum(5, 5, 10, 1), ContractViolation);
+  EXPECT_THROW((void)ii.rect_sum(5, 5, 10, 1), ContractViolation);
 }
 
 TEST(FaceDetectTest, DetectsPlantedFaces) {
