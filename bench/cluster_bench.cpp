@@ -15,8 +15,10 @@
 // the exactly-once completion contract.  A fourth section repeats the
 // comparison against a gray-failure storm (slowed cells, lossy and
 // corrupting links, flaky reconfiguration ports), gating conservation
-// and the retry-overhead ratio of the reliability layer.  Results land
-// in BENCH_cluster.json (schema: docs/perf.md).
+// and the retry-overhead ratio of the reliability layer.  A last
+// section pins the cluster drain path -- ReliableChannel sends over a
+// route-less link -- at zero allocations per send.  Results land in
+// BENCH_cluster.json (schema: docs/perf.md).
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -32,6 +34,8 @@
 #include "exp/cluster.hpp"
 #include "exp/experiment.hpp"
 #include "exp/threshold_estimator.hpp"
+#include "hw/link.hpp"
+#include "hw/reliable_channel.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/fault.hpp"
@@ -427,6 +431,42 @@ ObsResult run_obs_section(const runtime::ThresholdTable& table) {
   return r;
 }
 
+struct DrainResult {
+  std::uint64_t sends = 0;
+  std::uint64_t delivered = 0;
+  double alloc_calls_per_send = 0;
+  double alloc_bytes_per_send = 0;
+};
+
+/// The zero-alloc contract on the cluster drain path: every
+/// ReliableChannel attempt is a verified link transfer.  After one
+/// warm-up pass has sized the engine, link and channel pools, a
+/// measured pass of sends, each run to delivery, must allocate nothing.
+DrainResult run_drain_probe() {
+  constexpr std::uint64_t kSends = 10'000;
+  sim::Simulation sim;
+  hw::Link link(sim, hw::ethernet_1gbps());
+  hw::ReliableChannel channel(sim, link, hw::ReliableChannel::Options{},
+                              Rng(2021));
+  DrainResult r;
+  auto pump = [&](std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      channel.send(64 * 1024, [&r] { ++r.delivered; });
+      sim.run();
+    }
+  };
+  pump(kSends);  // warm-up: size the event, job and message pools
+  const AllocSnapshot before = alloc_snapshot();
+  pump(kSends);
+  const AllocSnapshot after = alloc_snapshot();
+  r.sends = kSends;
+  r.alloc_calls_per_send = static_cast<double>(after.calls - before.calls) /
+                           static_cast<double>(kSends);
+  r.alloc_bytes_per_send = static_cast<double>(after.bytes - before.bytes) /
+                           static_cast<double>(kSends);
+  return r;
+}
+
 void emit_config(std::ostream& os, const char* key, const ConfigResult& r) {
   os << "    \"" << key << "\": {\n"
      << "      \"wall_seconds\": " << r.wall_seconds << ",\n"
@@ -533,6 +573,7 @@ int bench_main() {
                "tracer off vs on, plus the zero-alloc contract...\n";
   const auto obs = run_obs_section(fault_table);
   const int obs_budget_met = obs.overhead_ratio <= 1.05 ? 1 : 0;
+  const auto drain = run_drain_probe();
   const double sweep_rate =
       2.0 * static_cast<double>(sweep.jobs) /
       (sweep.attach_seconds + sweep.detach_seconds);
@@ -640,6 +681,12 @@ int bench_main() {
       << "    \"alloc_calls_per_event\": " << obs.alloc_calls_per_event
       << ",\n"
       << "    \"alloc_bytes_per_event\": " << obs.alloc_bytes_per_event
+      << "\n  },\n  \"drain\": {\n"
+      << "    \"sends\": " << drain.sends << ",\n"
+      << "    \"delivered\": " << drain.delivered << ",\n"
+      << "    \"alloc_calls_per_send\": " << drain.alloc_calls_per_send
+      << ",\n"
+      << "    \"alloc_bytes_per_send\": " << drain.alloc_bytes_per_send
       << "\n  }\n}\n";
   out.close();
 
@@ -669,6 +716,9 @@ int bench_main() {
             << "x wall with tracing on (" << obs.spans << " spans, "
             << "events identical=" << obs.events_identical
             << ", alloc/event=" << obs.alloc_calls_per_event << ")\n"
+            << "[cluster_bench] drain: " << drain.delivered << " of "
+            << 2 * drain.sends << " sends delivered, alloc/send="
+            << drain.alloc_calls_per_send << "\n"
             << "[cluster_bench] wrote BENCH_cluster.json\n";
   return 0;
 }

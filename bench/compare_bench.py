@@ -102,6 +102,11 @@ METRICS = {
         ("obs.trace_nonempty", "exact", False),
         ("obs.alloc_calls_per_event", "abs", False),
         ("obs.alloc_bytes_per_event", "abs", False),
+        # The cluster drain path (ReliableChannel attempts are verified
+        # link transfers) allocates nothing per send in steady state --
+        # the same exact contract, on the path the obs probe misses.
+        ("drain.alloc_calls_per_send", "abs", False),
+        ("drain.alloc_bytes_per_send", "abs", False),
         ("cluster.single_queue.wall_events_per_sec", "higher", True),
         ("attach_detach.jobs_per_sec", "higher", True),
     ],

@@ -102,7 +102,9 @@ class Experiment {
   /// Block (in simulated time) until the XCLBIN holding `app_name`'s
   /// kernel is live on the FPGA.  Step-G's forced-FPGA scenario measures
   /// offload cost with a warm image, as the instrumented binary's eager
-  /// main-start configuration would provide.
+  /// main-start configuration would provide.  The loop also stops if
+  /// the queue drains first (the load monitor schedules no event, so
+  /// nothing keeps an idle queue alive); the postcondition then fails.
   void warm_fpga_for(const std::string& app_name);
 
   /// Start `n` background MG-B load processes (kept until teardown).
@@ -113,7 +115,10 @@ class Experiment {
   void set_background_load(int n);
 
   /// Step the simulation until `expected` launched apps have exited or
-  /// the horizon passes.  Returns true if the count was reached.
+  /// the horizon passes.  Returns true if the count was reached.  The
+  /// loop can also stop because the queue drained (no background load
+  /// and no event left: the load monitor schedules none); it then
+  /// returns false with the clock at the last event, not the horizon.
   bool run_until_complete(std::size_t expected,
                           Duration horizon = Duration::minutes(120));
 

@@ -3,7 +3,9 @@
 // Records sampled values (x86 load, ARM load, FPGA busy state,
 // placement counts) over simulated time so experiments can report the
 // load waves they generated and operators can plot them.  Sampling is
-// event-driven on a fixed period, like the scheduler's own monitor.
+// event-driven on a fixed period: every sample is kept, unlike the
+// scheduler's load monitor, which needs only the last one and so
+// catches up on demand without an event.
 #pragma once
 
 #include <functional>

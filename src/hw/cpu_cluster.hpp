@@ -30,6 +30,17 @@ struct CpuSpec {
 /// The paper's ARM server: Cavium ThunderX, 96 cores @ 2 GHz.
 [[nodiscard]] CpuSpec cavium_thunderx();
 
+/// Non-owning observer of a cluster's resident count: told just before
+/// the count changes, so a sampler can settle what the old count was
+/// worth first (runtime::LoadMonitor catches up its tick grid here).
+class LoadWatcher {
+ public:
+  virtual void before_load_change() = 0;
+
+ protected:
+  ~LoadWatcher() = default;
+};
+
 /// A multi-core CPU under processor sharing.
 ///
 /// Two distinct notions live here.  *Contention* comes from the jobs in
@@ -54,9 +65,13 @@ class CpuCluster {
   bool cancel(JobId id) { return pool_.cancel(id); }
 
   /// A process arrived on / departed from this server.
-  void attach_process() { ++resident_; }
+  void attach_process() {
+    notify_watcher();
+    ++resident_;
+  }
   void detach_process() {
     XAR_EXPECTS(resident_ > 0);
+    notify_watcher();
     --resident_;
   }
 
@@ -66,12 +81,20 @@ class CpuCluster {
   /// per-process updates through the table.
   void attach_processes(int n) {
     XAR_EXPECTS(n >= 0);
+    notify_watcher();
     resident_ += n;
   }
   void detach_processes(int n) {
     XAR_EXPECTS(n >= 0 && n <= resident_);
+    notify_watcher();
     resident_ -= n;
   }
+
+  /// The one load watcher, told before every resident-count change;
+  /// null (the default) watches nothing.  The cluster does not own it,
+  /// and the watcher must unregister before it dies.
+  void set_load_watcher(LoadWatcher* watcher) { watcher_ = watcher; }
+  [[nodiscard]] LoadWatcher* load_watcher() const { return watcher_; }
 
   /// Grow the PS pool up front so a known cohort submits without a
   /// single reallocation (cluster sweeps; optional).
@@ -97,9 +120,14 @@ class CpuCluster {
   [[nodiscard]] const sim::PsResource& pool() const { return pool_; }
 
  private:
+  void notify_watcher() {
+    if (watcher_ != nullptr) watcher_->before_load_change();
+  }
+
   CpuSpec spec_;
   sim::PsResource pool_;
   int resident_ = 0;
+  LoadWatcher* watcher_ = nullptr;
 };
 
 }  // namespace xartrek::hw

@@ -68,9 +68,46 @@ void Link::transfer(std::uint64_t bytes, Callback on_complete) {
                    [this, mb] { enter_pool(mb); });
 }
 
+/// The wire-side half of a verified frame: {link, slot, verdict}, small
+/// enough for the engine's inline buffer, while the caller's callback
+/// waits in the link's `verified_` slot.  It owns that slot: destroyed
+/// unfired -- a frame the degraded wire dropped, or one still queued
+/// when the link dies -- it frees the slot and the callback with it.
+class Link::VerifiedCompletion {
+ public:
+  VerifiedCompletion(Link* link, std::uint32_t slot, bool verdict)
+      : link_(link), slot_(slot), verdict_(verdict) {}
+  VerifiedCompletion(VerifiedCompletion&& other) noexcept
+      : link_(std::exchange(other.link_, nullptr)),
+        slot_(other.slot_),
+        verdict_(other.verdict_) {}
+  VerifiedCompletion& operator=(VerifiedCompletion&&) = delete;
+  ~VerifiedCompletion() {
+    if (link_ != nullptr) take();
+  }
+
+  void operator()() {
+    VerifiedCallback cb = take();
+    cb(verdict_);
+  }
+
+ private:
+  VerifiedCallback take() {
+    Link* link = std::exchange(link_, nullptr);
+    VerifiedCallback cb = std::move(link->verified_[slot_]);
+    link->verified_.release(slot_);
+    return cb;
+  }
+
+  Link* link_;
+  std::uint32_t slot_;
+  bool verdict_;
+};
+
 void Link::transfer_verified(std::uint64_t bytes, std::uint64_t checksum,
                              VerifiedCallback on_complete) {
   XAR_EXPECTS(on_complete != nullptr);
+  XAR_EXPECTS(!delivery_.connected());
   // The corruption draw happens at admission (deterministic, in event
   // order on this shard); the receiver observes it as a checksum
   // mismatch when the frame lands.  A corrupted frame's carried
@@ -86,10 +123,9 @@ void Link::transfer_verified(std::uint64_t bytes, std::uint64_t checksum,
   if (!intact) ++stats_.corrupted_transfers;
   const std::uint64_t delivered =
       intact ? checksum : fnv_mix(checksum, 0xC0FFEEull);
-  transfer(bytes, [carried = checksum, delivered,
-                   cb = std::move(on_complete)]() mutable {
-    cb(carried == delivered);
-  });
+  const std::uint32_t slot = verified_.acquire();
+  verified_[slot] = std::move(on_complete);
+  transfer(bytes, VerifiedCompletion{this, slot, checksum == delivered});
 }
 
 void Link::set_down(bool down) {

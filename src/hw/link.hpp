@@ -78,7 +78,10 @@ class Link {
   /// byte lands.  `on_complete(ok)` reports whether the delivered frame
   /// still matches -- false when the wire corrupted the payload in
   /// flight (see set_corrupting).  Degraded-mode drops still apply: a
-  /// dropped frame's callback never fires at all.
+  /// dropped frame's callback never fires at all.  Allocation-free:
+  /// `on_complete` waits in a link-owned slot until the frame lands,
+  /// so the link must be route-less (its completions fire on this
+  /// shard; see register_route).
   using VerifiedCallback = sim::UniqueFunction<void(bool)>;
   void transfer_verified(std::uint64_t bytes, std::uint64_t checksum,
                          VerifiedCallback on_complete);
@@ -149,11 +152,17 @@ class Link {
   [[nodiscard]] const LinkSpec& spec() const { return spec_; }
 
  private:
+  class VerifiedCompletion;
+
   void enter_pool(double mb);
 
   sim::Simulation& sim_;
   LinkSpec spec_;
   Stats stats_;
+  /// Callbacks of verified frames still on the wire.  Declared before
+  /// every container that holds a VerifiedCompletion, so it outlives
+  /// them when the link dies.
+  sim::SlotPool<VerifiedCallback> verified_;
   sim::PsResource pool_;  // demand unit: megabytes
   /// Completions of transfers still in their fixed-latency phase.  The
   /// latency is constant, so these events fire strictly FIFO; parking

@@ -102,9 +102,9 @@ class Simulation {
 
   /// Execute at most one event with timestamp <= horizon.  Returns false
   /// (and leaves the clock untouched) when none remains.  Lets callers
-  /// run until an external condition holds even while periodic
-  /// components (load monitors, load generators) keep the queue
-  /// populated forever.
+  /// run until an external condition holds even while a periodic
+  /// component (a background load generator) keeps the queue populated
+  /// forever.
   bool step_one(TimePoint horizon) { return step(horizon); }
 
   /// Number of events currently scheduled (including cancelled husks not

@@ -8,7 +8,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/benchmark_spec.hpp"
@@ -23,6 +25,7 @@
 #include "popcorn/dsm.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulation.hpp"
+#include "sim/topology.hpp"
 
 namespace xartrek {
 namespace {
@@ -150,6 +153,58 @@ TEST(ReliableChannelTest, SlowCopiesSuppressedAsDuplicates) {
   EXPECT_GT(channel.stats().timeouts, 0u);
   EXPECT_GT(channel.stats().duplicates_suppressed, 0u);
   EXPECT_EQ(link.stats().dropped_transfers, 0u);
+}
+
+// --- verified link frames ---------------------------------------------------
+
+TEST(VerifiedLinkTest, VerdictFiresOnceAndUnfiredFramesFreeTheirCallback) {
+  sim::Simulation sim;
+  auto link = std::make_unique<hw::Link>(
+      sim, hw::LinkSpec{"wire", 1.0, Duration::micros(100)});
+  auto token = std::make_shared<int>(0);
+  std::vector<bool> verdicts;
+  auto send = [&] {
+    link->transfer_verified(1024, fnv1a_frame(1024, 1),
+                            [&verdicts, token](bool ok) {
+                              verdicts.push_back(ok);
+                            });
+  };
+  send();
+  link->corrupt_next(1);
+  send();
+  sim.run();
+  EXPECT_EQ(verdicts, (std::vector<bool>{true, false}));
+  EXPECT_EQ(token.use_count(), 1);  // fired callbacks are gone
+
+  // A frame the degraded wire drops never fires, and lets go of its
+  // callback at once.
+  link->set_degraded(1.0, 1.0, Rng(5));
+  send();
+  EXPECT_EQ(link->stats().dropped_transfers, 1u);
+  EXPECT_EQ(token.use_count(), 1);
+  link->clear_degraded();
+
+  // Frames parked behind a partition or still on the wire when the
+  // link dies are released with it.
+  send();
+  link->set_down(true);
+  send();
+  EXPECT_EQ(token.use_count(), 3);
+  link.reset();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(verdicts.size(), 2u);
+}
+
+TEST(VerifiedLinkTest, RoutedLinkRefusesVerifiedFrames) {
+  sim::Topology topo;
+  const auto src = topo.add_node("cell0/x86", 0);
+  const auto dst = topo.add_node("cell1/x86", 1);
+  topo.add_edge(src, dst, Duration::ms(2.0));
+  sim::PartitionedEngine eng(std::move(topo));
+  hw::Link link(eng.sim_of(src), hw::LinkSpec{"wire", 1.0,
+                                              Duration::ms(0.25)});
+  link.register_route(eng, src, dst);
+  EXPECT_THROW(link.transfer_verified(64, 1, [](bool) {}), ContractViolation);
 }
 
 // --- DSM checksum verify + bounded re-request -------------------------------

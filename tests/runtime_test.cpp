@@ -3,7 +3,14 @@
 // executor.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <memory>
 #include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 
 #include "platform/testbed.hpp"
 #include "runtime/load_monitor.hpp"
@@ -101,8 +108,214 @@ TEST(LoadMonitorTest, SamplesPeriodically) {
   EXPECT_EQ(monitor.x86_load(), 0);
   sim.run_until(TimePoint::at_ms(150));
   EXPECT_EQ(monitor.x86_load(), 8);
-  EXPECT_GE(monitor.samples(), 2u);
+  EXPECT_EQ(monitor.samples(), 2u);  // at 0 and 100 ms
   for (int i = 0; i < 8; ++i) x86.detach_process();
+}
+
+/// The self-rescheduling timer LoadMonitor replaced, kept as the oracle:
+/// a tick event samples the count and schedules the next one.
+class TimerMonitor {
+ public:
+  TimerMonitor(sim::Simulation& sim, const hw::CpuCluster& x86,
+               Duration period)
+      : sim_(sim), x86_(x86), period_(period) {
+    tick();
+  }
+  TimerMonitor(const TimerMonitor&) = delete;
+  TimerMonitor& operator=(const TimerMonitor&) = delete;
+  ~TimerMonitor() { next_.cancel(); }
+
+  [[nodiscard]] int last_sample() const { return last_sample_; }
+  [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
+
+ private:
+  void tick() {
+    last_sample_ = x86_.load();
+    ++ticks_;
+    next_ = sim_.schedule_in(period_, [this] { tick(); });
+  }
+
+  sim::Simulation& sim_;
+  const hw::CpuCluster& x86_;
+  Duration period_;
+  int last_sample_ = 0;
+  std::uint64_t ticks_ = 0;
+  sim::Simulation::EventHandle next_;
+};
+
+// A seeded attach/detach schedule against the timer, on a grid that
+// starts off the origin and steps like the timer's own chain.  Every
+// event is either off the grid or on it but enqueued less than one
+// period ahead -- the events the timer runs after its tick -- so every
+// read and every sample count must match the timer exactly.
+void expect_matches_timer(TimePoint origin, Duration period) {
+  sim::Simulation sim;
+  hw::CpuCluster x86(sim, hw::xeon_bronze_3104());
+  sim.run_until(origin);
+  x86.attach_processes(5);
+  LoadMonitor lazy(sim, x86, period);
+  TimerMonitor timer(sim, x86, period);
+
+  TimePoint grid = sim.now();  // the first tick instant >= now
+  auto advance_grid = [&] {
+    while (grid < sim.now()) grid = grid + period;
+  };
+  Rng rng(2021);
+  std::vector<std::pair<int, std::uint64_t>> lazy_reads;
+  std::vector<std::pair<int, std::uint64_t>> timer_reads;
+  auto mutate_and_maybe_read = [&] {
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        x86.attach_process();
+        break;
+      case 1:
+        if (x86.load() > 0) x86.detach_process();
+        break;
+      case 2:
+        x86.attach_processes(static_cast<int>(rng.uniform_int(0, 4)));
+        break;
+      case 3:
+        x86.detach_processes(static_cast<int>(rng.uniform_int(0, x86.load())));
+        break;
+      default:
+        break;  // a read-only event
+    }
+    if (rng.bernoulli(0.6)) {
+      lazy_reads.emplace_back(lazy.x86_load(), lazy.samples());
+      timer_reads.emplace_back(timer.last_sample(), timer.ticks());
+    }
+  };
+
+  constexpr int kSteps = 20'000;
+  int steps = 0;
+  std::function<void()> step = [&] {
+    mutate_and_maybe_read();
+    if (++steps == kSteps) return;
+    advance_grid();
+    if (grid > sim.now() && rng.bernoulli(0.4)) {
+      // The next tick instant, less than one period ahead; sometimes a
+      // second event shares it.
+      sim.schedule_at(grid, step);
+      if (rng.bernoulli(0.5)) sim.schedule_at(grid, mutate_and_maybe_read);
+      return;
+    }
+    // Off the grid, from a fraction of a period to a long idle stretch.
+    TimePoint next = sim.now() + period * rng.uniform_real(0.01, 6.0);
+    TimePoint on_grid = grid;
+    while (on_grid < next) on_grid = on_grid + period;
+    if (on_grid == next) next = next + period * 0.05;
+    sim.schedule_at(next, step);
+  };
+  sim.schedule_in(period * 0.13, step);
+  const TimePoint never =
+      TimePoint::at_ms(std::numeric_limits<double>::infinity());
+  while (steps < kSteps && sim.step_one(never)) {
+  }
+
+  ASSERT_EQ(steps, kSteps);
+  ASSERT_GT(lazy_reads.size(), 10'000u);
+  EXPECT_EQ(lazy_reads, timer_reads);
+  // A horizon between ticks, after the schedule ran out.
+  sim.run_until(sim.now() + period * 123.45);
+  EXPECT_EQ(lazy.x86_load(), timer.last_sample());
+  EXPECT_EQ(lazy.samples(), timer.ticks());
+  EXPECT_GT(lazy.samples(), 10'000u);
+}
+
+// The paper's 10 ms timer.
+TEST(LoadMonitorTest, MatchesTheTimerItReplaces) {
+  expect_matches_timer(TimePoint::at_ms(3.7), Duration::ms(10));
+}
+
+// A 0.1 ms period, whose stepped chain T_{k+1} = T_k + period drifts
+// from the closed form t0 + k * period by an ulp at most instants.
+TEST(LoadMonitorTest, MatchesTheTimerOnAFractionalGrid) {
+  expect_matches_timer(TimePoint::at_ms(3.7), Duration::ms(0.1));
+}
+
+// Sample-first: a tick at T reads the count in force before any other
+// event at T.
+TEST(LoadMonitorTest, ChangeAtATickInstantWaitsForTheNextTick) {
+  sim::Simulation sim;
+  hw::CpuCluster x86(sim, hw::xeon_bronze_3104());
+  LoadMonitor monitor(sim, x86, Duration::ms(10));
+  std::vector<int> reads;
+  auto read = [&] { reads.push_back(monitor.x86_load()); };
+  // Enqueued at 5 ms for the tick instant 10 ms (less than one period
+  // ahead): a read, the change, a read in the same event and a read in
+  // a later event, all at 10 ms.
+  sim.schedule_at(TimePoint::at_ms(5), [&] {
+    sim.schedule_at(TimePoint::at_ms(10), read);
+    sim.schedule_at(TimePoint::at_ms(10), [&] {
+      x86.attach_processes(3);
+      read();
+    });
+    sim.schedule_at(TimePoint::at_ms(10), read);
+    sim.schedule_at(TimePoint::at_ms(15), read);
+    sim.schedule_at(TimePoint::at_ms(20), read);
+  });
+  sim.run_until(TimePoint::at_ms(25));
+  EXPECT_EQ(reads, (std::vector<int>{0, 0, 0, 0, 3}));
+  EXPECT_EQ(monitor.samples(), 3u);  // at 0, 10 and 20 ms
+}
+
+// The one divergence from the timer: an event on a tick instant that
+// was enqueued at least one period ahead -- before the timer enqueued
+// that tick -- runs before the tick, so the timer's sample sees its
+// change.  Sample-first shows the change one tick later.  (Fig. 7's
+// waves and Fig. 8's load steps are such events; their outputs do not
+// move.)
+TEST(LoadMonitorTest, DiffersFromTheTimerOnlyForEventsAPeriodAhead) {
+  sim::Simulation sim;
+  hw::CpuCluster x86(sim, hw::xeon_bronze_3104());
+  LoadMonitor lazy(sim, x86, Duration::ms(10));
+  TimerMonitor timer(sim, x86, Duration::ms(10));
+  sim.schedule_at(TimePoint::at_ms(20), [&] { x86.attach_processes(3); });
+  sim.run_until(TimePoint::at_ms(25));
+  EXPECT_EQ(timer.last_sample(), 3);
+  EXPECT_EQ(lazy.x86_load(), 0);
+  sim.run_until(TimePoint::at_ms(30));
+  EXPECT_EQ(timer.last_sample(), 3);
+  EXPECT_EQ(lazy.x86_load(), 3);
+  EXPECT_EQ(lazy.samples(), timer.ticks());
+}
+
+TEST(LoadMonitorTest, IdleStretchSchedulesNoEvent) {
+  constexpr std::uint64_t kPeriods = 1'000'000;
+  sim::Simulation sim;
+  hw::CpuCluster x86(sim, hw::xeon_bronze_3104());
+  x86.attach_processes(4);
+  LoadMonitor monitor(sim, x86, Duration::ms(10));
+  EXPECT_EQ(sim.queued_events(), 0u);
+  EXPECT_EQ(sim.run_until(TimePoint::at_ms(10.0 * kPeriods)), 0u);
+  EXPECT_EQ(monitor.samples(), kPeriods + 1);
+  EXPECT_EQ(monitor.x86_load(), 4);
+  // At a tick instant that was already sampled: the change waits.
+  x86.detach_processes(4);
+  EXPECT_EQ(monitor.x86_load(), 4);
+  sim.run_until(TimePoint::at_ms(10.0 * kPeriods + 10.0));
+  EXPECT_EQ(monitor.x86_load(), 0);
+  EXPECT_EQ(monitor.samples(), kPeriods + 2);
+  EXPECT_EQ(sim.executed_events(), 0u);
+  EXPECT_EQ(sim.queued_events(), 0u);
+}
+
+TEST(LoadMonitorTest, OneMonitorPerClusterWhichOutlivesIt) {
+  sim::Simulation sim;
+  hw::CpuCluster x86(sim, hw::xeon_bronze_3104());
+  auto monitor = std::make_unique<LoadMonitor>(sim, x86);
+  EXPECT_THROW(LoadMonitor second(sim, x86), ContractViolation);
+  x86.attach_process();
+  monitor.reset();
+  EXPECT_EQ(x86.load_watcher(), nullptr);
+  // Nothing left to notify: all four mutators still work.
+  x86.attach_process();
+  x86.attach_processes(3);
+  x86.detach_process();
+  x86.detach_processes(2);
+  EXPECT_EQ(x86.load(), 2);
+  LoadMonitor again(sim, x86);  // the watcher slot is free again
+  EXPECT_EQ(again.x86_load(), 2);
 }
 
 // --- Algorithm 2: the pure policy, exhaustively ---------------------------
