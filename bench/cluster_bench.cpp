@@ -300,12 +300,13 @@ struct FaultConfigResult {
   exp::ClusterExperiment::JobStats stats;
 };
 
-enum class FaultMode { kNone, kChaos, kGray };
+enum class FaultMode { kNone, kIdleHealth, kChaos, kGray };
 
-/// Tracked jobs on a four-cell cluster: no faults, the chaos plan from
-/// the CHAOS smoke (drain path partitioned, then cell 1 dies), or the
-/// gray storm from the gray smoke (slowed CPUs, a lossy corrupting
-/// ring link, a coin-flip reconfiguration port, plus a kill).  Event
+/// Tracked jobs on a four-cell cluster: no faults, no faults with every
+/// cell's health checks on, the chaos plan from the CHAOS smoke (drain
+/// path partitioned, then cell 1 dies), or the gray storm from the gray
+/// smoke (slowed CPUs, a lossy corrupting ring link, a coin-flip
+/// reconfiguration port, plus a kill).  Event
 /// counts are simulation-deterministic, so the faulted/no-fault ratios
 /// are machine-neutral measures of what the fault machinery --
 /// heartbeats, backoff, checksum retries, breaker demotion -- costs.
@@ -324,7 +325,11 @@ FaultConfigResult run_fault_config(const runtime::ThresholdTable& table,
     cluster.submit(c, "facedet320");
     cluster.submit(c, "digit500");
   }
-  if (mode == FaultMode::kChaos) {
+  if (mode == FaultMode::kIdleHealth) {
+    for (std::size_t c = 0; c < kCells; ++c) {
+      cluster.cell(c).server().start_health_checks();
+    }
+  } else if (mode == FaultMode::kChaos) {
     sim::FaultPlan plan;
     plan.add({sim::FaultEvent::Kind::kLinkDown, TimePoint::at_ms(40.0), 1});
     plan.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(50.0), 1});
@@ -549,11 +554,18 @@ int bench_main() {
   const auto fault_table =
       exp::ThresholdEstimator().estimate(apps::paper_benchmarks()).table;
   const auto fault_plain = run_fault_config(fault_table, FaultMode::kNone);
+  // Health pings on a healthy card are steady, so the loop goes quiet
+  // after each cell's first tick: what they cost is a small constant.
+  const auto fault_idle = run_fault_config(fault_table, FaultMode::kIdleHealth);
+  const auto idle_health_events =
+      static_cast<std::int64_t>(fault_idle.events) -
+      static_cast<std::int64_t>(fault_plain.events);
   const auto fault_chaos = run_fault_config(fault_table, FaultMode::kChaos);
   const double fault_overhead = static_cast<double>(fault_chaos.events) /
                                 static_cast<double>(fault_plain.events);
   const int fault_conserved =
       fault_plain.stats.completed == fault_plain.stats.submitted &&
+              fault_idle.stats.completed == fault_idle.stats.submitted &&
               fault_chaos.stats.completed == fault_chaos.stats.submitted
           ? 1
           : 0;
@@ -630,6 +642,7 @@ int bench_main() {
       << "      \"events\": " << fault_plain.events << ",\n"
       << "      \"sim_ms_to_complete\": "
       << fault_plain.stats.max_latency_ms << "\n    },\n"
+      << "    \"idle_health_events\": " << idle_health_events << ",\n"
       << "    \"chaos\": {\n"
       << "      \"wall_seconds\": " << fault_chaos.wall_seconds << ",\n"
       << "      \"events\": " << fault_chaos.events << ",\n"
@@ -703,6 +716,8 @@ int bench_main() {
             << " jobs @ " << sweep_rate / 1e6 << "M ops/s sharded vs "
             << sweep_single_rate / 1e6 << "M single-table (ratio "
             << sweep_rate / sweep_single_rate << ")\n"
+            << "[cluster_bench] idle health checks: " << idle_health_events
+            << " events over the clean run\n"
             << "[cluster_bench] fault overhead: " << fault_overhead
             << "x events under chaos (" << fault_chaos.stats.drained
             << " drained, conserved=" << fault_conserved << ")\n"

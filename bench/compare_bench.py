@@ -84,6 +84,9 @@ METRICS = {
         # (same plan, same seeds), hence machine-neutral.
         ("fault.completed_conserved", "exact", False),
         ("fault.event_overhead_ratio", "lower", False),
+        # Health checks on a healthy card cost each cell one tick, then
+        # the quiet loop schedules nothing: a deterministic constant.
+        ("fault.idle_health_events", "exact", False),
         # Gray storm: degraded faults (slow cells, lossy/corrupting
         # links, flaky ports) must not lose jobs, and the retry/backoff
         # machinery's event cost over the clean run stays bounded.

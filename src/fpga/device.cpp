@@ -192,6 +192,7 @@ void FpgaDevice::submit(PendingReconfig req) {
 }
 
 void FpgaDevice::set_offline(bool offline) {
+  if (offline_watcher_ != nullptr) offline_watcher_->before_offline_change();
   offline_ = offline;
   bump_epoch();
   if (offline) {

@@ -109,6 +109,18 @@ enum class ReconfigureResult : std::uint8_t {
 
 [[nodiscard]] const char* to_string(ReconfigureResult r);
 
+/// Non-owning observer of the card's offline flag: told just before
+/// set_offline changes it, so a watcher that has stopped polling the
+/// card can settle what the old value was worth first
+/// (runtime::SchedulerServer wakes its quiet heartbeat loop here).
+class OfflineWatcher {
+ public:
+  virtual void before_offline_change() = 0;
+
+ protected:
+  ~OfflineWatcher() = default;
+};
+
 /// Partial-reconfiguration slot geometry (slot mode).
 struct SlotConfig {
   std::uint32_t slots = 4;  ///< PR slots carved from usable()
@@ -236,6 +248,16 @@ class FpgaDevice {
   void set_offline(bool offline);
   [[nodiscard]] bool offline() const { return offline_; }
 
+  /// The one offline watcher, told before every set_offline; null (the
+  /// default) watches nothing.  The device does not own it, and the
+  /// watcher must unregister before it dies.
+  void set_offline_watcher(OfflineWatcher* watcher) {
+    offline_watcher_ = watcher;
+  }
+  [[nodiscard]] OfflineWatcher* offline_watcher() const {
+    return offline_watcher_;
+  }
+
   /// Failure injection: arm a one-shot reconfiguration failure.  The
   /// next programming to finish installs nothing and completes with
   /// kInjectedFailure (a corrupted bitstream / ICAP error), after which
@@ -355,6 +377,7 @@ class FpgaDevice {
 
   bool reconfig_active_ = false;
   bool offline_ = false;
+  OfflineWatcher* offline_watcher_ = nullptr;
   bool fail_armed_ = false;
   bool flaky_ = false;  ///< windowed probabilistic port failures
   double flaky_probability_ = 0.0;

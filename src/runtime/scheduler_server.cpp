@@ -158,15 +158,19 @@ bool SchedulerServer::ensure_resident(std::string_view kernel) {
 
 void SchedulerServer::start_health_checks() {
   if (health_on_) return;
+  XAR_EXPECTS(device_.offline_watcher() == nullptr);
+  device_.set_offline_watcher(this);
   health_on_ = true;
   ++health_generation_;
-  const std::uint64_t gen = health_generation_;
-  sim_.schedule_in(kHeartbeatPeriod, [this, gen] {
-    if (health_on_ && gen == health_generation_) heartbeat_tick();
-  });
+  schedule_tick(sim_.now() + kHeartbeatPeriod);
 }
 
 void SchedulerServer::stop_health_checks() {
+  // Pings before now count; the outcome in flight is dropped with every
+  // other pending heartbeat event.
+  settle(sim_.now());
+  quiet_ = false;
+  release_offline_watch();
   health_on_ = false;
   ++health_generation_;  // orphan any in-flight tick/outcome events
   health_ = TargetHealth::kClosed;
@@ -174,36 +178,114 @@ void SchedulerServer::stop_health_checks() {
   gray_streak_ = 0;
 }
 
-void SchedulerServer::heartbeat_tick() {
-  const std::uint64_t gen = health_generation_;
-  ++stats_.heartbeats_sent;
+void SchedulerServer::release_offline_watch() {
+  if (device_.offline_watcher() == this) device_.set_offline_watcher(nullptr);
+}
+
+SchedulerServer::Ping SchedulerServer::next_ping() const {
   // A live card answers one reply latency later; a dead card never
   // does (the ping vanishes into the dead PCIe slot).  A *slowed* cell
   // answers late: the modeled ping handler rides the degraded service
-  // rate (set_reply_latency_scale).  Both facts are known now, so the
-  // ping resolves here into its one outcome event.  A reply due at the
-  // deadline instant counts as in time.
+  // rate (set_reply_latency_scale).  A reply due at the deadline counts
+  // as in time.
   const bool online = !device_.offline();
   const Duration delay =
       Duration::ms(kReplyLatency.to_ms() * reply_latency_scale_);
-  const TimePoint reply_at = sim_.now() + delay;
-  const TimePoint deadline = sim_.now() + kHeartbeatTimeout;
-  if (online && reply_at <= deadline) {
-    const bool slow = delay > kSlowReply;
-    sim_.schedule_at(reply_at, [this, gen, slow] {
-      if (health_on_ && gen == health_generation_) heartbeat_reply(slow);
-    });
-  } else {
-    sim_.schedule_at(deadline, [this, gen, late = online] {
-      if (health_on_ && gen == health_generation_) heartbeat_miss(late);
-    });
+  if (online && delay <= kHeartbeatTimeout) {
+    return Ping{true, delay > kSlowReply, delay};
   }
-  sim_.schedule_in(kHeartbeatPeriod, [this, gen] {
+  return Ping{false, online, kHeartbeatTimeout};
+}
+
+bool SchedulerServer::steady(const Ping& ping) const {
+  if (!ping.reply) return health_ == TargetHealth::kEvicted;
+  if (ping.gray) return health_ == TargetHealth::kOpen;
+  return health_ == TargetHealth::kClosed && miss_streak_ == 0 &&
+         gray_streak_ == 0;
+}
+
+void SchedulerServer::heartbeat_tick() {
+  ++stats_.heartbeats_sent;
+  const Ping ping = next_ping();
+  const TimePoint now = sim_.now();
+  if (steady(ping)) {
+    // This outcome, and every later ping's until an input edge wakes
+    // the loop, moves only counters: settle them instead of scheduling.
+    quiet_ = true;
+    quiet_ping_ = ping;
+    next_ping_at_ = now + kHeartbeatPeriod;
+    outcome_due_ = true;
+    outcome_at_ = now + ping.lag;
+    return;
+  }
+  schedule_outcome(now + ping.lag, ping);
+  schedule_tick(now + kHeartbeatPeriod);
+}
+
+void SchedulerServer::schedule_tick(TimePoint at) {
+  sim_.schedule_at(at, [this, gen = health_generation_] {
     if (health_on_ && gen == health_generation_) heartbeat_tick();
   });
 }
 
-void SchedulerServer::note_gray() {
+void SchedulerServer::schedule_outcome(TimePoint at, Ping ping) {
+  sim_.schedule_at(at, [this, gen = health_generation_, ping] {
+    if (health_on_ && gen == health_generation_) {
+      heartbeat_outcome(ping, sim_.now());
+    }
+  });
+}
+
+void SchedulerServer::settle(TimePoint before) {
+  if (!quiet_) return;
+  // Each outcome lands before the next ping leaves (the timeout is at
+  // most a period), so the two alternate.  A steady outcome run through
+  // the full handler moves exactly what its event would have.
+  for (;;) {
+    if (outcome_due_) {
+      if (!(outcome_at_ < before)) return;
+      heartbeat_outcome(quiet_ping_, outcome_at_);
+      outcome_due_ = false;
+    }
+    if (!(next_ping_at_ < before)) return;
+    ++stats_.heartbeats_sent;
+    outcome_at_ = next_ping_at_ + quiet_ping_.lag;
+    outcome_due_ = true;
+    next_ping_at_ = next_ping_at_ + kHeartbeatPeriod;
+  }
+}
+
+void SchedulerServer::wake() {
+  if (!quiet_) return;
+  settle(sim_.now());
+  quiet_ = false;
+  if (outcome_due_) schedule_outcome(outcome_at_, quiet_ping_);
+  schedule_tick(next_ping_at_);
+}
+
+SchedulerServer::Stats SchedulerServer::stats() {
+  const TimePoint now = sim_.now();
+  settle(now);
+  Stats view = stats_;
+  // What lands at now itself stays unsettled (a wake at now must still
+  // find it in flight), so only the copy counts it.
+  if (quiet_) {
+    if (outcome_due_ && outcome_at_ == now) count_outcome(view, quiet_ping_);
+    if (next_ping_at_ == now) ++view.heartbeats_sent;
+  }
+  return view;
+}
+
+void SchedulerServer::count_outcome(Stats& stats, const Ping& ping) {
+  if (ping.reply) {
+    if (ping.gray) ++stats.slow_replies;
+    return;
+  }
+  ++stats.heartbeats_missed;
+  if (ping.gray) ++stats.late_replies;
+}
+
+void SchedulerServer::note_gray(TimePoint at) {
   if (health_ == TargetHealth::kClosed) {
     if (++gray_streak_ < kTripLimit) return;
     ++stats_.breaker_trips;
@@ -213,10 +295,21 @@ void SchedulerServer::note_gray() {
   // A gray half-open probe re-opens the target; an open or evicted one
   // absorbs the signal.  Either way the cooldown restarts.
   if (health_ != TargetHealth::kEvicted) health_ = TargetHealth::kOpen;
-  opened_at_ = sim_.now();
+  opened_at_ = at;
 }
 
-void SchedulerServer::heartbeat_reply(bool slow) {
+void SchedulerServer::heartbeat_outcome(const Ping& ping, TimePoint at) {
+  count_outcome(stats_, ping);
+  if (!ping.reply) {
+    note_gray(at);
+    if (++miss_streak_ >= kMissLimit && health_ != TargetHealth::kEvicted) {
+      health_ = TargetHealth::kEvicted;
+      ++stats_.evictions;
+      log_.warn("server: FPGA target evicted after ", miss_streak_,
+                " missed heartbeats");
+    }
+    return;
+  }
   miss_streak_ = 0;
   if (health_ == TargetHealth::kEvicted) {
     // Alive again, but not yet trusted: the target re-enters placement
@@ -225,16 +318,15 @@ void SchedulerServer::heartbeat_reply(bool slow) {
     ++stats_.reinstatements;
     log_.info("server: FPGA target reinstated");
   }
-  if (slow) {
-    ++stats_.slow_replies;
-    note_gray();
+  if (ping.gray) {
+    note_gray(at);
     return;
   }
   gray_streak_ = 0;
   if (health_ == TargetHealth::kOpen) {
     // Probing starts only after the cooldown; the first clean reply
     // after it half-opens the target.
-    if (sim_.now() - opened_at_ >= kBreakerCooldown) {
+    if (at - opened_at_ >= kBreakerCooldown) {
       health_ = TargetHealth::kHalfOpen;
     }
   } else if (health_ == TargetHealth::kHalfOpen) {
@@ -242,18 +334,6 @@ void SchedulerServer::heartbeat_reply(bool slow) {
     ++stats_.breaker_closes;
     log_.info("server: FPGA target closed -- reinstated in placement "
               "scoring");
-  }
-}
-
-void SchedulerServer::heartbeat_miss(bool late) {
-  ++stats_.heartbeats_missed;
-  if (late) ++stats_.late_replies;
-  note_gray();
-  if (++miss_streak_ >= kMissLimit && health_ != TargetHealth::kEvicted) {
-    health_ = TargetHealth::kEvicted;
-    ++stats_.evictions;
-    log_.warn("server: FPGA target evicted after ", miss_streak_,
-              " missed heartbeats");
   }
 }
 
@@ -487,7 +567,13 @@ void SchedulerServer::finish_one(std::uint32_t slot, int load,
 }
 
 void SchedulerServer::register_metrics(obs::Registry& registry,
-                                       const std::string& prefix) const {
+                                       const std::string& prefix) {
+  // Skipped pings move these four; a probe reads them settled.
+  const auto settled = [&](const char* name, std::uint64_t Stats::*field) {
+    registry.probe(prefix + name, [this, field] {
+      return static_cast<double>(stats().*field);
+    });
+  };
   registry.link_counter(prefix + ".requests", &stats_.requests);
   registry.link_counter(prefix + ".to_x86", &stats_.to_x86);
   registry.link_counter(prefix + ".to_arm", &stats_.to_arm);
@@ -498,15 +584,13 @@ void SchedulerServer::register_metrics(obs::Registry& registry,
   registry.link_gauge(prefix + ".max_batch", &stats_.max_batch);
   registry.link_counter(prefix + ".residency_probes",
                         &stats_.residency_probes);
-  registry.link_counter(prefix + ".heartbeats_sent",
-                        &stats_.heartbeats_sent);
-  registry.link_counter(prefix + ".heartbeats_missed",
-                        &stats_.heartbeats_missed);
-  registry.link_counter(prefix + ".late_replies", &stats_.late_replies);
+  settled(".heartbeats_sent", &Stats::heartbeats_sent);
+  settled(".heartbeats_missed", &Stats::heartbeats_missed);
+  settled(".late_replies", &Stats::late_replies);
   registry.link_counter(prefix + ".evictions", &stats_.evictions);
   registry.link_counter(prefix + ".reinstatements",
                         &stats_.reinstatements);
-  registry.link_counter(prefix + ".slow_replies", &stats_.slow_replies);
+  settled(".slow_replies", &Stats::slow_replies);
   registry.link_counter(prefix + ".breaker_trips", &stats_.breaker_trips);
   registry.link_counter(prefix + ".breaker_closes",
                         &stats_.breaker_closes);

@@ -1,8 +1,9 @@
 // The scheduler server -- placement policy (paper Algorithm 2).
 //
 // Runs on the x86 host.  On initialization it queries the hardware
-// kernels in the loaded XCLBIN, establishes the client socket, and
-// starts the x86-load timer.  Each application request is answered with
+// kernels in the loaded XCLBIN and establishes the client socket; the
+// x86 load comes from a LoadMonitor, which models its timer without
+// scheduling an event.  Each application request is answered with
 // a placement decision derived from the threshold table, the sampled
 // x86 load, and kernel residency; when the needed kernel is absent and
 // the load is past FPGA_THR, the server starts a background
@@ -81,7 +82,7 @@ struct PlacementDecision {
                                             bool hw_kernel_available);
 
 /// The server.
-class SchedulerServer {
+class SchedulerServer final : private fpga::OfflineWatcher {
  public:
   using DecisionCallback = sim::UniqueFunction<void(PlacementDecision)>;
 
@@ -187,6 +188,9 @@ class SchedulerServer {
                   fpga::FpgaDevice& device, ThresholdTable& table,
                   std::vector<fpga::XclbinImage> xclbins, Options opts,
                   Logger log = {});
+  SchedulerServer(const SchedulerServer&) = delete;
+  SchedulerServer& operator=(const SchedulerServer&) = delete;
+  ~SchedulerServer() { release_offline_watch(); }
 
   /// Handle one client request for `app` (Algorithm 2 main loop body).
   /// The callback fires after the socket round trip with the decision.
@@ -213,18 +217,40 @@ class SchedulerServer {
     opts_.reply_channel = eng.channel_between(self, client);
   }
 
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  /// Counters as of now, with the quiet heartbeat loop's skipped pings
+  /// settled in (see start_health_checks): every ping and outcome at an
+  /// instant <= now is counted.  Non-const because it folds the pings
+  /// before now into the stored counters, which changes nothing else.
+  [[nodiscard]] Stats stats();
   [[nodiscard]] const Options& options() const { return opts_; }
 
-  /// Start the heartbeat loop against the FPGA target.  Every
-  /// kHeartbeatPeriod the server pings the device and resolves the ping
-  /// as it leaves: whether the card is up and how long its handler
-  /// takes are both known then.  Each ping schedules one outcome event
-  /// -- the reply when it beats kHeartbeatTimeout, the miss otherwise
-  /// -- and the outcomes drive health().  No-op while already running.
+  /// Start the heartbeat loop against the FPGA target: pings leave every
+  /// kHeartbeatPeriod, the first one period from now.  A ping resolves
+  /// as it leaves, because whether the card is up and how long its
+  /// handler takes are both known then: into the reply when it beats
+  /// kHeartbeatTimeout, the miss otherwise; the outcomes drive health().
+  ///
+  /// A ping whose outcome would move only counters, miss_streak_ and
+  /// the cooldown anchor is *steady*: a clean reply while kClosed with
+  /// both streaks at 0, a slow in-time reply while kOpen, or a miss
+  /// while kEvicted.  Every later ping stays steady until an input
+  /// changes, so the loop goes quiet: it schedules no outcome and no
+  /// tick, and settles the skipped pings arithmetically on the tick
+  /// chain T_{k+1} = T_k + kHeartbeatPeriod.  Three input edges wake it
+  /// -- FpgaDevice::set_offline (through the device's offline watcher,
+  /// which this claims; it must be free), set_reply_latency_scale and
+  /// stop_health_checks.  A wake settles every ping and outcome strictly
+  /// before now, schedules the one outcome still in flight, and resumes
+  /// real ticks at the first chain instant >= now, so an edge at a chain
+  /// instant runs before that instant's ping, as a fault plan's edges
+  /// (scheduled before the first tick) do under an eager timer.  The one
+  /// difference from an eager timer: an edge made at chain instant T
+  /// after that instant's ping already ran (a call made between runs,
+  /// after run_until(T)) reaches the ping at T, not the one a period later.
+  /// No-op while already running.
   void start_health_checks();
-  /// Stop the loop (pending outcomes are dropped) and reset the target
-  /// to kClosed.
+  /// Stop the loop (pending outcomes are dropped), release the offline
+  /// watcher and reset the target to kClosed.
   void stop_health_checks();
   [[nodiscard]] bool health_checks_active() const { return health_on_; }
 
@@ -242,6 +268,7 @@ class SchedulerServer {
   /// timeout, a miss once it does not.  1.0 restores nominal.
   void set_reply_latency_scale(double scale) {
     XAR_EXPECTS(scale > 0.0);
+    wake();
     reply_latency_scale_ = scale;
   }
   [[nodiscard]] double reply_latency_scale() const {
@@ -274,8 +301,8 @@ class SchedulerServer {
 
   /// Link the stats counters into a metrics registry under `prefix`
   /// (and the slot scheduler's, when present, under `prefix + ".slots"`).
-  void register_metrics(obs::Registry& registry,
-                        const std::string& prefix) const;
+  /// The counters a skipped ping moves read settled, like stats().
+  void register_metrics(obs::Registry& registry, const std::string& prefix);
 
   /// Emit scheduler spans on `lane` (the shard this server runs on):
   /// "sched.batch" around each decision pass, "sched.decide" instants
@@ -326,16 +353,39 @@ class SchedulerServer {
   /// the port/health gating and any counting.  False (with a warning)
   /// when no registered image provides the kernel.
   bool start_image_download(std::string_view kernel);
-  /// One heartbeat: ping, schedule the ping's one outcome event, and
-  /// schedule the next tick.
+
+  /// How one ping resolves, `lag` after it leaves: an in-time reply, or
+  /// a miss at the timeout.  `gray` marks a slow reply, or a late miss
+  /// (the card was up but answered past the timeout).
+  struct Ping {
+    bool reply = false;
+    bool gray = false;  ///< slow reply, or late miss
+    Duration lag;
+  };
+  /// The ping leaving now, from the card's state and the reply scale.
+  [[nodiscard]] Ping next_ping() const;
+  /// True when `ping`'s outcome would move only counters, miss_streak_
+  /// and opened_at_ (see start_health_checks).
+  [[nodiscard]] bool steady(const Ping& ping) const;
+  /// One heartbeat: ping, then either schedule its outcome and the next
+  /// tick, or -- when the ping is steady -- go quiet.
   void heartbeat_tick();
-  /// Ping outcomes: an in-time reply (a gray signal when `slow`), or a
-  /// miss (`late` when the card was up but answered past the timeout).
-  void heartbeat_reply(bool slow);
-  void heartbeat_miss(bool late);
-  /// One gray signal: counts toward a trip while closed, otherwise
-  /// (re)opens the target and restarts the cooldown.
-  void note_gray();
+  void schedule_tick(TimePoint at);
+  void schedule_outcome(TimePoint at, Ping ping);
+  /// Apply `ping`'s outcome as of instant `at`.
+  void heartbeat_outcome(const Ping& ping, TimePoint at);
+  /// The counters an outcome moves, whatever the state.
+  static void count_outcome(Stats& stats, const Ping& ping);
+  /// One gray signal at `at`: counts toward a trip while closed,
+  /// otherwise (re)opens the target and restarts the cooldown.
+  void note_gray(TimePoint at);
+  /// Quiet loop: count every skipped ping and outcome at an instant
+  /// before `before`, stepping the tick chain.
+  void settle(TimePoint before);
+  /// Input edge: settle, then put the loop back on real events.
+  void wake();
+  void before_offline_change() override { wake(); }
+  void release_offline_watch();
   /// Event body: one decision pass over every request in `batch_slot`
   /// (one arena decode sweep, one load sample, shared residency
   /// probes), answering each client.
@@ -395,6 +445,15 @@ class SchedulerServer {
   /// Generation guard: stop/start invalidates in-flight events.
   std::uint64_t health_generation_ = 0;
   double reply_latency_scale_ = 1.0;
+  // Quiet loop: while quiet_, no heartbeat event is scheduled, and every
+  // ping from next_ping_at_ on the chain resolves as quiet_ping_.
+  bool quiet_ = false;
+  Ping quiet_ping_;
+  TimePoint next_ping_at_;  ///< next chain instant not yet counted
+  /// The last counted ping's outcome is not yet settled; it lands at
+  /// outcome_at_.
+  bool outcome_due_ = false;
+  TimePoint outcome_at_;
 
   // Observability (inert until set_tracer / register_metrics).
   obs::Tracer* tracer_ = nullptr;

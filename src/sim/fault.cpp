@@ -1,6 +1,8 @@
 #include "sim/fault.hpp"
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 #include <tuple>
 
 #include "common/assert.hpp"
@@ -59,18 +61,26 @@ namespace {
          kind == FaultEvent::Kind::kDsmCorrupt;
 }
 
-void describe(const FaultEvent& e, const char* what, std::string* error) {
+/// "[at, until] ms" of a degraded event.
+std::string window(const FaultEvent& e) {
+  return "[" + std::to_string(e.at.to_ms()) + ", " +
+         std::to_string(e.until.to_ms()) + "] ms";
+}
+
+void describe(const FaultEvent& e, std::string_view what,
+              std::string* error) {
   if (error == nullptr) return;
   *error = std::string(to_string(e.kind)) + " @" +
            std::to_string(e.at.to_ms()) + "ms index " +
-           std::to_string(e.index) + ": " + what;
+           std::to_string(e.index) + ": " + std::string(what);
 }
 
 }  // namespace
 
 bool FaultPlan::validate(std::uint32_t cells, std::uint32_t links,
                          std::string* error) const {
-  for (const FaultEvent& e : events_) {
+  for (auto it = events_.begin(); it != events_.end(); ++it) {
+    const FaultEvent& e = *it;
     const std::uint32_t limit = targets_link(e.kind) ? links : cells;
     if (e.index >= limit) {
       describe(e, targets_link(e.kind) ? "link index out of range"
@@ -92,6 +102,18 @@ bool FaultPlan::validate(std::uint32_t cells, std::uint32_t links,
         (e.magnitude < 0.0 || e.magnitude > 1.0)) {
       describe(e, "probability must be in [0, 1]", error);
       return false;
+    }
+    // Earlier windows on this target were checked pairwise disjoint, so
+    // the latest-starting one also ends last.
+    for (auto prev = it; prev != events_.begin();) {
+      --prev;
+      if (prev->kind != e.kind || prev->index != e.index) continue;
+      if (e.at < prev->until) {
+        describe(e, "window " + window(e) + " overlaps window " + window(*prev),
+                 error);
+        return false;
+      }
+      break;
     }
   }
   return true;

@@ -127,8 +127,12 @@ class FaultPlan {
   /// Build-time victim-range check: every cell-targeting event's index
   /// must be < `cells` and every link-targeting event's < `links`, and
   /// degraded events must carry a sane window (`until` > `at`) and a
-  /// magnitude in [0, 1] for the probability kinds.  Returns false (and
-  /// fills `error`, if given) instead of asserting mid-run.
+  /// magnitude in [0, 1] for the probability kinds.  Two windows of one
+  /// kind on one target must not overlap: the first one's `until` would
+  /// restore nominal while the second is still open.  Windows that only
+  /// touch are fine, since plan order applies the earlier `until` first.
+  /// Returns false (and fills `error`, if given) instead of asserting
+  /// mid-run.
   [[nodiscard]] bool validate(std::uint32_t cells, std::uint32_t links,
                               std::string* error = nullptr) const;
 

@@ -5,25 +5,33 @@
 // reclaimed by a paying tenant -- or simply dies -- Xar-Trek must keep
 // serving from the CPUs, while the traditional always-FPGA flow has
 // nowhere to go.  The health-check tests pin the target-health state
-// machine: its late-reply handling, its event cost, the reinstatement
-// path, and a gray storm's decisions; the link tests pin partition
-// park/replay down to the DSM's windowed data path.
+// machine: its late-reply handling, the reinstatement path, the quiet
+// loop's steady pairs, wakes and same-instant order, and a gray storm's
+// decisions; the link tests pin partition park/replay down to the
+// DSM's windowed data path.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/application.hpp"
 #include "apps/benchmark_spec.hpp"
+#include "common/assert.hpp"
 #include "common/hash.hpp"
 #include "exp/cluster.hpp"
 #include "exp/experiment.hpp"
 #include "exp/threshold_estimator.hpp"
 #include "fpga/device.hpp"
 #include "hw/link.hpp"
+#include "obs/registry.hpp"
+#include "platform/testbed.hpp"
 #include "popcorn/dsm.hpp"
+#include "runtime/load_monitor.hpp"
 #include "runtime/scheduler_server.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulation.hpp"
@@ -396,25 +404,280 @@ TEST(SchedulerHealthTest, OfflineCardEvictedThenReinstatedOnRecovery) {
   EXPECT_EQ(server.stats().breaker_trips, 1u);
 }
 
-std::uint64_t idle_events(int periods, bool health) {
-  const auto specs = apps::paper_benchmarks();
-  exp::Experiment exp(specs, seeded_table());
-  if (health) exp.server().start_health_checks();
-  // Stop between ticks, after the last ping's outcome has resolved.
-  exp.simulation().run_until(TimePoint::origin() +
-                             runtime::SchedulerServer::kHeartbeatPeriod *
-                                 (periods + 0.5));
-  return exp.simulation().executed_events();
+constexpr Duration kPeriod = runtime::SchedulerServer::kHeartbeatPeriod;
+
+/// A registry scalar by name (0 when absent).
+double metric(const obs::Snapshot& snap, const std::string& name) {
+  for (const auto& s : snap.scalars) {
+    if (s.name == name) return s.value;
+  }
+  return 0.0;
 }
 
-TEST(SchedulerHealthTest, AnsweredPingCostsTwoEvents) {
-  // Each ping resolves as it leaves into one outcome event, so a live
-  // card costs one tick and one reply per period.
-  for (const int n : {1, 5, 20}) {
-    EXPECT_EQ(idle_events(n, true) - idle_events(n, false),
-              2u * static_cast<std::uint64_t>(n))
-        << n << " periods";
+struct IdleRun {
+  std::uint64_t events = 0;
+  std::uint64_t sent = 0;    ///< through stats()
+  double sent_metric = 0.0;  ///< through a registry snapshot
+};
+
+IdleRun idle_run(int periods, bool health) {
+  const auto specs = apps::paper_benchmarks();
+  exp::Experiment exp(specs, seeded_table());
+  obs::Registry registry;
+  exp.server().register_metrics(registry, "sched");
+  if (health) exp.server().start_health_checks();
+  // Stop between ticks, after the last ping's outcome has resolved.
+  exp.simulation().run_until(TimePoint::origin() + kPeriod * (periods + 0.5));
+  IdleRun r;
+  r.events = exp.simulation().executed_events();
+  // The snapshot goes first: stats() settles the stored counters too.
+  r.sent_metric = metric(registry.snapshot(), "sched.heartbeats_sent");
+  r.sent = exp.server().stats().heartbeats_sent;
+  return r;
+}
+
+TEST(SchedulerHealthTest, AnsweredPingCostsNoEvents) {
+  // A clean reply while closed is steady: after the first tick the loop
+  // schedules nothing, yet every ping still counts, read through stats()
+  // and the registry alike.
+  const std::uint64_t cost =
+      idle_run(1, true).events - idle_run(1, false).events;
+  EXPECT_LE(cost, 1u);
+  for (const int n : {1, 5, 20, 1'000'000}) {
+    const IdleRun on = idle_run(n, true);
+    EXPECT_EQ(on.events - idle_run(n, false).events, cost) << n << " periods";
+    EXPECT_EQ(on.sent, static_cast<std::uint64_t>(n)) << n << " periods";
+    EXPECT_EQ(on.sent_metric, static_cast<double>(n)) << n << " periods";
   }
+}
+
+// --- quiet heartbeat loop: the steady pairs and their wakes ---------------
+
+using Stats = runtime::SchedulerServer::Stats;
+
+/// Long enough that scheduling each ping would show in the event count.
+constexpr std::uint64_t kQuietPeriods = 1'000'000;
+/// The chain is exact whole milliseconds here, so this many periods
+/// shift every ping by exactly this much.
+constexpr double kShiftMs =
+    kPeriod.to_ms() * static_cast<double>(kQuietPeriods);
+
+TimePoint shifted(double ms) { return TimePoint::at_ms(kShiftMs + ms); }
+
+/// From 55 ms (between ticks) the target sits in a steady pair: run it
+/// kQuietPeriods more periods and check that no event runs, that its
+/// health and transition counts hold, and that one ping per period is
+/// sent.  Returns the counters before and after.
+std::pair<Stats, Stats> run_quiet(exp::Experiment& exp, TargetHealth steady) {
+  auto& server = exp.server();
+  auto& sim = exp.simulation();
+  sim.run_until(TimePoint::at_ms(55));
+  EXPECT_EQ(server.health(), steady);
+  const std::uint64_t events = sim.executed_events();
+  const Stats before = server.stats();
+  sim.run_until(shifted(55));
+  EXPECT_EQ(sim.executed_events(), events);
+  EXPECT_EQ(server.health(), steady);
+  const Stats after = server.stats();
+  EXPECT_EQ(after.heartbeats_sent - before.heartbeats_sent, kQuietPeriods);
+  EXPECT_EQ(after.breaker_trips, before.breaker_trips);
+  EXPECT_EQ(after.evictions, before.evictions);
+  return {before, after};
+}
+
+/// After an input edge at shifted(55), which is not a chain instant:
+/// the recovery of OfflineCardEvictedThenReinstatedOnRecovery, shifted
+/// by kQuietPeriods periods.  At shifted(70.2) the cooldown must still
+/// run from the last skipped gray outcome (shifted(50.8) or
+/// shifted(52)), not from the last scheduled one.
+void expect_shifted_recovery(exp::Experiment& exp) {
+  auto& server = exp.server();
+  auto& sim = exp.simulation();
+  const std::uint64_t closes = server.stats().breaker_closes;
+  sim.run_until(shifted(61));  // first clean reply at shifted(60.2)
+  EXPECT_EQ(server.health(), TargetHealth::kOpen);
+  sim.run_until(shifted(71));
+  EXPECT_EQ(server.health(), TargetHealth::kOpen);
+  sim.run_until(shifted(81));  // the first clean reply past the cooldown
+  EXPECT_EQ(server.health(), TargetHealth::kHalfOpen);
+  sim.run_until(shifted(91));
+  EXPECT_EQ(server.health(), TargetHealth::kClosed);
+  EXPECT_EQ(server.stats().breaker_closes, closes + 1);
+  EXPECT_EQ(server.stats().heartbeats_sent, kQuietPeriods + 9);
+}
+
+TEST(SchedulerHealthTest, QuietClosedCleanRepliesWakeOnOffline) {
+  const auto specs = apps::paper_benchmarks();
+  exp::Experiment exp(specs, seeded_table());
+  auto& server = exp.server();
+  auto& sim = exp.simulation();
+  server.start_health_checks();
+  sim.run_until(TimePoint::at_ms(15));
+  const std::uint64_t events = sim.executed_events();
+  sim.run_until(shifted(15));
+  EXPECT_EQ(sim.executed_events(), events);
+  EXPECT_EQ(server.stats().heartbeats_sent, kQuietPeriods + 1);
+  EXPECT_EQ(server.health(), TargetHealth::kClosed);
+
+  // Off the chain at shifted(15): the loop resumes at shifted(20), and
+  // its pings miss at shifted(22), trip at 32 and evict at 42.
+  exp.testbed().fpga().set_offline(true);
+  sim.run_until(shifted(23));
+  EXPECT_EQ(server.health(), TargetHealth::kClosed);
+  EXPECT_EQ(server.stats().heartbeats_missed, 1u);
+  sim.run_until(shifted(33));
+  EXPECT_EQ(server.health(), TargetHealth::kOpen);
+  EXPECT_EQ(server.stats().breaker_trips, 1u);
+  sim.run_until(shifted(43));
+  EXPECT_EQ(server.health(), TargetHealth::kEvicted);
+  EXPECT_EQ(server.stats().evictions, 1u);
+  EXPECT_EQ(server.stats().heartbeats_sent, kQuietPeriods + 4);
+}
+
+TEST(SchedulerHealthTest, QuietOpenSlowRepliesWakeOnRestore) {
+  // 0.8 ms replies: in time but slow.  They trip the target at 20.8 ms;
+  // from the ping at 30 ms on, each one only restarts the cooldown.
+  const auto specs = apps::paper_benchmarks();
+  exp::Experiment exp(specs, seeded_table());
+  exp.server().set_reply_latency_scale(4.0);
+  exp.server().start_health_checks();
+  const auto [before, after] = run_quiet(exp, TargetHealth::kOpen);
+  EXPECT_EQ(after.slow_replies - before.slow_replies, kQuietPeriods);
+  exp.server().set_reply_latency_scale(1.0);
+  expect_shifted_recovery(exp);
+  EXPECT_EQ(exp.server().stats().reinstatements, 0u);
+}
+
+TEST(SchedulerHealthTest, QuietEvictedOfflineMissesWakeOnRecovery) {
+  const auto specs = apps::paper_benchmarks();
+  exp::Experiment exp(specs, seeded_table());
+  exp.server().start_health_checks();
+  exp.testbed().fpga().set_offline(true);
+  const auto [before, after] = run_quiet(exp, TargetHealth::kEvicted);
+  EXPECT_EQ(after.heartbeats_missed - before.heartbeats_missed, kQuietPeriods);
+  EXPECT_EQ(after.late_replies, 0u);
+  exp.testbed().fpga().set_offline(false);
+  expect_shifted_recovery(exp);
+  EXPECT_EQ(exp.server().stats().reinstatements, 1u);
+}
+
+TEST(SchedulerHealthTest, QuietEvictedLateMissesWakeOnRestore) {
+  // 5 ms replies from a live card: every ping is a late miss.
+  const auto specs = apps::paper_benchmarks();
+  exp::Experiment exp(specs, seeded_table());
+  exp.server().set_reply_latency_scale(25.0);
+  exp.server().start_health_checks();
+  const auto [before, after] = run_quiet(exp, TargetHealth::kEvicted);
+  EXPECT_EQ(after.heartbeats_missed - before.heartbeats_missed, kQuietPeriods);
+  EXPECT_EQ(after.late_replies - before.late_replies, kQuietPeriods);
+  exp.server().set_reply_latency_scale(1.0);
+  expect_shifted_recovery(exp);
+  EXPECT_EQ(exp.server().stats().reinstatements, 1u);
+}
+
+TEST(SchedulerHealthTest, StopSettlesAndFreesTheOfflineWatcher) {
+  // stop_health_checks is the third wake edge: the pings before it
+  // count, nothing stays scheduled, and the card's one offline watcher
+  // is free again -- for a restart, or for another server on the card.
+  platform::Testbed testbed;
+  runtime::LoadMonitor monitor(testbed.simulation(), testbed.x86());
+  runtime::ThresholdTable table;
+  auto& device = testbed.fpga();
+  auto& sim = testbed.simulation();
+  runtime::SchedulerServer server(sim, monitor, device, table, {});
+  server.start_health_checks();
+  EXPECT_NE(device.offline_watcher(), nullptr);
+  sim.run_until(TimePoint::at_ms(105));
+  const std::uint64_t events = sim.executed_events();
+  server.stop_health_checks();
+  EXPECT_EQ(device.offline_watcher(), nullptr);
+  sim.run_until(TimePoint::at_ms(1000));
+  EXPECT_EQ(sim.executed_events(), events);
+  EXPECT_EQ(server.stats().heartbeats_sent, 10u);
+  {
+    runtime::SchedulerServer second(sim, monitor, device, table, {});
+    second.start_health_checks();
+    EXPECT_THROW(server.start_health_checks(), ContractViolation);
+  }
+  // The destructor freed it.
+  EXPECT_EQ(device.offline_watcher(), nullptr);
+  server.start_health_checks();
+  EXPECT_TRUE(server.health_checks_active());
+}
+
+/// One cell's health counters: {sent, missed, late, slow, trips,
+/// closes, evictions, reinstatements}.
+void expect_health_counts(exp::ClusterExperiment& cluster, std::size_t c,
+                          const std::array<std::uint64_t, 8>& want) {
+  const Stats s = cluster.cell(c).server().stats();
+  EXPECT_EQ(s.heartbeats_sent, want[0]) << "cell " << c;
+  EXPECT_EQ(s.heartbeats_missed, want[1]) << "cell " << c;
+  EXPECT_EQ(s.late_replies, want[2]) << "cell " << c;
+  EXPECT_EQ(s.slow_replies, want[3]) << "cell " << c;
+  EXPECT_EQ(s.breaker_trips, want[4]) << "cell " << c;
+  EXPECT_EQ(s.breaker_closes, want[5]) << "cell " << c;
+  EXPECT_EQ(s.evictions, want[6]) << "cell " << c;
+  EXPECT_EQ(s.reinstatements, want[7]) << "cell " << c;
+}
+
+TEST(SchedulerHealthTest, PlanEdgesOnChainInstantsKeepEagerCounts) {
+  // Every kCellSlow edge and the kill fall exactly on ping instants
+  // (the chain is 10, 20, ... ms), and cell 3's two windows touch.  A
+  // plan edge runs before its instant's ping, as under the eager timer
+  // that scheduled every ping: the counts are those of that timer.
+  const auto specs = apps::paper_benchmarks();
+  exp::ClusterSpec spec;
+  spec.cells = 4;
+  exp::ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  exp::ClusterExperiment cluster(specs, seeded_table(), spec, options);
+  for (std::size_t c = 0; c < 4; ++c) {
+    cluster.submit(c, "facedet320");
+    cluster.submit(c, "digit500");
+  }
+  using Kind = sim::FaultEvent::Kind;
+  sim::FaultPlan plan;
+  plan.add({Kind::kCellSlow, TimePoint::at_ms(20.0), 0, 0.25,
+            TimePoint::at_ms(120.0)});
+  plan.add({Kind::kCellSlow, TimePoint::at_ms(30.0), 2, 0.05,
+            TimePoint::at_ms(90.0)});
+  plan.add({Kind::kCellSlow, TimePoint::at_ms(40.0), 3, 0.25,
+            TimePoint::at_ms(60.0)});
+  plan.add({Kind::kCellSlow, TimePoint::at_ms(60.0), 3, 0.05,
+            TimePoint::at_ms(100.0)});
+  plan.add({Kind::kCellKill, TimePoint::at_ms(50.0), 1});
+  cluster.apply_fault_plan(plan);
+  ASSERT_TRUE(cluster.run_until_jobs_complete());
+  // The run stops on a ping instant, whose ping counts.
+  EXPECT_EQ(cluster.now(), TimePoint::at_ms(1000.0));
+
+  std::uint64_t hash = kFnvOffset;
+  for (const double t : cluster.job_completion_times_ms()) {
+    hash = fnv_mix(hash, std::bit_cast<std::uint64_t>(t));
+  }
+  EXPECT_EQ(hash, 6848471152015563605ull);
+  // Recorded with the eager timer.
+  expect_health_counts(cluster, 0, {100, 0, 0, 10, 1, 1, 0, 0});
+  expect_health_counts(cluster, 1, {100, 95, 0, 0, 1, 0, 1, 0});
+  expect_health_counts(cluster, 2, {100, 6, 6, 0, 1, 1, 1, 1});
+  expect_health_counts(cluster, 3, {100, 4, 4, 2, 1, 1, 1, 1});
+}
+
+TEST(SchedulerHealthTest, CallerEdgeAtChainInstantReachesThatPing) {
+  // The one divergence from the eager timer.  run_until(100 ms) ran that
+  // timer's ping at 100 ms with the card up, so it would miss first at
+  // 112 ms.  The quiet loop has not sent that ping yet: the wake resumes
+  // it at 100 ms, one period earlier, and it misses at 102 ms.
+  const auto specs = apps::paper_benchmarks();
+  exp::Experiment exp(specs, seeded_table());
+  auto& server = exp.server();
+  server.start_health_checks();
+  exp.simulation().run_until(TimePoint::at_ms(100));
+  EXPECT_EQ(server.stats().heartbeats_sent, 10u);
+  exp.testbed().fpga().set_offline(true);
+  exp.simulation().run_until(TimePoint::at_ms(103));
+  EXPECT_EQ(server.stats().heartbeats_sent, 10u);
+  EXPECT_EQ(server.stats().heartbeats_missed, 1u);
 }
 
 TEST(SchedulerHealthTest, GrayStormHealthOutcomesArePinned) {

@@ -96,6 +96,31 @@ TEST(GrayFaultPlanTest, ValidateRejectsBadVictimsWindowsAndMagnitudes) {
                     0, 0.0, TimePoint::at_ms(2.0)});
   EXPECT_FALSE(bad_slowdown.validate(4, 4, &error));
 
+  // Two windows of one kind on one target must not overlap: the first
+  // one's lift would restore nominal inside the second.  Touching is
+  // fine -- the earlier lift applies first.
+  sim::FaultPlan overlapping;
+  overlapping.add({sim::FaultEvent::Kind::kCellSlow, TimePoint::at_ms(10.0),
+                   0, 0.25, TimePoint::at_ms(100.0)});
+  overlapping.add({sim::FaultEvent::Kind::kCellSlow, TimePoint::at_ms(50.0),
+                   0, 0.5, TimePoint::at_ms(200.0)});
+  EXPECT_FALSE(overlapping.validate(4, 4, &error));
+  EXPECT_NE(error.find("[50.000000, 200.000000] ms"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("[10.000000, 100.000000] ms"), std::string::npos)
+      << error;
+  sim::FaultPlan touching;
+  touching.add({sim::FaultEvent::Kind::kCellSlow, TimePoint::at_ms(10.0), 0,
+                0.25, TimePoint::at_ms(50.0)});
+  touching.add({sim::FaultEvent::Kind::kCellSlow, TimePoint::at_ms(50.0), 0,
+                0.5, TimePoint::at_ms(200.0)});
+  // Other targets and other kinds may overlap freely.
+  touching.add({sim::FaultEvent::Kind::kCellSlow, TimePoint::at_ms(20.0), 1,
+                0.5, TimePoint::at_ms(200.0)});
+  touching.add({sim::FaultEvent::Kind::kPortFlaky, TimePoint::at_ms(20.0), 0,
+                0.5, TimePoint::at_ms(200.0)});
+  EXPECT_TRUE(touching.validate(4, 4, &error)) << error;
+
   // The binary kinds ignore magnitude/until entirely.
   sim::FaultPlan binary;
   binary.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(1.0), 3});
