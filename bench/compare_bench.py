@@ -55,6 +55,11 @@ METRICS = {
         ("request_loop.alloc_calls_per_request", "abs", False),
         ("request_loop.alloc_bytes_per_request", "abs", False),
         ("scaling.pooled_cost_ratio_100k_vs_1k", "lower", False),
+        # Every completion tick arms exactly one engine event, however
+        # its callbacks resubmit: a deterministic count, machine-neutral.
+        ("scaling.pooled.0.schedules_per_event", "exact", False),
+        ("scaling.pooled.1.schedules_per_event", "exact", False),
+        ("scaling.pooled.2.schedules_per_event", "exact", False),
         ("batch_decode.per_frame.alloc_calls_per_request", "abs", False),
         ("batch_decode.vectorized.alloc_calls_per_request", "abs", False),
         ("batch_decode.speedup", "higher", False),

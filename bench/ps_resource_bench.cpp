@@ -7,6 +7,8 @@
 //     submit/complete -- near-flat (O(log n)) -- against an in-binary
 //     replica of the pre-refactor per-job-decrement design, whose cost
 //     grows linearly with residency (O(n) per event, O(n^2) sweeps).
+//     `schedules_per_event` (engine events queued per event run) reads
+//     exactly 1 when every completion tick arms one engine event.
 //
 //  2. `request_loop`: the whole steady-state placement loop -- PS-pool
 //     submit -> wire encode -> borrowed decode -> Algorithm-2 decide ->
@@ -141,12 +143,15 @@ struct ScalePoint {
   std::uint64_t events = 0;
   double seconds = 0;
   AllocSnapshot allocs{};
+  std::uint64_t engine_scheduled = 0;  ///< engine events queued
+  std::uint64_t engine_executed = 0;   ///< engine events run
 };
 
 /// Preload `resident` never-finishing jobs, then churn short jobs
 /// through `chains` self-resubmitting lanes until ~`target_events`
-/// completions have fired.  Reports wall time and allocations over the
-/// measured phase (after a warmup that primes pools and capacities).
+/// completions have fired.  Reports wall time, allocations and engine
+/// events scheduled vs run over the measured phase (after a warmup that
+/// primes pools and capacities).
 template <typename Ps>
 ScalePoint run_scale(std::size_t resident, std::uint64_t target_events,
                      std::uint64_t warmup) {
@@ -198,6 +203,8 @@ ScalePoint run_scale(std::size_t resident, std::uint64_t target_events,
 
   const AllocSnapshot before = alloc_snapshot();
   const std::uint64_t measured_from = completions;
+  const std::uint64_t scheduled_from = sim.scheduled_events();
+  const std::uint64_t executed_from = sim.executed_events();
   const auto start = Clock::now();
   while (sim.step_one(horizon)) {
   }
@@ -207,6 +214,8 @@ ScalePoint run_scale(std::size_t resident, std::uint64_t target_events,
   p.resident = resident;
   p.events = completions - measured_from;
   p.allocs = {after.calls - before.calls, after.bytes - before.bytes};
+  p.engine_scheduled = sim.scheduled_events() - scheduled_from;
+  p.engine_executed = sim.executed_events() - executed_from;
   return p;
 }
 
@@ -338,6 +347,9 @@ void emit_point(std::ostream& os, const ScalePoint& p, bool last) {
      << 1e9 * p.seconds / static_cast<double>(p.events)
      << ", \"alloc_calls_per_event\": "
      << static_cast<double>(p.allocs.calls) / static_cast<double>(p.events)
+     << ", \"schedules_per_event\": "
+     << static_cast<double>(p.engine_scheduled) /
+            static_cast<double>(p.engine_executed)
      << "}" << (last ? "" : ",") << "\n";
 }
 

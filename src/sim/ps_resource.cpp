@@ -23,17 +23,6 @@ void PsResource::release_slot(std::uint32_t slot) {
   --live_;
 }
 
-void PsResource::heap_push(HeapEntry entry) {
-  heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), later);
-}
-
-void PsResource::heap_pop_root() {
-  XAR_ASSERT(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  heap_.pop_back();
-}
-
 PsResource::JobId PsResource::submit(double demand, Callback on_complete) {
   XAR_EXPECTS(demand >= 0.0);
   XAR_EXPECTS(on_complete != nullptr);
@@ -41,11 +30,11 @@ PsResource::JobId PsResource::submit(double demand, Callback on_complete) {
   const std::uint32_t slot = slots_.acquire();
   JobSlot& s = slots_[slot];
   s.finish_v = vtime_ + demand;
-  s.seq = next_seq_++;
   s.on_complete = std::move(on_complete);
   ++live_;
   const std::uint32_t generation = slots_.generation_of(slot);
-  heap_push(HeapEntry{s.finish_v, s.seq, slot, generation});
+  heap_push(heap_,
+            HeapEntry{heap_key(s.finish_v, next_seq_++), slot, generation});
   reschedule();
   return encode_id(slot, generation);
 }
@@ -94,26 +83,51 @@ void PsResource::advance() {
   delivered_ += served * static_cast<double>(live_);
 }
 
+TimePoint PsResource::finish_at(HeapKey key) const {
+  const double rate = rate_per_job(live_);
+  XAR_ASSERT(rate > 0.0);
+  double dt_ms = (key_time(key) - vtime_) / rate;
+  if (dt_ms < 0.0) dt_ms = 0.0;
+  return sim_.now() + Duration::ms(dt_ms);
+}
+
 void PsResource::reschedule() {
   pending_.cancel();
   // Reap cancelled husks so the root names the next live completion.
-  while (!heap_.empty() && !entry_live(heap_.front())) heap_pop_root();
+  while (!heap_.empty() && !entry_live(heap_.front())) heap_pop_root(heap_);
   if (heap_.empty()) {
     // Idle: no live job (every live job holds a heap entry) and no
     // outstanding finish time references the clock, so rebase it.
     // Otherwise vtime_ would grow monotonically forever and its ulp
     // would eventually swallow small demands in long simulations.
     vtime_ = 0.0;
+    arm_seq_ = {};
     return;
   }
-  const double rate = rate_per_job(live_);
-  XAR_ASSERT(rate > 0.0);
-  double dt_ms = (heap_.front().finish_v - vtime_) / rate;
-  if (dt_ms < 0.0) dt_ms = 0.0;
-  pending_ = sim_.schedule_in(Duration::ms(dt_ms), [this] { on_tick(); });
+  arm_at_ = finish_at(heap_.front().key);
+  arm_seq_ = sim_.reserve_seq();
+  if (!in_tick_) arm();
+}
+
+void PsResource::arm() {
+  if (!arm_seq_) return;
+  pending_ =
+      sim_.schedule_at(arm_at_, std::move(arm_seq_), [this] { on_tick(); });
 }
 
 void PsResource::on_tick() {
+  // Until the callbacks return, every reschedule() -- this tick's own
+  // and any a callback causes -- only records the next instant; the
+  // guard arms the last one, also when a callback throws.
+  struct ArmOnExit {
+    PsResource& ps;
+    ~ArmOnExit() {
+      ps.in_tick_ = false;
+      ps.arm();
+    }
+  };
+  in_tick_ = true;
+  const ArmOnExit guard{*this};
   advance();
   // Collect finished jobs first, then run their callbacks after internal
   // state is consistent: callbacks routinely resubmit work to this very
@@ -127,14 +141,20 @@ void PsResource::on_tick() {
   while (!heap_.empty()) {
     const HeapEntry top = heap_.front();
     if (!entry_live(top)) {
-      heap_pop_root();
+      heap_pop_root(heap_);
       continue;
     }
-    JobSlot& s = slots_[top.slot];
-    if (s.finish_v - vtime_ > kEps) break;
-    done.emplace_back(s.seq, std::move(s.on_complete));
+    // Due once the residual is rounding noise, or once the instant it
+    // would finish at rounds to now: then re-arming would land on now
+    // and serve nothing, forever.  So the final reschedule below always
+    // arms strictly later.
+    if (key_time(top.key) - vtime_ > kEps && finish_at(top.key) > sim_.now()) {
+      break;
+    }
+    done.emplace_back(key_seq(top.key),
+                      std::move(slots_[top.slot].on_complete));
     release_slot(top.slot);
-    heap_pop_root();
+    heap_pop_root(heap_);
   }
   // The heap surfaces the batch in (finish_v, seq) order; a batch may
   // contain *near*-ties whose finish times differ only by rounding

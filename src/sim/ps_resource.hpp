@@ -21,12 +21,22 @@
 // a hypothetical job that has been resident since time zero.  A job
 // submitted with demand d when the clock reads V0 finishes exactly when
 // V reaches V0 + d, so the bookkeeping per submit/cancel/complete is a
-// constant-time clock update plus one min-heap operation on the finish
-// virtual times: O(log n) instead of charging every resident job.  The
-// completion instants are arithmetically identical to the naive
-// per-job-decrement formulation (same products, same divisions), and
-// same-instant completions still fire in submission order (the heap
-// breaks finish-time ties on a submission sequence number).
+// constant-time clock update plus one operation on the event engine's
+// 4-ary keyed heap (`sim/keyed_heap.hpp`) over (finish_v, seq): O(log n)
+// instead of charging every resident job.  The completion instants are
+// arithmetically identical to the naive per-job-decrement formulation
+// (same products, same divisions), and same-instant completions still
+// fire in submission order (the key breaks finish-time ties on a
+// submission sequence number).
+//
+// A job is due once its residual demand is rounding noise, or once the
+// instant it would finish at rounds to now.  One completion tick arms
+// one engine event: while the tick's callbacks run, every re-arm they
+// cause (resubmit, cancel, rescale) only records the next instant under
+// a reserved engine sequence number, and the last one is armed when the
+// callbacks return.  The skipped events could never have fired, so the
+// surviving (time, seq) key -- and every trace -- is the one eager
+// cancel-and-reschedule would have left.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +47,7 @@
 #include "common/assert.hpp"
 #include "common/time.hpp"
 #include "sim/callback.hpp"
+#include "sim/keyed_heap.hpp"
 #include "sim/simulation.hpp"
 #include "sim/slot_pool.hpp"
 
@@ -112,27 +123,13 @@ class PsResource {
   static constexpr std::uint32_t kNoSlot = SlotPool<int>::kNoSlot;
 
   /// One pooled job.  `finish_v` is the virtual-clock reading at which
-  /// the job's demand is exhausted; `seq` is the global submission
-  /// sequence number used to break finish-time ties.
+  /// the job's demand is exhausted.  Its heap key is (finish_v,
+  /// submission seq); the callback stays in the slab so sift operations
+  /// never touch it.
   struct JobSlot {
     double finish_v = 0.0;
-    std::uint64_t seq = 0;
     Callback on_complete;
   };
-
-  /// Heap entry: ordering key only; the callback stays in the slab so
-  /// sift operations move 24-byte PODs.
-  struct HeapEntry {
-    double finish_v;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t generation;
-  };
-
-  [[nodiscard]] static bool later(const HeapEntry& a, const HeapEntry& b) {
-    if (a.finish_v != b.finish_v) return a.finish_v > b.finish_v;
-    return a.seq > b.seq;
-  }
 
   [[nodiscard]] double rate_per_job(std::size_t n) const {
     if (n == 0) return 0.0;
@@ -159,14 +156,21 @@ class PsResource {
 
   void release_slot(std::uint32_t slot);
 
-  void heap_push(HeapEntry entry);
-  void heap_pop_root();
-
   /// Advance the virtual clock (and delivered-work accounting) to now.
   void advance();
 
-  /// (Re)arm the next-completion event from current state.
+  /// The instant the live job keyed `key` finishes at the current rate,
+  /// given a clock advanced to now.
+  [[nodiscard]] TimePoint finish_at(HeapKey key) const;
+
+  /// Reap husks, rebase an idle clock and compute the next completion
+  /// instant under a freshly reserved sequence number; arm it at once
+  /// unless a tick is running.
   void reschedule();
+
+  /// Arm the next-completion event recorded by the last reschedule(),
+  /// if any.
+  void arm();
 
   /// Event body: complete every job whose finish virtual time has been
   /// reached.
@@ -175,7 +179,7 @@ class PsResource {
   Simulation& sim_;
   Config cfg_;
   SlotPool<JobSlot> slots_;
-  std::vector<HeapEntry> heap_;  ///< binary min-heap on (finish_v, seq)
+  std::vector<HeapEntry> heap_;  ///< 4-ary min-heap on (finish_v, seq)
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 0;
   double scale_ = 1.0;           ///< capacity multiplier (gray faults)
@@ -183,6 +187,12 @@ class PsResource {
   TimePoint last_advance_ = TimePoint::origin();
   double delivered_ = 0.0;
   Simulation::EventHandle pending_;
+  /// Next completion instant and its reserved sequence number, from the
+  /// last reschedule(); the ticket is empty once armed, or when no job
+  /// is live.
+  TimePoint arm_at_ = TimePoint::origin();
+  Simulation::SeqTicket arm_seq_;
+  bool in_tick_ = false;  ///< completion callbacks running: defer arm()
   /// (submission seq, callback) of the jobs completing in the current
   /// tick; reused across ticks.  Kept as pairs so a batch containing
   /// near-ties (finish times equal up to rounding) can be put back into

@@ -5,10 +5,6 @@
 
 namespace xartrek::sim {
 
-namespace {
-constexpr std::size_t kHeapArity = 4;
-}  // namespace
-
 void Simulation::release_slot(std::uint32_t slot) {
   slots_[slot] = nullptr;  // drop captured state now, not at slot reuse
   slots_.release(slot);    // existing handles and heap husks become inert
@@ -21,75 +17,23 @@ void Simulation::cancel_slot(std::uint32_t slot, std::uint32_t generation) {
   if (slot_pending(slot, generation)) release_slot(slot);
 }
 
-// Both sift directions move a hole instead of swapping: one entry copy
-// per level rather than three.
-void Simulation::heap_push(HeapEntry entry) {
-  if (root_stale_) {
-    // The fired root is logically gone; the new entry takes its place
-    // with one sift-down instead of a pop followed by a push.
-    root_stale_ = false;
-    sift_down_from_root(entry);
-    return;
-  }
-  std::size_t i = heap_.size();
-  heap_.push_back(entry);  // reserves the hole; overwritten on placement
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kHeapArity;
-    if (entry.key >= heap_[parent].key) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = entry;
-}
-
-void Simulation::heap_pop_root() {
-  XAR_ASSERT(!heap_.empty());
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  if (heap_.empty()) return;
-  sift_down_from_root(last);
-}
-
-void Simulation::sift_down_from_root(HeapEntry entry) {
-  const std::size_t n = heap_.size();
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t first_child = i * kHeapArity + 1;
-    if (first_child >= n) break;
-    std::size_t best;
-    if (first_child + kHeapArity <= n) {
-      // Full block of four children: keys are unique, so a pairwise
-      // min tree is exact, and the unpredictable comparisons become
-      // conditional moves.
-      const std::size_t a =
-          heap_[first_child + 1].key < heap_[first_child].key
-              ? first_child + 1
-              : first_child;
-      const std::size_t b =
-          heap_[first_child + 3].key < heap_[first_child + 2].key
-              ? first_child + 3
-              : first_child + 2;
-      best = heap_[b].key < heap_[a].key ? b : a;
-    } else {
-      best = first_child;
-      for (std::size_t c = first_child + 1; c < n; ++c) {
-        if (heap_[c].key < heap_[best].key) best = c;
-      }
-    }
-    if (heap_[best].key >= entry.key) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = entry;
-}
-
-Simulation::EventHandle Simulation::schedule_at(TimePoint t, Callback cb) {
+Simulation::EventHandle Simulation::arm(TimePoint t, std::uint64_t seq,
+                                        Callback&& cb) {
   XAR_EXPECTS(t >= now_);
   XAR_EXPECTS(cb != nullptr);
   const std::uint32_t slot = slots_.acquire();
   slots_[slot] = std::move(cb);
   const std::uint32_t generation = slots_.generation_of(slot);
-  heap_push(HeapEntry{heap_key(t, next_seq_++), slot, generation});
+  const HeapEntry entry{heap_key(t.to_ms(), seq), slot, generation};
+  if (root_stale_) {
+    // The fired root is logically gone; the new entry takes its place
+    // with one sift-down instead of a pop followed by a push.
+    root_stale_ = false;
+    sift_down_from_root(heap_, entry);
+  } else {
+    heap_push(heap_, entry);
+  }
+  ++scheduled_;
   return EventHandle{anchor_, slot, generation};
 }
 
@@ -98,11 +42,11 @@ void Simulation::prune() {
     // The previous event's callback scheduled nothing; materialize
     // the deferred removal now.
     root_stale_ = false;
-    heap_pop_root();
+    heap_pop_root(heap_);
   }
   while (!heap_.empty() &&
          !slots_.live_at(heap_.front().slot, heap_.front().generation)) {
-    heap_pop_root();  // cancelled husk
+    heap_pop_root(heap_);  // cancelled husk
   }
 }
 
@@ -111,14 +55,14 @@ TimePoint Simulation::next_event_time() {
   if (heap_.empty()) {
     return TimePoint::at_ms(std::numeric_limits<double>::infinity());
   }
-  return key_time(heap_.front().key);
+  return TimePoint::at_ms(key_time(heap_.front().key));
 }
 
 bool Simulation::step(TimePoint horizon) {
   prune();
   if (heap_.empty()) return false;
   const HeapEntry top = heap_.front();
-  const TimePoint at = key_time(top.key);
+  const TimePoint at = TimePoint::at_ms(key_time(top.key));
   if (at > horizon) return false;
   XAR_ASSERT(at >= now_);
   now_ = at;

@@ -8,21 +8,22 @@
 //
 // The engine is allocation-free in steady state: events live in a
 // slab-allocated pool recycled through a free list, the ready queue is
-// an explicit 4-ary heap over small POD entries, and cancellation is
-// generation-counted (an EventHandle is an index plus a generation, no
-// per-event reference counting).  Cancelled events leave a husk in the
-// heap that is reaped lazily when it reaches the top.
+// the 4-ary (time, seq) heap of `sim/keyed_heap.hpp`, and cancellation
+// is generation-counted (an EventHandle is an index plus a generation,
+// no per-event reference counting).  Cancelled events leave a husk in
+// the heap that is reaped lazily when it reaches the top.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/time.hpp"
 #include "sim/callback.hpp"
+#include "sim/keyed_heap.hpp"
 #include "sim/slot_pool.hpp"
 
 namespace xartrek::sim {
@@ -75,6 +76,32 @@ class Simulation {
     std::uint32_t generation_ = 0;
   };
 
+  /// An insertion sequence number drawn ahead of its event.  Arming it
+  /// with `schedule_at(t, ticket, cb)` gives the event the same-time
+  /// FIFO position it would have had if it had been scheduled when the
+  /// ticket was drawn.  Move-only, so each number is armed at most once;
+  /// dropping an unarmed ticket just skips its number, exactly as
+  /// scheduling and then cancelling an event would.
+  class SeqTicket {
+   public:
+    SeqTicket() = default;
+    SeqTicket(SeqTicket&& other) noexcept
+        : seq_(std::exchange(other.seq_, kSpent)) {}
+    SeqTicket& operator=(SeqTicket&& other) noexcept {
+      seq_ = std::exchange(other.seq_, kSpent);
+      return *this;
+    }
+
+    /// True while the ticket holds a number not yet armed.
+    explicit operator bool() const { return seq_ != kSpent; }
+
+   private:
+    friend class Simulation;
+    static constexpr std::uint64_t kSpent = ~std::uint64_t{0};
+    explicit SeqTicket(std::uint64_t seq) : seq_(seq) {}
+    std::uint64_t seq_ = kSpent;
+  };
+
   Simulation() : anchor_(std::make_shared<Simulation*>(this)) {}
   ~Simulation() { *anchor_ = nullptr; }
   Simulation(const Simulation&) = delete;
@@ -84,12 +111,25 @@ class Simulation {
   [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedule `cb` at absolute time `t`.  Requires t >= now().
-  EventHandle schedule_at(TimePoint t, Callback cb);
+  EventHandle schedule_at(TimePoint t, Callback cb) {
+    return arm(t, next_seq_++, std::move(cb));
+  }
+
+  /// Draw the sequence number a `schedule_at` made now would use.
+  [[nodiscard]] SeqTicket reserve_seq() { return SeqTicket{next_seq_++}; }
+
+  /// Schedule `cb` at `t` under a reserved sequence number, consuming
+  /// the ticket.  Requires t >= now() and an unspent ticket drawn from
+  /// this Simulation.
+  EventHandle schedule_at(TimePoint t, SeqTicket ticket, Callback cb) {
+    XAR_EXPECTS(ticket);
+    return arm(t, ticket.seq_, std::move(cb));
+  }
 
   /// Schedule `cb` after delay `d`.  Requires d >= 0.
   EventHandle schedule_in(Duration d, Callback cb) {
     XAR_EXPECTS(d >= Duration::zero());
-    return schedule_at(now_ + d, std::move(cb));
+    return arm(now_ + d, next_seq_++, std::move(cb));
   }
 
   /// Run until the queue is empty.  Returns the number of events executed.
@@ -123,6 +163,10 @@ class Simulation {
   /// Total events executed since construction.
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
+  /// Total events ever queued: one per `schedule_at`/`schedule_in`,
+  /// cancelled ones included; a reserved number counts once armed.
+  [[nodiscard]] std::uint64_t scheduled_events() const { return scheduled_; }
+
   /// Grow the event pool and heap up front so a known load level runs
   /// without a single reallocation (diagnostics/benchmarks; optional).
   void reserve_events(std::size_t n) {
@@ -131,37 +175,10 @@ class Simulation {
   }
 
  private:
-  /// The heap orders on a single 128-bit integer key: the raw IEEE-754
-  /// bits of the timestamp in the high word and the insertion sequence
-  /// number in the low word.  Timestamps never go negative (the clock
-  /// starts at the origin and schedule_at rejects the past), so the bit
-  /// pattern orders exactly like the double -- and a one-word-pair
-  /// integer compare lets sift-down pick the minimum child with
-  /// conditional moves instead of unpredictable branches.  Sequence
-  /// numbers make keys unique, which is what preserves FIFO order among
-  /// same-time events.
-  using HeapKey = unsigned __int128;
-
-  struct HeapEntry {
-    HeapKey key;
-    std::uint32_t slot;
-    std::uint32_t generation;
-  };
-
-  static HeapKey heap_key(TimePoint t, std::uint64_t seq) {
-    double ms = t.to_ms();
-    if (ms == 0.0) ms = 0.0;  // canonicalize -0.0: its sign bit would
-                              // order after every positive timestamp
-    std::uint64_t bits;
-    std::memcpy(&bits, &ms, sizeof(bits));
-    return (static_cast<HeapKey>(bits) << 64) | seq;
-  }
-  static TimePoint key_time(HeapKey key) {
-    const std::uint64_t bits = static_cast<std::uint64_t>(key >> 64);
-    double ms;
-    std::memcpy(&ms, &bits, sizeof(ms));
-    return TimePoint::at_ms(ms);
-  }
+  /// Queue `cb` at `t` under sequence number `seq`.  Takes the
+  /// callback by reference so the public overloads' by-value parameter
+  /// moves once, straight into its slot.
+  EventHandle arm(TimePoint t, std::uint64_t seq, Callback&& cb);
 
   /// Pop and execute one runnable event with timestamp <= horizon.
   /// Returns false if none remains.
@@ -178,13 +195,10 @@ class Simulation {
     return slots_.live_at(slot, generation);
   }
 
-  void heap_push(HeapEntry entry);
-  void heap_pop_root();
-  void sift_down_from_root(HeapEntry entry);
-
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
+  std::uint64_t scheduled_ = 0;
   /// Only the callback lives in the slab; the ordering key is kept in
   /// the heap entry so sift operations never touch it.
   SlotPool<Callback> slots_;

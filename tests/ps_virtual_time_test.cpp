@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -345,6 +347,102 @@ TEST(PsVirtualTimeTest, HundredThousandResidentJobsDrainCorrectly) {
   EXPECT_EQ(cpu.active_jobs(), 0u);
   EXPECT_NEAR(cpu.delivered_work(), total_demand,
               1e-9 * total_demand);
+}
+
+TEST(PsVirtualTimeTest, FinishThatRoundsToNowCompletesInThisTick) {
+  // On a fast link late in a run, a residual just above the 1e-9
+  // tolerance needs a dt below half an ulp of now: 1.5e-9 / 32 =
+  // 4.7e-11 ms against a half-ulp of 5.8e-11 at 1e6 ms.  Re-arming at
+  // now would serve nothing and re-arm forever, so the job is due.
+  Simulation sim;
+  PsResource link(sim, {"pcie", 32.0, 32.0});  // hw::pcie_gen3's bandwidth
+  sim.run_until(TimePoint::at_ms(1e6));
+  std::vector<std::pair<int, double>> done;
+  link.submit(1.0, [&] { done.emplace_back(0, sim.now().to_ms()); });
+  link.submit(1.0 + 1.5e-9, [&] { done.emplace_back(1, sim.now().to_ms()); });
+  constexpr int kMaxSteps = 100;
+  int steps = 0;
+  while (steps < kMaxSteps && sim.step_one(TimePoint::at_ms(2e6))) ++steps;
+  EXPECT_LT(steps, kMaxSteps);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0], std::make_pair(0, 1000000.0625));
+  EXPECT_EQ(done[1], std::make_pair(1, 1000000.0625));
+  EXPECT_EQ(link.active_jobs(), 0u);
+}
+
+TEST(PsVirtualTimeTest, TickArmsOneEventWhateverItsCallbacksDo) {
+  // Eager re-arming left a cancelled husk in the engine queue for every
+  // submit, cancel and rescale a completion callback made.  Deferred,
+  // each tick arms exactly one event.
+  Simulation sim;
+  PsResource cpu(sim, {"cpu", 2.0, 1.0});
+  PsResource::JobId victim = 0;
+  int finished = 0;
+  cpu.submit(0.0, [&] {  // the first tick lays out the jobs
+    victim = cpu.submit(10.0, [] { ADD_FAILURE(); });
+    cpu.submit(20.0, [&] { ++finished; });
+    cpu.submit(1.0, [&] {
+      cpu.submit(1.0, [&] { ++finished; });
+      EXPECT_TRUE(cpu.cancel(victim));
+      cpu.set_capacity_scale(0.5);
+    });
+  });
+  ASSERT_TRUE(sim.step_one(TimePoint::at_ms(0)));
+  EXPECT_EQ(sim.queued_events(), 1u);
+  ASSERT_TRUE(sim.step_one(TimePoint::at_ms(10)));
+  EXPECT_DOUBLE_EQ(sim.now().to_ms(), 1.5);  // three jobs at rate 2/3
+  EXPECT_EQ(sim.queued_events(), 1u);
+  EXPECT_EQ(sim.scheduled_events(), 3u);  // the first submit + two ticks
+  EXPECT_EQ(cpu.active_jobs(), 2u);
+  sim.run();
+  EXPECT_EQ(finished, 2);
+  EXPECT_EQ(cpu.active_jobs(), 0u);
+}
+
+TEST(PsVirtualTimeTest, DeferredArmKeepsSameInstantOrderWithEngineEvents) {
+  // The deferred arm carries the sequence number its re-arm drew, so a
+  // completion made due inside a callback still orders against engine
+  // events scheduled in the same callback by call order.
+  for (const bool submit_first : {true, false}) {
+    Simulation sim;
+    PsResource cpu(sim, {"cpu", 1.0, 1.0});
+    std::string order;
+    const auto ps = [&] { cpu.submit(0.0, [&] { order += 'P'; }); };
+    const auto engine = [&] {
+      sim.schedule_in(Duration::zero(), [&] { order += 'E'; });
+    };
+    cpu.submit(1.0, [&] {
+      if (submit_first) {
+        ps();
+        engine();
+      } else {
+        engine();
+        ps();
+      }
+    });
+    sim.run();
+    EXPECT_EQ(order, submit_first ? "PE" : "EP");
+  }
+}
+
+TEST(PsVirtualTimeTest, ThrowingCompletionLeavesResourceArmed) {
+  // A resubmits and then throws out of the event loop: its tick must
+  // still arm the next completion, or A's successor and B would stall.
+  Simulation sim;
+  PsResource cpu(sim, {"cpu", 2.0, 1.0});
+  std::string done;
+  cpu.submit(1.0, [&] {
+    cpu.submit(1.0, [&] { done += 'a'; });
+    throw std::runtime_error("completion failed");
+  });
+  cpu.submit(5.0, [&] { done += 'B'; });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_DOUBLE_EQ(sim.now().to_ms(), 1.0);
+  EXPECT_EQ(cpu.active_jobs(), 2u);
+  sim.run();
+  EXPECT_EQ(done, "aB");
+  EXPECT_DOUBLE_EQ(sim.now().to_ms(), 5.0);
+  EXPECT_EQ(cpu.active_jobs(), 0u);
 }
 
 }  // namespace

@@ -2,12 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "sim/fifo_station.hpp"
+#include "sim/keyed_heap.hpp"
 #include "sim/ps_resource.hpp"
 #include "sim/simulation.hpp"
 
@@ -286,6 +292,79 @@ TEST(SimulationTest, SelfReschedulingChainsInterleaveDeterministically) {
   // only if it scheduled earlier -- verify monotone time throughout.
   for (std::size_t i = 1; i < trace.size(); ++i) {
     EXPECT_GE(trace[i].first, trace[i - 1].first);
+  }
+}
+
+TEST(SimulationTest, ReservedSeqArmsAtItsReservationPosition) {
+  static_assert(!std::is_copy_constructible_v<Simulation::SeqTicket>);
+  static_assert(!std::is_copy_assignable_v<Simulation::SeqTicket>);
+  Simulation sim;
+  std::vector<int> order;
+  auto ticket = sim.reserve_seq();
+  sim.schedule_at(TimePoint::at_ms(1), [&] { order.push_back(1); });
+  static_cast<void>(sim.reserve_seq());  // a skipped number, never armed
+  ASSERT_TRUE(ticket);
+  sim.schedule_at(TimePoint::at_ms(1), std::move(ticket),
+                  [&] { order.push_back(0); });
+  EXPECT_FALSE(ticket);  // spent: a number is armed at most once
+  EXPECT_THROW(sim.schedule_at(TimePoint::at_ms(1), std::move(ticket), [] {}),
+               ContractViolation);
+  EXPECT_EQ(sim.scheduled_events(), 2u);  // arms, not reservations
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+// Property: the shared 4-ary heap surfaces keys in sorted order under
+// random push, pop and replace-top, with equal time words broken by
+// seq, -0.0 keyed as 0.0 and +inf last.
+TEST(KeyedHeapTest, RandomOpsMatchSortedReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double times[] = {-0.0, 0.0, 1e-300, 0.5, 1.0, 1.0 + 1e-15, 3.0, kInf};
+  EXPECT_EQ(heap_key(-0.0, 7), heap_key(0.0, 7));
+  EXPECT_FALSE(std::signbit(key_time(heap_key(-0.0, 7))));
+  EXPECT_LT(heap_key(-0.0, 9), heap_key(1e-300, 0));
+  EXPECT_LT(heap_key(1e6, 1), heap_key(kInf, 0));
+  EXPECT_EQ(key_seq(heap_key(kInf, 42)), 42u);
+  EXPECT_EQ(key_time(heap_key(kInf, 42)), kInf);
+
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    std::vector<HeapEntry> heap;
+    std::set<HeapKey> reference;
+    std::uint64_t next_seq = 0;
+    const auto make = [&] {
+      const double t = times[rng.uniform_int(0, std::ssize(times) - 1)];
+      const std::uint64_t seq = next_seq++;
+      return HeapEntry{heap_key(t, seq), static_cast<std::uint32_t>(seq), 0};
+    };
+    const auto take_min = [&] {
+      ASSERT_FALSE(heap.empty());
+      EXPECT_EQ(heap.front().key, *reference.begin()) << "seed " << seed;
+      EXPECT_EQ(heap.front().slot, key_seq(heap.front().key));
+      reference.erase(reference.begin());
+    };
+    for (int op = 0; op < 20'000; ++op) {
+      const auto kind = heap.empty() ? 0 : rng.uniform_int(0, 2);
+      if (kind == 0) {
+        const HeapEntry e = make();
+        reference.insert(e.key);
+        heap_push(heap, e);
+      } else if (kind == 1) {
+        take_min();
+        heap_pop_root(heap);
+      } else {
+        take_min();
+        const HeapEntry e = make();
+        reference.insert(e.key);
+        sift_down_from_root(heap, e);
+      }
+      ASSERT_EQ(heap.size(), reference.size());
+    }
+    while (!heap.empty()) {
+      take_min();
+      heap_pop_root(heap);
+    }
+    EXPECT_TRUE(reference.empty());
   }
 }
 
