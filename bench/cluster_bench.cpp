@@ -165,16 +165,16 @@ struct SkewResult {
 /// processor sharing, so a cell's event rate is capacity-bound, not
 /// job-bound -- but loop *demand* does: every completion costs the
 /// same few events, so a cell looping 3x shorter runs executes 3x the
-/// events per simulated second.  The epoch is forced 20x tighter than
-/// the 2 ms interconnect, so the fixed-window config pays maximal
-/// synchronization while the adaptive config may legally coarsen to
-/// the link latency whenever no cross-cell traffic is in flight.  The
-/// static map pairs the hot cell with a cold one on worker 0 (cells c
-/// and c+4 share worker c%4); stealing moves that cold cell off the
-/// hot worker at the first rebalance, shortening the critical path.
-/// All three configs execute the identical event trace -- the bench
-/// asserts it -- so the capacity ratios measure pure engine overhead.
-SkewResult run_skew_config(bool adaptive, bool steal,
+/// events per simulated second.  The fixed config forces the epoch
+/// 20x tighter than the 2 ms interconnect, so it pays maximal
+/// synchronization; the plan-epoch configs run at the epoch the
+/// partitioner picks, the link latency itself.  The static map pairs
+/// the hot cell with a cold one on worker 0 (cells c and c+4 share
+/// worker c%4); stealing moves that cold cell off the hot worker at
+/// the first rebalance, shortening the critical path.  All three
+/// configs execute the identical event trace -- the bench asserts it
+/// -- so the capacity ratios measure pure engine overhead.
+SkewResult run_skew_config(bool plan_epoch, bool steal,
                            std::uint64_t jobs_per_cell, double hot_scale,
                            Duration sim_span) {
   constexpr std::size_t kCells = 8;
@@ -182,11 +182,9 @@ SkewResult run_skew_config(bool adaptive, bool steal,
   spec.cells = kCells;
   spec.parallel = true;
   spec.exec.workers = 4;
-  spec.exec.pin_threads = true;
-  spec.exec.adaptive = adaptive;
   spec.exec.steal = steal;
   spec.intercell.latency = Duration::ms(2.0);
-  spec.epoch = Duration::ms(0.1);  // forced: 20x below the link latency
+  if (!plan_epoch) spec.epoch = Duration::ms(0.1);  // 20x below the link
   exp::ClusterExperiment cluster(apps::paper_benchmarks(),
                                  runtime::ThresholdTable{}, spec);
   std::vector<std::unique_ptr<apps::LoadGenerator>> cohorts;
@@ -201,8 +199,7 @@ SkewResult run_skew_config(bool adaptive, bool steal,
         cluster.cell(c).testbed(), static_cast<int>(jobs_per_cell), lopts));
   }
   // Sparse cross traffic: only the hot cell ships handoffs, every
-  // 25 ms, so adaptation has long quiet stretches to coarsen through
-  // and periodic posts to snap back on.
+  // 25 ms.
   HandoffPump pump{&cluster, 0, Duration::ms(25.0)};
   cluster.cell(0).simulation().schedule_in(Duration::ms(25.0),
                                            [&pump] { pump.fire(); });
@@ -523,24 +520,24 @@ int bench_main() {
       smoke ? Duration::seconds(0.3) : Duration::seconds(1.0);
   std::cerr << "[cluster_bench] skewed load: 8 cells / 4 workers, hot "
                "cell at "
-            << kHotScale << "x event rate, fixed vs adaptive vs "
-            << "adaptive+steal...\n";
-  auto best_skew = [&](bool adaptive, bool steal) {
-    const auto a = run_skew_config(adaptive, steal, kSkewJobsPerCell,
+            << kHotScale << "x event rate, fixed vs plan epoch vs "
+            << "plan epoch+steal...\n";
+  auto best_skew = [&](bool plan_epoch, bool steal) {
+    const auto a = run_skew_config(plan_epoch, steal, kSkewJobsPerCell,
                                    kHotScale, kSkewSpan);
-    const auto b = run_skew_config(adaptive, steal, kSkewJobsPerCell,
+    const auto b = run_skew_config(plan_epoch, steal, kSkewJobsPerCell,
                                    kHotScale, kSkewSpan);
     return a.cp_events_per_sec >= b.cp_events_per_sec ? a : b;
   };
   const auto skew_fixed = best_skew(false, false);
-  const auto skew_adaptive = best_skew(true, false);
+  const auto skew_plan = best_skew(true, false);
   const auto skew_steal = best_skew(true, true);
-  const int skew_conserved = skew_fixed.events == skew_adaptive.events &&
+  const int skew_conserved = skew_fixed.events == skew_plan.events &&
                                      skew_fixed.events == skew_steal.events
                                  ? 1
                                  : 0;
-  const double skew_speedup_adaptive =
-      skew_adaptive.cp_events_per_sec / skew_fixed.cp_events_per_sec;
+  const double skew_speedup_plan =
+      skew_plan.cp_events_per_sec / skew_fixed.cp_events_per_sec;
   const double skew_speedup_steal =
       skew_steal.cp_events_per_sec / skew_fixed.cp_events_per_sec;
 
@@ -614,15 +611,15 @@ int bench_main() {
       << "    \"jobs_per_cell\": " << kSkewJobsPerCell << ",\n"
       << "    \"hot_demand_scale\": " << kHotScale << ",\n"
       << "    \"sim_seconds\": " << kSkewSpan.to_seconds() << ",\n"
-      << "    \"epoch_ms\": 0.1,\n    \"max_epoch_ms\": 2,\n";
+      << "    \"epoch_ms\": 0.1,\n    \"plan_epoch_ms\": 2,\n";
   emit_skew_config(out, "fixed", skew_fixed);
   out << ",\n";
-  emit_skew_config(out, "adaptive", skew_adaptive);
+  emit_skew_config(out, "plan_epoch", skew_plan);
   out << ",\n";
-  emit_skew_config(out, "adaptive_steal", skew_steal);
+  emit_skew_config(out, "plan_epoch_steal", skew_steal);
   out << ",\n    \"events_conserved\": " << skew_conserved
-      << ",\n    \"speedup_adaptive_vs_fixed\": " << skew_speedup_adaptive
-      << ",\n    \"speedup_adaptive_steal_vs_fixed\": "
+      << ",\n    \"speedup_plan_epoch_vs_fixed\": " << skew_speedup_plan
+      << ",\n    \"speedup_plan_epoch_steal_vs_fixed\": "
       << skew_speedup_steal << "\n  },\n  \"attach_detach\": {\n"
       << "    \"jobs\": " << sweep.jobs << ",\n"
       << "    \"cells\": " << kSweepCells << ",\n"
@@ -707,8 +704,8 @@ int bench_main() {
             << single_rate / 1e6 << "M ev/s, 1-cell ratio=" << ratio_1cell
             << ", 2-cell=" << speedup_2 << "x, 4-cell=" << speedup_4
             << "x\n"
-            << "[cluster_bench] skew: adaptive=" << skew_speedup_adaptive
-            << "x, adaptive+steal=" << skew_speedup_steal
+            << "[cluster_bench] skew: plan epoch=" << skew_speedup_plan
+            << "x, plan epoch+steal=" << skew_speedup_steal
             << "x vs fixed (windows " << skew_fixed.windows << " -> "
             << skew_steal.windows << ", steals=" << skew_steal.steals
             << ", conserved=" << skew_conserved << ")\n"

@@ -76,13 +76,13 @@ METRICS = {
         ("cluster.ratio_1cell_vs_single_queue", "higher", False),
         ("cluster.aggregate_speedup_2_cells", "higher", False),
         ("cluster.aggregate_speedup_4_cells", "higher", False),
-        # Skewed load: same-run critical-path capacity ratios (fixed vs
-        # adaptive vs adaptive+steal on the identical trace, identical
-        # host) are machine-neutral; events_conserved pins the trace
-        # identity contract exactly.  speedup_adaptive_steal_vs_fixed is
-        # the adaptive-epochs/cell-stealing >= 1.3x acceptance bar.
-        ("skew.speedup_adaptive_vs_fixed", "higher", False),
-        ("skew.speedup_adaptive_steal_vs_fixed", "higher", False),
+        # Skewed load: same-run critical-path capacity ratios (a forced
+        # 0.1 ms epoch vs the partitioner's own epoch, without and with
+        # cell stealing, on the identical trace and host) are
+        # machine-neutral; events_conserved pins the trace identity
+        # contract exactly.
+        ("skew.speedup_plan_epoch_vs_fixed", "higher", False),
+        ("skew.speedup_plan_epoch_steal_vs_fixed", "higher", False),
         ("skew.events_conserved", "exact", False),
         # Fault machinery: exactly-once completion is an exact contract;
         # the chaos/no-fault event ratio is simulation-deterministic

@@ -368,8 +368,7 @@ ShardResult run_sharded(std::size_t shards, bool parallel,
                         std::uint64_t total_events,
                         std::size_t total_chains) {
   sim::ShardedSimulation ssim(sim::ShardedSimulation::Options{
-      shards, Duration::ms(kShardEpochMs), 4096, parallel, Duration::zero(),
-      {}});
+      shards, Duration::ms(kShardEpochMs), 4096, parallel});
   std::vector<ShardLane> lanes(total_chains);
   const std::uint64_t per_lane = total_events / total_chains;
   for (std::size_t s = 0; s < shards; ++s) {

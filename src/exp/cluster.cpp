@@ -20,36 +20,22 @@ ClusterExperiment::ClusterExperiment(
   XAR_EXPECTS(cluster_.completion_poll > Duration::zero());
   const std::size_t n = cluster_.cells;
 
-  // Declare the graph: cell i's components are nodes with affinity
-  // group i, interactions are edges carrying their modeled latency.
-  // The partitioner derives everything else (shard map, epoch,
-  // channels) from this declaration.
+  // Declare the graph: one node per cell (a testbed -- x86 host, its
+  // FPGA card and the ARM server -- is always one affinity group), and
+  // the ring links as edges carrying their modeled latency.  The
+  // partitioner derives everything else (shard map, epoch, channels)
+  // from this declaration.
   sim::Topology topo;
-  x86_nodes_.reserve(n);
-  fpga_nodes_.reserve(n);
-  sched_nodes_.reserve(n);
+  nodes_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string prefix = "cell" + std::to_string(i) + "/";
-    const auto cell_id = static_cast<sim::CellId>(i);
-    x86_nodes_.push_back(topo.add_node(prefix + "x86", cell_id));
-    fpga_nodes_.push_back(topo.add_node(prefix + "fpga", cell_id));
-    sched_nodes_.push_back(topo.add_node(prefix + "sched", cell_id));
-    // In-cell interactions: the FPGA's reconfiguration notify crosses
-    // the PCIe stack, the scheduler's reply the loopback socket.  Both
-    // endpoints share a cell, so the derived channels are inert -- the
-    // registration is what keeps the wiring correct if a later spec
-    // ever splits a cell's components across cells.
-    topo.add_edge(fpga_nodes_[i], sched_nodes_[i],
-                  cluster_.cell_config.pcie.latency);
-    topo.add_edge(sched_nodes_[i], x86_nodes_[i],
-                  runtime::SchedulerServer::Options{}.request_overhead);
+    nodes_.push_back(topo.add_node("cell" + std::to_string(i),
+                                   static_cast<sim::CellId>(i)));
   }
   if (n > 1) {
     for (std::size_t i = 0; i < n; ++i) {
       // The ring interconnect: its latency is the cross-cell lookahead
       // the auto-picked epoch derives from.
-      topo.add_edge(x86_nodes_[i], x86_nodes_[(i + 1) % n],
-                    cluster_.intercell.latency);
+      topo.add_edge(nodes_[i], nodes_[(i + 1) % n], cluster_.intercell.latency);
     }
   }
 
@@ -57,7 +43,7 @@ ClusterExperiment::ClusterExperiment(
   popts.epoch = cluster_.epoch;
   popts.mailbox_capacity = cluster_.mailbox_capacity;
   popts.parallel = cluster_.parallel;
-  popts.exec = cluster_.exec;  // all seven knobs, nothing forgotten
+  popts.exec = cluster_.exec;  // every knob, nothing forgotten
   engine_ = std::make_unique<sim::PartitionedEngine>(std::move(topo),
                                                      popts);
 
@@ -71,26 +57,17 @@ ClusterExperiment::ClusterExperiment(
   for (std::size_t i = 0; i < n; ++i) {
     ExperimentOptions cell_options = options;
     cell_options.testbed = cluster_.cell_config;
-    cell_options.testbed.external_sim = &engine_->sim_of(x86_nodes_[i]);
+    cell_options.testbed.external_sim = &engine_->sim_of(nodes_[i]);
     cells_.push_back(std::make_unique<Experiment>(specs, compiled,
                                                   seed_table, cell_options));
-    // Derived wiring instead of hand-assembled channels: in-cell
-    // registrations resolve to inert channels (local behavior), and
-    // would resolve to mailbox channels automatically if the plan ever
-    // placed the endpoints apart.
-    cells_[i]->testbed().fpga().register_notify(*engine_, fpga_nodes_[i],
-                                                sched_nodes_[i]);
-    cells_[i]->server().register_reply(*engine_, sched_nodes_[i],
-                                       x86_nodes_[i]);
   }
 
   if (n > 1) {
     intercell_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       intercell_.push_back(std::make_unique<hw::Link>(
-          engine_->sim_of(x86_nodes_[i]), cluster_.intercell));
-      intercell_[i]->register_route(*engine_, x86_nodes_[i],
-                                    x86_nodes_[(i + 1) % n]);
+          engine_->sim_of(nodes_[i]), cluster_.intercell));
+      intercell_[i]->register_route(*engine_, nodes_[i], nodes_[(i + 1) % n]);
     }
   }
 
@@ -113,9 +90,9 @@ ClusterExperiment::ClusterExperiment(
     drain_arrivals_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       drain_links_.push_back(std::make_unique<hw::Link>(
-          engine_->sim_of(x86_nodes_[i]), cluster_.intercell));
-      drain_arrivals_.push_back(engine_->channel_between(
-          x86_nodes_[i], x86_nodes_[(i + 1) % n]));
+          engine_->sim_of(nodes_[i]), cluster_.intercell));
+      drain_arrivals_.push_back(
+          engine_->channel_between(nodes_[i], nodes_[(i + 1) % n]));
     }
     build_drain_channels();
   }
@@ -182,8 +159,7 @@ void ClusterExperiment::build_drain_channels() {
     // Each channel's jitter stream is split per cell from the gray
     // seed: deterministic, but de-synchronized across cells.
     drain_channels_.push_back(std::make_unique<hw::ReliableChannel>(
-        engine_->sim_of(x86_nodes_[i]), *drain_links_[i],
-        fault_opts_.drain_channel,
+        engine_->sim_of(nodes_[i]), *drain_links_[i], fault_opts_.drain_channel,
         Rng(fault_opts_.gray_seed).split(0x5000 + i)));
   }
 }
@@ -265,7 +241,7 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
   for (const sim::FaultEvent& ev : plan.events()) {
     XAR_EXPECTS(ev.at >= now());
     const std::size_t victim = ev.index;
-    sim::Simulation& shard = engine_->sim_of(x86_nodes_[victim]);
+    sim::Simulation& shard = engine_->sim_of(nodes_[victim]);
     switch (ev.kind) {
       case sim::FaultEvent::Kind::kCellKill:
         // Drained jobs need a surviving ring neighbor to land on.
@@ -358,13 +334,13 @@ void ClusterExperiment::kill_cell(std::size_t i) {
   XAR_EXPECTS(cells_.size() > 1 && i < cells_.size());
   // Route through the victim's shard so the immediate form and a
   // FaultPlan event produce the same trace.
-  engine_->sim_of(x86_nodes_[i]).schedule_at(
+  engine_->sim_of(nodes_[i]).schedule_at(
       now(), [this, i] { kill_cell_impl(i); });
 }
 
 void ClusterExperiment::set_link_down(std::size_t i, bool down) {
   XAR_EXPECTS(cells_.size() > 1 && i < intercell_.size());
-  engine_->sim_of(x86_nodes_[i]).schedule_at(
+  engine_->sim_of(nodes_[i]).schedule_at(
       now(), [this, i, down] { set_link_down_impl(i, down); });
 }
 
@@ -394,8 +370,7 @@ std::uint64_t ClusterExperiment::submit(std::size_t i,
     tracer_->instant(static_cast<std::uint32_t>(i), obs::kTrackJob,
                      "job.submit", trace_id_of(id), now());
   }
-  engine_->sim_of(x86_nodes_[i]).schedule_at(now(),
-                                             [this, id] { place_job(id); });
+  engine_->sim_of(nodes_[i]).schedule_at(now(), [this, id] { place_job(id); });
   return id;
 }
 
@@ -415,11 +390,11 @@ void ClusterExperiment::place_job(std::uint64_t id) {
   if (tracer_ != nullptr && tracer_->sampled(trace_id_of(id))) {
     tracer_->emit(static_cast<std::uint32_t>(c), obs::kTrackJob,
                   "job.backoff", trace_id_of(id),
-                  engine_->sim_of(x86_nodes_[c]).now(),
-                  engine_->sim_of(x86_nodes_[c]).now() + delay);
+                  engine_->sim_of(nodes_[c]).now(),
+                  engine_->sim_of(nodes_[c]).now() + delay);
   }
-  engine_->sim_of(x86_nodes_[c]).schedule_in(delay,
-                                             [this, id] { forward_job(id); });
+  engine_->sim_of(nodes_[c]).schedule_in(delay,
+                                         [this, id] { forward_job(id); });
 }
 
 void ClusterExperiment::launch_tracked(std::uint64_t id) {
@@ -431,14 +406,13 @@ void ClusterExperiment::launch_tracked(std::uint64_t id) {
   obs::SpanRef run_span;
   if (tracer_ != nullptr && tracer_->sampled(tid)) {
     run_span = tracer_->begin(static_cast<std::uint32_t>(c), obs::kTrackJob,
-                              "job.run", tid,
-                              engine_->sim_of(x86_nodes_[c]).now());
+                              "job.run", tid, engine_->sim_of(nodes_[c]).now());
   }
   apps::AppProcess::launch(
       cells_[c]->env(), cells_[c]->specs()[job.app_index],
       cells_[c]->options().mode,
       [this, id, c, epoch, run_span](const apps::AppResult&) {
-        const TimePoint at = engine_->sim_of(x86_nodes_[c]).now();
+        const TimePoint at = engine_->sim_of(nodes_[c]).now();
         // The span closes either way (an abandoned attempt genuinely
         // ran until this exit event); the ref travels by value because
         // a ghost must not touch the job record below.
@@ -508,7 +482,7 @@ void ClusterExperiment::forward_job(std::uint64_t id) {
     }
     land_job(dst, std::move(arrived));
   };
-  sim::Simulation& src = engine_->sim_of(x86_nodes_[c]);
+  sim::Simulation& src = engine_->sim_of(nodes_[c]);
   const std::uint64_t tid = trace_id_of(id);
   if (tracer_ != nullptr && tracer_->sampled(tid)) {
     const auto lane = static_cast<std::uint32_t>(c);
@@ -524,7 +498,7 @@ void ClusterExperiment::forward_job(std::uint64_t id) {
                                        "drain.transfer", tid, src.now());
     src.schedule_in(transform_cost, leg);
     drain_channels_[c]->send(payload, [this, c, span, leg]() mutable {
-      tracer_->end(span, engine_->sim_of(x86_nodes_[c]).now());
+      tracer_->end(span, engine_->sim_of(nodes_[c]).now());
       leg();
     });
     return;
@@ -547,7 +521,7 @@ void ClusterExperiment::land_job(std::size_t dst,
     // stitches one job's spans across cells.
     tracer_->instant(static_cast<std::uint32_t>(dst), obs::kTrackJob,
                      "job.land", trace_id_of(t.job),
-                     engine_->sim_of(x86_nodes_[dst]).now());
+                     engine_->sim_of(nodes_[dst]).now());
   }
   // If dst is dead too, place_job forwards onward around the ring --
   // the plan's kill budget guarantees a survivor.

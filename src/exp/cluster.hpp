@@ -1,18 +1,17 @@
 // Cluster experiment: N testbed cells on the sharded engine, derived.
 //
 // A ClusterExperiment builds an N-cell cluster from a declarative
-// ClusterSpec: it registers every cell's components as nodes of a
-// sim::Topology (cell i's components carry affinity group i), registers
-// the interactions -- the FPGA's reconfiguration notify, the scheduler
-// reply hop, and the inter-cell links (a ring, each carrying the
-// modeled Ethernet latency) -- as edges, and lets the partitioner map
-// the graph onto ShardedSimulation shards, auto-picking the largest
-// legal epoch.  The suite is compiled once for the whole cluster; each
-// cell is then a full exp::Experiment (threshold table, scheduler,
-// executor) on that shared suite, constructed against its shard's
-// engine through the testbed's shard-aware hook, so the sharded core
-// is the default execution engine rather than a hand-wired special
-// case:
+// ClusterSpec: it registers each cell as one node of a sim::Topology
+// (cell i is affinity group i -- a testbed's x86 host, FPGA card and
+// ARM server always share a shard), registers the inter-cell links (a
+// ring, each carrying the modeled Ethernet latency) as edges, and lets
+// the partitioner map the graph onto ShardedSimulation shards,
+// auto-picking the largest legal epoch.  The suite is compiled once
+// for the whole cluster; each cell is then a full exp::Experiment
+// (threshold table, scheduler, executor) on that shared suite,
+// constructed against its shard's engine through the testbed's
+// shard-aware hook, so the sharded core is the default execution
+// engine rather than a hand-wired special case:
 //
 //   * 1 cell degenerates to one shard whose trace is identical to
 //     exp::Experiment on the classic single-queue testbed (pinned by
@@ -67,10 +66,10 @@ struct ClusterSpec {
   std::size_t mailbox_capacity = 4096;
   /// Run shards on threads.  Traces are identical either way.
   bool parallel = false;
-  /// Worker mapping (0 workers = one lane per cell), adaptive epochs
-  /// and deterministic cell stealing, forwarded wholesale down through
-  /// Topology::PartitionOptions to the engine.  None of these change
-  /// the trace -- only wall-clock behavior.
+  /// Worker mapping (0 workers = one lane per cell) and deterministic
+  /// cell stealing, forwarded wholesale down through
+  /// Topology::PartitionOptions to the engine.  Neither changes the
+  /// trace -- only wall-clock behavior.
   sim::ExecOptions exec;
   /// How often run_until_complete re-checks the completion count.
   /// Completions carry exact event timestamps, so this affects polling
@@ -307,10 +306,8 @@ class ClusterExperiment {
 
  private:
   ClusterSpec cluster_;
-  /// Per-cell topology nodes (index = cell).
-  std::vector<sim::NodeId> x86_nodes_;
-  std::vector<sim::NodeId> fpga_nodes_;
-  std::vector<sim::NodeId> sched_nodes_;
+  /// One topology node per cell (index = cell).
+  std::vector<sim::NodeId> nodes_;
   std::unique_ptr<sim::PartitionedEngine> engine_;
   std::vector<std::unique_ptr<Experiment>> cells_;
   /// Ring link i: cell i -> cell (i+1) mod N (empty for one cell).

@@ -54,24 +54,10 @@ FpgaDevice::FpgaDevice(sim::Simulation& sim, hw::Link& pcie, FpgaSpec spec,
       slot_capacity_(spec_.usable()),
       slots_(1) {}
 
-void FpgaDevice::notify_done(ReconfigureCallback done,
-                             ReconfigureResult result) {
-  if (notify_.connected()) {
-    // The requester (the scheduler) lives on another shard: the
-    // completion crosses through its mailbox, paying the channel
-    // latency instead of returning inline.
-    notify_.deliver([done = std::move(done), result]() mutable {
-      done(result);
-    });
-    return;
-  }
-  done(result);
-}
-
 void FpgaDevice::refuse(ReconfigureCallback done, ReconfigureResult result) {
   sim_.schedule_in(Duration::zero(),
-                   [this, done = std::move(done), result]() mutable {
-                     notify_done(std::move(done), result);
+                   [done = std::move(done), result]() mutable {
+                     done(result);
                    });
 }
 
@@ -82,7 +68,7 @@ void FpgaDevice::finish_port(ReconfigureCallback done,
   // `reconfiguring()` stays true continuously when requests are
   // stacked.  An offline card keeps its queue parked.
   if (!offline_) start_reconfigure();
-  notify_done(std::move(done), result);
+  done(result);
 }
 
 void FpgaDevice::retire_cus(

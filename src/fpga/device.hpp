@@ -39,9 +39,7 @@
 #include "hw/link.hpp"
 #include "sim/callback.hpp"
 #include "sim/fifo_station.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulation.hpp"
-#include "sim/topology.hpp"
 
 namespace xartrek::fpga {
 
@@ -278,16 +276,6 @@ class FpgaDevice {
   void clear_port_flaky() { flaky_ = false; }
   [[nodiscard]] bool port_flaky() const { return flaky_; }
 
-  /// Topology registration: the device is node `self`, the scheduler
-  /// that consumes reconfiguration completions is node `scheduler`.
-  /// When the partitioner put them on different shards, `reconfigure`'s
-  /// `on_done` is delivered through the registered edge's channel;
-  /// otherwise completions keep firing on this device's shard.
-  void register_notify(sim::PartitionedEngine& eng, sim::NodeId self,
-                       sim::NodeId scheduler) {
-    notify_ = eng.channel_between(self, scheduler);
-  }
-
   /// Completed reconfigurations (diagnostics / tests).  Slot
   /// programmings count individually.
   [[nodiscard]] std::uint64_t reconfigurations() const { return reconfigs_; }
@@ -341,9 +329,6 @@ class FpgaDevice {
   /// Complete a request that never reached the port with `result`, one
   /// zero-delay event later.
   void refuse(ReconfigureCallback done, ReconfigureResult result);
-  /// Fire `done(result)` locally, or through the notify channel when
-  /// one is set.
-  void notify_done(ReconfigureCallback done, ReconfigureResult result);
   /// Tear `slot` down into `state`: its CUs retire, its version bumps.
   void clear_slot(Slot& slot, Slot::State state);
   /// Least-backlogged CU hosting `name` across slots (ties -> lowest
@@ -365,7 +350,6 @@ class FpgaDevice {
   hw::Link& pcie_;
   FpgaSpec spec_;
   Logger log_;
-  sim::CrossShardChannel notify_;
 
   /// Displaced CUs still draining in-flight work (see retire_cus).
   std::vector<std::unique_ptr<sim::FifoStation>> draining_cus_;

@@ -26,9 +26,7 @@
 #include "popcorn/machine_state.hpp"
 #include "popcorn/state_transform.hpp"
 #include "sim/callback.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulation.hpp"
-#include "sim/topology.hpp"
 
 namespace xartrek::popcorn {
 
@@ -64,17 +62,6 @@ class MigrationRuntime {
                      std::uint64_t working_set_bytes,
                      StackCallback on_arrival,
                      bool charge_transform_cost = true);
-
-  /// Topology registration: this runtime's source side is node `self`,
-  /// the migration destination node `destination`.  When the
-  /// partitioner put them on different shards, `on_arrival` fires on
-  /// the destination's shard, the registered edge's latency after the
-  /// last byte lands (the destination-side resume cost); otherwise
-  /// arrivals keep firing on this runtime's shard.
-  void register_arrival(sim::PartitionedEngine& eng, sim::NodeId self,
-                        sim::NodeId destination) {
-    arrival_ = eng.channel_between(self, destination);
-  }
 
   /// The transformer's CPU cost for this state (exposed so callers can
   /// charge it to a contended CPU pool).
@@ -157,26 +144,17 @@ class MigrationRuntime {
     ethernet_.transfer(payload, std::move(leg));
   }
 
-  /// Count the migration and run (or cross-shard-deliver) one arrival
-  /// callback with its transformed payload.
+  /// Count the migration and run one arrival callback with its
+  /// transformed payload.
   template <typename State, typename Callback>
   void deliver_arrival(State state, Callback cb) {
     ++migrations_;
-    if (arrival_.connected()) {
-      // The destination node lives on another shard: resume there.
-      arrival_.deliver(
-          [state = std::move(state), cb = std::move(cb)]() mutable {
-            cb(std::move(state));
-          });
-      return;
-    }
     cb(std::move(state));
   }
 
   sim::Simulation& sim_;
   hw::Link& ethernet_;
   const StateTransformer* transformer_;
-  sim::CrossShardChannel arrival_;
   std::uint64_t migrations_ = 0;
   std::uint64_t started_ = 0;  ///< migrations begun (span trace ids)
   obs::Tracer* tracer_ = nullptr;

@@ -563,7 +563,7 @@ void SchedulerServer::finish_one(std::uint32_t slot, int load,
   // the next request.
   DecisionCallback cb = std::move(pending_[slot].on_decision);
   pending_.release(slot);
-  answer(std::move(cb), decision);
+  cb(decision);
 }
 
 void SchedulerServer::register_metrics(obs::Registry& registry,
@@ -597,23 +597,6 @@ void SchedulerServer::register_metrics(obs::Registry& registry,
   if (slots_ != nullptr) {
     slots_->register_metrics(registry, prefix + ".slots");
   }
-}
-
-void SchedulerServer::answer(DecisionCallback cb, PlacementDecision decision) {
-  if (!opts_.reply_channel.connected()) {
-    cb(decision);
-    return;
-  }
-  // The client lives on another shard: the callback and the decision
-  // move into the mailbox message itself.  The capture outgrows the
-  // inline callable buffer (one allocation per remote reply), but the
-  // message must own its payload -- a server-side pool would be
-  // touched from the destination shard's thread at delivery time,
-  // racing the server's next batch in parallel mode.
-  opts_.reply_channel.deliver(
-      [remote_cb = std::move(cb), decision]() mutable {
-        remote_cb(decision);
-      });
 }
 
 }  // namespace xartrek::runtime

@@ -48,10 +48,8 @@
 #include "runtime/target.hpp"
 #include "runtime/threshold_table.hpp"
 #include "sim/callback.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulation.hpp"
 #include "sim/slot_pool.hpp"
-#include "sim/topology.hpp"
 
 namespace xartrek::runtime {
 
@@ -93,10 +91,6 @@ class SchedulerServer final : private fpga::OfflineWatcher {
     /// XCLBIN loads.  Off = traditional blocking configure-on-use
     /// (ablation 3 in DESIGN.md).
     bool hide_reconfiguration = true;
-    /// When the clients live on another simulation shard, decisions are
-    /// delivered through this channel (its latency replaces the local
-    /// callback's zero-cost return hop).  Inert by default.
-    sim::CrossShardChannel reply_channel;
     /// Eviction/replication tunables for the slot scheduler the server
     /// builds when the device is in slot mode.  Ignored otherwise.
     fpga::SlotScheduler::Options slot_policy;
@@ -205,17 +199,6 @@ class SchedulerServer final : private fpga::OfflineWatcher {
   /// overload); the decision itself is identical either way.
   void request_placement(std::string_view app, std::uint32_t pid,
                          DecisionCallback on_decision);
-
-  /// Topology registration: the server is node `self`, its clients node
-  /// `client`.  When the partitioner put them on different shards,
-  /// decisions are delivered through the registered edge's channel
-  /// (its latency is the far-side hop); otherwise the decision
-  /// callback keeps running locally.  Replaces hand-assembling
-  /// Options::reply_channel at call sites.
-  void register_reply(sim::PartitionedEngine& eng, sim::NodeId self,
-                      sim::NodeId client) {
-    opts_.reply_channel = eng.channel_between(self, client);
-  }
 
   /// Counters as of now, with the quiet heartbeat loop's skipped pings
   /// settled in (see start_health_checks): every ping and outcome at an
@@ -394,8 +377,6 @@ class SchedulerServer final : private fpga::OfflineWatcher {
   /// batch-shared load sample and its decoded view.
   void finish_one(std::uint32_t slot, int load,
                   const PlacementRequestView& request);
-  /// Run or remotely deliver one client's decision callback.
-  void answer(DecisionCallback cb, PlacementDecision decision);
 
   sim::Simulation& sim_;
   LoadMonitor& monitor_;

@@ -1,45 +1,28 @@
-// Execution-lane tunables shared by every layer that drives the
-// sharded engine.
+// Execution-lane options shared by every layer that drives the sharded
+// engine.
 //
 // ShardedSimulation::Options, Topology::PartitionOptions and
-// exp::ClusterSpec each used to carry their own copies of these seven
-// knobs, forwarded field-by-field -- adding a knob meant three-way
-// mirroring (and PR 7 in fact forgot to forward three of them at the
-// cluster layer).  They now embed this one struct and forward it
-// wholesale.
+// exp::ClusterSpec embed this one struct and forward it wholesale, so
+// a knob is never mirrored field-by-field across the three layers.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace xartrek::sim {
 
-/// How the engine maps shards onto OS threads and adapts its windows.
-/// None of these affect the simulated trace -- only wall-clock
-/// performance (see shard.hpp's determinism notes).
+/// How the engine maps shards onto OS threads.  Neither field affects
+/// the simulated trace -- only wall-clock performance (see shard.hpp's
+/// determinism notes).
 struct ExecOptions {
   /// Execution lanes in parallel mode; 0 means one per shard.  Fewer
   /// workers than shards is what gives the stealing rebalancer room
   /// to isolate a hot shard.
   std::size_t workers = 0;
-  /// Pin each pool thread to a CPU (worker w -> CPU w mod ncpu).
-  /// The caller's thread (worker 0) is never touched.
-  bool pin_threads = false;
-  /// Adaptive epochs: coarsen the window (doubling, up to the model's
-  /// legal maximum) after `adapt_quiet_windows` consecutive windows
-  /// with zero cross-shard posts; snap back on traffic.
-  bool adaptive = false;
-  /// Consecutive quiet windows before the first coarsening step.
-  std::uint32_t adapt_quiet_windows = 4;
   /// Deterministic shard stealing across workers (parallel balance;
   /// evaluated -- map and stats maintained -- in serial mode too so
-  /// both modes agree on every decision).
+  /// both modes agree on every decision).  Acts only when there are
+  /// fewer workers than shards.
   bool steal = false;
-  /// Windows between rebalance evaluations.
-  std::uint32_t steal_period = 16;
-  /// Trigger: move a shard when the busiest worker's window load
-  /// exceeds `steal_imbalance` times the idlest worker's.
-  double steal_imbalance = 1.5;
 };
 
 }  // namespace xartrek::sim

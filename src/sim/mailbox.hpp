@@ -1,8 +1,8 @@
 // Fixed-capacity single-producer/single-consumer mailboxes.
 //
-// The sharded simulation core posts cross-shard events (link
-// deliveries, migration completions, scheduler replies) through one
-// mailbox per ordered shard pair.  Within an epoch only the source
+// The sharded simulation core posts cross-shard events (inter-cell
+// link deliveries and checkpoint-drain arrivals) through one mailbox
+// per ordered shard pair.  Within an epoch only the source
 // shard's thread pushes; at the boundary one thread flushes and drains
 // every ring while the workers wait (the epoch barrier separates the
 // two phases), so a wait-free SPSC ring with acquire/release indices is
@@ -50,7 +50,7 @@ class SpscRing {
     tail_.store(tail + 1, std::memory_order_release);
     // Producer-owned high-water mark (one compare on data already in
     // registers): how deep this pair's traffic has ever run, feeding
-    // the adaptive-epoch diagnostics and capacity tuning.
+    // the mailbox_hwm gauges and capacity tuning.
     const auto depth = static_cast<std::size_t>(tail + 1 - head);
     if (depth > high_water_) high_water_ = depth;
     return true;

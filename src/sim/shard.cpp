@@ -9,11 +9,6 @@
 #include <thread>
 #include <utility>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/cpu_time.hpp"
 #include "obs/registry.hpp"
 
@@ -23,20 +18,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Best-effort affinity pin: worker w -> CPU (w mod ncpu).  A
-/// restricted mask (cgroups, taskset) can reject the target CPU; the
-/// worker then simply stays unpinned.
-void pin_to_cpu(std::size_t w) {
-#if defined(__linux__)
-  const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(w % ncpu), &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)w;
-#endif
-}
+/// Windows between rebalance evaluations.
+constexpr std::uint32_t kStealPeriod = 16;
+/// Trigger: move a shard when the busiest worker's load over the period
+/// exceeds this many times the idlest worker's.
+constexpr double kStealImbalance = 1.5;
 
 /// Sense-reversing barrier on a generation word, for the per-window
 /// boundary.  The last arriver runs the completion and bumps the
@@ -137,9 +123,6 @@ ShardedSimulation::ShardedSimulation(Options opts) : opts_(opts) {
   XAR_EXPECTS(opts.shards >= 1);
   XAR_EXPECTS(opts.epoch > Duration::zero());
   XAR_EXPECTS(opts.mailbox_capacity >= 1);
-  XAR_EXPECTS(opts.max_epoch.to_ms() == 0.0 || opts.max_epoch >= opts.epoch);
-  XAR_EXPECTS(opts.exec.steal_period >= 1);
-  XAR_EXPECTS(opts.exec.steal_imbalance >= 1.0);
   const std::size_t n = opts.shards;
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -164,12 +147,11 @@ ShardedSimulation::ShardedSimulation(Options opts) : opts_(opts) {
     cell_worker_[i] = static_cast<std::uint32_t>(i % workers_);
   }
   worker_stats_.resize(workers_);
-  per_cell_cpu_ = opts.exec.steal || workers_ != n;
+  // The map starts as the identity exactly when there are as many
+  // workers as shards; only then can a worker's span stand in for its
+  // shard's busy time.
+  per_cell_cpu_ = workers_ != n;
 
-  base_epoch_ms_ = cur_epoch_ms_ = opts.epoch.to_ms();
-  max_epoch_ms_ = (opts.exec.adaptive && opts.max_epoch.to_ms() > 0.0)
-                      ? opts.max_epoch.to_ms()
-                      : base_epoch_ms_;
   executed_at_rebalance_.assign(n, 0);
   // Pre-size so the rebalancer never allocates at a boundary.
   load_scratch_.reserve(workers_);
@@ -196,6 +178,9 @@ void ShardedSimulation::set_worker_of(ShardId id, std::size_t worker) {
   cell_worker_[id] = static_cast<std::uint32_t>(worker);
   ++shards_[id]->stats.steals;
   ++steal_moves_;
+  // The map is no longer the identity: worker w's span may now cover
+  // several shards, or none, so it can no longer stand in for shard w.
+  per_cell_cpu_ = true;
 }
 
 void ShardedSimulation::post(ShardId src, ShardId dst, TimePoint t,
@@ -210,9 +195,9 @@ void ShardedSimulation::post(ShardId src, ShardId dst, TimePoint t,
   }
   // Lookahead contract: the receiver is executing the same window, so
   // the message must land at or past its end.  Channel latencies are
-  // checked against max_epoch(), so this holds at every window length
-  // the adaptation can pick.  (A tiny epsilon absorbs the rounding
-  // slack of `now + latency` vs `min_next + epoch`.)
+  // checked against epoch(), so this holds for every window.  (A tiny
+  // epsilon absorbs the rounding slack of `now + latency` vs
+  // `min_next + epoch`.)
   XAR_EXPECTS(t.to_ms() >= window_end_ms_ - 1e-9);
   ++s.stats.posts;
   CrossShardEvent ev{t.to_ms(), std::move(cb)};
@@ -324,27 +309,8 @@ double ShardedSimulation::min_next_ms() {
   return min_next;
 }
 
-void ShardedSimulation::adapt_epoch() {
-  std::uint64_t posts = 0;
-  for (const auto& s : shards_) posts += s->stats.posts;
-  const std::uint64_t delta = posts - posts_at_boundary_;
-  posts_at_boundary_ = posts;
-  if (delta != 0) {
-    // Traffic: snap back to the base epoch so cross-shard delivery
-    // granularity (and spill pressure) stays what the model asked for.
-    quiet_windows_ = 0;
-    cur_epoch_ms_ = base_epoch_ms_;
-  } else if (quiet_windows_ < opts_.exec.adapt_quiet_windows) {
-    ++quiet_windows_;
-  } else {
-    // Quiet streak: coarsen geometrically up to the legal maximum (the
-    // model's minimum cross-shard latency).
-    cur_epoch_ms_ = std::min(cur_epoch_ms_ * 2.0, max_epoch_ms_);
-  }
-}
-
 void ShardedSimulation::maybe_rebalance() {
-  if (++windows_since_rebalance_ < opts_.exec.steal_period) return;
+  if (++windows_since_rebalance_ < kStealPeriod) return;
   windows_since_rebalance_ = 0;
   const std::size_t n = shards_.size();
   // Per-worker load over the evaluation period, from the per-shard
@@ -365,7 +331,7 @@ void ShardedSimulation::maybe_rebalance() {
   const std::uint64_t cold = load_scratch_[wmin];
   if (wmax != wmin && hot != 0 &&
       static_cast<double>(hot) >
-          opts_.exec.steal_imbalance * static_cast<double>(cold + 1)) {
+          kStealImbalance * static_cast<double>(cold + 1)) {
     // Move the hot worker's coldest shard (ties -> lowest id): it
     // narrows the gap with the least disruption, and a hot shard never
     // migrates away from the lane it is keeping warm.
@@ -383,9 +349,10 @@ void ShardedSimulation::maybe_rebalance() {
       }
     }
     // Guards: the donor must keep at least one shard, and the move
-    // must strictly lower the maximum load (the recipient may end up
-    // above the donor, but never above the old maximum, so successive
-    // moves monotonically tighten the spread instead of ping-ponging).
+    // must strictly lower this period's maximum load (the recipient may
+    // end up above the donor, but never above the old maximum).  That
+    // holds within one evaluation only: the next period measures fresh
+    // loads, so when they shift a shard can move back and forth.
     if (owned >= 2 && pick_delta < hot - cold) {
       cell_worker_[pick] = static_cast<std::uint32_t>(wmin);
       ++shards_[pick]->stats.steals;
@@ -398,11 +365,10 @@ void ShardedSimulation::maybe_rebalance() {
 }
 
 bool ShardedSimulation::plan_next_window(double horizon_ms) {
-  if (opts_.exec.adaptive) adapt_epoch();
   if (opts_.exec.steal && workers_ < shards_.size()) maybe_rebalance();
   const double min_next = min_next_ms();
   if (min_next == kInf || min_next > horizon_ms) return false;
-  window_end_ms_ = std::min(min_next + cur_epoch_ms_, horizon_ms);
+  window_end_ms_ = std::min(min_next + opts_.epoch.to_ms(), horizon_ms);
   ++windows_;
   return true;
 }
@@ -452,13 +418,13 @@ void ShardedSimulation::worker_span(std::size_t w) {
   // Protocol per window: one boundary barrier, whose completion -- run
   // by the last worker to arrive while the rest wait -- is the serial
   // boundary step run_span_serial also uses (flush every shard's spill,
-  // drain every shard's inbound mailboxes in source order, adapt the
-  // epoch, rebalance the map, size the next window or declare
-  // termination); then each worker runs its shards.  Mailboxes need no
-  // further ordering: producers (post) only run in the run phase, the
-  // flush and the drain only inside the completion, and the barrier
-  // separates the two.  The shard -> worker map is likewise written
-  // only inside the completion.
+  // drain every shard's inbound mailboxes in source order, rebalance
+  // the map, size the next window or declare termination); then each
+  // worker runs its shards.  Mailboxes need no further ordering:
+  // producers (post) only run in the run phase, the flush and the
+  // drain only inside the completion, and the barrier separates the
+  // two.  The shard -> worker map is likewise written only inside the
+  // completion.
   for (;;) {
     waited += pool_->boundary.arrive_and_wait([this, w] { on_boundary(w); });
     if (done_) break;
@@ -479,14 +445,13 @@ void ShardedSimulation::worker_span(std::size_t w) {
   const double cpu = std::max(0.0, thread_cpu_seconds() - cpu0 - waited);
   worker_stats_[w].executed += executed;
   worker_stats_[w].busy_seconds += cpu;
-  // With the static 1:1 map, worker w's whole-span measurement is also
-  // its only shard's busy time (per-shard attribution with per-window
-  // clock reads is reserved for runs where the map can diverge).
+  // While the map is the identity, worker w's whole-span measurement
+  // is also its only shard's busy time (per-shard attribution with
+  // per-window clock reads is reserved for runs where it is not).
   if (!per_cell_cpu_) shards_[w]->stats.busy_seconds += cpu;
 }
 
 void ShardedSimulation::worker_thread(std::size_t w) {
-  if (opts_.exec.pin_threads) pin_to_cpu(w);
   for (;;) {
     pool_->start_gate.arrive_and_wait();
     if (pool_->shutdown) return;
@@ -511,8 +476,7 @@ std::size_t ShardedSimulation::run_span_parallel(TimePoint horizon) {
   span_horizon_ms_ = horizon.to_ms();
   for (auto& e : pool_->errors) e = nullptr;
   // Wake the parked pool, run worker 0's share on this thread, then
-  // wait for everyone to finish the span.  The caller's thread is
-  // never pinned -- only pool threads are.
+  // wait for everyone to finish the span.
   pool_->start_gate.arrive_and_wait();
   worker_span(0);
   pool_->end_gate.arrive_and_wait();

@@ -21,34 +21,24 @@
 // Shards vs workers.  A *shard* is the unit of model state (one
 // Simulation, one mailbox row/column); a *worker* is an execution lane
 // that runs some set of shards each window.  By default there is one
-// worker per shard; `Options::workers` packs more shards per lane.
+// worker per shard; `exec.workers` packs more shards per lane.
 // Because shards share nothing inside a window, WHICH worker runs a
-// shard can never affect the trace -- which is what makes the two
-// scheduling freedoms below deterministic:
-//
-//   * Adaptive epochs (`Options::adaptive`): after K consecutive
-//     windows with zero cross-shard posts the window coarsens
-//     (doubling, up to `Options::max_epoch`, the model's legal
-//     maximum: the minimum cross-shard latency); any cross-shard
-//     traffic snaps it back to the base epoch.  The decision is a pure
-//     function of the per-window post counters, computed in the
-//     boundary step, so serial and parallel runs size identical windows.
-//   * Deterministic shard stealing (`Options::steal`): every
-//     `steal_period` windows the boundary step re-evaluates the live
-//     shard->worker map from per-shard executed-event counters and
-//     moves the busiest worker's coldest shard to the idlest worker.
-//     Again a pure function of deterministic counters -- the map
-//     evolves identically in serial and parallel runs, and the trace
-//     does not depend on it at all.
+// shard can never affect the trace -- which is what makes
+// deterministic shard stealing (`exec.steal`) safe: every 16 windows
+// (kStealPeriod, shard.cpp) the boundary step re-evaluates the live
+// shard->worker map from per-shard executed-event counters and moves
+// the busiest worker's coldest shard to the idlest worker.  The
+// decision is a pure function of deterministic counters, so the map
+// evolves identically in serial and parallel runs, and the trace does
+// not depend on it at all.
 //
 // In parallel mode shard workers are created ONCE and parked on a
-// start gate between `run_span` calls (no per-call spawn/join), and
-// `Options::pin_threads` pins each pool thread to a CPU.  Windows are
-// separated by ONE boundary barrier: the last worker to arrive runs the
-// serial boundary step (flush every spill, drain every mailbox, plan
-// the next window) while the others yield the CPU, parking on the
-// barrier's generation word only if the wait runs long.  The step is
-// the same function the serial mode calls between windows.
+// start gate between `run_span` calls (no per-call spawn/join).
+// Windows are separated by ONE boundary barrier: the last worker to
+// arrive runs the serial boundary step (flush every spill, drain every
+// mailbox, plan the next window) while the others yield the CPU,
+// parking on the barrier's generation word only if the wait runs long.
+// The step is the same function the serial mode calls between windows.
 //
 // Determinism: each shard's local execution is the ordinary (time,
 // insertion-seq) order of its own Simulation; at a boundary, inbound
@@ -140,13 +130,9 @@ class ShardedSimulation {
     /// thread runs worker 0).  Off = deterministic round-robin on the
     /// calling thread.  Traces are identical either way.
     bool parallel = false;
-    /// Legal maximum window: the minimum cross-shard latency of the
-    /// model (the Topology partitioner derives it).  Zero means
-    /// `epoch` -- adaptation enabled but with no room never coarsens.
-    Duration max_epoch = Duration::zero();
-    /// Worker mapping / adaptive-epoch / stealing knobs, shared with
+    /// Worker mapping and stealing, shared with
     /// Topology::PartitionOptions and exp::ClusterSpec.
-    ExecOptions exec;
+    ExecOptions exec{};
   };
 
   ShardedSimulation() : ShardedSimulation(Options{}) {}
@@ -157,16 +143,6 @@ class ShardedSimulation {
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] Duration epoch() const { return opts_.epoch; }
-  /// Largest window the engine may adapt to.  Cross-shard channels
-  /// must model at least this much latency (== epoch() when the engine
-  /// is not adaptive, so the classic contract is unchanged).
-  [[nodiscard]] Duration max_epoch() const {
-    return Duration::ms(max_epoch_ms_);
-  }
-  /// The window length the adaptation currently sits at.
-  [[nodiscard]] Duration current_epoch() const {
-    return Duration::ms(cur_epoch_ms_);
-  }
   /// Synchronization windows executed since construction.
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
 
@@ -186,7 +162,8 @@ class ShardedSimulation {
   }
   /// Reassign a shard to a worker (tests, or an external placement
   /// policy).  Call between runs only; counts as a steal when the
-  /// assignment actually changes.
+  /// assignment actually changes, and from then on busy time is
+  /// attributed per shard (a worker may now run several).
   void set_worker_of(ShardId id, std::size_t worker);
   /// Total rebalance moves (manual and automatic) since construction.
   [[nodiscard]] std::uint64_t steal_moves() const { return steal_moves_; }
@@ -199,7 +176,7 @@ class ShardedSimulation {
   /// Post `cb` to run on shard `dst` at absolute time `t`.  Must be
   /// called from shard `src` (its worker's thread, when parallel).
   /// Requires `t` to be at or past the current window's end --
-  /// guaranteed when the modeled latency is >= max_epoch(); see
+  /// guaranteed when the modeled latency is >= epoch(); see
   /// CrossShardChannel.
   void post(ShardId src, ShardId dst, TimePoint t, UniqueCallback cb);
 
@@ -291,10 +268,8 @@ class ShardedSimulation {
   /// `horizon_ms`.  Runs single-threaded (serial loop, or the boundary
   /// barrier's completion while every other worker waits).
   bool boundary_step(double horizon_ms);
-  /// Adapt the epoch from the per-window post counters, re-evaluate
-  /// the shard->worker map, then size the next window.
+  /// Re-evaluate the shard->worker map, then size the next window.
   bool plan_next_window(double horizon_ms);
-  void adapt_epoch();
   void maybe_rebalance();
 
   std::size_t run_span(TimePoint horizon);
@@ -319,18 +294,12 @@ class ShardedSimulation {
   std::size_t workers_ = 1;
   std::vector<std::uint32_t> cell_worker_;
   std::vector<WorkerStats> worker_stats_;
-  /// Per-shard CPU accounting per window when the worker/shard mapping
-  /// is not the static 1:1 (attribution needs per-call deltas);
-  /// otherwise the worker's whole-span measurement doubles as its only
-  /// shard's busy time, PR-3 style.
+  /// Per-shard CPU accounting per window once the live map is not the
+  /// identity (attribution needs per-call deltas); while it is, the
+  /// worker's whole-span measurement doubles as its only shard's busy
+  /// time.
   bool per_cell_cpu_ = false;
 
-  // Adaptive-epoch state (touched at boundaries only).
-  double base_epoch_ms_ = 0.0;
-  double max_epoch_ms_ = 0.0;
-  double cur_epoch_ms_ = 0.0;
-  std::uint32_t quiet_windows_ = 0;
-  std::uint64_t posts_at_boundary_ = 0;
   std::uint64_t windows_ = 0;
 
   // Rebalancer state (boundaries only).
@@ -352,10 +321,8 @@ class ShardedSimulation {
 /// later".  Components hold one and stay topology-agnostic; a
 /// default-constructed channel is inert (`connected()` is false) and
 /// the component falls back to its in-shard behavior.  The latency
-/// must be >= the engine's max_epoch() -- the base epoch, or the
-/// adaptive ceiling when the engine coarsens windows -- so the
-/// lookahead contract holds at every window length the engine may
-/// pick; delivery timing is then identical for every shard count.
+/// must be >= the engine's epoch() so the lookahead contract holds;
+/// delivery timing is then identical for every shard count.
 /// Channels name shards, not workers: a rebalance move never
 /// invalidates one.
 class CrossShardChannel {
@@ -366,7 +333,7 @@ class CrossShardChannel {
       : ssim_(&ssim), src_(src), dst_(dst), latency_(latency) {
     XAR_EXPECTS(src < ssim.shard_count() && dst < ssim.shard_count());
     XAR_EXPECTS(latency >= Duration::zero());
-    XAR_EXPECTS(src == dst || latency >= ssim.max_epoch());
+    XAR_EXPECTS(src == dst || latency >= ssim.epoch());
   }
 
   [[nodiscard]] bool connected() const { return ssim_ != nullptr; }

@@ -8,7 +8,7 @@ namespace xartrek::sim {
 
 namespace {
 
-/// "cell3/x86 -> cell0/sched" for error messages.
+/// "cell3 -> cell0" for error messages.
 std::string edge_name(const Topology& topo, const Topology::Edge& e) {
   return topo.node(e.src).name + " -> " + topo.node(e.dst).name;
 }
@@ -119,13 +119,6 @@ Topology::Plan Topology::plan(const PartitionOptions& opts) const {
     // allows.
     p.epoch = min_cross;
   }
-
-  // The adaptive ceiling: windows may legally coarsen up to the
-  // minimum cross-shard latency regardless of the (possibly tighter)
-  // epoch in force.  With nothing crossing shards any window is legal;
-  // cap at 256x so adaptation stays bounded.
-  p.max_epoch = tightest != nullptr ? min_cross
-                                    : Duration::ms(p.epoch.to_ms() * 256.0);
   return p;
 }
 
@@ -139,7 +132,6 @@ ShardedSimulation::Options engine_options(const Topology::Plan& plan,
   o.epoch = plan.epoch;
   o.mailbox_capacity = opts.mailbox_capacity;
   o.parallel = opts.parallel;
-  o.max_epoch = plan.max_epoch;
   o.exec = opts.exec;  // one assignment, no three-way mirroring
   return o;
 }

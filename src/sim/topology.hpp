@@ -87,9 +87,8 @@ class Topology {
     /// Passed through to ShardedSimulation::Options.
     std::size_t mailbox_capacity = 1024;
     bool parallel = false;
-    /// Worker/adaptation/stealing knobs, forwarded wholesale to
-    /// ShardedSimulation::Options::exec (adaptive epochs may coarsen
-    /// up to Plan::max_epoch, the graph-derived legal ceiling).
+    /// Worker mapping and stealing, forwarded wholesale to
+    /// ShardedSimulation::Options::exec.
     ExecOptions exec;
   };
 
@@ -98,12 +97,6 @@ class Topology {
   struct Plan {
     std::size_t shards = 1;
     Duration epoch = Duration::zero();
-    /// Largest window the engine may ever adapt to: the minimum
-    /// cross-shard edge latency (== epoch when the epoch was
-    /// auto-picked; larger when a tighter epoch was forced).  With no
-    /// cross-shard edges any window is legal; capped at 256x the epoch
-    /// so adaptation stays bounded.
-    Duration max_epoch = Duration::zero();
     std::vector<ShardId> node_shard;  ///< by NodeId
     std::vector<CellId> shard_cell;   ///< by ShardId, ascending cells
     std::size_t cross_edges = 0;      ///< edges spanning two shards

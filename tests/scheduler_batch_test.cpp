@@ -2,20 +2,17 @@
 // requests share one scheduled event, one load-monitor sample and one
 // kernel-residency probe per distinct app, while per-request semantics
 // (decision values, round-trip delay, error propagation) stay exactly
-// the unbatched ones.  Also covers cross-shard decision delivery.
+// the unbatched ones.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "fpga/device.hpp"
-#include "hw/cpu_cluster.hpp"
-#include "hw/link.hpp"
 #include "platform/testbed.hpp"
 #include "runtime/load_monitor.hpp"
 #include "runtime/scheduler_server.hpp"
 #include "runtime/threshold_table.hpp"
-#include "sim/shard.hpp"
 
 namespace xartrek::runtime {
 namespace {
@@ -171,36 +168,6 @@ TEST_F(BatchFixture, MidBatchReconfigurationInvalidatesProbeCache) {
   // fabric is mid-reprogram; the fresh probe keeps the job on a CPU.
   EXPECT_NE(decisions[2].target, Target::kFpga);
   EXPECT_EQ(srv.stats().residency_probes, 3u);  // gamma probed twice
-}
-
-TEST(SchedulerCrossShardTest, DecisionArrivesOnClientShard) {
-  // Server stack on shard 0, client on shard 1: the decision crosses
-  // through the reply channel and fires on the client's shard one
-  // channel latency after the decision pass.
-  sim::ShardedSimulation ssim(sim::ShardedSimulation::Options{
-      2, Duration::micros(50.0), 64, false, Duration::zero(), {}});
-  sim::Simulation& server_sim = ssim.shard(0);
-  hw::CpuCluster x86(server_sim, hw::xeon_bronze_3104());
-  hw::Link pcie(server_sim, hw::pcie_gen3());
-  fpga::FpgaDevice device(server_sim, pcie, fpga::alveo_u50_spec());
-  ThresholdTable table;
-  table.upsert(entry("alpha", "KNL_alpha", 1 << 20, 1 << 20));
-  LoadMonitor monitor(server_sim, x86);
-  SchedulerServer::Options opts;
-  opts.reply_channel =
-      sim::CrossShardChannel(ssim, 0, 1, Duration::micros(60.0));
-  SchedulerServer server(server_sim, monitor, device, table, {}, opts);
-
-  double decided_at = -1.0;
-  server_sim.schedule_at(TimePoint::at_ms(1.0), [&] {
-    server.request_placement("alpha", [&](PlacementDecision d) {
-      decided_at = ssim.shard(1).now().to_ms();
-      EXPECT_EQ(d.target, Target::kX86);
-    });
-  });
-  ssim.run_until(TimePoint::at_ms(10.0));
-  // 1 ms send + 80 us round trip + 60 us cross-shard delivery.
-  EXPECT_NEAR(decided_at, 1.0 + 0.08 + 0.06, 1e-9);
 }
 
 }  // namespace

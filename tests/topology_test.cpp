@@ -13,11 +13,6 @@
 #include "exp/experiment.hpp"
 #include "exp/threshold_estimator.hpp"
 #include "hw/link.hpp"
-#include "isa/isa.hpp"
-#include "popcorn/machine_state.hpp"
-#include "popcorn/metadata.hpp"
-#include "popcorn/migration_runtime.hpp"
-#include "popcorn/state_transform.hpp"
 #include "sim/topology.hpp"
 
 namespace xartrek {
@@ -72,32 +67,17 @@ TEST(TopologyTest, AutoPicksLargestLegalEpoch) {
   EXPECT_EQ(plan.cross_edges, 2u);
 }
 
-TEST(TopologyTest, PlanDerivesAdaptiveCeilingFromCrossEdges) {
+TEST(TopologyTest, HonoursForcedLegalEpoch) {
+  // A forced epoch below the tightest cross edge (2 ms) is legal and
+  // used as given, not widened to the auto-pick.
   sim::Topology topo;
   const auto a = topo.add_node("a", 0);
   const auto b = topo.add_node("b", 1);
   topo.add_edge(a, b, Duration::ms(3.0));
   topo.add_edge(b, a, Duration::ms(2.0));
-
-  // Auto-picked epoch: ceiling == epoch == the tightest cross edge.
-  const auto auto_plan = topo.plan();
-  EXPECT_EQ(auto_plan.epoch, Duration::ms(2.0));
-  EXPECT_EQ(auto_plan.max_epoch, Duration::ms(2.0));
-
-  // Forced tighter epoch: the ceiling stays at the tightest cross
-  // edge, so adaptation may legally coarsen past the forced value.
   sim::Topology::PartitionOptions opts;
   opts.epoch = Duration::ms(0.5);
-  const auto forced = topo.plan(opts);
-  EXPECT_EQ(forced.epoch, Duration::ms(0.5));
-  EXPECT_EQ(forced.max_epoch, Duration::ms(2.0));
-
-  // Nothing crossing shards: any window is legal; the ceiling is the
-  // bounded 256x cap.
-  sim::Topology isolated;
-  (void)isolated.add_node("solo", 0);
-  const auto solo = isolated.plan();
-  EXPECT_DOUBLE_EQ(solo.max_epoch.to_ms(), solo.epoch.to_ms() * 256.0);
+  EXPECT_EQ(topo.plan(opts).epoch, Duration::ms(0.5));
 }
 
 TEST(TopologyTest, FallbackEpochWhenNothingCrosses) {
@@ -236,39 +216,6 @@ TEST(PartitionedEngineTest, LinkRegistersRouteAcrossCells) {
   EXPECT_NEAR(arrived_at, 1.0 + 0.25 + 2.0, 1e-9);
 }
 
-TEST(PartitionedEngineTest, MigrationArrivalResumesOnDestinationShard) {
-  sim::Topology topo;
-  const auto src = topo.add_node("x86", 0);
-  const auto dst = topo.add_node("arm", 1);
-  topo.add_edge(src, dst, Duration::ms(2.0));
-  sim::PartitionedEngine eng(std::move(topo));
-
-  hw::Link eth(eng.sim_of(src), hw::ethernet_1gbps());
-  popcorn::CallSiteMetadata site;
-  site.function = "hot";
-  site.site_id = 1;
-  site.frame_size[isa::IsaKind::kX86_64] = 32;
-  site.frame_size[isa::IsaKind::kAarch64] = 32;
-  popcorn::MigrationMetadata md;
-  md.add_site(std::move(site));
-  const popcorn::StateTransformer transformer(md);
-  popcorn::MigrationRuntime runtime(eng.sim_of(src), eth, transformer);
-  runtime.register_arrival(eng, src, dst);
-
-  double arrived_at = -1.0;
-  popcorn::MachineState x86(isa::IsaKind::kX86_64, "hot", 1, 32);
-  runtime.migrate(x86, isa::IsaKind::kAarch64, /*working_set_bytes=*/0,
-                  [&](popcorn::MachineState st) {
-                    EXPECT_EQ(st.isa(), isa::IsaKind::kAarch64);
-                    arrived_at = eng.sim_of(dst).now().to_ms();
-                  });
-  eng.engine().run();
-  // The resume fires on the destination shard, the registered 2 ms
-  // edge latency after the wire burst lands.
-  EXPECT_GT(arrived_at, 2.0);
-  EXPECT_EQ(runtime.migrations(), 1u);
-}
-
 // --- cluster experiment -----------------------------------------------------
 
 const runtime::ThresholdTable& shared_table() {
@@ -387,19 +334,16 @@ std::vector<std::vector<CellRun>> run_four_cell_cluster(
   return out;
 }
 
-TEST(ClusterExperimentTest, AdaptiveAndStealingKeepTheTraceIdentical) {
-  // The acceptance pin for the adaptive sharded core: adaptive epochs,
-  // two pinned workers carrying four cells, and stealing all switched
-  // on at once must reproduce the plain fixed-epoch serial trace
-  // exactly, serial and parallel alike.
+TEST(ClusterExperimentTest, StealingKeepsTheTraceIdentical) {
+  // Four cells on two workers with stealing on must reproduce the
+  // plain one-lane-per-cell serial trace exactly, serial and parallel
+  // alike.
   const auto baseline = run_four_cell_cluster(exp::ClusterSpec{});
   for (const bool parallel : {false, true}) {
     exp::ClusterSpec spec;
     spec.parallel = parallel;
-    spec.exec.adaptive = true;
     spec.exec.steal = true;
     spec.exec.workers = 2;
-    spec.exec.pin_threads = parallel;
     const auto tuned = run_four_cell_cluster(spec);
     for (std::size_t c = 0; c < 4; ++c) {
       ASSERT_EQ(tuned[c].size(), baseline[c].size());
