@@ -15,10 +15,13 @@
 // the exactly-once completion contract.  A fourth section repeats the
 // comparison against a gray-failure storm (slowed cells, lossy and
 // corrupting links, flaky reconfiguration ports), gating conservation
-// and the retry-overhead ratio of the reliability layer.  A last
-// section pins the cluster drain path -- ReliableChannel sends over a
-// route-less link -- at zero allocations per send.  Results land in
-// BENCH_cluster.json (schema: docs/perf.md).
+// and the retry-overhead ratio of the reliability layer.  A thin-window
+// section times a storm-shaped run -- sparse control traffic, about two
+// events per window -- on the serial engine and on 4 workers in the
+// same process.  A last section pins the cluster drain path --
+// ReliableChannel sends over a route-less link -- at zero allocations
+// per send.  Results land in BENCH_cluster.json (schema: docs/perf.md).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -34,6 +37,7 @@
 #include "exp/cluster.hpp"
 #include "exp/experiment.hpp"
 #include "exp/threshold_estimator.hpp"
+#include "fpga/device.hpp"
 #include "hw/link.hpp"
 #include "hw/reliable_channel.hpp"
 #include "obs/registry.hpp"
@@ -356,6 +360,64 @@ FaultConfigResult run_fault_config(const runtime::ThresholdTable& table,
   return r;
 }
 
+struct ThinResult {
+  double wall_seconds = 0;
+  std::uint64_t events = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t pooled_windows = 0;
+  bool all_completed = false;
+};
+
+/// Thin windows: storm4's shape at bench size.  Four cells with FPGA
+/// slots take one tracked job per 50 ms step, round-robin over cells and
+/// apps, through a gray storm (slowed CPUs, a lossy corrupting ring
+/// link, a flaky reconfiguration port) with one kill, then run until
+/// every job completes.  The traffic is sparse control -- placements,
+/// slot programming, health pings, drains -- so the timed run measures
+/// what each window costs the engine, not event work.
+ThinResult run_thin_config(const runtime::ThresholdTable& table,
+                           std::size_t workers, int steps) {
+  constexpr std::size_t kCells = 4;
+  constexpr Duration kStep = Duration::ms(50.0);
+  exp::ClusterSpec spec;
+  spec.cells = kCells;
+  spec.parallel = workers > 1;
+  spec.exec.workers = workers;
+  spec.cell_config.fpga_slots = fpga::SlotConfig{};
+  exp::ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  exp::ClusterExperiment cluster(apps::paper_benchmarks(), table, spec,
+                                 options);
+  const double span_ms = steps * kStep.to_ms();
+  const auto at = [span_ms](double fraction) {
+    return TimePoint::at_ms(fraction * span_ms);
+  };
+  using Kind = sim::FaultEvent::Kind;
+  sim::FaultPlan plan;
+  plan.add({Kind::kCellSlow, at(0.1), 0, 0.25, at(0.6)});
+  plan.add({Kind::kLinkDegraded, at(0.15), 1, 0.3, at(0.7)});
+  plan.add({Kind::kPortFlaky, at(0.1), 2, 0.5, at(0.8)});
+  plan.add({Kind::kDsmCorrupt, at(0.15), 1, 0.5, at(0.7)});
+  plan.add({Kind::kCellKill, at(0.3), 1});
+  cluster.apply_fault_plan(plan);
+  const auto& apps = apps::paper_benchmarks();
+  sim::ShardedSimulation& engine = cluster.engine().engine();
+  const std::uint64_t before = engine.executed_events();
+  const auto start = Clock::now();
+  for (int i = 0; i < steps; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    cluster.submit(k % kCells, apps[k % apps.size()].name);
+    cluster.run_for(kStep);
+  }
+  ThinResult r;
+  r.all_completed = cluster.run_until_jobs_complete(Duration::minutes(60));
+  r.wall_seconds = seconds_since(start);
+  r.events = engine.executed_events() - before;
+  r.windows = engine.windows();
+  r.pooled_windows = engine.pooled_windows();
+  return r;
+}
+
 struct ObsResult {
   double off_wall_seconds = 0;   ///< best-of-3 untraced gray run
   double on_wall_seconds = 0;    ///< best-of-3 traced gray run
@@ -578,6 +640,35 @@ int bench_main() {
   const int gray_conserved =
       fault_gray.stats.completed == fault_gray.stats.submitted ? 1 : 0;
 
+  const int kThinSteps = smoke ? 1000 : 4000;
+  std::cerr << "[cluster_bench] thin windows: " << kThinSteps
+            << " tracked jobs in 50 ms steps through a gray storm, serial "
+               "vs 4 workers...\n";
+  // Five interleaved pairs.  The ratio is the median of the per-pair
+  // ratios: a vCPU's slow phase often spans a whole pair, which then
+  // reads ~1 like the rest, where a best-of-N ratio skews whenever a
+  // phase change splits the two engines' runs (ratios of best-of-3
+  // and best-of-5 walls read 0.68 and 0.63, under the gate's 0.75
+  // floor, in 44 smoke runs).  Walls are best of 5.
+  constexpr int kThinPairs = 5;
+  ThinResult thin_w1;
+  ThinResult thin_w4;
+  std::vector<double> thin_ratios;
+  bool thin_same = true;  // every run: same events and windows, all done
+  for (int i = 0; i < kThinPairs; ++i) {
+    const auto w1 = run_thin_config(fault_table, 1, kThinSteps);
+    const auto w4 = run_thin_config(fault_table, 4, kThinSteps);
+    thin_ratios.push_back(w1.wall_seconds / w4.wall_seconds);
+    thin_same = thin_same && w1.all_completed && w4.all_completed &&
+                w1.events == w4.events && w1.windows == w4.windows &&
+                (i == 0 || w1.events == thin_w1.events);
+    if (i == 0 || w1.wall_seconds < thin_w1.wall_seconds) thin_w1 = w1;
+    if (i == 0 || w4.wall_seconds < thin_w4.wall_seconds) thin_w4 = w4;
+  }
+  std::sort(thin_ratios.begin(), thin_ratios.end());
+  const double thin_ratio = thin_ratios[kThinPairs / 2];
+  const int thin_conserved = thin_same ? 1 : 0;
+
   std::cerr << "[cluster_bench] obs overhead: the gray storm with the "
                "tracer off vs on, plus the zero-alloc contract...\n";
   const auto obs = run_obs_section(fault_table);
@@ -677,6 +768,15 @@ int bench_main() {
       << fault_gray.stats.slots_quarantined << ",\n"
       << "    \"completed_conserved\": " << gray_conserved << ",\n"
       << "    \"retry_overhead_ratio\": " << gray_overhead
+      << "\n  },\n  \"thin\": {\n"
+      << "    \"jobs\": " << kThinSteps << ",\n"
+      << "    \"events\": " << thin_w4.events << ",\n"
+      << "    \"windows\": " << thin_w4.windows << ",\n"
+      << "    \"w1_wall_seconds\": " << thin_w1.wall_seconds << ",\n"
+      << "    \"w4_wall_seconds\": " << thin_w4.wall_seconds << ",\n"
+      << "    \"w4_pooled_windows\": " << thin_w4.pooled_windows << ",\n"
+      << "    \"events_conserved\": " << thin_conserved << ",\n"
+      << "    \"wall_ratio_w4_vs_w1\": " << thin_ratio
       << "\n  },\n  \"obs\": {\n"
       << "    \"tracer_off_wall_seconds\": " << obs.off_wall_seconds
       << ",\n"
@@ -724,6 +824,12 @@ int bench_main() {
             << fault_gray.stats.corrupt_recovered << " checksum catches, "
             << fault_gray.stats.breaker_trips
             << " breaker trips, conserved=" << gray_conserved << ")\n"
+            << "[cluster_bench] thin windows: " << thin_w4.events
+            << " events in " << thin_w4.windows << " windows, serial "
+            << thin_w1.wall_seconds * 1e3 << " ms vs 4 workers "
+            << thin_w4.wall_seconds * 1e3 << " ms (ratio " << thin_ratio
+            << ", " << thin_w4.pooled_windows
+            << " pooled, conserved=" << thin_conserved << ")\n"
             << "[cluster_bench] obs overhead: " << obs.overhead_ratio
             << "x wall with tracing on (" << obs.spans << " spans, "
             << "events identical=" << obs.events_identical

@@ -98,6 +98,15 @@ METRICS = {
         # Deterministic plan and seeds, hence machine-neutral.
         ("gray.completed_conserved", "exact", False),
         ("gray.retry_overhead_ratio", "lower", False),
+        # Thin windows: a storm-shaped run (one tracked job per 50 ms
+        # step through a gray storm with a kill, ~1.5 events per
+        # window) timed on the serial engine and on 4 workers in five
+        # interleaved pairs.  The wall ratio (serial / 4 workers,
+        # median over the pairs) is same-run, hence machine-neutral;
+        # events_conserved pins that every run simulated the identical
+        # events and windows and completed every job.
+        ("thin.wall_ratio_w4_vs_w1", "higher", False),
+        ("thin.events_conserved", "exact", False),
         # Observability layer: tracing is pure metadata, so the event
         # counts with the tracer off and on must match exactly, the
         # best-of-3 wall overhead of tracing the gray storm stays

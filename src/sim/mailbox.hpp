@@ -6,7 +6,11 @@
 // shard's thread pushes; at the boundary one thread flushes and drains
 // every ring while the workers wait (the epoch barrier separates the
 // two phases), so a wait-free SPSC ring with acquire/release indices is
-// sufficient -- no locks, no allocation after construction.
+// sufficient -- no locks, no allocation after construction.  Slots are
+// raw storage, constructed on push and destroyed on pop, so a ring's
+// pages are touched only as traffic reaches them: the rings of ordered
+// pairs that never talk (most of them, in a ring of cells) cost neither
+// resident memory nor set-up time.
 //
 // Capacity is fixed: `try_push` refuses when the ring is full and the
 // caller (the shard) spills to an unbounded per-destination overflow
@@ -20,8 +24,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/assert.hpp"
 
@@ -35,8 +39,18 @@ class SpscRing {
   explicit SpscRing(std::size_t capacity) {
     std::size_t cap = 2;
     while (cap < capacity) cap <<= 1;
-    buf_.resize(cap);
+    buf_ = std::allocator<T>().allocate(cap);
     mask_ = cap - 1;
+  }
+  /// Destroys the messages still queued.  Single-threaded: both sides
+  /// are done with the ring.
+  ~SpscRing() {
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    for (std::uint64_t i = head_.load(std::memory_order_relaxed); i != tail;
+         ++i) {
+      std::destroy_at(&buf_[i & mask_]);
+    }
+    std::allocator<T>().deallocate(buf_, mask_ + 1);
   }
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
@@ -46,7 +60,7 @@ class SpscRing {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     const std::uint64_t head = head_.load(std::memory_order_acquire);
     if (tail - head > mask_) return false;
-    buf_[tail & mask_] = std::move(value);
+    std::construct_at(&buf_[tail & mask_], std::move(value));
     tail_.store(tail + 1, std::memory_order_release);
     // Producer-owned high-water mark (one compare on data already in
     // registers): how deep this pair's traffic has ever run, feeding
@@ -62,6 +76,7 @@ class SpscRing {
     const std::uint64_t tail = tail_.load(std::memory_order_acquire);
     if (head == tail) return false;
     out = std::move(buf_[head & mask_]);
+    std::destroy_at(&buf_[head & mask_]);
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
@@ -85,7 +100,7 @@ class SpscRing {
   [[nodiscard]] std::size_t high_water() const { return high_water_; }
 
  private:
-  std::vector<T> buf_;
+  T* buf_ = nullptr;  ///< mask_ + 1 slots; live ones are [head_, tail_)
   std::size_t mask_ = 0;
   std::size_t high_water_ = 0;  ///< producer-owned, see high_water()
   /// Producer and consumer indices on separate cache lines so the two

@@ -23,6 +23,16 @@ constexpr std::uint32_t kStealPeriod = 16;
 /// Trigger: move a shard when the busiest worker's load over the period
 /// exceeds this many times the idlest worker's.
 constexpr double kStealImbalance = 1.5;
+/// Fewest events a window must execute for the pool to run the next
+/// one.  A pooled window pays one boundary-barrier round, ~2 us on a
+/// 4-vCPU KVM guest (xbench `sim.unit.window_us` while every window
+/// went through the barrier), and an event costs ~105 ns
+/// (`sim.unit.event_ns`).  Four workers save 3/4 of a window's event
+/// work, so the pool pays off once 0.75 * 105 ns * events > 2 us:
+/// above ~25 events per window.
+constexpr std::uint64_t kDenseWindowEvents = 32;
+/// uint64 counters per cache line: pads each lane's tally row.
+constexpr std::size_t kLineWords = 64 / sizeof(std::uint64_t);
 
 /// Sense-reversing barrier on a generation word, for the per-window
 /// boundary.  The last arriver runs the completion and bumps the
@@ -95,28 +105,30 @@ class BoundaryBarrier {
 
 }  // namespace
 
-// Persistent worker pool.  Threads for workers 1..W-1 are created on
-// the first parallel span and then park on `start_gate` between spans;
-// the calling thread is worker 0.  `boundary`'s completion -- run on
-// exactly one thread while every other worker waits in the barrier --
-// is the single-threaded boundary step.  The span gates stay parking
-// std::barriers: the scheduler places a thread on an idle CPU when it
-// wakes, and on a 4-vCPU KVM guest a pool thread that never slept
-// stayed on the CPU that created it -- yield-waiting gates stacked the
-// whole pool on one CPU.
+// Persistent worker pool.  Threads for workers 1..W-1 are created at
+// the first dense window and then park on `start_gate` whenever the
+// caller runs windows itself; the calling thread is worker 0.
+// `boundary`'s completion -- run on exactly one thread while every
+// other worker waits in the barrier -- is the single-threaded boundary
+// step.  The span gates stay parking std::barriers: the scheduler
+// places a thread on an idle CPU when it wakes, and on a 4-vCPU KVM
+// guest a pool thread that never slept stayed on the CPU that created
+// it -- yield-waiting gates stacked the whole pool on one CPU.
 struct ShardedSimulation::Pool {
   BoundaryBarrier boundary;
   std::barrier<> start_gate;  ///< span kickoff + shutdown release
   std::barrier<> end_gate;    ///< span completion
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors;  ///< by worker
-  bool shutdown = false;  ///< written before start_gate, read after
+  std::vector<double> cpu;  ///< by worker: the latest span's busy time
+  bool shutdown = false;    ///< written before start_gate, read after
 
   explicit Pool(std::size_t w)
       : boundary(w),
         start_gate(static_cast<std::ptrdiff_t>(w)),
         end_gate(static_cast<std::ptrdiff_t>(w)),
-        errors(w) {}
+        errors(w),
+        cpu(w, 0.0) {}
 };
 
 ShardedSimulation::ShardedSimulation(Options opts) : opts_(opts) {
@@ -147,10 +159,9 @@ ShardedSimulation::ShardedSimulation(Options opts) : opts_(opts) {
     cell_worker_[i] = static_cast<std::uint32_t>(i % workers_);
   }
   worker_stats_.resize(workers_);
-  // The map starts as the identity exactly when there are as many
-  // workers as shards; only then can a worker's span stand in for its
-  // shard's busy time.
-  per_cell_cpu_ = workers_ != n;
+  // One tally row per lane that can run a stretch.
+  stride_ = (n + kLineWords - 1) / kLineWords * kLineWords;
+  ran_.assign((opts_.parallel ? workers_ : 1) * stride_, 0);
 
   executed_at_rebalance_.assign(n, 0);
   // Pre-size so the rebalancer never allocates at a boundary.
@@ -178,9 +189,6 @@ void ShardedSimulation::set_worker_of(ShardId id, std::size_t worker) {
   cell_worker_[id] = static_cast<std::uint32_t>(worker);
   ++shards_[id]->stats.steals;
   ++steal_moves_;
-  // The map is no longer the identity: worker w's span may now cover
-  // several shards, or none, so it can no longer stand in for shard w.
-  per_cell_cpu_ = true;
 }
 
 void ShardedSimulation::post(ShardId src, ShardId dst, TimePoint t,
@@ -282,13 +290,10 @@ void ShardedSimulation::drain_inbound(ShardId dst) {
   pending.fetch_sub(drained, std::memory_order_relaxed);
 }
 
-std::uint64_t ShardedSimulation::run_shard(ShardId id, TimePoint window_end,
-                                           bool account_cpu) {
+std::uint64_t ShardedSimulation::run_shard(ShardId id, TimePoint window_end) {
   ShardState& s = *shards_[id];
   const std::uint64_t before = s.sim.executed_events();
-  const double cpu0 = account_cpu ? thread_cpu_seconds() : 0.0;
   s.sim.run_until(window_end);
-  if (account_cpu) s.stats.busy_seconds += thread_cpu_seconds() - cpu0;
   const std::uint64_t delta = s.sim.executed_events() - before;
   s.stats.executed += delta;
   return delta;
@@ -379,26 +384,82 @@ bool ShardedSimulation::boundary_step(double horizon_ms) {
   return plan_next_window(horizon_ms);
 }
 
-std::size_t ShardedSimulation::run_span_serial(TimePoint horizon) {
+void ShardedSimulation::charge_stretch(std::size_t row, double cpu,
+                                       bool pooled) {
+  std::uint64_t* ran = &ran_[row * stride_];
+  const std::size_t n = shards_.size();
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < n; ++s) total += ran[s];
+  if (pooled) {
+    worker_stats_[row].executed += total;
+    worker_stats_[row].busy_seconds += cpu;
+  }
+  if (total == 0) return;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (ran[s] == 0) continue;
+    const double share = cpu * static_cast<double>(ran[s]) /
+                         static_cast<double>(total);
+    shards_[s]->stats.busy_seconds += share;
+    if (!pooled) {
+      WorkerStats& lane = worker_stats_[cell_worker_[s]];
+      lane.executed += ran[s];
+      lane.busy_seconds += share;
+    }
+    ran[s] = 0;
+  }
+}
+
+std::size_t ShardedSimulation::run_span(TimePoint horizon) {
   const std::uint64_t before = executed_events();
   const double horizon_ms = horizon.to_ms();
-  for (;;) {
-    if (!boundary_step(horizon_ms)) break;
+  const bool poolable = opts_.parallel && workers_ > 1;
+  std::uint64_t* ran = ran_.data();  // row 0: the caller's stretch
+  double cpu0 = thread_cpu_seconds();
+  while (boundary_step(horizon_ms)) {
+    if (poolable && window_events_ >= kDenseWindowEvents) {
+      // The last window was dense: close the caller's stretch and let
+      // the pool run from here until a window comes in thin.
+      charge_stretch(0, thread_cpu_seconds() - cpu0, /*pooled=*/false);
+      const bool more = run_pooled(horizon_ms);
+      cpu0 = thread_cpu_seconds();
+      if (!more) break;
+      continue;  // the pool left the next boundary step to us
+    }
     const TimePoint window_end = TimePoint::at_ms(window_end_ms_);
+    window_events_ = 0;
     for (ShardId s = 0; s < shards_.size(); ++s) {
-      run_shard(s, window_end, /*account_cpu=*/true);
+      const std::uint64_t executed = run_shard(s, window_end);
+      ran[s] += executed;
+      window_events_ += executed;
+    }
+  }
+  charge_stretch(0, thread_cpu_seconds() - cpu0, /*pooled=*/false);
+  if (horizon_ms < kInf) {
+    // Align every clock with the horizon (mirrors Simulation::run_until).
+    for (auto& s : shards_) {
+      if (s->sim.now() < horizon) s->sim.run_until(horizon);
     }
   }
   return executed_events() - before;
 }
 
 void ShardedSimulation::on_boundary(std::size_t w) {
-  done_ = true;
+  ++pooled_windows_;
+  const std::uint64_t executed = executed_events();
+  window_events_ = executed - executed_mark_;
+  executed_mark_ = executed;
+  next_ = Next::kDone;
   for (const auto& e : pool_->errors) {
     if (e != nullptr) return;
   }
+  if (window_events_ < kDenseWindowEvents) {
+    // Park the pool before planning: the caller's loop takes the
+    // boundary step and runs the next window itself.
+    next_ = Next::kCaller;
+    return;
+  }
   try {
-    done_ = !boundary_step(span_horizon_ms_);
+    if (boundary_step(span_horizon_ms_)) next_ = Next::kPool;
   } catch (...) {
     // A drain can throw (e.g. heap growth); it ran on worker w's thread.
     pool_->errors[w] = std::current_exception();
@@ -406,49 +467,41 @@ void ShardedSimulation::on_boundary(std::size_t w) {
 }
 
 void ShardedSimulation::worker_span(std::size_t w) {
-  // One thread-CPU measurement spans the whole call: worker busy time
-  // covers event execution and the boundary steps this worker ran --
-  // minus the barrier's yield-waits, and never time parked or
-  // descheduled -- at the cost of two clock reads per span instead of
-  // two per window.
+  // One stretch: two thread-CPU reads per span, not per window, and
+  // the barrier's yield-waits left out.  The caller splits the time
+  // over the shards this worker ran once every worker has stopped.
   const double cpu0 = thread_cpu_seconds();
   double waited = 0.0;
-  std::uint64_t executed = 0;
+  std::uint64_t* ran = &ran_[w * stride_];
   const std::size_t n = shards_.size();
-  // Protocol per window: one boundary barrier, whose completion -- run
-  // by the last worker to arrive while the rest wait -- is the serial
-  // boundary step run_span_serial also uses (flush every shard's spill,
-  // drain every shard's inbound mailboxes in source order, rebalance
-  // the map, size the next window or declare termination); then each
-  // worker runs its shards.  Mailboxes need no further ordering:
-  // producers (post) only run in the run phase, the flush and the
-  // drain only inside the completion, and the barrier separates the
-  // two.  The shard -> worker map is likewise written only inside the
-  // completion.
-  for (;;) {
-    waited += pool_->boundary.arrive_and_wait([this, w] { on_boundary(w); });
-    if (done_) break;
+  // Protocol per window: each worker runs its shards of the window the
+  // caller or the last completion planned, then arrives at the one
+  // boundary barrier.  Its completion -- run by the last worker to
+  // arrive while the rest wait -- is the boundary step the caller's
+  // loop also takes (flush every shard's spill, drain every shard's
+  // inbound mailboxes in source order, rebalance the map, size the
+  // next window or declare termination), unless the window was thin:
+  // then it hands the step back to the caller.  Mailboxes need no
+  // further ordering: producers (post) only run in the run phase, the
+  // flush and the drain only inside the completion, and the barrier
+  // separates the two.  The shard -> worker map is likewise written
+  // only inside the completion.
+  do {
     const TimePoint window_end = TimePoint::at_ms(window_end_ms_);
     try {
       for (std::size_t c = 0; c < n; ++c) {
         if (cell_worker_[c] == w) {
-          executed +=
-              run_shard(static_cast<ShardId>(c), window_end, per_cell_cpu_);
+          ran[c] += run_shard(static_cast<ShardId>(c), window_end);
         }
       }
     } catch (...) {
       // Park the error and keep honoring the barrier so no peer
-      // deadlocks; the next boundary terminates everyone.
+      // deadlocks; this boundary terminates everyone.
       pool_->errors[w] = std::current_exception();
     }
-  }
-  const double cpu = std::max(0.0, thread_cpu_seconds() - cpu0 - waited);
-  worker_stats_[w].executed += executed;
-  worker_stats_[w].busy_seconds += cpu;
-  // While the map is the identity, worker w's whole-span measurement
-  // is also its only shard's busy time (per-shard attribution with
-  // per-window clock reads is reserved for runs where it is not).
-  if (!per_cell_cpu_) shards_[w]->stats.busy_seconds += cpu;
+    waited += pool_->boundary.arrive_and_wait([this, w] { on_boundary(w); });
+  } while (next_ == Next::kPool);
+  pool_->cpu[w] = std::max(0.0, thread_cpu_seconds() - cpu0 - waited);
 }
 
 void ShardedSimulation::worker_thread(std::size_t w) {
@@ -469,34 +522,26 @@ void ShardedSimulation::ensure_pool() {
   }
 }
 
-std::size_t ShardedSimulation::run_span_parallel(TimePoint horizon) {
-  const std::uint64_t before = executed_events();
+bool ShardedSimulation::run_pooled(double horizon_ms) {
   ensure_pool();
-  done_ = false;
-  span_horizon_ms_ = horizon.to_ms();
+  span_horizon_ms_ = horizon_ms;
+  executed_mark_ = executed_events();
   for (auto& e : pool_->errors) e = nullptr;
+  ++pool_wakes_;
   // Wake the parked pool, run worker 0's share on this thread, then
-  // wait for everyone to finish the span.
+  // wait for everyone to stop.
   pool_->start_gate.arrive_and_wait();
   worker_span(0);
   pool_->end_gate.arrive_and_wait();
+  // A stolen shard can run on two workers within one span, so each
+  // worker's time is split over what it ran only now.
+  for (std::size_t w = 0; w < workers_; ++w) {
+    charge_stretch(w, pool_->cpu[w], /*pooled=*/true);
+  }
   for (auto& e : pool_->errors) {
     if (e != nullptr) std::rethrow_exception(e);
   }
-  return executed_events() - before;
-}
-
-std::size_t ShardedSimulation::run_span(TimePoint horizon) {
-  const std::size_t executed = (opts_.parallel && workers_ > 1)
-                                   ? run_span_parallel(horizon)
-                                   : run_span_serial(horizon);
-  if (horizon.to_ms() < kInf) {
-    // Align every clock with the horizon (mirrors Simulation::run_until).
-    for (auto& s : shards_) {
-      if (s->sim.now() < horizon) s->sim.run_until(horizon);
-    }
-  }
-  return executed;
+  return next_ != Next::kDone;
 }
 
 std::uint64_t ShardedSimulation::mailbox_pair_hwm(ShardId src,

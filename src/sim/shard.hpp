@@ -32,13 +32,28 @@
 // evolves identically in serial and parallel runs, and the trace does
 // not depend on it at all.
 //
-// In parallel mode shard workers are created ONCE and parked on a
-// start gate between `run_span` calls (no per-call spawn/join).
-// Windows are separated by ONE boundary barrier: the last worker to
+// Who runs a window.  The caller's thread runs the window loop; in
+// parallel mode it picks, at every boundary, whether the next window
+// stays on its own thread or goes to the worker pool.  The pick reads
+// the events the window just executed, a deterministic count: below
+// kDenseWindowEvents (shard.cpp) the caller runs the next window while
+// the pool stays parked on its start gate; at or above it the pool
+// wakes and runs windows until one comes in under the bar, and the
+// boundary after that one parks the pool again and hands the loop back
+// to the caller before planning.  The pool is created at the first
+// dense window, so a run of thin windows starts no thread.  Pooled
+// windows are separated by ONE boundary barrier: the last worker to
 // arrive runs the serial boundary step (flush every spill, drain every
 // mailbox, plan the next window) while the others yield the CPU,
 // parking on the barrier's generation word only if the wait runs long.
-// The step is the same function the serial mode calls between windows.
+// The step is the same function the caller's loop calls between its
+// own windows.
+//
+// Busy time is read per stretch: the caller's run of windows between
+// two handoffs (a whole span, when nothing is dense), or one worker's
+// pooled span.  The thread-CPU clock -- a syscall, ~350 ns on a KVM
+// guest -- is read only at a stretch's two ends, and the stretch's time
+// is split over the shards it ran by their shares of its events.
 //
 // Determinism: each shard's local execution is the ordinary (time,
 // insertion-seq) order of its own Simulation; at a boundary, inbound
@@ -47,9 +62,8 @@
 // (time, source shard, source order) tie-break.  The schedule is a pure
 // function of the model -- independent of thread interleaving, and a
 // 1-shard ShardedSimulation executes exactly today's single-queue
-// trace.  `Options::parallel` only chooses whether shards run on
-// pooled std::threads or round-robin on the calling thread; both modes
-// produce identical traces.
+// trace.  `Options::parallel` only chooses whether dense windows may
+// run on pooled std::threads; both modes produce identical traces.
 #pragma once
 
 #include <atomic>
@@ -89,11 +103,14 @@ struct ShardStats {
   /// Posts that found the mailbox full and spilled to the unbounded
   /// overflow (delivery slips by whole epochs, order preserved).
   std::uint64_t backpressure_stalls = 0;
-  /// CPU seconds this shard's thread spent executing events (excludes
-  /// barrier waits -- the yield-waits are measured and subtracted --
-  /// and time spent descheduled), so summing
-  /// events/busy_seconds across shards measures aggregate processing
-  /// capacity even on an oversubscribed host.
+  /// Thread-CPU seconds spent on this shard: each stretch that ran it
+  /// (see the header) charges it the stretch's time times the shard's
+  /// share of the stretch's events -- all of it when the stretch ran
+  /// this shard alone, as a worker does under the identity map.  Leaves
+  /// out barrier waits (the yield-waits are measured and subtracted)
+  /// and time spent descheduled, so summing events/busy_seconds across
+  /// shards measures aggregate processing capacity even on an
+  /// oversubscribed host.
   double busy_seconds = 0.0;
   /// Times the rebalancer moved this shard to another worker.
   std::uint64_t steals = 0;
@@ -105,13 +122,16 @@ struct ShardStats {
   std::uint64_t mailbox_hwm = 0;
 };
 
-/// Per-worker counters (parallel mode; the skewed-load bench's
-/// critical-path capacity metric reads these).
+/// Per-worker counters (the skewed-load bench's critical-path capacity
+/// metric reads these).  A pooled span counts for the worker that ran
+/// it; a caller-thread stretch counts each shard's events and share of
+/// the time for the worker the shard is mapped to, so serial runs fill
+/// these in too.
 struct WorkerStats {
   std::uint64_t executed = 0;  ///< events run on this lane
-  /// Whole-span thread-CPU time: event execution and the boundary
-  /// steps this lane ran, but not barrier waits (yield-waits are
-  /// subtracted) or time parked or descheduled.
+  /// Thread-CPU time of the lane's stretches: event execution and the
+  /// boundary steps run in them, but not barrier waits (yield-waits
+  /// are subtracted) or time parked or descheduled.
   double busy_seconds = 0.0;
 };
 
@@ -126,9 +146,10 @@ class ShardedSimulation {
     /// SPSC mailbox capacity per ordered shard pair; overflow spills to
     /// an unbounded FIFO drained at later boundaries.
     std::size_t mailbox_capacity = 1024;
-    /// Run shards on a persistent pool of std::threads (the caller's
-    /// thread runs worker 0).  Off = deterministic round-robin on the
-    /// calling thread.  Traces are identical either way.
+    /// Let dense windows run on a persistent pool of std::threads (the
+    /// caller's thread runs worker 0); thin ones stay on the calling
+    /// thread.  Off = every window round-robin on the calling thread.
+    /// Traces are identical either way.
     bool parallel = false;
     /// Worker mapping and stealing, shared with
     /// Topology::PartitionOptions and exp::ClusterSpec.
@@ -145,6 +166,14 @@ class ShardedSimulation {
   [[nodiscard]] Duration epoch() const { return opts_.epoch; }
   /// Synchronization windows executed since construction.
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
+  /// Windows the worker pool ran, and the times it woke to run them
+  /// (both 0 in serial mode).  Deterministic for a given model and
+  /// options, but not registered with obs: serial and parallel runs
+  /// differ here and must snapshot identically.
+  [[nodiscard]] std::uint64_t pooled_windows() const {
+    return pooled_windows_;
+  }
+  [[nodiscard]] std::uint64_t pool_wakes() const { return pool_wakes_; }
 
   /// The shard's local engine.  Components constructed against it work
   /// unchanged; schedule onto it freely before and between runs.
@@ -162,8 +191,7 @@ class ShardedSimulation {
   }
   /// Reassign a shard to a worker (tests, or an external placement
   /// policy).  Call between runs only; counts as a steal when the
-  /// assignment actually changes, and from then on busy time is
-  /// attributed per shard (a worker may now run several).
+  /// assignment actually changes.
   void set_worker_of(ShardId id, std::size_t worker);
   /// Total rebalance moves (manual and automatic) since construction.
   [[nodiscard]] std::uint64_t steal_moves() const { return steal_moves_; }
@@ -254,10 +282,8 @@ class ShardedSimulation {
   void flush_spill(ShardId src);
   /// Drain all inbound mailboxes into the local heap, in source order.
   void drain_inbound(ShardId dst);
-  /// Execute one window on one shard.  `account_cpu` adds per-call
-  /// thread-CPU deltas to busy_seconds; returns events executed.
-  std::uint64_t run_shard(ShardId id, TimePoint window_end,
-                          bool account_cpu);
+  /// Execute one window on one shard; returns events executed.
+  std::uint64_t run_shard(ShardId id, TimePoint window_end);
   /// Earliest pending work anywhere (events, spilled messages), or
   /// +inf.  Call only at a boundary (mailboxes already drained).
   [[nodiscard]] double min_next_ms();
@@ -265,18 +291,26 @@ class ShardedSimulation {
   /// The boundary step, identical in serial and parallel mode: flush
   /// every shard's spill, drain every shard's inbound mailboxes, then
   /// plan_next_window.  Returns false when no work remains at or before
-  /// `horizon_ms`.  Runs single-threaded (serial loop, or the boundary
-  /// barrier's completion while every other worker waits).
+  /// `horizon_ms`.  Runs single-threaded (the caller's loop, or the
+  /// boundary barrier's completion while every other worker waits).
   bool boundary_step(double horizon_ms);
   /// Re-evaluate the shard->worker map, then size the next window.
   bool plan_next_window(double horizon_ms);
   void maybe_rebalance();
 
+  /// The window loop, on the caller's thread.
   std::size_t run_span(TimePoint horizon);
-  std::size_t run_span_serial(TimePoint horizon);
-  std::size_t run_span_parallel(TimePoint horizon);
+  /// Wake the pool for the window the caller just planned; it runs
+  /// windows until one is thin.  Returns false when the span is done.
+  bool run_pooled(double horizon_ms);
+  /// Split one stretch's `cpu` seconds over the events tallied in
+  /// lane `row` of `ran_`, and clear the tally.  A pool worker's span
+  /// counts for worker `row`; the caller's stretch (`pooled` false)
+  /// counts for each shard's mapped worker.
+  void charge_stretch(std::size_t row, double cpu, bool pooled);
 
-  // Persistent worker pool (parallel mode).
+  // Persistent worker pool (parallel mode, created at the first dense
+  // window).
   struct Pool;
   void ensure_pool();
   void worker_thread(std::size_t w);
@@ -294,13 +328,19 @@ class ShardedSimulation {
   std::size_t workers_ = 1;
   std::vector<std::uint32_t> cell_worker_;
   std::vector<WorkerStats> worker_stats_;
-  /// Per-shard CPU accounting per window once the live map is not the
-  /// identity (attribution needs per-call deltas); while it is, the
-  /// worker's whole-span measurement doubles as its only shard's busy
-  /// time.
-  bool per_cell_cpu_ = false;
+  /// Events each lane ran of each shard in its current stretch:
+  /// [lane * stride_ + shard], rows padded to whole cache lines.  Row 0
+  /// serves the caller's stretches and worker 0's pooled spans in turn.
+  std::vector<std::uint64_t> ran_;
+  std::size_t stride_ = 0;
 
   std::uint64_t windows_ = 0;
+  std::uint64_t pooled_windows_ = 0;
+  std::uint64_t pool_wakes_ = 0;
+  /// Events the latest window executed: what picks who runs the next.
+  std::uint64_t window_events_ = 0;
+  /// executed_events() when the pool's current window began.
+  std::uint64_t executed_mark_ = 0;
 
   // Rebalancer state (boundaries only).
   std::uint32_t windows_since_rebalance_ = 0;
@@ -312,7 +352,9 @@ class ShardedSimulation {
   /// lookahead contract against).  Written at boundaries only.
   double window_end_ms_ = 0.0;
   double span_horizon_ms_ = 0.0;
-  bool done_ = false;  ///< parallel-run termination flag
+  /// Set by the pool's boundary completion: what follows its window.
+  enum class Next : std::uint8_t { kPool, kCaller, kDone };
+  Next next_ = Next::kPool;
   std::unique_ptr<Pool> pool_;
 };
 

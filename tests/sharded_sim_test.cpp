@@ -1,7 +1,8 @@
 // Tests for the epoch-synchronized sharded simulation core: SPSC
 // mailbox semantics, trace determinism across shard counts and across
-// serial/parallel execution, lookahead-contract enforcement, and
-// mailbox overflow backpressure.
+// serial/parallel execution, lookahead-contract enforcement, mailbox
+// overflow backpressure, and the density switch that hands dense
+// windows to the worker pool.
 #include <gtest/gtest.h>
 
 #if defined(__linux__)
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -69,6 +71,33 @@ TEST(SpscRingTest, TracksHighWaterDepth) {
   EXPECT_EQ(ring.high_water(), 6u);  // 1 left + 5 pushed
 }
 
+TEST(SpscRingTest, ConstructsSlotsOnlyForQueuedMessages) {
+  // Slots are raw storage: a fresh ring constructs nothing, a pop
+  // destroys its slot, and the ring's destructor destroys exactly the
+  // messages still queued.
+  struct Counted {
+    int* live;
+    explicit Counted(int* l) : live(l) { ++*live; }
+    Counted(Counted&& o) noexcept : live(o.live) { ++*live; }
+    Counted& operator=(Counted&& o) noexcept {
+      live = o.live;
+      return *this;
+    }
+    ~Counted() { --*live; }
+  };
+  int live = 0;
+  {
+    SpscRing<Counted> ring(1024);
+    EXPECT_EQ(live, 0);
+    for (int i = 0; i < 3; ++i) EXPECT_TRUE(ring.try_push(Counted(&live)));
+    EXPECT_EQ(live, 3);
+    Counted out(&live);
+    ASSERT_TRUE(ring.try_pop(out));
+    EXPECT_EQ(live, 3);  // two queued, plus `out`
+  }
+  EXPECT_EQ(live, 0);
+}
+
 // --- single-shard equivalence ----------------------------------------------
 
 TEST(ShardedSimulationTest, OneShardReproducesPlainSimulationTrace) {
@@ -113,6 +142,37 @@ TEST(ShardedSimulationTest, OneShardReproducesPlainSimulationTrace) {
   EXPECT_EQ(sharded.executed_events(), plain.executed_events());
 }
 
+// --- ballast ----------------------------------------------------------------
+
+// The engine hands a window to its worker pool only when the window
+// before it was dense (shard.cpp's kDenseWindowEvents, 32 events); the
+// caller's thread runs thin ones.  The workloads below carry ~8 events
+// per window, so tests that exercise the pool add ballast: no-op chains
+// that record nothing, so every trace a test compares is untouched.
+struct BallastChain {
+  Simulation* sim;
+  Duration gap;
+  int remaining;
+  void fire() {
+    if (--remaining > 0) sim->schedule_in(gap, [this] { fire(); });
+  }
+};
+using Ballast = std::vector<std::unique_ptr<BallastChain>>;
+
+/// `count` no-op events on each of `shards`, one every `gap` from `gap`
+/// on.  Keep the result alive while the engine runs.
+Ballast add_ballast(ShardedSimulation& ssim, const std::vector<ShardId>& shards,
+                    Duration gap, int count) {
+  Ballast out;
+  for (const ShardId s : shards) {
+    out.push_back(std::make_unique<BallastChain>(
+        BallastChain{&ssim.shard(s), gap, count}));
+    BallastChain* chain = out.back().get();
+    chain->sim->schedule_in(gap, [chain] { chain->fire(); });
+  }
+  return out;
+}
+
 // --- cross-shard determinism ------------------------------------------------
 
 // A ring of chains, one per "component": each chain self-reschedules on
@@ -125,6 +185,7 @@ struct RingResult {
   std::vector<std::vector<double>> arrivals;  // per chain
   std::uint64_t executed = 0;
   std::uint64_t stalls = 0;
+  std::uint64_t pooled_windows = 0;  // windows the worker pool ran
 };
 
 struct RingChain {
@@ -184,16 +245,27 @@ std::vector<std::unique_ptr<RingChain>> build_ring(ShardedSimulation& ssim,
   return chains;
 }
 
-/// Run the ring workload on an engine built from `opts`.  When `mid`
-/// is set, the run pauses at `mid_at_ms` to let the test poke the
-/// engine (e.g. force a shard steal) before finishing.
+/// Ballast for the 40-fire ring (it runs ~61 ms): one no-op every
+/// 0.1 ms on each shard, so a 4-shard window carries ~48 events.
+Ballast ring_ballast(ShardedSimulation& ssim) {
+  std::vector<ShardId> all;
+  for (ShardId s = 0; s < ssim.shard_count(); ++s) all.push_back(s);
+  return add_ballast(ssim, all, Duration::ms(0.1), 620);
+}
+
+/// Run the ring workload on an engine built from `opts`, plus whatever
+/// `ballast` adds.  When `mid` is set, the run pauses at `mid_at_ms` to
+/// let the test poke the engine (e.g. force a shard steal) before
+/// finishing.
 RingResult run_ring_opts(
     const ShardedSimulation::Options& opts, std::size_t post_every = 4,
     const std::function<void(ShardedSimulation&)>& mid = nullptr,
-    double mid_at_ms = 0.0) {
+    double mid_at_ms = 0.0,
+    const std::function<Ballast(ShardedSimulation&)>& ballast = nullptr) {
   ShardedSimulation ssim(opts);
   RingResult result;
   auto chains = build_ring(ssim, result, post_every);
+  const Ballast keep = ballast ? ballast(ssim) : Ballast{};
   if (mid) {
     result.executed = ssim.run_until(TimePoint::at_ms(mid_at_ms));
     mid(ssim);
@@ -204,6 +276,7 @@ RingResult run_ring_opts(
   for (ShardId s = 0; s < ssim.shard_count(); ++s) {
     result.stalls += ssim.stats(s).backpressure_stalls;
   }
+  result.pooled_windows = ssim.pooled_windows();
   return result;
 }
 
@@ -214,6 +287,13 @@ RingResult run_ring(std::size_t shards, bool parallel,
       ShardedSimulation::Options{shards, Duration::ms(1.0), mailbox_capacity,
                                  parallel},
       post_every);
+}
+
+/// The ring with ring_ballast: dense enough windows for the pool.
+RingResult run_dense_ring(std::size_t shards, bool parallel) {
+  return run_ring_opts(
+      ShardedSimulation::Options{shards, Duration::ms(1.0), 64, parallel}, 4,
+      nullptr, 0.0, ring_ballast);
 }
 
 TEST(ShardedSimulationTest, TracesIdenticalAcrossShardCounts) {
@@ -230,11 +310,13 @@ TEST(ShardedSimulationTest, TracesIdenticalAcrossShardCounts) {
 }
 
 TEST(ShardedSimulationTest, ParallelMatchesSerial) {
-  const RingResult serial = run_ring(4, false);
-  const RingResult parallel = run_ring(4, true);
+  const RingResult serial = run_dense_ring(4, false);
+  const RingResult parallel = run_dense_ring(4, true);
   EXPECT_EQ(parallel.fires, serial.fires);
   EXPECT_EQ(parallel.arrivals, serial.arrivals);
   EXPECT_EQ(parallel.executed, serial.executed);
+  EXPECT_EQ(serial.pooled_windows, 0u);
+  EXPECT_GT(parallel.pooled_windows, 0u);
 }
 
 TEST(ShardedSimulationTest, BackpressureDelaysButDeliversEverything) {
@@ -271,7 +353,7 @@ TEST(ShardedSimulationTest, MailboxOverflowBurstSpillsAndDrains) {
 // --- deterministic shard stealing -------------------------------------------
 
 TEST(ShardedSimulationTest, ForcedMidRunStealPreservesTrace) {
-  const RingResult baseline = run_ring(4, false);
+  const RingResult baseline = run_dense_ring(4, false);
   auto opts = [](bool parallel) {
     ShardedSimulation::Options o;
     o.shards = 4;
@@ -293,20 +375,26 @@ TEST(ShardedSimulationTest, ForcedMidRunStealPreservesTrace) {
           moves = ssim.steal_moves();
           new_worker = ssim.worker_of(0);
         },
-        /*mid_at_ms=*/20.0);
+        /*mid_at_ms=*/20.0, ring_ballast);
     EXPECT_EQ(moves, 1u);
     EXPECT_EQ(new_worker, 1u);
     EXPECT_EQ(stolen.fires, baseline.fires) << "parallel=" << parallel;
     EXPECT_EQ(stolen.arrivals, baseline.arrivals);
     EXPECT_EQ(stolen.executed, baseline.executed);
+    EXPECT_EQ(stolen.pooled_windows > 0, parallel);
   }
 }
 
 TEST(ShardedSimulationTest, OrganicStealingIsDeterministicAcrossModes) {
   // 8 shards on 4 workers with the ring's uneven per-shard load: the
   // rebalancer moves shards, its decisions must be identical in serial
-  // and parallel mode, and the trace must not notice them.
+  // and parallel mode, and the trace must not notice them.  Ballast
+  // sits on worker 0's two shards only, so windows are dense and the
+  // load stays skewed enough for the rebalancer to act.
   const RingResult baseline = run_ring(8, false);
+  const auto skewed_ballast = [](ShardedSimulation& ssim) {
+    return add_ballast(ssim, {0, 4}, Duration::ms(0.05), 1300);
+  };
   auto opts = [](bool parallel) {
     ShardedSimulation::Options o;
     o.shards = 8;
@@ -331,11 +419,12 @@ TEST(ShardedSimulationTest, OrganicStealingIsDeterministicAcrossModes) {
   };
   // The "mid" hook past the end of the workload reads the final map
   // (the engine is destroyed when run_ring_opts returns).
-  const RingResult serial = run_ring_opts(
-      opts(false), 4, capture(serial_moves, serial_map), /*mid_at_ms=*/80.0);
-  const RingResult parallel = run_ring_opts(
-      opts(true), 4, capture(parallel_moves, parallel_map),
-      /*mid_at_ms=*/80.0);
+  const RingResult serial =
+      run_ring_opts(opts(false), 4, capture(serial_moves, serial_map),
+                    /*mid_at_ms=*/80.0, skewed_ballast);
+  const RingResult parallel =
+      run_ring_opts(opts(true), 4, capture(parallel_moves, parallel_map),
+                    /*mid_at_ms=*/80.0, skewed_ballast);
   EXPECT_EQ(serial.fires, baseline.fires);
   EXPECT_EQ(serial.arrivals, baseline.arrivals);
   EXPECT_EQ(parallel.fires, baseline.fires);
@@ -343,13 +432,15 @@ TEST(ShardedSimulationTest, OrganicStealingIsDeterministicAcrossModes) {
   EXPECT_GE(serial_moves, 1u);  // the identity below is not vacuous
   EXPECT_EQ(parallel_moves, serial_moves);
   EXPECT_EQ(parallel_map, serial_map);
+  EXPECT_GT(parallel.pooled_windows, 0u);
 }
 
 TEST(ShardedSimulationTest, RebalancerIsolatesHotShard) {
-  // One hot shard (20x the event rate) sharing worker 0 with a cold
-  // shard: the rebalancer must move the cold shard away -- exactly
-  // once (the donor then owns a single shard and may not give it up)
-  // -- and identically in serial and parallel mode.
+  // One hot shard (20x the event rate, doubled again by ballast so its
+  // windows are dense enough for the pool) sharing worker 0 with a
+  // cold shard: the rebalancer must move the cold shard away --
+  // exactly once (the donor then owns a single shard and may not give
+  // it up) -- and identically in serial and parallel mode.
   struct Local {
     Simulation* sim;
     std::vector<double>* trace;
@@ -364,7 +455,8 @@ TEST(ShardedSimulationTest, RebalancerIsolatesHotShard) {
   };
   auto run_mode = [](bool parallel, std::uint64_t& moves,
                      std::vector<std::size_t>& map,
-                     std::vector<std::vector<double>>& traces) {
+                     std::vector<std::vector<double>>& traces,
+                     std::uint64_t& pooled) {
     ShardedSimulation::Options o;
     o.shards = 4;
     o.epoch = Duration::ms(1.0);
@@ -384,10 +476,12 @@ TEST(ShardedSimulationTest, RebalancerIsolatesHotShard) {
       c->sim->schedule_in(Duration::ms(c->period_ms), [raw] { raw->fire(); });
       chains.push_back(std::move(c));
     }
+    const Ballast ballast = add_ballast(ssim, {0}, Duration::ms(0.05), 400);
     ssim.run();
     moves = ssim.steal_moves();
     map.clear();
     for (ShardId s = 0; s < 4; ++s) map.push_back(ssim.worker_of(s));
+    pooled = ssim.pooled_windows();
   };
 
   std::uint64_t serial_moves = 0;
@@ -396,45 +490,60 @@ TEST(ShardedSimulationTest, RebalancerIsolatesHotShard) {
   std::vector<std::size_t> parallel_map;
   std::vector<std::vector<double>> serial_traces;
   std::vector<std::vector<double>> parallel_traces;
-  run_mode(false, serial_moves, serial_map, serial_traces);
-  run_mode(true, parallel_moves, parallel_map, parallel_traces);
+  std::uint64_t serial_pooled = 0;
+  std::uint64_t parallel_pooled = 0;
+  run_mode(false, serial_moves, serial_map, serial_traces, serial_pooled);
+  run_mode(true, parallel_moves, parallel_map, parallel_traces,
+           parallel_pooled);
 
   EXPECT_EQ(serial_moves, 1u);  // cold shard 2 leaves worker 0, once
   EXPECT_EQ(serial_map, (std::vector<std::size_t>{0, 1, 1, 1}));
   EXPECT_EQ(parallel_moves, serial_moves);
   EXPECT_EQ(parallel_map, serial_map);
   EXPECT_EQ(parallel_traces, serial_traces);
+  EXPECT_EQ(serial_pooled, 0u);
+  EXPECT_GT(parallel_pooled, 0u);
 }
 
 TEST(ShardedSimulationTest, WorkerStatsAccountEveryEvent) {
-  ShardedSimulation::Options opts;
-  opts.shards = 4;
-  opts.epoch = Duration::ms(1.0);
-  opts.mailbox_capacity = 64;
-  opts.parallel = true;
-  opts.exec.workers = 2;
-  ShardedSimulation ssim(opts);
-  RingResult result;
-  auto keep = build_ring(ssim, result, 4);
-  result.executed = ssim.run();
-  ASSERT_EQ(ssim.worker_count(), 2u);
-  std::uint64_t by_worker = 0;
-  for (std::size_t w = 0; w < ssim.worker_count(); ++w) {
-    by_worker += ssim.worker_stats(w).executed;
+  // Pooled spans count for the worker that ran them; caller-thread
+  // windows -- every window of a serial run -- count for each shard's
+  // mapped worker.  Either way every event lands on exactly one lane.
+  for (const bool parallel : {false, true}) {
+    ShardedSimulation::Options opts;
+    opts.shards = 4;
+    opts.epoch = Duration::ms(1.0);
+    opts.mailbox_capacity = 64;
+    opts.parallel = parallel;
+    opts.exec.workers = 2;
+    ShardedSimulation ssim(opts);
+    RingResult result;
+    auto keep = build_ring(ssim, result, 4);
+    const Ballast ballast = ring_ballast(ssim);
+    result.executed = ssim.run();
+    ASSERT_EQ(ssim.worker_count(), 2u);
+    std::uint64_t by_worker = 0;
+    for (std::size_t w = 0; w < ssim.worker_count(); ++w) {
+      by_worker += ssim.worker_stats(w).executed;
+      EXPECT_GT(ssim.worker_stats(w).executed, 0u) << "worker " << w;
+    }
+    EXPECT_EQ(by_worker, result.executed) << "parallel=" << parallel;
+    std::uint64_t by_shard = 0;
+    for (ShardId s = 0; s < ssim.shard_count(); ++s) {
+      by_shard += ssim.stats(s).executed;
+    }
+    EXPECT_EQ(by_shard, result.executed);
+    EXPECT_EQ(ssim.pooled_windows() > 0, parallel);
   }
-  EXPECT_EQ(by_worker, result.executed);
-  std::uint64_t by_shard = 0;
-  for (ShardId s = 0; s < ssim.shard_count(); ++s) {
-    by_shard += ssim.stats(s).executed;
-  }
-  EXPECT_EQ(by_shard, result.executed);
 }
 
 TEST(ShardedSimulationTest, BusyTimeFollowsShardsAfterManualRemap) {
   // Two shards on two workers (the identity map), then shard 0 moved
   // onto worker 1 between runs: worker 1 now runs both shards and
   // worker 0 none, so busy time must be attributed per shard rather
-  // than per worker.  Every event burns the same thread-CPU time.
+  // than per worker.  Every spin burns the same thread-CPU time, and
+  // both shards carry the same ballast, so the windows are dense and
+  // the pool runs them.
   struct Spin {
     Simulation* sim;
     int remaining;
@@ -455,12 +564,16 @@ TEST(ShardedSimulationTest, BusyTimeFollowsShardsAfterManualRemap) {
     Spin* raw = spins.back().get();
     ssim.shard(s).schedule_in(Duration::ms(1.0), [raw] { raw->fire(); });
   }
+  constexpr int kBallast = 4000;  // one no-op per shard every 0.05 ms
+  const Ballast ballast =
+      add_ballast(ssim, {0, 1}, Duration::ms(0.05), kBallast);
   ssim.run();
+  EXPECT_GT(ssim.pooled_windows(), 0u);
   EXPECT_EQ(ssim.worker_stats(0).executed, 0u);
-  EXPECT_EQ(ssim.worker_stats(1).executed, 400u);
+  EXPECT_EQ(ssim.worker_stats(1).executed, 400u + 2 * kBallast);
   const double busy0 = ssim.stats(0).busy_seconds;
   const double busy1 = ssim.stats(1).busy_seconds;
-  EXPECT_EQ(ssim.stats(0).executed, 200u);
+  EXPECT_EQ(ssim.stats(0).executed, 200u + kBallast);
   EXPECT_GT(busy0, 200 * 50e-6 * 0.9);  // its own spins, not worker 0's
   EXPECT_GT(busy0, 0.5 * busy1);
   EXPECT_GT(busy1, 0.5 * busy0);
@@ -497,7 +610,11 @@ RingResult run_long_ring(bool parallel) {
   ShardedSimulation ssim(opts);
   RingResult result;
   auto keep = build_ring(ssim, result, 4, 4000);
+  // The ring runs ~6.1 s; ballast keeps its windows dense throughout.
+  const Ballast ballast =
+      add_ballast(ssim, {0, 1, 2, 3}, Duration::ms(0.1), 61'000);
   result.executed = ssim.run();
+  result.pooled_windows = ssim.pooled_windows();
   EXPECT_GT(ssim.windows(), 2000u);
   return result;
 }
@@ -528,6 +645,7 @@ TEST(ShardedSimulationTest, ParallelStaysLiveOnOneCpu) {
   EXPECT_EQ(parallel.fires, serial.fires);
   EXPECT_EQ(parallel.arrivals, serial.arrivals);
   EXPECT_EQ(parallel.executed, serial.executed);
+  EXPECT_GT(parallel.pooled_windows, 2000u);
   EXPECT_LT(wall_s, 2.0);
 }
 #endif
@@ -540,11 +658,13 @@ struct SpanResult {
   RingResult ring;
   std::vector<std::vector<double>> posted;  // arrival times, by shard
   std::vector<std::uint64_t> received;      // ShardStats::received
+  std::uint64_t pool_wakes = 0;
 };
+
+constexpr int kShortSpans = 600;
 
 SpanResult run_short_spans(bool parallel) {
   constexpr ShardId kShards = 4;
-  constexpr int kSpans = 600;
   ShardedSimulation::Options opts;
   opts.shards = kShards;
   opts.epoch = Duration::ms(1.0);
@@ -554,7 +674,12 @@ SpanResult run_short_spans(bool parallel) {
   SpanResult result;
   result.posted.resize(kShards);
   auto keep = build_ring(ssim, result.ring, 4, 400);
-  for (int i = 0; i < kSpans; ++i) {
+  // The ring runs ~608 ms; at one no-op per shard every 0.05 ms a
+  // 0.7 ms span's window carries ~56 ballast events, so whenever the
+  // previous window was dense the span opens on the pool.
+  const Ballast ballast =
+      add_ballast(ssim, {0, 1, 2, 3}, Duration::ms(0.05), 12'200);
+  for (int i = 0; i < kShortSpans; ++i) {
     const auto src = static_cast<ShardId>(i % kShards);
     const auto dst = static_cast<ShardId>((i + 1 + i / kShards) % kShards);
     if (src != dst) {
@@ -569,6 +694,8 @@ SpanResult run_short_spans(bool parallel) {
   for (ShardId s = 0; s < kShards; ++s) {
     result.received.push_back(ssim.stats(s).received);
   }
+  result.ring.pooled_windows = ssim.pooled_windows();
+  result.pool_wakes = ssim.pool_wakes();
   return result;
 }
 
@@ -592,6 +719,157 @@ TEST(ShardedSimulationTest, ManyShortSpansMatchSerial) {
   std::size_t posts = 0;
   for (const auto& p : parallel.posted) posts += p.size();
   EXPECT_GT(posts, 400u);
+  EXPECT_GT(parallel.ring.pooled_windows, 0u);
+  // Every span after the first opens on a dense window's heels, so it
+  // re-enters the pool through the parking gates.
+  EXPECT_GE(parallel.pool_wakes, std::uint64_t{kShortSpans - 1});
+}
+
+// --- density switch ----------------------------------------------------------
+
+// Bursts and lulls.  Every 10 ms each of the 4 shards fires a burst of
+// 40 events 0.05 ms apart (~80 events per 1 ms window, 2.5x the bar);
+// every 4th of its first 17 firings posts a token to the next shard,
+// which lands inside the burst.  In between, only a ticker on shard 0
+// runs: every 1.5 ms it posts a token to one of the other shards, so a
+// lull window holds at most the tick and one arrival.  Each burst
+// wakes the pool and each lull parks it again.
+constexpr int kCycles = 60;
+constexpr double kCycleMs = 10.0;
+constexpr int kBurstEvents = 40;
+constexpr double kBurstGapMs = 0.05;
+
+using ShardTrace = std::vector<std::pair<double, int>>;  // (time, tag)
+
+struct Burst {
+  Simulation* local;
+  CrossShardChannel to_next;
+  ShardTrace* trace;
+  ShardTrace* next_trace;
+  Simulation* next_local;
+  int tag;
+  int cycles_left = kCycles;
+  int fired = 0;
+  void fire() {
+    trace->emplace_back(local->now().to_ms(), tag);
+    if (fired % 4 == 0 && fired <= 16) {
+      to_next.deliver([this] {
+        next_trace->emplace_back(next_local->now().to_ms(), 100 + tag);
+      });
+    }
+    if (++fired < kBurstEvents) {
+      local->schedule_in(Duration::ms(kBurstGapMs), [this] { fire(); });
+    } else if (--cycles_left > 0) {
+      fired = 0;
+      local->schedule_in(
+          Duration::ms(kCycleMs - (kBurstEvents - 1) * kBurstGapMs),
+          [this] { fire(); });
+    }
+  }
+};
+
+struct Ticker {
+  ShardedSimulation* ssim;
+  std::vector<ShardTrace>* traces;
+  int remaining;
+  int ticks = 0;
+  void fire() {
+    Simulation& local = ssim->shard(0);
+    (*traces)[0].emplace_back(local.now().to_ms(), -1);
+    const auto dst = static_cast<ShardId>(1 + ticks++ % 3);
+    ShardTrace* log = &(*traces)[dst];
+    Simulation* remote = &ssim->shard(dst);
+    ssim->post(0, dst, local.now() + Duration::ms(1.0), [log, remote] {
+      log->emplace_back(remote->now().to_ms(), -2);
+    });
+    if (--remaining > 0) {
+      local.schedule_in(Duration::ms(1.5), [this] { fire(); });
+    }
+  }
+};
+
+struct SwitchResult {
+  std::vector<ShardTrace> traces;  // by shard
+  std::uint64_t executed = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t pooled_windows = 0;
+  std::uint64_t pool_wakes = 0;
+  std::uint64_t by_worker = 0;  // sum of WorkerStats::executed
+};
+
+SwitchResult run_bursts_and_lulls(bool parallel) {
+  constexpr ShardId kShards = 4;
+  ShardedSimulation::Options opts;
+  opts.shards = kShards;
+  opts.epoch = Duration::ms(1.0);
+  opts.mailbox_capacity = 64;
+  opts.parallel = parallel;
+  opts.exec.workers = 2;
+  opts.exec.steal = true;
+  ShardedSimulation ssim(opts);
+  SwitchResult result;
+  result.traces.resize(kShards);
+  std::vector<std::unique_ptr<Burst>> bursts;
+  for (ShardId s = 0; s < kShards; ++s) {
+    const auto next = static_cast<ShardId>((s + 1) % kShards);
+    bursts.push_back(std::make_unique<Burst>(Burst{
+        &ssim.shard(s), CrossShardChannel(ssim, s, next, Duration::ms(1.0)),
+        &result.traces[s], &result.traces[next], &ssim.shard(next),
+        static_cast<int>(s)}));
+    Burst* burst = bursts.back().get();
+    // Staggered starts: the shards' bursts overlap but do not tie.
+    burst->local->schedule_at(TimePoint::at_ms(0.5 + 0.01 * s),
+                              [burst] { burst->fire(); });
+  }
+  Ticker ticker{&ssim, &result.traces,
+                static_cast<int>(kCycles * kCycleMs / 1.5)};
+  ssim.shard(0).schedule_at(TimePoint::at_ms(0.3),
+                            [&ticker] { ticker.fire(); });
+  // Several spans whose horizons fall anywhere in the cycle.
+  while (ssim.now().to_ms() < kCycles * kCycleMs) {
+    result.executed += ssim.run_until(ssim.now() + Duration::ms(37.0));
+  }
+  result.executed += ssim.run();
+  result.windows = ssim.windows();
+  result.pooled_windows = ssim.pooled_windows();
+  result.pool_wakes = ssim.pool_wakes();
+  for (std::size_t w = 0; w < ssim.worker_count(); ++w) {
+    result.by_worker += ssim.worker_stats(w).executed;
+  }
+  return result;
+}
+
+TEST(ShardedSimulationTest, DensitySwitchCrossedManyTimesMatchesSerial) {
+  const SwitchResult serial = run_bursts_and_lulls(false);
+  const SwitchResult parallel = run_bursts_and_lulls(true);
+  EXPECT_EQ(parallel.traces, serial.traces);
+  EXPECT_EQ(parallel.executed, serial.executed);
+  EXPECT_EQ(parallel.windows, serial.windows);
+  // Every burst event ran, and so did every token, both kinds.
+  std::size_t ticks = 0;
+  std::size_t tick_tokens = 0;
+  std::size_t burst_events = 0;
+  std::size_t burst_tokens = 0;
+  for (const ShardTrace& trace : serial.traces) {
+    for (const auto& [at, tag] : trace) {
+      (void)at;
+      if (tag == -1) ++ticks;
+      if (tag == -2) ++tick_tokens;
+      if (tag >= 0 && tag < 100) ++burst_events;
+      if (tag >= 100) ++burst_tokens;
+    }
+  }
+  EXPECT_EQ(tick_tokens, ticks);
+  EXPECT_EQ(burst_events, std::size_t{4} * kCycles * kBurstEvents);
+  EXPECT_EQ(burst_tokens, std::size_t{4} * kCycles * 5);
+  // Both modes ran: the pool took the dense windows, the caller the
+  // thin ones, and the switch was crossed at every burst.
+  EXPECT_EQ(serial.pooled_windows, 0u);
+  EXPECT_GT(parallel.pooled_windows, 0u);
+  EXPECT_LT(parallel.pooled_windows, parallel.windows);
+  EXPECT_GE(parallel.pool_wakes, 50u);
+  EXPECT_EQ(serial.by_worker, serial.executed);
+  EXPECT_EQ(parallel.by_worker, parallel.executed);
 }
 
 // --- API contracts ----------------------------------------------------------
@@ -633,12 +911,22 @@ TEST(ShardedSimulationTest, FastForwardsOverIdleGaps) {
 }
 
 TEST(ShardedSimulationTest, ErrorInParallelShardPropagates) {
+  // Ballast makes every window dense, so the pool runs them from the
+  // second window on and the throw at 5 ms happens on the pool thread
+  // that runs shard 1; it must surface on the calling thread.
   ShardedSimulation ssim(
       ShardedSimulation::Options{2, Duration::ms(1.0), 64, true});
-  ssim.shard(1).schedule_at(TimePoint::at_ms(1.0),
-                            [] { throw Error("shard boom"); });
+  const Ballast ballast = add_ballast(ssim, {0, 1}, Duration::ms(0.05), 200);
+  std::thread::id thrower;
+  ssim.shard(1).schedule_at(TimePoint::at_ms(5.0), [&thrower] {
+    thrower = std::this_thread::get_id();
+    throw Error("shard boom");
+  });
   ssim.shard(0).schedule_at(TimePoint::at_ms(0.5), [] {});
   EXPECT_THROW(ssim.run(), Error);
+  EXPECT_GT(ssim.pooled_windows(), 0u);
+  EXPECT_NE(thrower, std::thread::id{});
+  EXPECT_NE(thrower, std::this_thread::get_id());
 }
 
 }  // namespace

@@ -267,37 +267,54 @@ struct CellRun {
   double finished_ms;
 };
 
-std::vector<std::vector<CellRun>> run_two_cell_cluster(exp::ClusterSpec spec) {
+struct TwoCellRun {
+  std::vector<std::vector<CellRun>> cells;
+  std::uint64_t pooled_windows = 0;  // windows the engine's pool ran
+};
+
+/// Two tracked apps per cell, placed and started over a background
+/// cohort of short looping jobs: for the first 200 ms its completions
+/// make the windows dense enough for a parallel engine to hand them to
+/// its worker pool; then it stops and the apps run out.
+TwoCellRun run_two_cell_cluster(bool parallel) {
   const auto specs = apps::paper_benchmarks();
+  exp::ClusterSpec spec;
   spec.cells = 2;
+  spec.parallel = parallel;
   exp::ExperimentOptions options;
   options.mode = apps::SystemMode::kXarTrek;
   exp::ClusterExperiment cluster(specs, shared_table(), spec, options);
+  apps::ShardedLoadGenerator::Options churn;
+  churn.run_demand = Duration::ms(0.02);
+  churn.demand_jitter = 0.5;
+  cluster.set_background_load(16, churn);
   cluster.launch(0, "facedet320");
   cluster.launch(0, "cg_a");
   cluster.launch(1, "digit2000");
   cluster.launch(1, "facedet640");
+  cluster.run_for(Duration::ms(200.0));
+  cluster.set_background_load(0);
   EXPECT_TRUE(cluster.run_until_complete(4));
-  std::vector<std::vector<CellRun>> out(2);
+  TwoCellRun out;
+  out.cells.resize(2);
   for (std::size_t c = 0; c < 2; ++c) {
     for (const auto& r : cluster.results(c)) {
-      out[c].push_back(CellRun{r.app, r.started.to_ms(),
-                               r.finished.to_ms()});
+      out.cells[c].push_back(CellRun{r.app, r.started.to_ms(),
+                                     r.finished.to_ms()});
     }
   }
+  out.pooled_windows = cluster.engine().engine().pooled_windows();
   return out;
 }
 
-std::vector<std::vector<CellRun>> run_two_cell_cluster(bool parallel) {
-  exp::ClusterSpec spec;
-  spec.parallel = parallel;
-  return run_two_cell_cluster(spec);
-}
-
 TEST(ClusterExperimentTest, MultiCellDeterministicAndParallelIdentical) {
-  const auto serial_a = run_two_cell_cluster(false);
-  const auto serial_b = run_two_cell_cluster(false);
-  const auto threaded = run_two_cell_cluster(true);
+  const TwoCellRun run_a = run_two_cell_cluster(false);
+  const TwoCellRun run_b = run_two_cell_cluster(false);
+  const TwoCellRun run_threaded = run_two_cell_cluster(true);
+  EXPECT_GT(run_threaded.pooled_windows, 0u);
+  const auto& serial_a = run_a.cells;
+  const auto& serial_b = run_b.cells;
+  const auto& threaded = run_threaded.cells;
   for (std::size_t c = 0; c < 2; ++c) {
     ASSERT_EQ(serial_a[c].size(), 2u);
     for (std::size_t i = 0; i < serial_a[c].size(); ++i) {
