@@ -145,20 +145,6 @@ METRICS = {
         ("slots.virtualized.fpga_completions", "higher", False),
         ("slots.whole_image.fpga_completions", "higher", False),
     ],
-    "dsm": [
-        # Simulated-time ratios and allocation contracts are exact and
-        # machine-neutral; only the host-side engine rate crosses
-        # machines.
-        ("burst.speedup_single_read_64p_w4", "higher", False),
-        ("burst.speedup_single_read_64p_w8", "higher", False),
-        ("burst.speedup_page_stream_64p_w4", "higher", False),
-        ("burst.speedup_page_stream_64p_w8", "higher", False),
-        ("migration_overlap.savings_ms", "higher", False),
-        ("engine.alloc_calls_per_op", "abs", False),
-        ("engine.alloc_bytes_per_op", "abs", False),
-        ("engine.ns_per_page", "lower", True),
-        ("engine.ops_per_sec", "higher", True),
-    ],
 }
 
 # Allocation-count contracts: the candidate must stay (near) zero

@@ -2,17 +2,15 @@
 //
 // Measures the building blocks the reproduction rests on: the event
 // engine, the processor-sharing resource, cross-ISA state
-// transformation, DSM page movement, symbol alignment, HLS synthesis,
-// XCLBIN partitioning, and the real workload kernels.
+// transformation, symbol alignment, HLS synthesis, XCLBIN
+// partitioning, and the real workload kernels.
 #include <benchmark/benchmark.h>
 
 #include "apps/benchmark_spec.hpp"
 #include "compiler/multi_isa_builder.hpp"
 #include "compiler/xar_compiler.hpp"
 #include "hls/xclbin.hpp"
-#include "hw/link.hpp"
 #include "isa/symbol.hpp"
-#include "popcorn/dsm.hpp"
 #include "popcorn/fat_binary_io.hpp"
 #include "popcorn/state_transform.hpp"
 #include "runtime/protocol.hpp"
@@ -70,23 +68,6 @@ void BM_StateTransform(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StateTransform);
-
-void BM_DsmPagePull(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulation sim;
-    hw::Link eth(sim, hw::ethernet_1gbps());
-    popcorn::Dsm dsm(sim, eth, popcorn::Dsm::Config{2, 256 * 1024, 4096});
-    int pulled = 0;
-    for (std::uint64_t page = 0; page < 64; ++page) {
-      dsm.read(1, page * 4096, 64,
-               [&pulled](std::vector<std::byte>) { ++pulled; });
-    }
-    sim.run();
-    benchmark::DoNotOptimize(pulled);
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_DsmPagePull);
 
 void BM_SymbolAlignment(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

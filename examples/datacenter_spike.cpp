@@ -144,8 +144,8 @@ int run_chaos_phase() {
 
 // Gray-failure storm: nothing dies cleanly.  Cell 0's CPUs crawl at
 // quarter speed, ring link 1 inflates latency and drops frames, cell
-// 2's reconfiguration port flips a coin per programming, cell 1's DSM
-// corrupts drain payloads -- and cell 1 is killed mid-storm so its
+// 2's reconfiguration port flips a coin per programming, cell 1's drain
+// link corrupts drain frames -- and cell 1 is killed mid-storm so its
 // checkpoints must cross the degraded, corrupting link.  The reliability
 // layer (frame checksums, reliable drain channel, circuit breaker) has
 // to absorb all of it:

@@ -311,9 +311,9 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
         break;
       }
       case sim::FaultEvent::Kind::kDsmCorrupt: {
-        // The victim's DSM-backed drain path starts corrupting
-        // payloads; the frame checksum catches each one and the
-        // reliable channel re-sends it.
+        // The victim's drain link starts corrupting verified frames;
+        // the frame checksum catches each one and the reliable channel
+        // re-sends it.
         XAR_EXPECTS(n > 1 && victim < n);
         const double p = ev.magnitude;
         Rng rng = stream(ev.kind, victim, 0);
@@ -445,11 +445,12 @@ void ClusterExperiment::forward_job(std::uint64_t id) {
   // Snapshot the job as a drain ticket, lay it out as a real popcorn
   // stack, and ship it through the reliable drain channel.  The state
   // transform is charged concurrently with the (possibly re-sent) wire
-  // payload, exactly like MigrationRuntime overlaps them; the arrival
-  // fires on the neighbor's shard once both legs finish.  Until then
-  // the record travels inside the channel message and nobody touches
-  // it -- every retry timer and duplicate-suppression decision runs on
-  // *this* (the sender's) shard, because the drain link is route-less.
+  // payload, exactly like MigrationExecutor::execute_arm overlaps them;
+  // the arrival fires on the neighbor's shard once both legs finish.
+  // Until then the record travels inside the channel message and nobody
+  // touches it -- every retry timer and duplicate-suppression decision
+  // runs on *this* (the sender's) shard, because the drain link is
+  // route-less.
   popcorn::DrainTicket ticket;
   ticket.job = id;
   ticket.app_index = job.app_index;

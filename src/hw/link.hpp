@@ -2,7 +2,7 @@
 //
 // A Link is a bandwidth-shared channel with a fixed per-message latency.
 // The testbed has two: 1 Gbps Ethernet between the x86 and ARM servers
-// (carries Popcorn state transfers and DSM page pulls) and a PCIe
+// (carries Popcorn migration state and working sets) and a PCIe
 // attachment to the Alveo card (carries XCLBIN downloads and kernel
 // buffers).  Both are shared among all concurrent users, which is why
 // the paper measures migration cost "in locus" rather than predicting it.
@@ -42,9 +42,9 @@ class Link {
  public:
   using Callback = sim::UniqueCallback;
 
-  /// Multi-transfer occupancy counters (the DSM window and the overlap
-  /// benches read these; occupancy counts latency-phase and
-  /// bandwidth-phase transfers alike).
+  /// Transfer, occupancy and fault counters (register_metrics exports
+  /// them; occupancy counts latency-phase and bandwidth-phase
+  /// transfers alike).
   struct Stats {
     std::uint64_t transfers = 0;
     std::size_t max_in_flight = 0;
@@ -134,12 +134,6 @@ class Link {
   /// Admissions currently parked behind a partition.
   [[nodiscard]] std::size_t parked() const { return parked_.size(); }
 
-  /// Transfers currently in flight.
-  [[nodiscard]] std::size_t in_flight() const { return pool_.active_jobs(); }
-
-  /// Total bytes delivered (tests).
-  [[nodiscard]] double delivered_mb() const { return pool_.delivered_work(); }
-
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Link the stats counters into a metrics registry under `prefix`
@@ -168,7 +162,7 @@ class Link {
   /// latency is constant, so these events fire strictly FIFO; parking
   /// the callbacks here lets the scheduled event capture only
   /// {this, size} -- trivially copyable, no per-transfer allocation.
-  /// A ring, not a deque: a windowed page stream makes this queue
+  /// A ring, not a deque: a burst of transfers makes this queue
   /// breathe every wave, and deque chunk churn would allocate each time.
   sim::RingQueue<Callback> in_latency_;
   /// Cross-shard delivery (inert by default: completions fire locally).

@@ -37,12 +37,11 @@ namespace xartrek::obs {
 // Track ids group spans into named rows inside one lane (Perfetto
 // renders lanes as processes and tracks as threads).
 enum Track : std::uint32_t {
-  kTrackJob = 0,        // submit / run / backoff / complete
-  kTrackSched = 1,      // batch decide / placement decisions
-  kTrackFpga = 2,       // slot programming / whole-image reconfigure
-  kTrackMigration = 3,  // popcorn transform/transfer legs
-  kTrackDsm = 4,        // DSM bursts
-  kTrackDrain = 5,      // checkpointed drain legs
+  kTrackJob = 0,    // submit / run / backoff / complete
+  kTrackSched = 1,  // batch decide / placement decisions
+  kTrackFpga = 2,   // slot programming / whole-image reconfigure
+  // Stays 5, not 3, so exported tids match earlier traces.
+  kTrackDrain = 5,  // checkpointed drain legs
 };
 
 struct Span {

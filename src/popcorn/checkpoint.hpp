@@ -3,8 +3,10 @@
 // When a cell dies mid-run, its in-flight jobs are not lost: the dying
 // cell snapshots each job as a DrainTicket, lays the ticket out as a
 // real popcorn::ThreadStack at a synthetic migration point
-// ("__xar_drain"), and ships it through the MigrationRuntime to a ring
-// neighbor, which decodes the ticket and re-places the job.  Riding the
+// ("__xar_drain"), and ships it to a ring neighbor, which decodes the
+// ticket and re-places the job (exp::ClusterExperiment::forward_job
+// sends it over the drain link's ReliableChannel; the neighbor's shard
+// receives it through the cell's drain arrival channel).  Riding the
 // ordinary migration machinery -- metadata-described live values,
 // per-ISA locations, StateTransformer rewrite, wire burst over the
 // inter-cell link -- means a drain pays the same modeled costs as any

@@ -35,7 +35,7 @@ void MigrationExecutor::execute_arm(const FunctionCosts& costs,
                                     DoneCallback on_done) {
   // Outbound: the state transform runs on the (contended) x86 host
   // *concurrently* with the working-set burst on the wire -- the bulk of
-  // the payload is DSM pages that need no rewriting, so transformation
+  // the payload is data pages that need no rewriting, so transformation
   // hides behind the transfer and the leg costs max(transform, wire)
   // instead of their sum.  The return trip mirrors it on the ARM side.
   struct Flight {

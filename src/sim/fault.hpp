@@ -45,9 +45,11 @@ struct FaultEvent {
     kPortFlaky,        ///< cell `index`'s reconfiguration port fails
                        ///< each programming with probability `magnitude`
                        ///< until `until`
-    kDsmCorrupt,       ///< cell `index`'s DSM corrupts each transfer
-                       ///< payload with probability `magnitude` until
-                       ///< `until`
+    kDsmCorrupt,       ///< cell `index`'s drain link corrupts each
+                       ///< verified frame with probability `magnitude`
+                       ///< until `until`.  The name and its string
+                       ///< "dsm-corrupt" stay because
+                       ///< benchmark/xbench.cpp names both.
   };
 
   Kind kind = Kind::kCellKill;

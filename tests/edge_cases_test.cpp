@@ -1,7 +1,7 @@
 // Edge-case and contention tests across the stack: links under
-// contention, zero-cost operations, stack migration, 3-node DSM,
-// single-ISA builds, multi-function instrumentation, the decision
-// explainer, and the periodic load controller.
+// contention, zero-cost operations, single-ISA builds, multi-function
+// instrumentation, the decision explainer, and the periodic load
+// controller.
 #include <gtest/gtest.h>
 
 #include "apps/benchmark_spec.hpp"
@@ -12,8 +12,6 @@
 #include "exp/threshold_estimator.hpp"
 #include "exp/trace.hpp"
 #include "hw/link.hpp"
-#include "popcorn/dsm.hpp"
-#include "popcorn/migration_runtime.hpp"
 #include "runtime/migration_executor.hpp"
 #include "runtime/scheduler_server.hpp"
 #include "sim/fifo_station.hpp"
@@ -67,81 +65,6 @@ TEST(ExecutorContentionTest, ConcurrentArmMigrationsShareEthernet) {
   const double lone = run_n(1);
   const double paired = run_n(2);
   EXPECT_GT(paired, lone + 20.0);  // the 32 ms payload became ~64 ms
-}
-
-TEST(MigrationRuntimeTest, StackMigrationMovesEveryFrame) {
-  sim::Simulation sim;
-  hw::Link eth(sim, hw::ethernet_1gbps());
-
-  popcorn::MigrationMetadata md;
-  for (int depth = 0; depth < 3; ++depth) {
-    popcorn::CallSiteMetadata site;
-    site.function = "f" + std::to_string(depth);
-    site.site_id = 0;
-    site.frame_size[isa::IsaKind::kX86_64] = 32;
-    site.frame_size[isa::IsaKind::kAarch64] = 48;
-    popcorn::LiveValue v;
-    v.name = "v";
-    v.type = popcorn::ValueType::kI64;
-    v.location[isa::IsaKind::kX86_64] =
-        popcorn::ValueLocation::on_stack(0);
-    v.location[isa::IsaKind::kAarch64] =
-        popcorn::ValueLocation::on_stack(8);
-    site.live_values.push_back(v);
-    md.add_site(std::move(site));
-  }
-  const popcorn::StateTransformer transformer(md);
-  popcorn::MigrationRuntime runtime(sim, eth, transformer);
-
-  popcorn::ThreadStack stack(isa::IsaKind::kX86_64);
-  for (int depth = 0; depth < 3; ++depth) {
-    popcorn::MachineState frame(isa::IsaKind::kX86_64,
-                                "f" + std::to_string(depth), 0, 32);
-    frame.write_stack(0, 8, static_cast<std::uint64_t>(100 + depth));
-    stack.push_frame(std::move(frame));
-  }
-
-  bool arrived = false;
-  runtime.migrate_stack(stack, isa::IsaKind::kAarch64, 1 << 20,
-                        [&](popcorn::ThreadStack arm) {
-                          arrived = true;
-                          ASSERT_EQ(arm.depth(), 3u);
-                          for (std::size_t d = 0; d < 3; ++d) {
-                            EXPECT_EQ(arm.frames()[d].read_stack(8, 8),
-                                      100 + d);
-                            EXPECT_EQ(arm.frames()[d].frame_size(), 48u);
-                          }
-                        });
-  sim.run();
-  EXPECT_TRUE(arrived);
-  EXPECT_EQ(runtime.migrations(), 1u);
-}
-
-TEST(DsmTest, ThreeNodeCoherence) {
-  sim::Simulation sim;
-  hw::Link eth(sim, hw::ethernet_1gbps());
-  popcorn::Dsm dsm(sim, eth, popcorn::Dsm::Config{3, 64 * 1024, 4096});
-
-  // Node 0 writes, nodes 1 and 2 read (page becomes Shared everywhere),
-  // then node 2 writes (everyone else invalidated).
-  dsm.write(0, 0, {std::byte{0x42}}, [] {});
-  dsm.read(1, 0, 1, [](std::vector<std::byte> b) {
-    EXPECT_EQ(b[0], std::byte{0x42});
-  });
-  dsm.read(2, 0, 1, [](std::vector<std::byte> b) {
-    EXPECT_EQ(b[0], std::byte{0x42});
-  });
-  sim.run();
-  dsm.check_invariants();
-  EXPECT_EQ(dsm.page_state(1, 0), popcorn::PageState::kShared);
-  EXPECT_EQ(dsm.page_state(2, 0), popcorn::PageState::kShared);
-
-  dsm.write(2, 0, {std::byte{0x43}}, [] {});
-  sim.run();
-  dsm.check_invariants();
-  EXPECT_EQ(dsm.page_state(2, 0), popcorn::PageState::kModified);
-  EXPECT_EQ(dsm.page_state(0, 0), popcorn::PageState::kInvalid);
-  EXPECT_EQ(dsm.page_state(1, 0), popcorn::PageState::kInvalid);
 }
 
 TEST(MultiIsaBuilderTest, SingleIsaBuildHasNoPadding) {

@@ -7,8 +7,7 @@
 // nowhere to go.  The health-check tests pin the target-health state
 // machine: its late-reply handling, the reinstatement path, the quiet
 // loop's steady pairs, wakes and same-instant order, and a gray storm's
-// decisions; the link tests pin partition park/replay down to the
-// DSM's windowed data path.
+// decisions.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -30,7 +29,6 @@
 #include "hw/link.hpp"
 #include "obs/registry.hpp"
 #include "platform/testbed.hpp"
-#include "popcorn/dsm.hpp"
 #include "runtime/load_monitor.hpp"
 #include "runtime/scheduler_server.hpp"
 #include "sim/fault.hpp"
@@ -733,39 +731,6 @@ TEST(SchedulerHealthTest, GrayStormHealthOutcomesArePinned) {
   EXPECT_EQ(sum.evictions, 2u);
   EXPECT_EQ(sum.reinstatements, 1u);
   EXPECT_EQ(sum.heartbeats_missed, 102u);
-}
-
-// --- link partitions reaching into the DSM window ---------------------------
-
-TEST(LinkPartitionTest, DsmWindowTransfersParkUntilRepair) {
-  // A migration burst's page pulls are in the DSM's transfer window
-  // when the inter-server link partitions: the pulls park on the link,
-  // the reads stall without losing protocol state, and repairing the
-  // link drains the window in FIFO order with coherence intact.
-  sim::Simulation sim;
-  hw::Link eth(sim, hw::ethernet_1gbps());
-  popcorn::Dsm dsm(sim, eth,
-                   popcorn::Dsm::Config{2, 1 << 20, 4096, 8});
-
-  eth.set_down(true);
-  bool done = false;
-  std::vector<std::byte> bytes;
-  dsm.read(1, 0, 4 * 4096, [&](std::vector<std::byte> b) {
-    done = true;
-    bytes = std::move(b);
-  });
-  sim.run();
-  EXPECT_FALSE(done);  // parked, not lost
-  EXPECT_TRUE(eth.down());
-  EXPECT_GT(eth.stats().parked_transfers, 0u);
-  dsm.check_invariants();
-
-  eth.set_down(false);
-  sim.run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(bytes.size(), 4u * 4096u);
-  EXPECT_EQ(eth.parked(), 0u);
-  dsm.check_invariants();
 }
 
 }  // namespace

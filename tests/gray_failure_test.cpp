@@ -1,9 +1,9 @@
 // Gray-failure resilience: degraded fault kinds, the reliability layer
-// (frame checksums, ReliableChannel retry/backoff/dedup, DSM bounded
-// re-request), graceful scheduler degradation (circuit breaker, slot
-// quarantine), and the cluster-level invariants under a mixed gray
-// plan -- conservation, serial/parallel trace identity, and the
-// empty-plan bit-identical no-op.
+// (frame checksums, ReliableChannel retry/backoff/dedup), graceful
+// scheduler degradation (circuit breaker, slot quarantine), and the
+// cluster-level invariants under a mixed gray plan -- conservation,
+// serial/parallel trace identity, and the empty-plan bit-identical
+// no-op.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -22,7 +22,6 @@
 #include "fpga/slots.hpp"
 #include "hw/link.hpp"
 #include "hw/reliable_channel.hpp"
-#include "popcorn/dsm.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulation.hpp"
 #include "sim/topology.hpp"
@@ -230,56 +229,6 @@ TEST(VerifiedLinkTest, RoutedLinkRefusesVerifiedFrames) {
                                               Duration::ms(0.25)});
   link.register_route(eng, src, dst);
   EXPECT_THROW(link.transfer_verified(64, 1, [](bool) {}), ContractViolation);
-}
-
-// --- DSM checksum verify + bounded re-request -------------------------------
-
-TEST(DsmGrayTest, CorruptTransferDetectedAndRetriedExactlyOnce) {
-  sim::Simulation sim;
-  hw::Link link(sim, hw::ethernet_1gbps());
-  popcorn::Dsm::Config cfg;
-  cfg.nodes = 2;
-  cfg.memory_bytes = 64 * 1024;
-  cfg.page_size = 4096;
-  popcorn::Dsm dsm(sim, link, cfg);
-
-  // Node 0 owns a recognizable page; corrupt exactly the next wire
-  // transfer, then pull the page from node 1.
-  std::vector<std::byte> payload(256, std::byte{0x5A});
-  bool wrote = false;
-  dsm.write(0, 0, payload, [&wrote] { wrote = true; });
-  sim.run();
-  ASSERT_TRUE(wrote);
-
-  link.corrupt_next(1);
-  std::vector<std::byte> got;
-  dsm.read(1, 0, payload.size(),
-           [&got](std::vector<std::byte> data) { got = std::move(data); });
-  sim.run();
-
-  // Detected once, re-requested once, and the retry delivered intact
-  // bytes -- the corrupt copy never touched memory or MSI state.
-  EXPECT_EQ(dsm.stats().corrupt_detected, 1u);
-  EXPECT_EQ(dsm.stats().retries, 1u);
-  EXPECT_EQ(got, payload);
-  EXPECT_EQ(link.stats().corrupted_transfers, 1u);
-}
-
-TEST(DsmGrayTest, CorruptionPastRetryBudgetThrows) {
-  sim::Simulation sim;
-  hw::Link link(sim, hw::ethernet_1gbps());
-  popcorn::Dsm::Config cfg;
-  cfg.nodes = 2;
-  cfg.memory_bytes = 16 * 4096;
-  cfg.max_transfer_retries = 2;
-  popcorn::Dsm dsm(sim, link, cfg);
-
-  // Every copy of the one needed page corrupts: initial + 2 retries,
-  // then the DSM refuses to loop forever.
-  link.corrupt_next(1000);
-  dsm.read(1, 0, 64, [](std::vector<std::byte>) {});
-  EXPECT_THROW(sim.run(), Error);
-  EXPECT_EQ(dsm.stats().retries, 2u);
 }
 
 // --- slot quarantine --------------------------------------------------------

@@ -11,8 +11,6 @@
 #include "fpga/device.hpp"
 #include "hls/xclbin.hpp"
 #include "hw/link.hpp"
-#include "popcorn/dsm.hpp"
-#include "popcorn/migration_runtime.hpp"
 #include "sim/simulation.hpp"
 
 namespace xartrek {
@@ -129,65 +127,6 @@ TEST(MultiXclbinTest, SchedulerSwapsImagesAndExecutorSurvives) {
   // The server sees the kernel missing; Algorithm 2's no-kernel branches
   // keep it off the FPGA (x86 or ARM at this load).
   EXPECT_NE(exp.results()[1].func_target, runtime::Target::kFpga);
-}
-
-// --- Functional migration across the full substrate -----------------------
-
-TEST(FunctionalMigrationTest, StateAndMemoryArriveTogether) {
-  // A thread's registers migrate via the state transformer while its
-  // working set follows through the DSM -- the paper's software
-  // migration path, assembled from the real pieces.
-  sim::Simulation sim;
-  hw::Link eth(sim, hw::ethernet_1gbps());
-  popcorn::Dsm dsm(sim, eth, popcorn::Dsm::Config{2, 1 << 20, 4096});
-
-  popcorn::MigrationMetadata metadata;
-  popcorn::CallSiteMetadata site;
-  site.function = "kernel";
-  site.site_id = 0;
-  site.frame_size[isa::IsaKind::kX86_64] = 64;
-  site.frame_size[isa::IsaKind::kAarch64] = 64;
-  popcorn::LiveValue ptr;
-  ptr.name = "buf";
-  ptr.type = popcorn::ValueType::kPtr;
-  ptr.location[isa::IsaKind::kX86_64] =
-      popcorn::ValueLocation::in_register("rdi");
-  ptr.location[isa::IsaKind::kAarch64] =
-      popcorn::ValueLocation::in_register("x0");
-  site.live_values.push_back(ptr);
-  metadata.add_site(site);
-
-  const popcorn::StateTransformer transformer(metadata);
-  popcorn::MigrationRuntime migration(sim, eth, transformer);
-
-  // Node 0 (x86) writes data at address 0x3000 and migrates a thread
-  // whose live pointer refers to it.
-  const std::uint64_t addr = 0x3000;
-  std::vector<std::byte> payload(256);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<std::byte>(i & 0xFF);
-  }
-  bool verified = false;
-  dsm.write(0, addr, payload, [&] {
-    popcorn::MachineState x86(isa::IsaKind::kX86_64, "kernel", 0, 64);
-    x86.write_register("rdi", addr);
-    migration.migrate(x86, isa::IsaKind::kAarch64, 64 * 1024,
-                      [&](popcorn::MachineState arm) {
-                        // On the ARM node, dereference the migrated
-                        // pointer through the DSM.
-                        const std::uint64_t p = arm.read_register("x0");
-                        EXPECT_EQ(p, addr);
-                        dsm.read(1, p, payload.size(),
-                                 [&](std::vector<std::byte> bytes) {
-                                   EXPECT_EQ(bytes, payload);
-                                   verified = true;
-                                 });
-                      });
-  });
-  sim.run();
-  EXPECT_TRUE(verified);
-  dsm.check_invariants();
-  EXPECT_GE(dsm.stats().page_transfers, 1u);
 }
 
 // --- Whole-figure smoke paths ----------------------------------------------

@@ -1,21 +1,17 @@
 // Tests for the heterogeneous-ISA substrate: ISA descriptions, symbol
-// alignment, machine state, cross-ISA state transformation, DSM, and
-// the multi-ISA binary model.
+// alignment, machine state, cross-ISA state transformation, and the
+// multi-ISA binary model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/rng.hpp"
-#include "hw/link.hpp"
 #include "isa/isa.hpp"
 #include "isa/symbol.hpp"
-#include "popcorn/dsm.hpp"
 #include "popcorn/machine_state.hpp"
 #include "popcorn/metadata.hpp"
-#include "popcorn/migration_runtime.hpp"
 #include "popcorn/multi_isa_binary.hpp"
 #include "popcorn/state_transform.hpp"
-#include "sim/simulation.hpp"
 
 namespace xartrek {
 namespace {
@@ -347,108 +343,6 @@ TEST(MultiIsaBinaryTest, FatBinaryBiggerThanSingleIsa) {
                 fat.image_file_bytes(IsaKind::kAarch64));  // ELF overhead
   // bss costs no file space.
   EXPECT_EQ(fat.sections_for(IsaKind::kX86_64).file_bytes(), 115'000u);
-}
-
-// --- DSM ----------------------------------------------------------------
-
-struct DsmFixture : ::testing::Test {
-  sim::Simulation sim;
-  hw::Link eth{sim, hw::ethernet_1gbps()};
-  popcorn::Dsm dsm{sim, eth, popcorn::Dsm::Config{2, 64 * 1024, 4096}};
-};
-
-TEST_F(DsmFixture, InitialOwnershipAtNodeZero) {
-  EXPECT_EQ(dsm.page_state(0, 0), popcorn::PageState::kModified);
-  EXPECT_EQ(dsm.page_state(1, 0), popcorn::PageState::kInvalid);
-  dsm.check_invariants();
-}
-
-TEST_F(DsmFixture, RemoteReadPullsPageAndShares) {
-  std::vector<std::byte> seen;
-  dsm.write(0, 100, {std::byte{0xAB}, std::byte{0xCD}}, [] {});
-  dsm.read(1, 100, 2, [&](std::vector<std::byte> bytes) {
-    seen = std::move(bytes);
-  });
-  sim.run();
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], std::byte{0xAB});
-  EXPECT_EQ(seen[1], std::byte{0xCD});
-  EXPECT_EQ(dsm.page_state(0, 0), popcorn::PageState::kShared);
-  EXPECT_EQ(dsm.page_state(1, 0), popcorn::PageState::kShared);
-  EXPECT_EQ(dsm.stats().page_transfers, 1u);
-  dsm.check_invariants();
-}
-
-TEST_F(DsmFixture, RemoteWriteInvalidatesOtherCopies) {
-  dsm.read(1, 0, 8, [](std::vector<std::byte>) {});  // share page 0
-  sim.run();
-  dsm.write(1, 0, {std::byte{0x7F}}, [] {});
-  sim.run();
-  EXPECT_EQ(dsm.page_state(1, 0), popcorn::PageState::kModified);
-  EXPECT_EQ(dsm.page_state(0, 0), popcorn::PageState::kInvalid);
-  EXPECT_GE(dsm.stats().invalidations, 1u);
-  dsm.check_invariants();
-  // Node 0 reading again pulls the fresh data back.
-  std::vector<std::byte> seen;
-  dsm.read(0, 0, 1, [&](std::vector<std::byte> b) { seen = std::move(b); });
-  sim.run();
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], std::byte{0x7F});
-  dsm.check_invariants();
-}
-
-TEST_F(DsmFixture, CrossPageWriteAcquiresAllPages) {
-  const std::uint64_t addr = 4096 - 2;  // spans pages 0 and 1
-  dsm.write(1, addr, std::vector<std::byte>(4, std::byte{0x11}), [] {});
-  sim.run();
-  EXPECT_EQ(dsm.page_state(1, 0), popcorn::PageState::kModified);
-  EXPECT_EQ(dsm.page_state(1, 1), popcorn::PageState::kModified);
-  dsm.check_invariants();
-  std::vector<std::byte> seen;
-  dsm.read(0, addr, 4, [&](std::vector<std::byte> b) { seen = std::move(b); });
-  sim.run();
-  for (auto b : seen) EXPECT_EQ(b, std::byte{0x11});
-}
-
-TEST_F(DsmFixture, LocalHitsAreFree) {
-  dsm.read(0, 0, 16, [](std::vector<std::byte>) {});
-  sim.run();
-  EXPECT_EQ(dsm.stats().page_transfers, 0u);
-  EXPECT_GE(dsm.stats().local_page_hits, 1u);
-  EXPECT_DOUBLE_EQ(sim.now().to_ms(), 0.0);  // zero-latency local access
-}
-
-TEST_F(DsmFixture, PageTransferChargesTheLink) {
-  dsm.read(1, 0, 1, [](std::vector<std::byte>) {});
-  sim.run();
-  // One 4 KiB page at 0.125 MB/ms + 0.12 ms latency ~= 0.151 ms.
-  EXPECT_NEAR(sim.now().to_ms(), 0.151, 0.01);
-}
-
-// --- Migration runtime ---------------------------------------------------
-
-TEST(MigrationRuntimeTest, TransformsAndTransfers) {
-  sim::Simulation sim;
-  hw::Link eth(sim, hw::ethernet_1gbps());
-  const auto md = one_site_metadata();
-  const popcorn::StateTransformer transformer(md);
-  popcorn::MigrationRuntime runtime(sim, eth, transformer);
-
-  popcorn::MachineState x86(IsaKind::kX86_64, "hot", 1, 96);
-  x86.write_register("rdi", 5);
-
-  bool arrived = false;
-  runtime.migrate(x86, IsaKind::kAarch64, 1024 * 1024,
-                  [&](popcorn::MachineState st) {
-                    arrived = true;
-                    EXPECT_EQ(st.isa(), IsaKind::kAarch64);
-                    EXPECT_EQ(st.read_register("x0"), 5u);
-                  });
-  sim.run();
-  EXPECT_TRUE(arrived);
-  EXPECT_EQ(runtime.migrations(), 1u);
-  // ~1 MiB payload at 0.125 MB/ms: at least 8 ms elapsed.
-  EXPECT_GT(sim.now().to_ms(), 8.0);
 }
 
 }  // namespace

@@ -582,9 +582,13 @@ struct ExecutorFixture : ::testing::Test {
   }
 
   Duration run_target(Target t, bool wait = false) {
+    return run_target(t, costs(), wait);
+  }
+
+  Duration run_target(Target t, const FunctionCosts& c, bool wait = false) {
     Duration elapsed = Duration::zero();
     bool done = false;
-    executor.execute(t, costs(),
+    executor.execute(t, c,
                      [&](Duration d) {
                        elapsed = d;
                        done = true;
@@ -602,13 +606,32 @@ TEST_F(ExecutorFixture, X86PathTakesSoftwareDemand) {
 }
 
 TEST_F(ExecutorFixture, ArmPathIncludesMigrationOverheads) {
-  const double ms = run_target(Target::kArm).to_ms();
-  // Transform hides behind the wire in both directions:
-  // max(0.25, eth 1 MiB ~ 8.12) + 600 + max(0.25, eth 64 KiB ~ 0.62).
-  EXPECT_NEAR(ms, 608.74, 1.0);
-  EXPECT_GT(ms, 600.0);
-  // Strictly cheaper than the serialized sum of the same legs.
-  EXPECT_LT(ms, 0.25 + 8.12 + 600.0 + 0.25 + 0.62);
+  // Each transform hides behind its wire leg, so the path costs
+  // max(transform, wire out) + arm + max(transform, wire back): exactly
+  // two transforms under the serialized sum of the same legs.
+  const auto wire_ms = [this](std::uint64_t bytes) {
+    const hw::LinkSpec& eth = testbed.ethernet().spec();
+    return eth.latency.to_ms() + static_cast<double>(bytes) / (1 << 20) /
+                                     eth.bandwidth_mb_per_ms;
+  };
+  FunctionCosts burst = costs();
+  burst.arm_ms = Duration::ms(100);
+  burst.migrate_bytes = 4 << 20;
+  burst.return_bytes = 1 << 20;
+  burst.transform_ms = Duration::ms(5);
+  // 8.12 + 600 + 0.62 for the fixture's legs (1 MiB out, 64 KiB back,
+  // 0.25 ms transforms); 32.12 + 100 + 8.12 for the 4 MiB burst.
+  const std::pair<FunctionCosts, double> cases[] = {{costs(), 608.74},
+                                                    {burst, 140.24}};
+  for (const auto& [c, want_ms] : cases) {
+    const double ms = run_target(Target::kArm, c).to_ms();
+    EXPECT_NEAR(ms, want_ms, 1e-6);
+    const double transform = c.transform_ms.to_ms();
+    const double serialized = transform + wire_ms(c.migrate_bytes) +
+                              c.arm_ms.to_ms() + transform +
+                              wire_ms(c.return_bytes);
+    EXPECT_NEAR(serialized - ms, 2 * transform, 1e-6);
+  }
 }
 
 TEST_F(ExecutorFixture, FpgaPathFallsBackWhenKernelMissing) {
