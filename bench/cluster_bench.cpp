@@ -18,7 +18,9 @@
 // and the retry-overhead ratio of the reliability layer.  A thin-window
 // section times a storm-shaped run -- sparse control traffic, about two
 // events per window -- on the serial engine and on 4 workers in the
-// same process.  A last section pins the cluster drain path --
+// same process; a dense-window section does the same for a sync8-shaped
+// run of ~125 events per window, where the pool must win.  A last
+// section pins the cluster drain path --
 // ReliableChannel sends over a route-less link -- at zero allocations
 // per send.  Results land in BENCH_cluster.json (schema: docs/perf.md).
 #include <algorithm>
@@ -360,7 +362,8 @@ FaultConfigResult run_fault_config(const runtime::ThresholdTable& table,
   return r;
 }
 
-struct ThinResult {
+/// One timed run of the thin- or dense-window section.
+struct WindowsResult {
   double wall_seconds = 0;
   std::uint64_t events = 0;
   std::uint64_t windows = 0;
@@ -375,8 +378,8 @@ struct ThinResult {
 /// every job completes.  The traffic is sparse control -- placements,
 /// slot programming, health pings, drains -- so the timed run measures
 /// what each window costs the engine, not event work.
-ThinResult run_thin_config(const runtime::ThresholdTable& table,
-                           std::size_t workers, int steps) {
+WindowsResult run_thin_config(const runtime::ThresholdTable& table,
+                              std::size_t workers, int steps) {
   constexpr std::size_t kCells = 4;
   constexpr Duration kStep = Duration::ms(50.0);
   exp::ClusterSpec spec;
@@ -409,13 +412,109 @@ ThinResult run_thin_config(const runtime::ThresholdTable& table,
     cluster.submit(k % kCells, apps[k % apps.size()].name);
     cluster.run_for(kStep);
   }
-  ThinResult r;
+  WindowsResult r;
   r.all_completed = cluster.run_until_jobs_complete(Duration::minutes(60));
   r.wall_seconds = seconds_since(start);
   r.events = engine.executed_events() - before;
   r.windows = engine.windows();
   r.pooled_windows = engine.pooled_windows();
   return r;
+}
+
+/// Dense windows: sync8's shape at bench size.  Eight cells on
+/// `workers` workers over a 100 us ring, so the partitioner picks
+/// 0.1 ms windows; 32 looping processes per cell, cell 0's bursts 3x
+/// shorter; one handoff per cell every 1 ms.  About 125 events per
+/// window, so the pool runs nearly every window.
+WindowsResult run_dense_config(std::size_t workers, Duration sim_span) {
+  constexpr std::size_t kCells = 8;
+  constexpr double kHotScale = 3.0;
+  exp::ClusterSpec spec;
+  spec.cells = kCells;
+  spec.parallel = workers > 1;
+  spec.exec.workers = workers;
+  spec.intercell.latency = Duration::micros(100.0);
+  exp::ClusterExperiment cluster(apps::paper_benchmarks(),
+                                 runtime::ThresholdTable{}, spec);
+  std::vector<std::unique_ptr<apps::LoadGenerator>> cohorts;
+  cohorts.reserve(kCells);
+  for (std::size_t c = 0; c < kCells; ++c) {
+    apps::LoadGenerator::Options lopts;
+    lopts.run_demand =
+        c == 0 ? Duration::ms(0.05 / kHotScale) : Duration::ms(0.05);
+    lopts.demand_jitter = 0.5;
+    lopts.reserve = true;
+    cohorts.push_back(std::make_unique<apps::LoadGenerator>(
+        cluster.cell(c).testbed(), 32, lopts));
+  }
+  std::vector<HandoffPump> pumps(kCells);
+  for (std::size_t c = 0; c < kCells; ++c) {
+    pumps[c] = HandoffPump{&cluster, c, Duration::ms(1.0)};
+    HandoffPump* pump = &pumps[c];
+    // Staggered phases: the cells' handoffs do not share a window.
+    cluster.cell(c).simulation().schedule_in(
+        Duration::micros(125.0 * static_cast<double>(c + 1)),
+        [pump] { pump->fire(); });
+  }
+  sim::ShardedSimulation& engine = cluster.engine().engine();
+  const std::uint64_t before = engine.executed_events();
+  const auto start = Clock::now();
+  cluster.run_for(sim_span);
+  WindowsResult r;
+  r.all_completed = true;  // no tracked jobs: nothing to complete
+  r.wall_seconds = seconds_since(start);
+  r.events = engine.executed_events() - before;
+  r.windows = engine.windows();
+  r.pooled_windows = engine.pooled_windows();
+  return r;
+}
+
+/// The same run on the serial engine and on 4 workers, in five
+/// interleaved pairs.  The ratio is the median of the per-pair ratios:
+/// a vCPU's slow phase often spans a whole pair, which then reads like
+/// the rest, where a best-of-N ratio skews whenever a phase change
+/// splits the two engines' runs (ratios of best-of-3 and best-of-5
+/// walls read 0.68 and 0.63, under the thin gate's 0.75 floor, in 44
+/// smoke runs).  Walls are best of 5.
+struct PairedWalls {
+  WindowsResult w1;  ///< the fastest serial run
+  WindowsResult w4;  ///< the fastest 4-worker run
+  double ratio_w4_vs_w1 = 0;  ///< serial wall / 4-worker wall, median
+  /// 1 iff every run executed the same events in the same windows and
+  /// completed every job.
+  int conserved = 0;
+};
+
+template <class Run>  // WindowsResult(std::size_t workers)
+PairedWalls pair_walls(const Run& run) {
+  constexpr int kPairs = 5;
+  PairedWalls p;
+  std::vector<double> ratios;
+  bool same = true;
+  for (int i = 0; i < kPairs; ++i) {
+    const WindowsResult w1 = run(1);
+    const WindowsResult w4 = run(4);
+    ratios.push_back(w1.wall_seconds / w4.wall_seconds);
+    same = same && w1.all_completed && w4.all_completed &&
+           w1.events == w4.events && w1.windows == w4.windows &&
+           (i == 0 || w1.events == p.w1.events);
+    if (i == 0 || w1.wall_seconds < p.w1.wall_seconds) p.w1 = w1;
+    if (i == 0 || w4.wall_seconds < p.w4.wall_seconds) p.w4 = w4;
+  }
+  std::sort(ratios.begin(), ratios.end());
+  p.ratio_w4_vs_w1 = ratios[kPairs / 2];
+  p.conserved = same ? 1 : 0;
+  return p;
+}
+
+void emit_paired(std::ostream& os, const PairedWalls& p) {
+  os << "    \"events\": " << p.w4.events << ",\n"
+     << "    \"windows\": " << p.w4.windows << ",\n"
+     << "    \"w1_wall_seconds\": " << p.w1.wall_seconds << ",\n"
+     << "    \"w4_wall_seconds\": " << p.w4.wall_seconds << ",\n"
+     << "    \"w4_pooled_windows\": " << p.w4.pooled_windows << ",\n"
+     << "    \"events_conserved\": " << p.conserved << ",\n"
+     << "    \"wall_ratio_w4_vs_w1\": " << p.ratio_w4_vs_w1;
 }
 
 struct ObsResult {
@@ -644,30 +743,16 @@ int bench_main() {
   std::cerr << "[cluster_bench] thin windows: " << kThinSteps
             << " tracked jobs in 50 ms steps through a gray storm, serial "
                "vs 4 workers...\n";
-  // Five interleaved pairs.  The ratio is the median of the per-pair
-  // ratios: a vCPU's slow phase often spans a whole pair, which then
-  // reads ~1 like the rest, where a best-of-N ratio skews whenever a
-  // phase change splits the two engines' runs (ratios of best-of-3
-  // and best-of-5 walls read 0.68 and 0.63, under the gate's 0.75
-  // floor, in 44 smoke runs).  Walls are best of 5.
-  constexpr int kThinPairs = 5;
-  ThinResult thin_w1;
-  ThinResult thin_w4;
-  std::vector<double> thin_ratios;
-  bool thin_same = true;  // every run: same events and windows, all done
-  for (int i = 0; i < kThinPairs; ++i) {
-    const auto w1 = run_thin_config(fault_table, 1, kThinSteps);
-    const auto w4 = run_thin_config(fault_table, 4, kThinSteps);
-    thin_ratios.push_back(w1.wall_seconds / w4.wall_seconds);
-    thin_same = thin_same && w1.all_completed && w4.all_completed &&
-                w1.events == w4.events && w1.windows == w4.windows &&
-                (i == 0 || w1.events == thin_w1.events);
-    if (i == 0 || w1.wall_seconds < thin_w1.wall_seconds) thin_w1 = w1;
-    if (i == 0 || w4.wall_seconds < thin_w4.wall_seconds) thin_w4 = w4;
-  }
-  std::sort(thin_ratios.begin(), thin_ratios.end());
-  const double thin_ratio = thin_ratios[kThinPairs / 2];
-  const int thin_conserved = thin_same ? 1 : 0;
+  const PairedWalls thin = pair_walls([&](std::size_t workers) {
+    return run_thin_config(fault_table, workers, kThinSteps);
+  });
+  const Duration kDenseSpan =
+      smoke ? Duration::seconds(0.3) : Duration::seconds(1.0);
+  std::cerr << "[cluster_bench] dense windows: 8 cells, 0.1 ms epoch, "
+               "32 looping processes per cell, serial vs 4 workers...\n";
+  const PairedWalls dense = pair_walls([&](std::size_t workers) {
+    return run_dense_config(workers, kDenseSpan);
+  });
 
   std::cerr << "[cluster_bench] obs overhead: the gray storm with the "
                "tracer off vs on, plus the zero-alloc contract...\n";
@@ -769,15 +854,13 @@ int bench_main() {
       << "    \"completed_conserved\": " << gray_conserved << ",\n"
       << "    \"retry_overhead_ratio\": " << gray_overhead
       << "\n  },\n  \"thin\": {\n"
-      << "    \"jobs\": " << kThinSteps << ",\n"
-      << "    \"events\": " << thin_w4.events << ",\n"
-      << "    \"windows\": " << thin_w4.windows << ",\n"
-      << "    \"w1_wall_seconds\": " << thin_w1.wall_seconds << ",\n"
-      << "    \"w4_wall_seconds\": " << thin_w4.wall_seconds << ",\n"
-      << "    \"w4_pooled_windows\": " << thin_w4.pooled_windows << ",\n"
-      << "    \"events_conserved\": " << thin_conserved << ",\n"
-      << "    \"wall_ratio_w4_vs_w1\": " << thin_ratio
-      << "\n  },\n  \"obs\": {\n"
+      << "    \"jobs\": " << kThinSteps << ",\n";
+  emit_paired(out, thin);
+  out << "\n  },\n  \"dense\": {\n"
+      << "    \"cells\": 8,\n    \"workers\": 4,\n"
+      << "    \"sim_seconds\": " << kDenseSpan.to_seconds() << ",\n";
+  emit_paired(out, dense);
+  out << "\n  },\n  \"obs\": {\n"
       << "    \"tracer_off_wall_seconds\": " << obs.off_wall_seconds
       << ",\n"
       << "    \"tracer_on_wall_seconds\": " << obs.on_wall_seconds
@@ -824,12 +907,18 @@ int bench_main() {
             << fault_gray.stats.corrupt_recovered << " checksum catches, "
             << fault_gray.stats.breaker_trips
             << " breaker trips, conserved=" << gray_conserved << ")\n"
-            << "[cluster_bench] thin windows: " << thin_w4.events
-            << " events in " << thin_w4.windows << " windows, serial "
-            << thin_w1.wall_seconds * 1e3 << " ms vs 4 workers "
-            << thin_w4.wall_seconds * 1e3 << " ms (ratio " << thin_ratio
-            << ", " << thin_w4.pooled_windows
-            << " pooled, conserved=" << thin_conserved << ")\n"
+            << "[cluster_bench] thin windows: " << thin.w4.events
+            << " events in " << thin.w4.windows << " windows, serial "
+            << thin.w1.wall_seconds * 1e3 << " ms vs 4 workers "
+            << thin.w4.wall_seconds * 1e3 << " ms (ratio "
+            << thin.ratio_w4_vs_w1 << ", " << thin.w4.pooled_windows
+            << " pooled, conserved=" << thin.conserved << ")\n"
+            << "[cluster_bench] dense windows: " << dense.w4.events
+            << " events in " << dense.w4.windows << " windows, serial "
+            << dense.w1.wall_seconds * 1e3 << " ms vs 4 workers "
+            << dense.w4.wall_seconds * 1e3 << " ms (ratio "
+            << dense.ratio_w4_vs_w1 << ", " << dense.w4.pooled_windows
+            << " pooled, conserved=" << dense.conserved << ")\n"
             << "[cluster_bench] obs overhead: " << obs.overhead_ratio
             << "x wall with tracing on (" << obs.spans << " spans, "
             << "events identical=" << obs.events_identical

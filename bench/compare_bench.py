@@ -107,6 +107,9 @@ METRICS = {
         # events and windows and completed every job.
         ("thin.wall_ratio_w4_vs_w1", "higher", False),
         ("thin.events_conserved", "exact", False),
+        # sync8-shaped, ~125 events per window: the pool must win.
+        ("dense.wall_ratio_w4_vs_w1", "higher", False),
+        ("dense.events_conserved", "exact", False),
         # Observability layer: tracing is pure metadata, so the event
         # counts with the tracer off and on must match exactly, the
         # best-of-3 wall overhead of tracing the gray storm stays

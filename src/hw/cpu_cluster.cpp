@@ -21,8 +21,4 @@ CpuCluster::CpuCluster(sim::Simulation& sim, CpuSpec spec)
   XAR_EXPECTS(spec_.cores > 0);
 }
 
-CpuCluster::JobId CpuCluster::run(Duration demand, Callback on_complete) {
-  return pool_.submit(demand.to_ms(), std::move(on_complete));
-}
-
 }  // namespace xartrek::hw

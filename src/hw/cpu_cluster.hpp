@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 
 #include "common/time.hpp"
 #include "sim/callback.hpp"
@@ -59,7 +60,9 @@ class CpuCluster {
 
   /// Run `demand` milliseconds-at-full-speed of work; `on_complete` fires
   /// when it finishes under whatever contention materializes.
-  JobId run(Duration demand, Callback on_complete);
+  JobId run(Duration demand, Callback&& on_complete) {
+    return pool_.submit(demand.to_ms(), std::move(on_complete));
+  }
 
   /// Abort a job (used when an app is torn down at a horizon).
   bool cancel(JobId id) { return pool_.cancel(id); }

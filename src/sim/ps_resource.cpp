@@ -23,7 +23,7 @@ void PsResource::release_slot(std::uint32_t slot) {
   --live_;
 }
 
-PsResource::JobId PsResource::submit(double demand, Callback on_complete) {
+PsResource::JobId PsResource::submit(double demand, Callback&& on_complete) {
   XAR_EXPECTS(demand >= 0.0);
   XAR_EXPECTS(on_complete != nullptr);
   advance();
@@ -46,6 +46,8 @@ void PsResource::set_capacity_scale(double scale) {
   // completion at the new rate -- the standard mid-run mutation pattern.
   advance();
   scale_ = scale;
+  rate_memo_[0] = {};
+  rate_memo_[1] = {};
   reschedule();
 }
 
@@ -78,13 +80,13 @@ void PsResource::advance() {
   const double elapsed = (sim_.now() - last_advance_).to_ms();
   last_advance_ = sim_.now();
   if (elapsed <= 0.0 || live_ == 0) return;
-  const double served = elapsed * rate_per_job(live_);
+  const double served = elapsed * rate_at(live_);
   vtime_ += served;
   delivered_ += served * static_cast<double>(live_);
 }
 
-TimePoint PsResource::finish_at(HeapKey key) const {
-  const double rate = rate_per_job(live_);
+TimePoint PsResource::finish_at(HeapKey key) {
+  const double rate = rate_at(live_);
   XAR_ASSERT(rate > 0.0);
   double dt_ms = (key_time(key) - vtime_) / rate;
   if (dt_ms < 0.0) dt_ms = 0.0;
@@ -92,7 +94,6 @@ TimePoint PsResource::finish_at(HeapKey key) const {
 }
 
 void PsResource::reschedule() {
-  pending_.cancel();
   // Reap cancelled husks so the root names the next live completion.
   while (!heap_.empty() && !entry_live(heap_.front())) heap_pop_root(heap_);
   if (heap_.empty()) {
@@ -102,23 +103,29 @@ void PsResource::reschedule() {
     // would eventually swallow small demands in long simulations.
     vtime_ = 0.0;
     arm_seq_ = {};
-    return;
+  } else {
+    arm_seq_ = sim_.reserve_seq();
   }
-  arm_at_ = finish_at(heap_.front().key);
-  arm_seq_ = sim_.reserve_seq();
-  if (!in_tick_) arm();
+  // Inside a tick the armed event is the one running, and the tick arms
+  // the next one when its callbacks return.
+  if (in_tick_) return;
+  sim_.cancel(pending_);
+  arm();
 }
 
 void PsResource::arm() {
   if (!arm_seq_) return;
-  pending_ =
-      sim_.schedule_at(arm_at_, std::move(arm_seq_), [this] { on_tick(); });
+  // Every state change since the ticket was drawn went through
+  // reschedule(), so the root is live and the clock is current.
+  pending_ = sim_.schedule_at(finish_at(heap_.front().key),
+                              std::move(arm_seq_), [this] { on_tick(); });
 }
 
 void PsResource::on_tick() {
   // Until the callbacks return, every reschedule() -- this tick's own
-  // and any a callback causes -- only records the next instant; the
-  // guard arms the last one, also when a callback throws.
+  // and any a callback causes -- only reserves a sequence number; the
+  // guard computes the next instant once and arms it under the last
+  // number, also when a callback throws.
   struct ArmOnExit {
     PsResource& ps;
     ~ArmOnExit() {

@@ -32,11 +32,12 @@
 // A job is due once its residual demand is rounding noise, or once the
 // instant it would finish at rounds to now.  One completion tick arms
 // one engine event: while the tick's callbacks run, every re-arm they
-// cause (resubmit, cancel, rescale) only records the next instant under
-// a reserved engine sequence number, and the last one is armed when the
-// callbacks return.  The skipped events could never have fired, so the
-// surviving (time, seq) key -- and every trace -- is the one eager
-// cancel-and-reschedule would have left.
+// cause (resubmit, cancel, rescale) only draws a reserved engine
+// sequence number; when they return, the tick computes the next instant
+// once, from the final state, and arms it under the last number drawn.
+// The skipped events could never have fired, so the surviving (time,
+// seq) key -- and every trace -- is the one eager cancel-and-reschedule
+// would have left.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +77,9 @@ class PsResource {
   /// Submit a job demanding `demand` service units (>= 0).  `on_complete`
   /// fires from the event loop when the job's demand has been served.
   /// Completion order among jobs finishing at the same instant follows
-  /// submission order.  O(log n) in the number of resident jobs.
-  JobId submit(double demand, Callback on_complete);
+  /// submission order.  O(log n) in the number of resident jobs.  The
+  /// callback moves once, into the job's slot.
+  JobId submit(double demand, Callback&& on_complete);
 
   /// Remove a job before completion.  Returns false if the job already
   /// completed (or never existed).  The callback does not fire.
@@ -140,6 +142,15 @@ class PsResource {
     return fair < cap ? fair : cap;
   }
 
+  /// rate_per_job(n), remembered per live count at the current scale.
+  /// A completion tick reads the rate at n and n - 1 live jobs, so one
+  /// entry per parity keeps both.
+  [[nodiscard]] double rate_at(std::size_t n) {
+    RateMemo& memo = rate_memo_[n & 1];
+    if (memo.n != n) memo = {n, rate_per_job(n)};
+    return memo.rate;
+  }
+
   [[nodiscard]] static JobId encode_id(std::uint32_t slot,
                                        std::uint32_t generation) {
     return (static_cast<JobId>(slot) << 32) | generation;
@@ -161,15 +172,15 @@ class PsResource {
 
   /// The instant the live job keyed `key` finishes at the current rate,
   /// given a clock advanced to now.
-  [[nodiscard]] TimePoint finish_at(HeapKey key) const;
+  [[nodiscard]] TimePoint finish_at(HeapKey key);
 
-  /// Reap husks, rebase an idle clock and compute the next completion
-  /// instant under a freshly reserved sequence number; arm it at once
-  /// unless a tick is running.
+  /// Reap husks, rebase an idle clock and reserve a sequence number for
+  /// the next completion; outside a tick, cancel the armed completion
+  /// and arm the new one at once.
   void reschedule();
 
-  /// Arm the next-completion event recorded by the last reschedule(),
-  /// if any.
+  /// Arm the root job's completion under the number the last
+  /// reschedule() reserved, if any.
   void arm();
 
   /// Event body: complete every job whose finish virtual time has been
@@ -186,11 +197,16 @@ class PsResource {
   double vtime_ = 0.0;           ///< attained service per resident job
   TimePoint last_advance_ = TimePoint::origin();
   double delivered_ = 0.0;
-  Simulation::EventHandle pending_;
-  /// Next completion instant and its reserved sequence number, from the
-  /// last reschedule(); the ticket is empty once armed, or when no job
-  /// is live.
-  TimePoint arm_at_ = TimePoint::origin();
+  struct RateMemo {
+    std::size_t n = 0;  ///< live count; rate 0.0 is right for n == 0
+    double rate = 0.0;
+  };
+  RateMemo rate_memo_[2];  ///< by live-count parity; reset on rescale
+  /// The armed completion event.  A raw id: this resource never
+  /// outlives its Simulation.
+  Simulation::EventId pending_;
+  /// The next completion's reserved sequence number, from the last
+  /// reschedule(); empty once armed, or when no job is live.
   Simulation::SeqTicket arm_seq_;
   bool in_tick_ = false;  ///< completion callbacks running: defer arm()
   /// (submission seq, callback) of the jobs completing in the current

@@ -24,12 +24,17 @@ constexpr std::uint32_t kStealPeriod = 16;
 /// exceeds this many times the idlest worker's.
 constexpr double kStealImbalance = 1.5;
 /// Fewest events a window must execute for the pool to run the next
-/// one.  A pooled window pays one boundary-barrier round, ~2 us on a
-/// 4-vCPU KVM guest (xbench `sim.unit.window_us` while every window
-/// went through the barrier), and an event costs ~105 ns
-/// (`sim.unit.event_ns`).  Four workers save 3/4 of a window's event
-/// work, so the pool pays off once 0.75 * 105 ns * events > 2 us:
-/// above ~25 events per window.
+/// one.  A pooled window pays one boundary-barrier round plus the
+/// completion that plans from the lane records: ~1 us on a 4-vCPU KVM
+/// guest (4 shards of no-op chains on 4 workers, pooled at every
+/// window, against the same run on the caller; no-op events break even
+/// at ~20 per window).  An event costs ~105 ns (`sim.unit.event_ns`),
+/// and four workers save 3/4 of a window's event work, so the pool
+/// pays off once 0.75 * 105 ns * events > 1 us: above ~13 events per
+/// window.  The bar stays at 32 because no benchmark workload has a
+/// window between 8 and 32 events (storm4's stay under 8; sync8's and
+/// churn4's dense ones hold ~126 and ~920), so no bar in that range
+/// changes which windows the pool runs.
 constexpr std::uint64_t kDenseWindowEvents = 32;
 /// uint64 counters per cache line: pads each lane's tally row.
 constexpr std::size_t kLineWords = 64 / sizeof(std::uint64_t);
@@ -115,12 +120,24 @@ class BoundaryBarrier {
 // guest a pool thread that never slept stayed on the CPU that created
 // it -- yield-waiting gates stacked the whole pool on one CPU.
 struct ShardedSimulation::Pool {
+  /// What one worker reports about the window it just ran: everything
+  /// the completion needs to plan the next one, in one cache line the
+  /// worker writes on its own core, so planning reads W lines instead of
+  /// every shard's heap and counters.
+  struct alignas(64) Lane {
+    std::uint64_t events = 0;  ///< events the worker ran
+    double next_ms = kInf;     ///< earliest next event over its shards
+    bool posted = false;       ///< its shards posted to other shards
+    bool spill = false;        ///< its shards hold spill
+  };
+
   BoundaryBarrier boundary;
   std::barrier<> start_gate;  ///< span kickoff + shutdown release
   std::barrier<> end_gate;    ///< span completion
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors;  ///< by worker
   std::vector<double> cpu;  ///< by worker: the latest span's busy time
+  std::vector<Lane> lanes;  ///< by worker: the latest window's report
   bool shutdown = false;    ///< written before start_gate, read after
 
   explicit Pool(std::size_t w)
@@ -128,7 +145,8 @@ struct ShardedSimulation::Pool {
         start_gate(static_cast<std::ptrdiff_t>(w)),
         end_gate(static_cast<std::ptrdiff_t>(w)),
         errors(w),
-        cpu(w, 0.0) {}
+        cpu(w, 0.0),
+        lanes(w) {}
 };
 
 ShardedSimulation::ShardedSimulation(Options opts) : opts_(opts) {
@@ -228,9 +246,9 @@ void ShardedSimulation::post(ShardId src, ShardId dst, TimePoint t,
   }
 }
 
-void ShardedSimulation::flush_spill(ShardId src) {
+bool ShardedSimulation::flush_spill(ShardId src) {
   ShardState& s = *shards_[src];
-  if (s.spilled == 0) return;  // nothing pending anywhere: one load, done
+  if (s.spilled == 0) return false;  // nothing pending: one load, done
   for (ShardId dst = 0; dst < shards_.size(); ++dst) {
     auto& spill = s.spill[dst];
     std::size_t& head = s.spill_head[dst];
@@ -245,18 +263,20 @@ void ShardedSimulation::flush_spill(ShardId src) {
       head = 0;
     }
   }
+  return s.spilled != 0;
 }
 
-void ShardedSimulation::drain_inbound(ShardId dst) {
+double ShardedSimulation::drain_inbound(ShardId dst, bool spill_left) {
   // Occupancy check first: a boundary with no inbound traffic costs
   // one relaxed load instead of probing every source's ring.  Exact
   // here because the boundary step runs alone: every producer has
   // arrived at the boundary barrier (which publishes its relaxed
   // increments), and the spill flush ran just before on this thread.
   auto& pending = inbound_[dst].n;
-  if (pending.load(std::memory_order_relaxed) == 0) return;
+  if (pending.load(std::memory_order_relaxed) == 0) return kInf;
   ShardState& d = *shards_[dst];
   const double now_ms = d.sim.now().to_ms();
+  double earliest = kInf;
   std::uint64_t drained = 0;
   CrossShardEvent ev;
   for (ShardId src = 0; src < shards_.size(); ++src) {
@@ -266,6 +286,7 @@ void ShardedSimulation::drain_inbound(ShardId dst) {
       // timestamp; it then runs as early as possible.
       const double at = std::max(ev.at_ms, now_ms);
       d.sim.schedule_at(TimePoint::at_ms(at), std::move(ev.cb));
+      earliest = std::min(earliest, at);
       ++drained;
     }
   }
@@ -278,16 +299,38 @@ void ShardedSimulation::drain_inbound(ShardId dst) {
   // ring to us is full, so the pending==0 early-out above never skips
   // it.
   std::uint64_t backlog = 0;
-  for (ShardId src = 0; src < shards_.size(); ++src) {
-    if (src == dst) continue;
-    const ShardState& ss = *shards_[src];
-    if (ss.spilled == 0) continue;
-    backlog += ss.spill[dst].size() - ss.spill_head[dst];
+  if (spill_left) {
+    for (ShardId src = 0; src < shards_.size(); ++src) {
+      if (src == dst) continue;
+      const ShardState& ss = *shards_[src];
+      if (ss.spilled == 0) continue;
+      backlog += ss.spill[dst].size() - ss.spill_head[dst];
+    }
   }
   if (drained + backlog > d.stats.mailbox_hwm) {
     d.stats.mailbox_hwm = drained + backlog;
   }
   pending.fetch_sub(drained, std::memory_order_relaxed);
+  return earliest;
+}
+
+double ShardedSimulation::exchange(bool flush) {
+  bool spill_left = false;
+  if (flush) {
+    for (ShardId s = 0; s < shards_.size(); ++s) {
+      spill_left = flush_spill(s) || spill_left;
+    }
+  }
+  double earliest = kInf;
+  for (ShardId s = 0; s < shards_.size(); ++s) {
+    earliest = std::min(earliest, drain_inbound(s, spill_left));
+  }
+  if (spill_left) {
+    // Spilled messages must reach the next boundary as soon as
+    // possible: bound the window to one epoch from the current time.
+    earliest = std::min(earliest, shards_[0]->sim.now().to_ms());
+  }
+  return earliest;
 }
 
 std::uint64_t ShardedSimulation::run_shard(ShardId id, TimePoint window_end) {
@@ -297,21 +340,6 @@ std::uint64_t ShardedSimulation::run_shard(ShardId id, TimePoint window_end) {
   const std::uint64_t delta = s.sim.executed_events() - before;
   s.stats.executed += delta;
   return delta;
-}
-
-double ShardedSimulation::min_next_ms() {
-  double min_next = kInf;
-  bool spill_left = false;
-  for (auto& s : shards_) {
-    min_next = std::min(min_next, s->sim.next_event_time().to_ms());
-    spill_left = spill_left || s->spilled != 0;
-  }
-  if (spill_left) {
-    // Spilled messages must reach the next boundary as soon as
-    // possible: bound the window to one epoch from the current time.
-    min_next = std::min(min_next, shards_[0]->sim.now().to_ms());
-  }
-  return min_next;
 }
 
 void ShardedSimulation::maybe_rebalance() {
@@ -353,12 +381,20 @@ void ShardedSimulation::maybe_rebalance() {
         pick_delta = delta;
       }
     }
-    // Guards: the donor must keep at least one shard, and the move
-    // must strictly lower this period's maximum load (the recipient may
-    // end up above the donor, but never above the old maximum).  That
-    // holds within one evaluation only: the next period measures fresh
-    // loads, so when they shift a shard can move back and forth.
-    if (owned >= 2 && pick_delta < hot - cold) {
+    // Guards: the donor must keep at least one shard, and the move must
+    // lower the maximum load over ALL workers by at least half the
+    // moved shard's load.  Once a hot shard sits alone on its lane,
+    // that lane sets the maximum, so a worker whose load merely ties it
+    // cannot pass a cold shard on (and next period, with loads shifted
+    // by noise, back again): the move would shave nothing off the
+    // maximum.
+    std::uint64_t rest = 0;  // the busiest load the move leaves alone
+    for (std::size_t w = 0; w < workers_; ++w) {
+      if (w != wmax && w != wmin) rest = std::max(rest, load_scratch_[w]);
+    }
+    const std::uint64_t after =
+        std::max({hot - pick_delta, cold + pick_delta, rest});
+    if (owned >= 2 && after < hot && 2 * (hot - after) >= pick_delta) {
       cell_worker_[pick] = static_cast<std::uint32_t>(wmin);
       ++shards_[pick]->stats.steals;
       ++steal_moves_;
@@ -369,19 +405,21 @@ void ShardedSimulation::maybe_rebalance() {
   }
 }
 
-bool ShardedSimulation::plan_next_window(double horizon_ms) {
+bool ShardedSimulation::plan_next_window(double horizon_ms,
+                                         double min_next_ms) {
   if (opts_.exec.steal && workers_ < shards_.size()) maybe_rebalance();
-  const double min_next = min_next_ms();
-  if (min_next == kInf || min_next > horizon_ms) return false;
-  window_end_ms_ = std::min(min_next + opts_.epoch.to_ms(), horizon_ms);
+  if (min_next_ms == kInf || min_next_ms > horizon_ms) return false;
+  window_end_ms_ = std::min(min_next_ms + opts_.epoch.to_ms(), horizon_ms);
   ++windows_;
   return true;
 }
 
 bool ShardedSimulation::boundary_step(double horizon_ms) {
-  for (ShardId s = 0; s < shards_.size(); ++s) flush_spill(s);
-  for (ShardId s = 0; s < shards_.size(); ++s) drain_inbound(s);
-  return plan_next_window(horizon_ms);
+  double min_next = exchange(/*flush=*/true);
+  for (auto& s : shards_) {
+    min_next = std::min(min_next, s->sim.next_event_time().to_ms());
+  }
+  return plan_next_window(horizon_ms, min_next);
 }
 
 void ShardedSimulation::charge_stretch(std::size_t row, double cpu,
@@ -445,9 +483,17 @@ std::size_t ShardedSimulation::run_span(TimePoint horizon) {
 
 void ShardedSimulation::on_boundary(std::size_t w) {
   ++pooled_windows_;
-  const std::uint64_t executed = executed_events();
-  window_events_ = executed - executed_mark_;
-  executed_mark_ = executed;
+  std::uint64_t events = 0;
+  double min_next = kInf;
+  bool posted = false;
+  bool spill = false;
+  for (const Pool::Lane& lane : pool_->lanes) {
+    events += lane.events;
+    min_next = std::min(min_next, lane.next_ms);
+    posted = posted || lane.posted;
+    spill = spill || lane.spill;
+  }
+  window_events_ = events;
   next_ = Next::kDone;
   for (const auto& e : pool_->errors) {
     if (e != nullptr) return;
@@ -459,7 +505,11 @@ void ShardedSimulation::on_boundary(std::size_t w) {
     return;
   }
   try {
-    if (boundary_step(span_horizon_ms_)) next_ = Next::kPool;
+    // No post and no spill anywhere leaves every mailbox empty, so the
+    // exchange would find nothing.  Otherwise the drained messages join
+    // the lanes' earliest events.
+    if (posted || spill) min_next = std::min(min_next, exchange(spill));
+    if (plan_next_window(span_horizon_ms_, min_next)) next_ = Next::kPool;
   } catch (...) {
     // A drain can throw (e.g. heap growth); it ran on worker w's thread.
     pool_->errors[w] = std::current_exception();
@@ -475,30 +525,41 @@ void ShardedSimulation::worker_span(std::size_t w) {
   std::uint64_t* ran = &ran_[w * stride_];
   const std::size_t n = shards_.size();
   // Protocol per window: each worker runs its shards of the window the
-  // caller or the last completion planned, then arrives at the one
-  // boundary barrier.  Its completion -- run by the last worker to
-  // arrive while the rest wait -- is the boundary step the caller's
-  // loop also takes (flush every shard's spill, drain every shard's
-  // inbound mailboxes in source order, rebalance the map, size the
-  // next window or declare termination), unless the window was thin:
-  // then it hands the step back to the caller.  Mailboxes need no
-  // further ordering: producers (post) only run in the run phase, the
-  // flush and the drain only inside the completion, and the barrier
-  // separates the two.  The shard -> worker map is likewise written
-  // only inside the completion.
+  // caller or the last completion planned, writes its lane record, then
+  // arrives at the one boundary barrier.  Its completion -- run by the
+  // last worker to arrive while the rest wait -- plans from the records:
+  // when a lane holds spill it flushes every shard's spill, when one
+  // posted or holds spill it drains every shard's inbound mailboxes in
+  // source order, then it rebalances the map and sizes the next window
+  // or declares termination, unless the window was thin: then it hands
+  // the step back to the caller.  Mailboxes need no further ordering:
+  // producers (post) only run in the run phase, the flush and the drain
+  // only inside the completion, and the barrier separates the two.  The
+  // shard -> worker map is likewise written only inside the completion.
+  Pool::Lane& lane = pool_->lanes[w];
   do {
     const TimePoint window_end = TimePoint::at_ms(window_end_ms_);
+    Pool::Lane report;
     try {
       for (std::size_t c = 0; c < n; ++c) {
-        if (cell_worker_[c] == w) {
-          ran[c] += run_shard(static_cast<ShardId>(c), window_end);
-        }
+        if (cell_worker_[c] != w) continue;
+        ShardState& s = *shards_[c];
+        const std::uint64_t posts = s.stats.posts;
+        const std::uint64_t executed =
+            run_shard(static_cast<ShardId>(c), window_end);
+        ran[c] += executed;
+        report.events += executed;
+        report.next_ms =
+            std::min(report.next_ms, s.sim.next_event_time().to_ms());
+        report.posted = report.posted || s.stats.posts != posts;
+        report.spill = report.spill || s.spilled != 0;
       }
     } catch (...) {
       // Park the error and keep honoring the barrier so no peer
       // deadlocks; this boundary terminates everyone.
       pool_->errors[w] = std::current_exception();
     }
+    lane = report;
     waited += pool_->boundary.arrive_and_wait([this, w] { on_boundary(w); });
   } while (next_ == Next::kPool);
   pool_->cpu[w] = std::max(0.0, thread_cpu_seconds() - cpu0 - waited);
@@ -525,7 +586,6 @@ void ShardedSimulation::ensure_pool() {
 bool ShardedSimulation::run_pooled(double horizon_ms) {
   ensure_pool();
   span_horizon_ms_ = horizon_ms;
-  executed_mark_ = executed_events();
   for (auto& e : pool_->errors) e = nullptr;
   ++pool_wakes_;
   // Wake the parked pool, run worker 0's share on this thread, then

@@ -27,7 +27,8 @@
 // deterministic shard stealing (`exec.steal`) safe: every 16 windows
 // (kStealPeriod, shard.cpp) the boundary step re-evaluates the live
 // shard->worker map from per-shard executed-event counters and moves
-// the busiest worker's coldest shard to the idlest worker.  The
+// the busiest worker's coldest shard to the idlest worker, when that
+// lowers the maximum load by at least half the shard's load.  The
 // decision is a pure function of deterministic counters, so the map
 // evolves identically in serial and parallel runs, and the trace does
 // not depend on it at all.
@@ -42,12 +43,15 @@
 // boundary after that one parks the pool again and hands the loop back
 // to the caller before planning.  The pool is created at the first
 // dense window, so a run of thin windows starts no thread.  Pooled
-// windows are separated by ONE boundary barrier: the last worker to
-// arrive runs the serial boundary step (flush every spill, drain every
-// mailbox, plan the next window) while the others yield the CPU,
-// parking on the barrier's generation word only if the wait runs long.
-// The step is the same function the caller's loop calls between its
-// own windows.
+// windows are separated by ONE boundary barrier.  Before arriving, each
+// worker writes its lane record (one cache line): the events it ran,
+// the earliest next event over its shards, and whether its shards
+// posted or hold spill.  The last worker to arrive plans the next
+// window from the W records while the others yield the CPU, parking on
+// the barrier's generation word only if the wait runs long; it touches
+// shard state only to flush spill and drain mailboxes, and only when a
+// lane reported posts or spill.  The caller's loop, which ran every
+// shard itself, walks the shards instead.
 //
 // Busy time is read per stretch: the caller's run of windows between
 // two handoffs (a whole span, when nothing is dense), or one worker's
@@ -250,9 +254,9 @@ class ShardedSimulation {
     std::vector<std::vector<CrossShardEvent>> spill;
     std::vector<std::size_t> spill_head;
     /// Messages currently sitting in the spill FIFOs (all
-    /// destinations).  Owned by this shard's worker; lets both the
-    /// flush and the boundary's min_next scan skip shards that have
-    /// never spilled with one load instead of an O(shards) walk.
+    /// destinations).  Owned by this shard's worker; lets the flush and
+    /// the drain's backlog count skip shards that hold no spill with one
+    /// load instead of an O(shards) walk.
     std::size_t spilled = 0;
     /// Per-destination peak of ring depth + spill backlog, recorded by
     /// the producer at post time -- the spill-inclusive half of
@@ -278,24 +282,32 @@ class ShardedSimulation {
     return *mailboxes_[src * shards_.size() + dst];
   }
 
-  /// Move spilled messages into the (drained) mailboxes, FIFO.
-  void flush_spill(ShardId src);
-  /// Drain all inbound mailboxes into the local heap, in source order.
-  void drain_inbound(ShardId dst);
+  /// Move spilled messages into the (drained) mailboxes, FIFO.  Returns
+  /// true when some stay spilled.
+  bool flush_spill(ShardId src);
+  /// Drain all inbound mailboxes into the local heap, in source order;
+  /// `spill_left` says whether any source may still hold spill (its
+  /// backlog counts toward the high-water mark).  Returns the earliest
+  /// instant it scheduled, or +inf.
+  double drain_inbound(ShardId dst, bool spill_left);
+  /// Flush every shard's spill (when `flush`: some shard may hold
+  /// spill), then drain every shard's mailboxes.  Returns the earliest
+  /// work the exchange leaves outside the heaps' previous contents: the
+  /// earliest drained message, or the current time while spill remains
+  /// (it must reach the next boundary as soon as possible), or +inf.
+  double exchange(bool flush);
   /// Execute one window on one shard; returns events executed.
   std::uint64_t run_shard(ShardId id, TimePoint window_end);
-  /// Earliest pending work anywhere (events, spilled messages), or
-  /// +inf.  Call only at a boundary (mailboxes already drained).
-  [[nodiscard]] double min_next_ms();
 
-  /// The boundary step, identical in serial and parallel mode: flush
-  /// every shard's spill, drain every shard's inbound mailboxes, then
-  /// plan_next_window.  Returns false when no work remains at or before
-  /// `horizon_ms`.  Runs single-threaded (the caller's loop, or the
-  /// boundary barrier's completion while every other worker waits).
+  /// The caller's boundary step: exchange, then plan the next window
+  /// from every shard's next event.  Returns false when no work remains
+  /// at or before `horizon_ms`.
   bool boundary_step(double horizon_ms);
-  /// Re-evaluate the shard->worker map, then size the next window.
-  bool plan_next_window(double horizon_ms);
+  /// Re-evaluate the shard->worker map, then size the next window from
+  /// `min_next_ms`, the earliest pending work anywhere.  Runs
+  /// single-threaded (the caller's loop, or the boundary barrier's
+  /// completion while every other worker waits).
+  bool plan_next_window(double horizon_ms, double min_next_ms);
   void maybe_rebalance();
 
   /// The window loop, on the caller's thread.
@@ -339,8 +351,6 @@ class ShardedSimulation {
   std::uint64_t pool_wakes_ = 0;
   /// Events the latest window executed: what picks who runs the next.
   std::uint64_t window_events_ = 0;
-  /// executed_events() when the pool's current window began.
-  std::uint64_t executed_mark_ = 0;
 
   // Rebalancer state (boundaries only).
   std::uint32_t windows_since_rebalance_ = 0;

@@ -17,8 +17,8 @@ void Simulation::cancel_slot(std::uint32_t slot, std::uint32_t generation) {
   if (slot_pending(slot, generation)) release_slot(slot);
 }
 
-Simulation::EventHandle Simulation::arm(TimePoint t, std::uint64_t seq,
-                                        Callback&& cb) {
+Simulation::EventId Simulation::arm(TimePoint t, std::uint64_t seq,
+                                    Callback&& cb) {
   XAR_EXPECTS(t >= now_);
   XAR_EXPECTS(cb != nullptr);
   const std::uint32_t slot = slots_.acquire();
@@ -34,7 +34,7 @@ Simulation::EventHandle Simulation::arm(TimePoint t, std::uint64_t seq,
     heap_push(heap_, entry);
   }
   ++scheduled_;
-  return EventHandle{anchor_, slot, generation};
+  return EventId{slot, generation};
 }
 
 void Simulation::prune() {

@@ -76,6 +76,16 @@ class Simulation {
     std::uint32_t generation_ = 0;
   };
 
+  /// The raw name of a scheduled event: its pool slot and the
+  /// generation the slot had when the event was armed.  Unlike an
+  /// EventHandle it holds no anchor, so making one costs nothing; only
+  /// an owner that cannot outlive this Simulation may keep one.  The
+  /// default names no event (slot generations start at 1).
+  struct EventId {
+    std::uint32_t slot = 0;
+    std::uint32_t generation = 0;
+  };
+
   /// An insertion sequence number drawn ahead of its event.  Arming it
   /// with `schedule_at(t, ticket, cb)` gives the event the same-time
   /// FIFO position it would have had if it had been scheduled when the
@@ -112,7 +122,7 @@ class Simulation {
 
   /// Schedule `cb` at absolute time `t`.  Requires t >= now().
   EventHandle schedule_at(TimePoint t, Callback cb) {
-    return arm(t, next_seq_++, std::move(cb));
+    return handle(arm(t, next_seq_++, std::move(cb)));
   }
 
   /// Draw the sequence number a `schedule_at` made now would use.
@@ -120,8 +130,8 @@ class Simulation {
 
   /// Schedule `cb` at `t` under a reserved sequence number, consuming
   /// the ticket.  Requires t >= now() and an unspent ticket drawn from
-  /// this Simulation.
-  EventHandle schedule_at(TimePoint t, SeqTicket ticket, Callback cb) {
+  /// this Simulation.  Returns the event's raw id (see EventId).
+  EventId schedule_at(TimePoint t, SeqTicket ticket, Callback cb) {
     XAR_EXPECTS(ticket);
     return arm(t, ticket.seq_, std::move(cb));
   }
@@ -129,8 +139,12 @@ class Simulation {
   /// Schedule `cb` after delay `d`.  Requires d >= 0.
   EventHandle schedule_in(Duration d, Callback cb) {
     XAR_EXPECTS(d >= Duration::zero());
-    return arm(now_ + d, next_seq_++, std::move(cb));
+    return handle(arm(now_ + d, next_seq_++, std::move(cb)));
   }
+
+  /// Prevent the event `id` names from firing.  A no-op once it has
+  /// fired or been cancelled.
+  void cancel(EventId id) { cancel_slot(id.slot, id.generation); }
 
   /// Run until the queue is empty.  Returns the number of events executed.
   std::size_t run();
@@ -178,7 +192,10 @@ class Simulation {
   /// Queue `cb` at `t` under sequence number `seq`.  Takes the
   /// callback by reference so the public overloads' by-value parameter
   /// moves once, straight into its slot.
-  EventHandle arm(TimePoint t, std::uint64_t seq, Callback&& cb);
+  EventId arm(TimePoint t, std::uint64_t seq, Callback&& cb);
+  [[nodiscard]] EventHandle handle(EventId id) const {
+    return EventHandle{anchor_, id.slot, id.generation};
+  }
 
   /// Pop and execute one runnable event with timestamp <= horizon.
   /// Returns false if none remains.

@@ -4,7 +4,9 @@
 // work -- under interleaved submit/cancel storms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <stdexcept>
@@ -443,6 +445,85 @@ TEST(PsVirtualTimeTest, ThrowingCompletionLeavesResourceArmed) {
   EXPECT_EQ(done, "aB");
   EXPECT_DOUBLE_EQ(sim.now().to_ms(), 5.0);
   EXPECT_EQ(cpu.active_jobs(), 0u);
+}
+
+// A looping cohort shaped like churn4's cells: 64 lanes with jittered
+// demands on a 6-core cluster, each completion resubmitting its lane.
+// One completion cancels a lane and one rescales capacity; then the
+// cohort stops looping, the resource drains idle, and the completion
+// that empties it resubmits the live lanes into it.  Every completion
+// folds (time bits, lane) into an FNV-1a hash.
+struct LoopingCohort {
+  static constexpr int kLanes = 64;
+  static constexpr int kCancelAt = 700;  // completions
+  static constexpr int kRescaleAt = 1400;
+  static constexpr int kStopAt = 2000;  // the cohort winds down
+  static constexpr int kFinalStopAt = 4000;
+
+  Simulation& sim;
+  PsResource& cpu;
+  std::vector<PsResource::JobId> ids = std::vector<PsResource::JobId>(kLanes);
+  std::vector<bool> cancelled = std::vector<bool>(kLanes, false);
+  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a offset basis
+  int completions = 0;
+  bool looping = true;
+  bool restarted = false;
+
+  void fold(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (word >> (8 * i)) & 0xFF;
+      hash *= 1099511628211ull;  // FNV-1a 64-bit prime
+    }
+  }
+  void spawn(int lane) {
+    const double demand = 0.05 * (1.0 + 0.5 * lane / kLanes);
+    ids[lane] = cpu.submit(demand, [this, lane] { done(lane); });
+  }
+  void done(int lane) {
+    const double now = sim.now().to_ms();
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &now, sizeof(bits));
+    fold(bits);
+    fold(static_cast<std::uint64_t>(lane));
+    ++completions;
+    if (completions == kCancelAt) {
+      const int victim = (lane + 7) % kLanes;
+      cancelled[victim] = cpu.cancel(ids[victim]);
+    }
+    if (completions == kRescaleAt) cpu.set_capacity_scale(0.75);
+    if (completions == kStopAt || completions == kFinalStopAt) {
+      looping = false;
+    }
+    if (looping) {
+      spawn(lane);
+    } else if (cpu.active_jobs() == 0 && !restarted) {
+      // Idle, so the clock has just been rebased: resubmit into it.
+      restarted = true;
+      looping = true;
+      for (int l = 0; l < kLanes; ++l) {
+        if (!cancelled[l]) spawn(l);
+      }
+    }
+  }
+};
+
+TEST(PsVirtualTimeTest, LoopingCohortCompletionsAreBitExact) {
+  // The storms above agree with the model to 1e-6; this pins every bit
+  // of the finish-time arithmetic a looping completion runs.  The hash
+  // was recorded before a tick computed its next instant only once.
+  Simulation sim;
+  PsResource cpu(sim, {"cpu", 6.0, 1.0});
+  LoopingCohort cohort{sim, cpu};
+  for (int lane = 0; lane < LoopingCohort::kLanes; ++lane) cohort.spawn(lane);
+  sim.run();
+  EXPECT_TRUE(cohort.restarted);
+  EXPECT_EQ(std::count(cohort.cancelled.begin(), cohort.cancelled.end(), true),
+            1);
+  // After the final stop, every live lane but the stopping one finishes.
+  EXPECT_EQ(cohort.completions,
+            LoopingCohort::kFinalStopAt + LoopingCohort::kLanes - 2);
+  EXPECT_EQ(cpu.active_jobs(), 0u);
+  EXPECT_EQ(cohort.hash, 13796013386767895069ull);
 }
 
 }  // namespace

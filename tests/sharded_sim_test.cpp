@@ -197,12 +197,15 @@ struct RingChain {
   int remaining;
   double period;
   std::size_t post_every = 4;
+  int burst = 1;  ///< tokens per post
   void fire() {
     fires->push_back(local->now().to_ms());
     if (fires->size() % post_every == 0) {
-      to_next.deliver([this] {
-        next_arrivals->push_back(next_local->now().to_ms());
-      });
+      for (int b = 0; b < burst; ++b) {
+        to_next.deliver([this] {
+          next_arrivals->push_back(next_local->now().to_ms());
+        });
+      }
     }
     if (remaining-- > 0) {
       local->schedule_in(Duration::ms(period), [this] { fire(); });
@@ -435,24 +438,27 @@ TEST(ShardedSimulationTest, OrganicStealingIsDeterministicAcrossModes) {
   EXPECT_GT(parallel.pooled_windows, 0u);
 }
 
+/// A chain on one shard that records its firing times: fires every
+/// `period_ms`, `remaining` more times.
+struct Periodic {
+  Simulation* sim;
+  std::vector<double>* trace;
+  double period_ms;
+  int remaining;
+  void fire() {
+    trace->push_back(sim->now().to_ms());
+    if (remaining-- > 0) {
+      sim->schedule_in(Duration::ms(period_ms), [this] { fire(); });
+    }
+  }
+};
+
 TEST(ShardedSimulationTest, RebalancerIsolatesHotShard) {
   // One hot shard (20x the event rate, doubled again by ballast so its
   // windows are dense enough for the pool) sharing worker 0 with a
   // cold shard: the rebalancer must move the cold shard away --
   // exactly once (the donor then owns a single shard and may not give
   // it up) -- and identically in serial and parallel mode.
-  struct Local {
-    Simulation* sim;
-    std::vector<double>* trace;
-    double period_ms;
-    int remaining;
-    void fire() {
-      trace->push_back(sim->now().to_ms());
-      if (remaining-- > 0) {
-        sim->schedule_in(Duration::ms(period_ms), [this] { fire(); });
-      }
-    }
-  };
   auto run_mode = [](bool parallel, std::uint64_t& moves,
                      std::vector<std::size_t>& map,
                      std::vector<std::vector<double>>& traces,
@@ -465,14 +471,14 @@ TEST(ShardedSimulationTest, RebalancerIsolatesHotShard) {
     o.exec.steal = true;
     ShardedSimulation ssim(o);
     traces.assign(4, {});
-    std::vector<std::unique_ptr<Local>> chains;
+    std::vector<std::unique_ptr<Periodic>> chains;
     for (ShardId s = 0; s < 4; ++s) {
-      auto c = std::make_unique<Local>();
+      auto c = std::make_unique<Periodic>();
       c->sim = &ssim.shard(s);
       c->trace = &traces[s];
       c->period_ms = s == 0 ? 0.05 : 1.0;  // shard 0 is the hot one
       c->remaining = s == 0 ? 400 : 20;
-      Local* raw = c.get();
+      Periodic* raw = c.get();
       c->sim->schedule_in(Duration::ms(c->period_ms), [raw] { raw->fire(); });
       chains.push_back(std::move(c));
     }
@@ -503,6 +509,74 @@ TEST(ShardedSimulationTest, RebalancerIsolatesHotShard) {
   EXPECT_EQ(parallel_traces, serial_traces);
   EXPECT_EQ(serial_pooled, 0u);
   EXPECT_GT(parallel_pooled, 0u);
+}
+
+TEST(ShardedSimulationTest, RebalancerStopsPingPong) {
+  // sync8's shape: 8 shards on 4 workers, shard 3 three times as busy
+  // as each of the others.  The first move leaves shard 3 alone on
+  // worker 3 and gives another worker three cold shards, a load that
+  // ties worker 3's.  The cold shards' rates swing by +-6% every 16 ms,
+  // even shards against odd ones, so from one evaluation period to the
+  // next that tie tips either way.  A move that does not lower the
+  // maximum over all workers must not happen, or cold shards pass back
+  // and forth between the lanes all run long.
+  struct Swing {
+    Simulation* sim;
+    std::vector<double>* trace;
+    int parity;
+    double end_ms;
+    void fire() {
+      const double now = sim->now().to_ms();
+      trace->push_back(now);
+      const bool fast = (static_cast<int>(now / 16.0) + parity) % 2 == 0;
+      const double period = fast ? 0.235 : 0.265;
+      if (now + period < end_ms) {
+        sim->schedule_in(Duration::ms(period), [this] { fire(); });
+      }
+    }
+  };
+  struct Run {
+    std::uint64_t moves = 0;
+    std::uint64_t pooled = 0;
+    std::vector<std::vector<double>> traces;
+  };
+  auto run_mode = [](bool parallel) {
+    ShardedSimulation::Options o;
+    o.shards = 8;
+    o.epoch = Duration::ms(1.0);
+    o.parallel = parallel;
+    o.exec.workers = 4;
+    o.exec.steal = true;
+    ShardedSimulation ssim(o);
+    Run run;
+    run.traces.assign(8, {});
+    // ~40 events per window: dense, so the pool runs the windows.
+    constexpr double kRunMs = 2100.0;
+    Periodic hot{&ssim.shard(3), &run.traces[3], 0.25 / 3.0,
+                 static_cast<int>(kRunMs * 12.0)};
+    ssim.shard(3).schedule_in(Duration::ms(hot.period_ms),
+                              [&hot] { hot.fire(); });
+    std::vector<std::unique_ptr<Swing>> cold;
+    for (ShardId s = 0; s < 8; ++s) {
+      if (s == 3) continue;
+      cold.push_back(std::make_unique<Swing>(Swing{
+          &ssim.shard(s), &run.traces[s], static_cast<int>(s % 2), kRunMs}));
+      Swing* raw = cold.back().get();
+      raw->sim->schedule_in(Duration::ms(0.25 + 0.01 * s),
+                            [raw] { raw->fire(); });
+    }
+    ssim.run();
+    run.moves = ssim.steal_moves();
+    run.pooled = ssim.pooled_windows();
+    return run;
+  };
+  const Run serial = run_mode(false);
+  const Run parallel = run_mode(true);
+  EXPECT_GE(serial.moves, 1u);
+  EXPECT_LE(serial.moves, 2u);
+  EXPECT_EQ(parallel.moves, serial.moves);
+  EXPECT_EQ(parallel.traces, serial.traces);
+  EXPECT_GE(parallel.pooled, 2000u);
 }
 
 TEST(ShardedSimulationTest, WorkerStatsAccountEveryEvent) {
@@ -577,6 +651,42 @@ TEST(ShardedSimulationTest, BusyTimeFollowsShardsAfterManualRemap) {
   EXPECT_GT(busy0, 200 * 50e-6 * 0.9);  // its own spins, not worker 0's
   EXPECT_GT(busy0, 0.5 * busy1);
   EXPECT_GT(busy1, 0.5 * busy0);
+}
+
+TEST(ShardedSimulationTest, PooledWindowsSpillLikeSerial) {
+  // The dense ring with capacity-2 mailboxes and a burst of three posts
+  // on every firing: pooled windows overflow the rings, their lanes
+  // report the spill, and the boundary must flush and drain it exactly
+  // as the caller's loop does.
+  struct Out {
+    RingResult ring;
+    std::vector<std::uint64_t> hwm;  // ShardStats::mailbox_hwm, by shard
+  };
+  auto run_mode = [](bool parallel) {
+    ShardedSimulation ssim(
+        ShardedSimulation::Options{4, Duration::ms(1.0), 2, parallel});
+    Out out;
+    auto chains = build_ring(ssim, out.ring, 1);
+    for (auto& chain : chains) chain->burst = 3;
+    const Ballast ballast = ring_ballast(ssim);
+    out.ring.executed = ssim.run();
+    for (ShardId s = 0; s < ssim.shard_count(); ++s) {
+      out.ring.stalls += ssim.stats(s).backpressure_stalls;
+      out.hwm.push_back(ssim.stats(s).mailbox_hwm);
+    }
+    out.ring.pooled_windows = ssim.pooled_windows();
+    return out;
+  };
+  const Out serial = run_mode(false);
+  const Out parallel = run_mode(true);
+  EXPECT_EQ(parallel.ring.fires, serial.ring.fires);
+  EXPECT_EQ(parallel.ring.arrivals, serial.ring.arrivals);
+  EXPECT_EQ(parallel.ring.executed, serial.ring.executed);
+  EXPECT_EQ(parallel.ring.stalls, serial.ring.stalls);
+  EXPECT_EQ(parallel.hwm, serial.hwm);
+  for (const auto& a : parallel.ring.arrivals) EXPECT_EQ(a.size(), 3u * 41u);
+  EXPECT_GT(parallel.ring.stalls, 0u);
+  EXPECT_GT(parallel.ring.pooled_windows, 0u);
 }
 
 TEST(ShardedSimulationTest, MailboxHighWaterStatTracksInboundBursts) {
