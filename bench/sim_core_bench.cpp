@@ -357,7 +357,6 @@ struct ShardResult {
   double busy_seconds = 0;  ///< summed per-shard thread-CPU time
   std::uint64_t events = 0;
   std::uint64_t posts = 0;
-  std::uint64_t stalls = 0;
   /// Sum over shards of events_i / busy_i: aggregate processing
   /// capacity with one core per shard.  On an unloaded multicore host
   /// this converges to wall_events_per_sec.
@@ -368,7 +367,8 @@ ShardResult run_sharded(std::size_t shards, bool parallel,
                         std::uint64_t total_events,
                         std::size_t total_chains) {
   sim::ShardedSimulation ssim(sim::ShardedSimulation::Options{
-      shards, Duration::ms(kShardEpochMs), 4096, parallel});
+      .shards = shards, .epoch = Duration::ms(kShardEpochMs),
+      .parallel = parallel});
   std::vector<ShardLane> lanes(total_chains);
   const std::uint64_t per_lane = total_events / total_chains;
   for (std::size_t s = 0; s < shards; ++s) {
@@ -396,7 +396,6 @@ ShardResult run_sharded(std::size_t shards, bool parallel,
     const sim::ShardStats& st = ssim.stats(s);
     r.busy_seconds += st.busy_seconds;
     r.posts += st.posts;
-    r.stalls += st.backpressure_stalls;
     if (st.busy_seconds > 0.0) {
       r.aggregate_events_per_sec +=
           static_cast<double>(st.executed) / st.busy_seconds;
@@ -499,8 +498,7 @@ void emit_sharded(std::ostream& os, const char* key, const ShardResult& r) {
      << static_cast<double>(r.events) / r.wall_seconds << ",\n"
      << "      \"aggregate_events_per_sec\": " << r.aggregate_events_per_sec
      << ",\n"
-     << "      \"posts\": " << r.posts << ",\n"
-     << "      \"backpressure_stalls\": " << r.stalls << "\n    }";
+     << "      \"posts\": " << r.posts << "\n    }";
 }
 
 int bench_main() {

@@ -41,7 +41,6 @@ ClusterExperiment::ClusterExperiment(
 
   sim::Topology::PartitionOptions popts;
   popts.epoch = cluster_.epoch;
-  popts.mailbox_capacity = cluster_.mailbox_capacity;
   popts.parallel = cluster_.parallel;
   popts.exec = cluster_.exec;  // every knob, nothing forgotten
   engine_ = std::make_unique<sim::PartitionedEngine>(std::move(topo),

@@ -63,7 +63,6 @@ struct ClusterSpec {
   /// Force a synchronization window; unset auto-picks the largest
   /// legal epoch (the minimum cross-cell latency).
   std::optional<Duration> epoch;
-  std::size_t mailbox_capacity = 4096;
   /// Run shards on threads.  Traces are identical either way.
   bool parallel = false;
   /// Worker mapping (0 workers = one lane per cell) and deterministic

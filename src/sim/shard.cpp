@@ -128,7 +128,6 @@ struct ShardedSimulation::Pool {
     std::uint64_t events = 0;  ///< events the worker ran
     double next_ms = kInf;     ///< earliest next event over its shards
     bool posted = false;       ///< its shards posted to other shards
-    bool spill = false;        ///< its shards hold spill
   };
 
   BoundaryBarrier boundary;
@@ -152,21 +151,14 @@ struct ShardedSimulation::Pool {
 ShardedSimulation::ShardedSimulation(Options opts) : opts_(opts) {
   XAR_EXPECTS(opts.shards >= 1);
   XAR_EXPECTS(opts.epoch > Duration::zero());
-  XAR_EXPECTS(opts.mailbox_capacity >= 1);
   const std::size_t n = opts.shards;
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto state = std::make_unique<ShardState>();
-    state->spill.resize(n);
-    state->spill_head.assign(n, 0);
-    state->spill_peak.assign(n, 0);
+    state->pairs.resize(n);
     shards_.push_back(std::move(state));
   }
-  mailboxes_.reserve(n * n);
-  for (std::size_t i = 0; i < n * n; ++i) {
-    mailboxes_.push_back(std::make_unique<Mailbox>(opts.mailbox_capacity));
-  }
-  inbound_ = std::make_unique<InboundCount[]>(n);
+  delivered_.assign(n, 0);
 
   // Workers and the initial static shard -> worker map.  The map (and
   // the stealing that rewrites it) is maintained in serial mode too,
@@ -226,109 +218,34 @@ void ShardedSimulation::post(ShardId src, ShardId dst, TimePoint t,
   // `min_next + epoch`.)
   XAR_EXPECTS(t.to_ms() >= window_end_ms_ - 1e-9);
   ++s.stats.posts;
-  CrossShardEvent ev{t.to_ms(), std::move(cb)};
-  auto& spill = s.spill[dst];
-  const bool spilling = s.spill_head[dst] < spill.size();
-  if (spilling || !mailbox(src, dst).try_push(std::move(ev))) {
-    // Full (or already spilling -- later messages must queue behind the
-    // spill to keep FIFO order).  Delivery slips to a later boundary.
-    ++s.stats.backpressure_stalls;
-    spill.push_back(std::move(ev));
-    ++s.spilled;
-    // Producer-exact pair depth including the overflow the ring's own
-    // high_water cannot see (the consumer is parked mid-window, so
-    // size() is exact here).
-    const std::size_t depth =
-        mailbox(src, dst).size() + (spill.size() - s.spill_head[dst]);
-    if (depth > s.spill_peak[dst]) s.spill_peak[dst] = depth;
-  } else {
-    inbound_[dst].n.fetch_add(1, std::memory_order_relaxed);
-  }
+  s.outbox.push_back({dst, t.to_ms(), std::move(cb)});
+  PairCount& pair = s.pairs[dst];
+  if (++pair.window > pair.peak) pair.peak = pair.window;
 }
 
-bool ShardedSimulation::flush_spill(ShardId src) {
-  ShardState& s = *shards_[src];
-  if (s.spilled == 0) return false;  // nothing pending: one load, done
-  for (ShardId dst = 0; dst < shards_.size(); ++dst) {
-    auto& spill = s.spill[dst];
-    std::size_t& head = s.spill_head[dst];
-    while (head < spill.size() &&
-           mailbox(src, dst).try_push(std::move(spill[head]))) {
-      ++head;
-      --s.spilled;
-      inbound_[dst].n.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (head == spill.size()) {
-      spill.clear();  // keeps capacity for the next burst
-      head = 0;
-    }
-  }
-  return s.spilled != 0;
-}
-
-double ShardedSimulation::drain_inbound(ShardId dst, bool spill_left) {
-  // Occupancy check first: a boundary with no inbound traffic costs
-  // one relaxed load instead of probing every source's ring.  Exact
-  // here because the boundary step runs alone: every producer has
-  // arrived at the boundary barrier (which publishes its relaxed
-  // increments), and the spill flush ran just before on this thread.
-  auto& pending = inbound_[dst].n;
-  if (pending.load(std::memory_order_relaxed) == 0) return kInf;
-  ShardState& d = *shards_[dst];
-  const double now_ms = d.sim.now().to_ms();
+double ShardedSimulation::exchange() {
+  // Sources in order, each FIFO: every destination receives its
+  // messages in (source, post order), whichever threads posted them.
   double earliest = kInf;
-  std::uint64_t drained = 0;
-  CrossShardEvent ev;
-  for (ShardId src = 0; src < shards_.size(); ++src) {
-    if (src == dst) continue;
-    while (mailbox(src, dst).try_pop(ev)) {
-      // A message deferred by backpressure may surface after its
-      // timestamp; it then runs as early as possible.
-      const double at = std::max(ev.at_ms, now_ms);
-      d.sim.schedule_at(TimePoint::at_ms(at), std::move(ev.cb));
+  for (auto& src : shards_) {
+    for (Outgoing& m : src->outbox) {
+      Simulation& dst = shards_[m.dst]->sim;
+      // post's rounding slack can put a message a hair before the
+      // destination's clock (the window end); it runs at the clock.
+      const double at = std::max(m.at_ms, dst.now().to_ms());
+      dst.schedule_at(TimePoint::at_ms(at), std::move(m.cb));
       earliest = std::min(earliest, at);
-      ++drained;
+      ++delivered_[m.dst];
+      src->pairs[m.dst].window = 0;
     }
+    src->outbox.clear();  // keeps capacity for the next window
   }
-  d.stats.received += drained;
-  // Exact inbound occupancy at this boundary: what the rings delivered
-  // plus backlog still spilled at the sources.  Reading the sources'
-  // spill bookkeeping here is race-free -- spill is written only in
-  // the run phase and the flush, and the boundary barrier orders both
-  // before this read.  Backlog can only be nonzero while the source's
-  // ring to us is full, so the pending==0 early-out above never skips
-  // it.
-  std::uint64_t backlog = 0;
-  if (spill_left) {
-    for (ShardId src = 0; src < shards_.size(); ++src) {
-      if (src == dst) continue;
-      const ShardState& ss = *shards_[src];
-      if (ss.spilled == 0) continue;
-      backlog += ss.spill[dst].size() - ss.spill_head[dst];
-    }
-  }
-  if (drained + backlog > d.stats.mailbox_hwm) {
-    d.stats.mailbox_hwm = drained + backlog;
-  }
-  pending.fetch_sub(drained, std::memory_order_relaxed);
-  return earliest;
-}
-
-double ShardedSimulation::exchange(bool flush) {
-  bool spill_left = false;
-  if (flush) {
-    for (ShardId s = 0; s < shards_.size(); ++s) {
-      spill_left = flush_spill(s) || spill_left;
-    }
-  }
-  double earliest = kInf;
-  for (ShardId s = 0; s < shards_.size(); ++s) {
-    earliest = std::min(earliest, drain_inbound(s, spill_left));
-  }
-  if (spill_left) {
-    // Spilled messages must reach the next boundary as soon as
-    // possible: bound the window to one epoch from the current time.
-    earliest = std::min(earliest, shards_[0]->sim.now().to_ms());
+  for (std::size_t d = 0; d < shards_.size(); ++d) {
+    if (delivered_[d] == 0) continue;
+    ShardStats& st = shards_[d]->stats;
+    st.received += delivered_[d];
+    st.mailbox_hwm = std::max(st.mailbox_hwm, delivered_[d]);
+    delivered_[d] = 0;
   }
   return earliest;
 }
@@ -415,7 +332,7 @@ bool ShardedSimulation::plan_next_window(double horizon_ms,
 }
 
 bool ShardedSimulation::boundary_step(double horizon_ms) {
-  double min_next = exchange(/*flush=*/true);
+  double min_next = exchange();
   for (auto& s : shards_) {
     min_next = std::min(min_next, s->sim.next_event_time().to_ms());
   }
@@ -486,12 +403,10 @@ void ShardedSimulation::on_boundary(std::size_t w) {
   std::uint64_t events = 0;
   double min_next = kInf;
   bool posted = false;
-  bool spill = false;
   for (const Pool::Lane& lane : pool_->lanes) {
     events += lane.events;
     min_next = std::min(min_next, lane.next_ms);
     posted = posted || lane.posted;
-    spill = spill || lane.spill;
   }
   window_events_ = events;
   next_ = Next::kDone;
@@ -505,13 +420,14 @@ void ShardedSimulation::on_boundary(std::size_t w) {
     return;
   }
   try {
-    // No post and no spill anywhere leaves every mailbox empty, so the
-    // exchange would find nothing.  Otherwise the drained messages join
-    // the lanes' earliest events.
-    if (posted || spill) min_next = std::min(min_next, exchange(spill));
+    // Without a post every outbox is empty, so the exchange would find
+    // nothing.  Otherwise the delivered messages join the lanes'
+    // earliest events.
+    if (posted) min_next = std::min(min_next, exchange());
     if (plan_next_window(span_horizon_ms_, min_next)) next_ = Next::kPool;
   } catch (...) {
-    // A drain can throw (e.g. heap growth); it ran on worker w's thread.
+    // A delivery can throw (e.g. heap growth); it ran on worker w's
+    // thread.
     pool_->errors[w] = std::current_exception();
   }
 }
@@ -528,14 +444,13 @@ void ShardedSimulation::worker_span(std::size_t w) {
   // caller or the last completion planned, writes its lane record, then
   // arrives at the one boundary barrier.  Its completion -- run by the
   // last worker to arrive while the rest wait -- plans from the records:
-  // when a lane holds spill it flushes every shard's spill, when one
-  // posted or holds spill it drains every shard's inbound mailboxes in
-  // source order, then it rebalances the map and sizes the next window
-  // or declares termination, unless the window was thin: then it hands
-  // the step back to the caller.  Mailboxes need no further ordering:
-  // producers (post) only run in the run phase, the flush and the drain
-  // only inside the completion, and the barrier separates the two.  The
-  // shard -> worker map is likewise written only inside the completion.
+  // when a lane posted it delivers every outbox in source order, then it
+  // rebalances the map and sizes the next window or declares
+  // termination, unless the window was thin: then it hands the step
+  // back to the caller.  Outboxes need no further ordering: post only
+  // runs in the run phase, the delivery only inside the completion, and
+  // the barrier separates the two.  The shard -> worker map is likewise
+  // written only inside the completion.
   Pool::Lane& lane = pool_->lanes[w];
   do {
     const TimePoint window_end = TimePoint::at_ms(window_end_ms_);
@@ -544,15 +459,13 @@ void ShardedSimulation::worker_span(std::size_t w) {
       for (std::size_t c = 0; c < n; ++c) {
         if (cell_worker_[c] != w) continue;
         ShardState& s = *shards_[c];
-        const std::uint64_t posts = s.stats.posts;
         const std::uint64_t executed =
             run_shard(static_cast<ShardId>(c), window_end);
         ran[c] += executed;
         report.events += executed;
         report.next_ms =
             std::min(report.next_ms, s.sim.next_event_time().to_ms());
-        report.posted = report.posted || s.stats.posts != posts;
-        report.spill = report.spill || s.spilled != 0;
+        report.posted = report.posted || !s.outbox.empty();
       }
     } catch (...) {
       // Park the error and keep honoring the barrier so no peer
@@ -607,11 +520,7 @@ bool ShardedSimulation::run_pooled(double horizon_ms) {
 std::uint64_t ShardedSimulation::mailbox_pair_hwm(ShardId src,
                                                   ShardId dst) const {
   XAR_EXPECTS(src < shards_.size() && dst < shards_.size());
-  if (src == dst) return 0;
-  const std::size_t ring =
-      mailboxes_[src * shards_.size() + dst]->high_water();
-  const std::size_t spill = shards_[src]->spill_peak[dst];
-  return static_cast<std::uint64_t>(std::max(ring, spill));
+  return shards_[src]->pairs[dst].peak;
 }
 
 void ShardedSimulation::register_metrics(obs::Registry& registry,

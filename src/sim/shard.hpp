@@ -6,8 +6,8 @@
 // pooled 4-ary heap.  Shards advance in lock-step synchronization
 // windows ("epochs"): within a window every shard drains its local
 // queue up to the window end with no locks and no shared state;
-// cross-shard events travel through fixed-capacity SPSC mailboxes
-// (sim/mailbox.hpp) that are drained at window boundaries.
+// a cross-shard event waits in its source shard's outbox until the
+// window boundary delivers it.
 //
 // Correctness rests on the classic conservative-PDES lookahead
 // contract: every cross-shard interaction models a latency of at least
@@ -19,7 +19,7 @@
 // globally idle stretches in one step.
 //
 // Shards vs workers.  A *shard* is the unit of model state (one
-// Simulation, one mailbox row/column); a *worker* is an execution lane
+// Simulation, one outbox); a *worker* is an execution lane
 // that runs some set of shards each window.  By default there is one
 // worker per shard; `exec.workers` packs more shards per lane.
 // Because shards share nothing inside a window, WHICH worker runs a
@@ -46,12 +46,12 @@
 // windows are separated by ONE boundary barrier.  Before arriving, each
 // worker writes its lane record (one cache line): the events it ran,
 // the earliest next event over its shards, and whether its shards
-// posted or hold spill.  The last worker to arrive plans the next
-// window from the W records while the others yield the CPU, parking on
-// the barrier's generation word only if the wait runs long; it touches
-// shard state only to flush spill and drain mailboxes, and only when a
-// lane reported posts or spill.  The caller's loop, which ran every
-// shard itself, walks the shards instead.
+// posted.  The last worker to arrive plans the next window from the W
+// records while the others yield the CPU, parking on the barrier's
+// generation word only if the wait runs long; it touches shard state
+// only to deliver the outboxes, and only when a lane reported posts.
+// The caller's loop, which ran every shard itself, walks the shards
+// instead.
 //
 // Busy time is read per stretch: the caller's run of windows between
 // two handoffs (a whole span, when nothing is dense), or one worker's
@@ -60,8 +60,8 @@
 // is split over the shards it ran by their shares of its events.
 //
 // Determinism: each shard's local execution is the ordinary (time,
-// insertion-seq) order of its own Simulation; at a boundary, inbound
-// mailboxes are drained in source-shard order, FIFO within a source,
+// insertion-seq) order of its own Simulation; at a boundary, the
+// outboxes are delivered in source-shard order, FIFO within a source,
 // so cross-shard events enter the local heap with a deterministic
 // (time, source shard, source order) tie-break.  The schedule is a pure
 // function of the model -- independent of thread interleaving, and a
@@ -70,7 +70,6 @@
 // run on pooled std::threads; both modes produce identical traces.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -81,7 +80,6 @@
 #include "common/time.hpp"
 #include "sim/callback.hpp"
 #include "sim/exec_options.hpp"
-#include "sim/mailbox.hpp"
 #include "sim/simulation.hpp"
 
 namespace xartrek::obs {
@@ -92,20 +90,13 @@ namespace xartrek::sim {
 
 using ShardId = std::uint32_t;
 
-/// One cross-shard message: a callback and the absolute time it must
-/// run at on the destination shard.
-struct CrossShardEvent {
-  double at_ms = 0.0;
-  UniqueCallback cb;
-};
-
 /// Per-shard counters (diagnostics, tests, and the scaling bench).
 struct ShardStats {
   std::uint64_t executed = 0;  ///< events executed on this shard
   std::uint64_t posts = 0;     ///< cross-shard messages sent
-  std::uint64_t received = 0;  ///< cross-shard messages drained in
-  /// Posts that found the mailbox full and spilled to the unbounded
-  /// overflow (delivery slips by whole epochs, order preserved).
+  std::uint64_t received = 0;  ///< cross-shard messages delivered here
+  /// Always 0: an outbox is unbounded, so no post ever waits.  Kept
+  /// (and registered) for the benchmark, which reports it.
   std::uint64_t backpressure_stalls = 0;
   /// Thread-CPU seconds spent on this shard: each stretch that ran it
   /// (see the header) charges it the stretch's time times the shard's
@@ -118,11 +109,7 @@ struct ShardStats {
   double busy_seconds = 0.0;
   /// Times the rebalancer moved this shard to another worker.
   std::uint64_t steals = 0;
-  /// Largest inbound occupancy ever observed at a drained boundary:
-  /// messages popped from the rings PLUS backlog still sitting in
-  /// source-side spill FIFOs destined here.  Exact -- a burst that
-  /// overflowed the rings is counted the boundary it happened, not
-  /// epochs later when the spill finally drains through.
+  /// Most cross-shard messages delivered here at one boundary.
   std::uint64_t mailbox_hwm = 0;
 };
 
@@ -147,9 +134,6 @@ class ShardedSimulation {
     /// must be >= this (the lookahead contract); smaller epochs
     /// synchronize more often, larger ones amortize the boundary cost.
     Duration epoch = Duration::micros(100.0);
-    /// SPSC mailbox capacity per ordered shard pair; overflow spills to
-    /// an unbounded FIFO drained at later boundaries.
-    std::size_t mailbox_capacity = 1024;
     /// Let dense windows run on a persistent pool of std::threads (the
     /// caller's thread runs worker 0); thin ones stay on the calling
     /// thread.  Off = every window round-robin on the calling thread.
@@ -207,12 +191,13 @@ class ShardedSimulation {
 
   /// Post `cb` to run on shard `dst` at absolute time `t`.  Must be
   /// called from shard `src` (its worker's thread, when parallel).
-  /// Requires `t` to be at or past the current window's end --
-  /// guaranteed when the modeled latency is >= epoch(); see
-  /// CrossShardChannel.
+  /// Requires `t` to be at or past the current window's end, less
+  /// 1e-9 ms of rounding slack -- guaranteed when the modeled latency is
+  /// >= epoch(); see CrossShardChannel.  `cb` runs at `t`, or at the
+  /// window end when the slack put `t` before it.
   void post(ShardId src, ShardId dst, TimePoint t, UniqueCallback cb);
 
-  /// Run until every shard is idle and every mailbox is empty.
+  /// Run until every shard is idle and every outbox is empty.
   /// Returns events executed.  Clocks end at the final window boundary.
   std::size_t run();
 
@@ -225,17 +210,15 @@ class ShardedSimulation {
     return shards_[id]->stats;
   }
 
-  /// Deepest the (src, dst) pair's traffic has ever run: ring
-  /// high-water plus any spill backlog at the moment of the peak.
-  /// Producer-exact during a window; read it between runs (a boundary
-  /// barrier or join orders it).
+  /// Most posts from `src` to `dst` in one window.  Read it between
+  /// runs.
   [[nodiscard]] std::uint64_t mailbox_pair_hwm(ShardId src, ShardId dst) const;
 
-  /// Register per-shard counters and per-(src,dst) mailbox high-water
-  /// gauges under `prefix` (e.g. "sim").  Only deterministic values
-  /// are registered (wall-clock busy_seconds and the scheduling-
-  /// dependent steals counter are deliberately skipped), so serial and
-  /// parallel runs snapshot identically.
+  /// Register per-shard counters and per-(src,dst) high-water gauges
+  /// under `prefix` (e.g. "sim").  Only deterministic values are
+  /// registered (wall-clock busy_seconds and the scheduling-dependent
+  /// steals counter are deliberately skipped), so serial and parallel
+  /// runs snapshot identically.
   void register_metrics(obs::Registry& registry,
                         const std::string& prefix) const;
 
@@ -246,56 +229,30 @@ class ShardedSimulation {
   [[nodiscard]] std::uint64_t executed_events() const;
 
  private:
+  /// A cross-shard message waiting in its source's outbox.
+  struct Outgoing {
+    ShardId dst = 0;
+    double at_ms = 0.0;
+    UniqueCallback cb;
+  };
+  /// Posts from one source to one destination.
+  struct PairCount {
+    std::uint64_t window = 0;  ///< in the current window
+    std::uint64_t peak = 0;    ///< most in one window (mailbox_pair_hwm)
+  };
   struct ShardState {
     Simulation sim;
     ShardStats stats;
-    /// Overflow FIFO per destination shard, drained front-first into
-    /// the mailbox at boundaries (head index avoids O(n) pop-front).
-    std::vector<std::vector<CrossShardEvent>> spill;
-    std::vector<std::size_t> spill_head;
-    /// Messages currently sitting in the spill FIFOs (all
-    /// destinations).  Owned by this shard's worker; lets the flush and
-    /// the drain's backlog count skip shards that hold no spill with one
-    /// load instead of an O(shards) walk.
-    std::size_t spilled = 0;
-    /// Per-destination peak of ring depth + spill backlog, recorded by
-    /// the producer at post time -- the spill-inclusive half of
-    /// mailbox_pair_hwm() (the ring's own high_water covers bursts
-    /// that never overflowed).
-    std::vector<std::size_t> spill_peak;
+    /// What this shard posted since the last boundary, in post order.
+    /// Only the shard's worker appends; the boundary delivers and
+    /// clears it (the barrier orders the two, so no atomics).
+    std::vector<Outgoing> outbox;
+    std::vector<PairCount> pairs;  ///< by destination
   };
 
-  /// One inbound-occupancy counter per destination shard: messages
-  /// sitting in the destination's column of mailboxes.  Producers
-  /// bump it on push (post and spill flush), the destination's drain
-  /// subtracts what it popped -- so a boundary with no inbound traffic
-  /// costs the destination one relaxed load instead of probing every
-  /// (src, dst) ring.  Padded: producers on different workers would
-  /// otherwise false-share neighboring counters.
-  struct alignas(64) InboundCount {
-    std::atomic<std::uint64_t> n{0};
-  };
-
-  using Mailbox = SpscRing<CrossShardEvent>;
-
-  [[nodiscard]] Mailbox& mailbox(ShardId src, ShardId dst) {
-    return *mailboxes_[src * shards_.size() + dst];
-  }
-
-  /// Move spilled messages into the (drained) mailboxes, FIFO.  Returns
-  /// true when some stay spilled.
-  bool flush_spill(ShardId src);
-  /// Drain all inbound mailboxes into the local heap, in source order;
-  /// `spill_left` says whether any source may still hold spill (its
-  /// backlog counts toward the high-water mark).  Returns the earliest
-  /// instant it scheduled, or +inf.
-  double drain_inbound(ShardId dst, bool spill_left);
-  /// Flush every shard's spill (when `flush`: some shard may hold
-  /// spill), then drain every shard's mailboxes.  Returns the earliest
-  /// work the exchange leaves outside the heaps' previous contents: the
-  /// earliest drained message, or the current time while spill remains
-  /// (it must reach the next boundary as soon as possible), or +inf.
-  double exchange(bool flush);
+  /// Deliver every outbox, sources in order, each FIFO, and clear them.
+  /// Returns the earliest instant it scheduled, or +inf.
+  double exchange();
   /// Execute one window on one shard; returns events executed.
   std::uint64_t run_shard(ShardId id, TimePoint window_end);
 
@@ -332,8 +289,8 @@ class ShardedSimulation {
 
   Options opts_;
   std::vector<std::unique_ptr<ShardState>> shards_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;  ///< [src * n + dst]
-  std::unique_ptr<InboundCount[]> inbound_;          ///< [dst]
+  /// By destination: messages the exchange in progress delivered.
+  std::vector<std::uint64_t> delivered_;
 
   // Live shard -> worker assignment.  Read by workers during a window,
   // written only at boundaries (single-threaded, barrier-ordered).

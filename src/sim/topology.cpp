@@ -130,7 +130,6 @@ ShardedSimulation::Options engine_options(const Topology::Plan& plan,
   ShardedSimulation::Options o;
   o.shards = plan.shards;
   o.epoch = plan.epoch;
-  o.mailbox_capacity = opts.mailbox_capacity;
   o.parallel = opts.parallel;
   o.exec = opts.exec;  // one assignment, no three-way mirroring
   return o;

@@ -85,7 +85,6 @@ class Topology {
     /// graph, or one with no cross-cell edges).
     Duration fallback_epoch = Duration::micros(100.0);
     /// Passed through to ShardedSimulation::Options.
-    std::size_t mailbox_capacity = 1024;
     bool parallel = false;
     /// Worker mapping and stealing, forwarded wholesale to
     /// ShardedSimulation::Options::exec.

@@ -1,14 +1,15 @@
-// Tests for the epoch-synchronized sharded simulation core: SPSC
-// mailbox semantics, trace determinism across shard counts and across
-// serial/parallel execution, lookahead-contract enforcement, mailbox
-// overflow backpressure, and the density switch that hands dense
-// windows to the worker pool.
+// Tests for the epoch-synchronized sharded simulation core: trace
+// determinism across shard counts and across serial/parallel execution,
+// outbox delivery (on time, FIFO, counted), lookahead-contract
+// enforcement, and the density switch that hands dense windows to the
+// worker pool.
 #include <gtest/gtest.h>
 
 #if defined(__linux__)
 #include <sched.h>
 #endif
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -18,85 +19,11 @@
 #include <vector>
 
 #include "common/cpu_time.hpp"
-#include "sim/mailbox.hpp"
 #include "sim/shard.hpp"
 #include "sim/simulation.hpp"
 
 namespace xartrek::sim {
 namespace {
-
-// --- SPSC ring --------------------------------------------------------------
-
-TEST(SpscRingTest, FifoAcrossWrapAround) {
-  SpscRing<int> ring(4);
-  int out = 0;
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 3; ++i) {
-      EXPECT_TRUE(ring.try_push(round * 10 + i));
-    }
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(ring.try_pop(out));
-      EXPECT_EQ(out, round * 10 + i);
-    }
-  }
-  EXPECT_FALSE(ring.try_pop(out));
-}
-
-TEST(SpscRingTest, RefusesWhenFull) {
-  SpscRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(int{i}));
-  EXPECT_FALSE(ring.try_push(99));
-  int out = 0;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 0);
-  EXPECT_TRUE(ring.try_push(4));  // slot freed by the pop
-  EXPECT_EQ(ring.size(), 4u);
-}
-
-TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
-  SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-}
-
-TEST(SpscRingTest, TracksHighWaterDepth) {
-  SpscRing<int> ring(8);
-  EXPECT_EQ(ring.high_water(), 0u);
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(ring.try_push(int{i}));
-  int out = 0;
-  ASSERT_TRUE(ring.try_pop(out));
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(ring.high_water(), 3u);  // pops don't lower the mark
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(ring.try_push(int{i}));
-  EXPECT_EQ(ring.high_water(), 6u);  // 1 left + 5 pushed
-}
-
-TEST(SpscRingTest, ConstructsSlotsOnlyForQueuedMessages) {
-  // Slots are raw storage: a fresh ring constructs nothing, a pop
-  // destroys its slot, and the ring's destructor destroys exactly the
-  // messages still queued.
-  struct Counted {
-    int* live;
-    explicit Counted(int* l) : live(l) { ++*live; }
-    Counted(Counted&& o) noexcept : live(o.live) { ++*live; }
-    Counted& operator=(Counted&& o) noexcept {
-      live = o.live;
-      return *this;
-    }
-    ~Counted() { --*live; }
-  };
-  int live = 0;
-  {
-    SpscRing<Counted> ring(1024);
-    EXPECT_EQ(live, 0);
-    for (int i = 0; i < 3; ++i) EXPECT_TRUE(ring.try_push(Counted(&live)));
-    EXPECT_EQ(live, 3);
-    Counted out(&live);
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(live, 3);  // two queued, plus `out`
-  }
-  EXPECT_EQ(live, 0);
-}
 
 // --- single-shard equivalence ----------------------------------------------
 
@@ -134,7 +61,7 @@ TEST(ShardedSimulationTest, OneShardReproducesPlainSimulationTrace) {
 
   std::vector<std::pair<double, int>> sharded_trace;
   ShardedSimulation sharded(
-      ShardedSimulation::Options{1, Duration::ms(0.5), 64, false});
+      ShardedSimulation::Options{.shards = 1, .epoch = Duration::ms(0.5)});
   auto keep2 = drive(sharded.shard(0), sharded_trace);
   sharded.run();
 
@@ -184,8 +111,8 @@ struct RingResult {
   std::vector<std::vector<double>> fires;     // per chain
   std::vector<std::vector<double>> arrivals;  // per chain
   std::uint64_t executed = 0;
-  std::uint64_t stalls = 0;
   std::uint64_t pooled_windows = 0;  // windows the worker pool ran
+  std::vector<std::uint64_t> hwm;    // ShardStats::mailbox_hwm, by shard
 };
 
 struct RingChain {
@@ -218,7 +145,8 @@ struct RingChain {
 std::vector<std::unique_ptr<RingChain>> build_ring(ShardedSimulation& ssim,
                                                    RingResult& result,
                                                    std::size_t post_every,
-                                                   int fires = 40) {
+                                                   int fires = 40,
+                                                   int burst = 1) {
   constexpr int kChains = 8;
   result.fires.resize(kChains);
   result.arrivals.resize(kChains);
@@ -236,6 +164,7 @@ std::vector<std::unique_ptr<RingChain>> build_ring(ShardedSimulation& ssim,
     chain->remaining = fires;
     chain->period = 0.31 + 0.173 * c;  // no cross-chain ties
     chain->post_every = post_every;
+    chain->burst = burst;
     chains.push_back(std::move(chain));
   }
   for (int c = 0; c < kChains; ++c) {
@@ -264,10 +193,11 @@ RingResult run_ring_opts(
     const ShardedSimulation::Options& opts, std::size_t post_every = 4,
     const std::function<void(ShardedSimulation&)>& mid = nullptr,
     double mid_at_ms = 0.0,
-    const std::function<Ballast(ShardedSimulation&)>& ballast = nullptr) {
+    const std::function<Ballast(ShardedSimulation&)>& ballast = nullptr,
+    int burst = 1) {
   ShardedSimulation ssim(opts);
   RingResult result;
-  auto chains = build_ring(ssim, result, post_every);
+  auto chains = build_ring(ssim, result, post_every, 40, burst);
   const Ballast keep = ballast ? ballast(ssim) : Ballast{};
   if (mid) {
     result.executed = ssim.run_until(TimePoint::at_ms(mid_at_ms));
@@ -277,26 +207,25 @@ RingResult run_ring_opts(
     result.executed = ssim.run();
   }
   for (ShardId s = 0; s < ssim.shard_count(); ++s) {
-    result.stalls += ssim.stats(s).backpressure_stalls;
+    result.hwm.push_back(ssim.stats(s).mailbox_hwm);
   }
   result.pooled_windows = ssim.pooled_windows();
   return result;
 }
 
+ShardedSimulation::Options ring_options(std::size_t shards, bool parallel) {
+  return {.shards = shards, .epoch = Duration::ms(1.0), .parallel = parallel};
+}
+
 RingResult run_ring(std::size_t shards, bool parallel,
-                    std::size_t mailbox_capacity = 64,
                     std::size_t post_every = 4) {
-  return run_ring_opts(
-      ShardedSimulation::Options{shards, Duration::ms(1.0), mailbox_capacity,
-                                 parallel},
-      post_every);
+  return run_ring_opts(ring_options(shards, parallel), post_every);
 }
 
 /// The ring with ring_ballast: dense enough windows for the pool.
 RingResult run_dense_ring(std::size_t shards, bool parallel) {
-  return run_ring_opts(
-      ShardedSimulation::Options{shards, Duration::ms(1.0), 64, parallel}, 4,
-      nullptr, 0.0, ring_ballast);
+  return run_ring_opts(ring_options(shards, parallel), 4, nullptr, 0.0,
+                       ring_ballast);
 }
 
 TEST(ShardedSimulationTest, TracesIdenticalAcrossShardCounts) {
@@ -322,35 +251,64 @@ TEST(ShardedSimulationTest, ParallelMatchesSerial) {
   EXPECT_GT(parallel.pooled_windows, 0u);
 }
 
-TEST(ShardedSimulationTest, BackpressureDelaysButDeliversEverything) {
-  // Every firing posts a token; a capacity-2 mailbox forces part of
-  // each window's burst through the spill path.
-  const RingResult roomy = run_ring(4, false, 64, 1);
-  const RingResult tight = run_ring(4, false, 2, 1);
-  EXPECT_EQ(roomy.stalls, 0u);
-  EXPECT_GT(tight.stalls, 0u);
-  // Every token still arrives exactly once.
-  for (const auto& a : tight.arrivals) EXPECT_EQ(a.size(), 41u);
-  EXPECT_EQ(tight.fires, roomy.fires);  // local timelines unaffected
+TEST(ShardedSimulationTest, PostOnEveryFiringDeliversEverything) {
+  // Every firing posts a token, so boundaries deliver multi-message
+  // bursts: each token arrives exactly once, at the same instant for
+  // every shard count, and the inbound high-water stat sees the bursts.
+  const RingResult one = run_ring(1, false, 1);
+  const RingResult four = run_ring(4, false, 1);
+  const RingResult sparse = run_ring(4, false, 4);
+  for (const auto& a : four.arrivals) EXPECT_EQ(a.size(), 41u);
+  EXPECT_EQ(four.arrivals, one.arrivals);
+  EXPECT_EQ(four.fires, sparse.fires);  // local timelines unaffected
+  std::uint64_t max_hwm = 0;
+  for (const std::uint64_t h : four.hwm) max_hwm = std::max(max_hwm, h);
+  EXPECT_GT(max_hwm, 1u);
 }
 
-TEST(ShardedSimulationTest, MailboxOverflowBurstSpillsAndDrains) {
-  // 100 same-window posts through a capacity-4 mailbox: all must land,
-  // FIFO, even though delivery slips across several boundaries.
-  ShardedSimulation ssim(
-      ShardedSimulation::Options{2, Duration::ms(1.0), 4, false});
-  std::vector<int> received;
-  ssim.shard(0).schedule_at(TimePoint::at_ms(1.0), [&] {
-    for (int i = 0; i < 100; ++i) {
-      ssim.post(0, 1, ssim.shard(0).now() + Duration::ms(2.0),
-                [&received, i] { received.push_back(i); });
+TEST(ShardedSimulationTest, MailboxBurstArrivesOnTimeInOrder) {
+  // 100 posts in one window from shard 0 to shard 1: every message runs
+  // at its posted instant (t + 2 ms, no slip), in post order, and the
+  // counters see the whole burst at one boundary.  A later window's
+  // burst of 30 adds to `received` but not to either high-water mark.
+  ShardedSimulation ssim(ring_options(2, false));
+  std::vector<std::pair<int, double>> received;
+  const auto burst = [&](int first, int count) {
+    for (int i = first; i < first + count; ++i) {
+      ssim.post(0, 1, ssim.shard(0).now() + Duration::ms(2.0), [&, i] {
+        received.emplace_back(i, ssim.shard(1).now().to_ms());
+      });
     }
+  };
+  ssim.shard(0).schedule_at(TimePoint::at_ms(1.0), [&] { burst(0, 100); });
+  ssim.shard(0).schedule_at(TimePoint::at_ms(10.0), [&] { burst(100, 30); });
+  ssim.run();
+  ASSERT_EQ(received.size(), 130u);
+  for (int i = 0; i < 130; ++i) {
+    EXPECT_EQ(received[i].first, i);
+    EXPECT_EQ(received[i].second, i < 100 ? 3.0 : 12.0);
+  }
+  EXPECT_EQ(ssim.stats(0).posts, 130u);
+  EXPECT_EQ(ssim.stats(1).received, 130u);
+  EXPECT_EQ(ssim.stats(1).mailbox_hwm, 100u);
+  EXPECT_EQ(ssim.mailbox_pair_hwm(0, 1), 100u);
+  EXPECT_EQ(ssim.mailbox_pair_hwm(1, 0), 0u);
+}
+
+TEST(ShardedSimulationTest, SameInstantMessagesRunInSourceOrder) {
+  // Shards 2 and 1 post to shard 0 for the same instant, shard 2 first
+  // in simulated time: shard 0 runs them in source order.
+  ShardedSimulation ssim(ring_options(3, false));
+  std::vector<int> order;
+  const TimePoint at = TimePoint::at_ms(5.0);
+  ssim.shard(2).schedule_at(TimePoint::at_ms(1.0), [&] {
+    ssim.post(2, 0, at, [&order] { order.push_back(2); });
+  });
+  ssim.shard(1).schedule_at(TimePoint::at_ms(1.5), [&] {
+    ssim.post(1, 0, at, [&order] { order.push_back(1); });
   });
   ssim.run();
-  ASSERT_EQ(received.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(received[i], i);
-  EXPECT_GT(ssim.stats(0).backpressure_stalls, 0u);
-  EXPECT_EQ(ssim.stats(1).received, 100u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 // --- deterministic shard stealing -------------------------------------------
@@ -358,11 +316,7 @@ TEST(ShardedSimulationTest, MailboxOverflowBurstSpillsAndDrains) {
 TEST(ShardedSimulationTest, ForcedMidRunStealPreservesTrace) {
   const RingResult baseline = run_dense_ring(4, false);
   auto opts = [](bool parallel) {
-    ShardedSimulation::Options o;
-    o.shards = 4;
-    o.epoch = Duration::ms(1.0);
-    o.mailbox_capacity = 64;
-    o.parallel = parallel;
+    ShardedSimulation::Options o = ring_options(4, parallel);
     o.exec.workers = 2;
     return o;
   };
@@ -399,11 +353,7 @@ TEST(ShardedSimulationTest, OrganicStealingIsDeterministicAcrossModes) {
     return add_ballast(ssim, {0, 4}, Duration::ms(0.05), 1300);
   };
   auto opts = [](bool parallel) {
-    ShardedSimulation::Options o;
-    o.shards = 8;
-    o.epoch = Duration::ms(1.0);
-    o.mailbox_capacity = 64;
-    o.parallel = parallel;
+    ShardedSimulation::Options o = ring_options(8, parallel);
     o.exec.workers = 4;
     o.exec.steal = true;
     return o;
@@ -584,11 +534,7 @@ TEST(ShardedSimulationTest, WorkerStatsAccountEveryEvent) {
   // windows -- every window of a serial run -- count for each shard's
   // mapped worker.  Either way every event lands on exactly one lane.
   for (const bool parallel : {false, true}) {
-    ShardedSimulation::Options opts;
-    opts.shards = 4;
-    opts.epoch = Duration::ms(1.0);
-    opts.mailbox_capacity = 64;
-    opts.parallel = parallel;
+    ShardedSimulation::Options opts = ring_options(4, parallel);
     opts.exec.workers = 2;
     ShardedSimulation ssim(opts);
     RingResult result;
@@ -629,8 +575,7 @@ TEST(ShardedSimulationTest, BusyTimeFollowsShardsAfterManualRemap) {
       }
     }
   };
-  ShardedSimulation ssim(
-      ShardedSimulation::Options{2, Duration::ms(1.0), 64, true});
+  ShardedSimulation ssim(ring_options(2, true));
   ssim.set_worker_of(0, 1);
   std::vector<std::unique_ptr<Spin>> spins;
   for (ShardId s = 0; s < 2; ++s) {
@@ -653,71 +598,28 @@ TEST(ShardedSimulationTest, BusyTimeFollowsShardsAfterManualRemap) {
   EXPECT_GT(busy1, 0.5 * busy0);
 }
 
-TEST(ShardedSimulationTest, PooledWindowsSpillLikeSerial) {
-  // The dense ring with capacity-2 mailboxes and a burst of three posts
-  // on every firing: pooled windows overflow the rings, their lanes
-  // report the spill, and the boundary must flush and drain it exactly
-  // as the caller's loop does.
-  struct Out {
-    RingResult ring;
-    std::vector<std::uint64_t> hwm;  // ShardStats::mailbox_hwm, by shard
+TEST(ShardedSimulationTest, PooledWindowsDeliverBurstsLikeSerial) {
+  // The dense ring with a burst of three posts on every firing: pooled
+  // windows post, their lanes report it, and the boundary must deliver
+  // the bursts exactly as the caller's loop does.
+  const auto run_mode = [](bool parallel) {
+    return run_ring_opts(ring_options(4, parallel), 1, nullptr, 0.0,
+                         ring_ballast, /*burst=*/3);
   };
-  auto run_mode = [](bool parallel) {
-    ShardedSimulation ssim(
-        ShardedSimulation::Options{4, Duration::ms(1.0), 2, parallel});
-    Out out;
-    auto chains = build_ring(ssim, out.ring, 1);
-    for (auto& chain : chains) chain->burst = 3;
-    const Ballast ballast = ring_ballast(ssim);
-    out.ring.executed = ssim.run();
-    for (ShardId s = 0; s < ssim.shard_count(); ++s) {
-      out.ring.stalls += ssim.stats(s).backpressure_stalls;
-      out.hwm.push_back(ssim.stats(s).mailbox_hwm);
-    }
-    out.ring.pooled_windows = ssim.pooled_windows();
-    return out;
-  };
-  const Out serial = run_mode(false);
-  const Out parallel = run_mode(true);
-  EXPECT_EQ(parallel.ring.fires, serial.ring.fires);
-  EXPECT_EQ(parallel.ring.arrivals, serial.ring.arrivals);
-  EXPECT_EQ(parallel.ring.executed, serial.ring.executed);
-  EXPECT_EQ(parallel.ring.stalls, serial.ring.stalls);
+  const RingResult serial = run_mode(false);
+  const RingResult parallel = run_mode(true);
+  EXPECT_EQ(parallel.fires, serial.fires);
+  EXPECT_EQ(parallel.arrivals, serial.arrivals);
+  EXPECT_EQ(parallel.executed, serial.executed);
   EXPECT_EQ(parallel.hwm, serial.hwm);
-  for (const auto& a : parallel.ring.arrivals) EXPECT_EQ(a.size(), 3u * 41u);
-  EXPECT_GT(parallel.ring.stalls, 0u);
-  EXPECT_GT(parallel.ring.pooled_windows, 0u);
-}
-
-TEST(ShardedSimulationTest, MailboxHighWaterStatTracksInboundBursts) {
-  // Capacity-2 mailboxes with a post on every firing: boundaries drain
-  // multi-message bursts, and the stat must see them.
-  const RingResult tight = run_ring(4, false, 2, 1);
-  EXPECT_GT(tight.stalls, 0u);
-  ShardedSimulation::Options opts;
-  opts.shards = 4;
-  opts.epoch = Duration::ms(1.0);
-  opts.mailbox_capacity = 2;
-  ShardedSimulation ssim(opts);
-  RingResult result;
-  auto keep = build_ring(ssim, result, 1);
-  result.executed = ssim.run();
-  std::uint64_t max_hwm = 0;
-  for (ShardId s = 0; s < ssim.shard_count(); ++s) {
-    max_hwm = std::max(max_hwm, ssim.stats(s).mailbox_hwm);
-  }
-  EXPECT_GT(max_hwm, 1u);
+  for (const auto& a : parallel.arrivals) EXPECT_EQ(a.size(), 3u * 41u);
+  EXPECT_GT(parallel.pooled_windows, 0u);
 }
 
 // --- boundary barrier under stress -----------------------------------------
 
 RingResult run_long_ring(bool parallel) {
-  ShardedSimulation::Options opts;
-  opts.shards = 4;
-  opts.epoch = Duration::ms(1.0);
-  opts.mailbox_capacity = 64;
-  opts.parallel = parallel;
-  ShardedSimulation ssim(opts);
+  ShardedSimulation ssim(ring_options(4, parallel));
   RingResult result;
   auto keep = build_ring(ssim, result, 4, 4000);
   // The ring runs ~6.1 s; ballast keeps its windows dense throughout.
@@ -775,12 +677,7 @@ constexpr int kShortSpans = 600;
 
 SpanResult run_short_spans(bool parallel) {
   constexpr ShardId kShards = 4;
-  ShardedSimulation::Options opts;
-  opts.shards = kShards;
-  opts.epoch = Duration::ms(1.0);
-  opts.mailbox_capacity = 64;
-  opts.parallel = parallel;
-  ShardedSimulation ssim(opts);
+  ShardedSimulation ssim(ring_options(kShards, parallel));
   SpanResult result;
   result.posted.resize(kShards);
   auto keep = build_ring(ssim, result.ring, 4, 400);
@@ -909,11 +806,7 @@ struct SwitchResult {
 
 SwitchResult run_bursts_and_lulls(bool parallel) {
   constexpr ShardId kShards = 4;
-  ShardedSimulation::Options opts;
-  opts.shards = kShards;
-  opts.epoch = Duration::ms(1.0);
-  opts.mailbox_capacity = 64;
-  opts.parallel = parallel;
+  ShardedSimulation::Options opts = ring_options(kShards, parallel);
   opts.exec.workers = 2;
   opts.exec.steal = true;
   ShardedSimulation ssim(opts);
@@ -985,17 +878,43 @@ TEST(ShardedSimulationTest, DensitySwitchCrossedManyTimesMatchesSerial) {
 // --- API contracts ----------------------------------------------------------
 
 TEST(ShardedSimulationTest, ChannelLatencyMustCoverEpoch) {
-  ShardedSimulation ssim(
-      ShardedSimulation::Options{2, Duration::ms(1.0), 64, false});
+  ShardedSimulation ssim(ring_options(2, false));
   EXPECT_THROW(CrossShardChannel(ssim, 0, 1, Duration::micros(10.0)),
                ContractViolation);
   // Same-shard channels may be arbitrarily fast.
   EXPECT_NO_THROW(CrossShardChannel(ssim, 0, 0, Duration::micros(10.0)));
 }
 
+// An event at 1 ms with a 1 ms epoch runs in the window that ends at
+// 2 ms.  A post from it must land at or past that end, less 1e-9 ms of
+// rounding slack.
+TEST(ShardedSimulationTest, PostBeforeWindowEndBreaksLookahead) {
+  ShardedSimulation ssim(ring_options(2, false));
+  bool ran = false;
+  ssim.shard(0).schedule_at(TimePoint::at_ms(1.0), [&] {
+    ssim.post(0, 1, TimePoint::at_ms(2.0 - 2e-9), [&ran] { ran = true; });
+  });
+  EXPECT_THROW(ssim.run(), ContractViolation);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(ssim.stats(0).posts, 0u);
+}
+
+TEST(ShardedSimulationTest, PostInsideSlackRunsAtWindowEnd) {
+  ShardedSimulation ssim(ring_options(2, false));
+  double ran_at = -1.0;
+  ssim.shard(0).schedule_at(TimePoint::at_ms(1.0), [&] {
+    ssim.post(0, 1, TimePoint::at_ms(2.0 - 5e-10),
+              [&] { ran_at = ssim.shard(1).now().to_ms(); });
+  });
+  EXPECT_EQ(ssim.run(), 2u);
+  // The destination's clock already reads the window end: the message
+  // runs there, never before it.
+  EXPECT_EQ(ran_at, 2.0);
+  EXPECT_EQ(ssim.stats(1).received, 1u);
+}
+
 TEST(ShardedSimulationTest, RunUntilAlignsEveryShardClock) {
-  ShardedSimulation ssim(
-      ShardedSimulation::Options{3, Duration::ms(1.0), 64, false});
+  ShardedSimulation ssim(ring_options(3, false));
   int fired = 0;
   ssim.shard(1).schedule_at(TimePoint::at_ms(5.0), [&] { ++fired; });
   ssim.shard(2).schedule_at(TimePoint::at_ms(50.0), [&] { ++fired; });
@@ -1011,8 +930,8 @@ TEST(ShardedSimulationTest, RunUntilAlignsEveryShardClock) {
 TEST(ShardedSimulationTest, FastForwardsOverIdleGaps) {
   // Two events 10 seconds apart with a 0.1 ms epoch: the window
   // scheduler must jump the gap instead of grinding 100k empty epochs.
-  ShardedSimulation ssim(
-      ShardedSimulation::Options{2, Duration::micros(100.0), 64, false});
+  ShardedSimulation ssim(ShardedSimulation::Options{
+      .shards = 2, .epoch = Duration::micros(100.0)});
   int fired = 0;
   ssim.shard(0).schedule_at(TimePoint::at_ms(1.0), [&] { ++fired; });
   ssim.shard(1).schedule_at(TimePoint::at_ms(10'000.0), [&] { ++fired; });
@@ -1024,8 +943,7 @@ TEST(ShardedSimulationTest, ErrorInParallelShardPropagates) {
   // Ballast makes every window dense, so the pool runs them from the
   // second window on and the throw at 5 ms happens on the pool thread
   // that runs shard 1; it must surface on the calling thread.
-  ShardedSimulation ssim(
-      ShardedSimulation::Options{2, Duration::ms(1.0), 64, true});
+  ShardedSimulation ssim(ring_options(2, true));
   const Ballast ballast = add_ballast(ssim, {0, 1}, Duration::ms(0.05), 200);
   std::thread::id thrower;
   ssim.shard(1).schedule_at(TimePoint::at_ms(5.0), [&thrower] {
