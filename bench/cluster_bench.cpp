@@ -1,4 +1,4 @@
-// Cluster-scaling benchmark for the topology-partitioned engine.
+// Cluster-scaling benchmark for the sharded engine under a cell ring.
 //
 // Drives the identical per-cell workload -- a full testbed stack per
 // cell with a micro-churn background cohort -- through exp::Experiment
@@ -114,8 +114,9 @@ struct HandoffPump {
   }
 };
 
-/// The partitioned engine: the same per-cell stack and cohort, N cells
-/// joined by a 2 ms datacenter interconnect (the auto-picked epoch).
+/// The sharded cluster: the same per-cell stack and cohort, N cells
+/// joined by a 2 ms datacenter interconnect (the ring hop, and the
+/// epoch).
 ConfigResult run_cluster(std::size_t cells, std::uint64_t total_jobs,
                          Duration sim_span) {
   exp::ClusterSpec spec;
@@ -173,8 +174,8 @@ struct SkewResult {
 /// same few events, so a cell looping 3x shorter runs executes 3x the
 /// events per simulated second.  The fixed config forces the epoch
 /// 20x tighter than the 2 ms interconnect, so it pays maximal
-/// synchronization; the plan-epoch configs run at the epoch the
-/// partitioner picks, the link latency itself.  The static map pairs
+/// synchronization; the plan-epoch configs run at the ring's own
+/// epoch, the link latency itself.  The static map pairs
 /// the hot cell with a cold one on worker 0 (cells c and c+4 share
 /// worker c%4); stealing moves that cold cell off the hot worker at
 /// the first rebalance, shortening the critical path.  All three
@@ -422,8 +423,8 @@ WindowsResult run_thin_config(const runtime::ThresholdTable& table,
 }
 
 /// Dense windows: sync8's shape at bench size.  Eight cells on
-/// `workers` workers over a 100 us ring, so the partitioner picks
-/// 0.1 ms windows; 32 looping processes per cell, cell 0's bursts 3x
+/// `workers` workers over a 100 us ring, so the ring runs 0.1 ms
+/// windows; 32 looping processes per cell, cell 0's bursts 3x
 /// shorter; one handoff per cell every 1 ms.  About 125 events per
 /// window, so the pool runs nearly every window.
 WindowsResult run_dense_config(std::size_t workers, Duration sim_span) {

@@ -77,10 +77,10 @@ METRICS = {
         ("cluster.aggregate_speedup_2_cells", "higher", False),
         ("cluster.aggregate_speedup_4_cells", "higher", False),
         # Skewed load: same-run critical-path capacity ratios (a forced
-        # 0.1 ms epoch vs the partitioner's own epoch, without and with
-        # cell stealing, on the identical trace and host) are
-        # machine-neutral; events_conserved pins the trace identity
-        # contract exactly.
+        # 0.1 ms epoch vs the cell ring's own epoch, its hop latency,
+        # without and with cell stealing, on the identical trace and
+        # host) are machine-neutral; events_conserved pins the trace
+        # identity contract exactly.
         ("skew.speedup_plan_epoch_vs_fixed", "higher", False),
         ("skew.speedup_plan_epoch_steal_vs_fixed", "higher", False),
         ("skew.events_conserved", "exact", False),

@@ -339,11 +339,9 @@ int main() {
 
   // Phase 5: scale-out -- four datacenter cells as a declarative
   // ClusterSpec.  Each cell is a full testbed (tenants, scheduler,
-  // FPGA) living on its own shard of the epoch-synchronized engine;
-  // the topology partitioner derives the shard map, auto-picks the
-  // largest legal epoch from the inter-cell link latency, and emits
-  // the cross-shard wiring that used to be hand-rolled lane plumbing
-  // right here.  Every cell takes its own spike while jobs hand off
+  // FPGA) living on its own shard of the epoch-synchronized engine,
+  // and the cells form a ring whose hop latency, the inter-cell link's,
+  // is the epoch.  Every cell takes its own spike while jobs hand off
   // around the ring.
   {
     constexpr std::size_t kCells = 4;
@@ -355,7 +353,7 @@ int main() {
                                    options);
 
     // Every 25 ms each cell ships a 256 KiB job image to its ring
-    // neighbor over the derived inter-cell channel.
+    // neighbor over the inter-cell link.
     struct HandoffPump {
       exp::ClusterExperiment* cluster = nullptr;
       std::size_t cell = 0;
@@ -411,7 +409,7 @@ int main() {
     note("phase 5", std::to_string(events) + " events across " +
                         std::to_string(kCells) + " cells");
     std::cout << "[phase 5] " << kCells << "-cell cluster (epoch "
-              << cluster.engine().plan().epoch << "): "
+              << cluster.engine().engine().epoch() << "): "
               << kCells * tenants.size() << " tenants done, " << escaped
               << " escaped x86, " << cluster.handoffs()
               << " ring handoffs, " << events << " events in " << wall_s

@@ -15,36 +15,11 @@ ClusterExperiment::ClusterExperiment(
     std::vector<apps::BenchmarkSpec> specs,
     const runtime::ThresholdTable& seed_table, ClusterSpec cluster,
     ExperimentOptions options)
-    : cluster_(std::move(cluster)) {
-  XAR_EXPECTS(cluster_.cells >= 1);
+    : cluster_(std::move(cluster)),
+      ring_(cluster_.cells, cluster_.intercell.latency, cluster_.epoch,
+            cluster_.parallel, cluster_.exec) {
   XAR_EXPECTS(cluster_.completion_poll > Duration::zero());
   const std::size_t n = cluster_.cells;
-
-  // Declare the graph: one node per cell (a testbed -- x86 host, its
-  // FPGA card and the ARM server -- is always one affinity group), and
-  // the ring links as edges carrying their modeled latency.  The
-  // partitioner derives everything else (shard map, epoch, channels)
-  // from this declaration.
-  sim::Topology topo;
-  nodes_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes_.push_back(topo.add_node("cell" + std::to_string(i),
-                                   static_cast<sim::CellId>(i)));
-  }
-  if (n > 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      // The ring interconnect: its latency is the cross-cell lookahead
-      // the auto-picked epoch derives from.
-      topo.add_edge(nodes_[i], nodes_[(i + 1) % n], cluster_.intercell.latency);
-    }
-  }
-
-  sim::Topology::PartitionOptions popts;
-  popts.epoch = cluster_.epoch;
-  popts.parallel = cluster_.parallel;
-  popts.exec = cluster_.exec;  // every knob, nothing forgotten
-  engine_ = std::make_unique<sim::PartitionedEngine>(std::move(topo),
-                                                     popts);
 
   // One full experiment stack per cell, constructed against the cell's
   // shard through the testbed's shard-aware hook, all on one compiled
@@ -56,7 +31,7 @@ ClusterExperiment::ClusterExperiment(
   for (std::size_t i = 0; i < n; ++i) {
     ExperimentOptions cell_options = options;
     cell_options.testbed = cluster_.cell_config;
-    cell_options.testbed.external_sim = &engine_->sim_of(nodes_[i]);
+    cell_options.testbed.external_sim = &ring_.cell(i);
     cells_.push_back(std::make_unique<Experiment>(specs, compiled,
                                                   seed_table, cell_options));
   }
@@ -64,9 +39,9 @@ ClusterExperiment::ClusterExperiment(
   if (n > 1) {
     intercell_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      intercell_.push_back(std::make_unique<hw::Link>(
-          engine_->sim_of(nodes_[i]), cluster_.intercell));
-      intercell_[i]->register_route(*engine_, nodes_[i], nodes_[(i + 1) % n]);
+      intercell_.push_back(
+          std::make_unique<hw::Link>(ring_.cell(i), cluster_.intercell));
+      intercell_[i]->route(ring_.next(i));
     }
   }
 
@@ -81,17 +56,14 @@ ClusterExperiment::ClusterExperiment(
     // link (same spec as intercell_[i], so a partition or degradation
     // parks or drops on both -- see set_link_down_impl and
     // apply_fault_plan), a ReliableChannel restoring exactly-once
-    // delivery over it, and the registered ring edge as the arrival hop
-    // carrying the checkpoint to the neighbor's shard.
+    // delivery over it, and the ring hop carrying the checkpoint to the
+    // neighbor's shard.
     drain_transformer_ = std::make_unique<popcorn::StateTransformer>(
         popcorn::drain_metadata());
     drain_links_.reserve(n);
-    drain_arrivals_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      drain_links_.push_back(std::make_unique<hw::Link>(
-          engine_->sim_of(nodes_[i]), cluster_.intercell));
-      drain_arrivals_.push_back(
-          engine_->channel_between(nodes_[i], nodes_[(i + 1) % n]));
+      drain_links_.push_back(
+          std::make_unique<hw::Link>(ring_.cell(i), cluster_.intercell));
     }
     build_drain_channels();
   }
@@ -108,7 +80,7 @@ void ClusterExperiment::register_all_metrics() {
   obs::Histogram::Options hopts;
   hopts.lanes = n;  // completions record on the completing cell's shard
   job_latency_ = registry_.histogram("cluster.job.latency_ms", hopts);
-  engine_->engine().register_metrics(registry_, "sim");
+  ring_.engine().register_metrics(registry_, "sim");
   for (std::size_t i = 0; i < n; ++i) {
     const std::string prefix = "cell" + std::to_string(i);
     cells_[i]->server().register_metrics(registry_, prefix + ".sched");
@@ -158,7 +130,7 @@ void ClusterExperiment::build_drain_channels() {
     // Each channel's jitter stream is split per cell from the gray
     // seed: deterministic, but de-synchronized across cells.
     drain_channels_.push_back(std::make_unique<hw::ReliableChannel>(
-        engine_->sim_of(nodes_[i]), *drain_links_[i], fault_opts_.drain_channel,
+        ring_.cell(i), *drain_links_[i], fault_opts_.drain_channel,
         Rng(fault_opts_.gray_seed).split(0x5000 + i)));
   }
 }
@@ -199,7 +171,7 @@ std::size_t ClusterExperiment::completed_apps() const {
 
 bool ClusterExperiment::run_until_complete(std::size_t expected,
                                            Duration horizon) {
-  sim::ShardedSimulation& ssim = engine_->engine();
+  sim::ShardedSimulation& ssim = ring_.engine();
   const TimePoint h = ssim.now() + horizon;
   while (completed_apps() < expected && ssim.now() < h) {
     ssim.run_until(std::min(h, ssim.now() + cluster_.completion_poll));
@@ -209,7 +181,7 @@ bool ClusterExperiment::run_until_complete(std::size_t expected,
 
 void ClusterExperiment::run_for(Duration d) {
   XAR_EXPECTS(d >= Duration::zero());
-  sim::ShardedSimulation& ssim = engine_->engine();
+  sim::ShardedSimulation& ssim = ring_.engine();
   ssim.run_until(ssim.now() + d);
 }
 
@@ -220,11 +192,19 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
   // later kill_cell would drain and back off with it).
   if (plan.empty()) return;
   const std::size_t n = cells_.size();
+  // Reject before touching anything: a refused plan schedules nothing
+  // and keeps the previous options.
   std::string error;
   if (!plan.validate(static_cast<std::uint32_t>(n),
                      static_cast<std::uint32_t>(intercell_.size()),
                      &error)) {
     throw Error("fault plan rejected: " + error);
+  }
+  if (plan.events().front().at < now()) {  // events are sorted by time
+    throw Error("fault plan rejected: its first event, at " +
+                std::to_string(plan.events().front().at.to_ms()) +
+                " ms, lies before now (" + std::to_string(now().to_ms()) +
+                " ms)");
   }
   fault_opts_ = opts;
   if (n > 1) build_drain_channels();  // pick up opts.drain_channel
@@ -237,19 +217,17 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
     return gray.split((static_cast<std::uint64_t>(kind) << 32) |
                       (static_cast<std::uint64_t>(victim) << 8) | leg);
   };
+  // validate() has bounded every victim by the cell or link count and
+  // kept kills and drain corruption off a one-cell cluster.
   for (const sim::FaultEvent& ev : plan.events()) {
-    XAR_EXPECTS(ev.at >= now());
     const std::size_t victim = ev.index;
-    sim::Simulation& shard = engine_->sim_of(nodes_[victim]);
+    sim::Simulation& shard = ring_.cell(victim);
     switch (ev.kind) {
       case sim::FaultEvent::Kind::kCellKill:
-        // Drained jobs need a surviving ring neighbor to land on.
-        XAR_EXPECTS(n > 1 && victim < n);
         shard.schedule_at(ev.at, [this, victim] { kill_cell_impl(victim); });
         break;
       case sim::FaultEvent::Kind::kLinkDown:
       case sim::FaultEvent::Kind::kLinkUp: {
-        XAR_EXPECTS(n > 1 && victim < intercell_.size());
         const bool down = ev.kind == sim::FaultEvent::Kind::kLinkDown;
         shard.schedule_at(ev.at, [this, victim, down] {
           set_link_down_impl(victim, down);
@@ -257,13 +235,11 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
         break;
       }
       case sim::FaultEvent::Kind::kReconfigureFail:
-        XAR_EXPECTS(victim < n);
         shard.schedule_at(ev.at, [this, victim] {
           cells_[victim]->testbed().fpga().inject_reconfigure_failure();
         });
         break;
       case sim::FaultEvent::Kind::kCellSlow: {
-        XAR_EXPECTS(victim < n);
         // The cell's CPUs serve at magnitude x rate; the modeled
         // heartbeat handler rides the same starved cores, so replies
         // stretch by the inverse -- that is what the breaker sees.
@@ -279,7 +255,6 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
         break;
       }
       case sim::FaultEvent::Kind::kLinkDegraded: {
-        XAR_EXPECTS(n > 1 && victim < intercell_.size());
         // Handoffs and drains share the physical pipe, so both links
         // degrade together (distinct drop streams: they are separate
         // flows on it).
@@ -298,7 +273,6 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
         break;
       }
       case sim::FaultEvent::Kind::kPortFlaky: {
-        XAR_EXPECTS(victim < n);
         const double p = ev.magnitude;
         Rng rng = stream(ev.kind, victim, 0);
         shard.schedule_at(ev.at, [this, victim, p, rng] {
@@ -313,7 +287,6 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
         // The victim's drain link starts corrupting verified frames;
         // the frame checksum catches each one and the reliable channel
         // re-sends it.
-        XAR_EXPECTS(n > 1 && victim < n);
         const double p = ev.magnitude;
         Rng rng = stream(ev.kind, victim, 0);
         shard.schedule_at(ev.at, [this, victim, p, rng] {
@@ -333,14 +306,13 @@ void ClusterExperiment::kill_cell(std::size_t i) {
   XAR_EXPECTS(cells_.size() > 1 && i < cells_.size());
   // Route through the victim's shard so the immediate form and a
   // FaultPlan event produce the same trace.
-  engine_->sim_of(nodes_[i]).schedule_at(
-      now(), [this, i] { kill_cell_impl(i); });
+  ring_.cell(i).schedule_at(now(), [this, i] { kill_cell_impl(i); });
 }
 
 void ClusterExperiment::set_link_down(std::size_t i, bool down) {
   XAR_EXPECTS(cells_.size() > 1 && i < intercell_.size());
-  engine_->sim_of(nodes_[i]).schedule_at(
-      now(), [this, i, down] { set_link_down_impl(i, down); });
+  ring_.cell(i).schedule_at(now(),
+                            [this, i, down] { set_link_down_impl(i, down); });
 }
 
 std::uint64_t ClusterExperiment::submit(std::size_t i,
@@ -369,7 +341,7 @@ std::uint64_t ClusterExperiment::submit(std::size_t i,
     tracer_->instant(static_cast<std::uint32_t>(i), obs::kTrackJob,
                      "job.submit", trace_id_of(id), now());
   }
-  engine_->sim_of(nodes_[i]).schedule_at(now(), [this, id] { place_job(id); });
+  ring_.cell(i).schedule_at(now(), [this, id] { place_job(id); });
   return id;
 }
 
@@ -388,12 +360,10 @@ void ClusterExperiment::place_job(std::uint64_t id) {
   const Duration delay = fault_opts_.backoff.delay(job.attempts);
   if (tracer_ != nullptr && tracer_->sampled(trace_id_of(id))) {
     tracer_->emit(static_cast<std::uint32_t>(c), obs::kTrackJob,
-                  "job.backoff", trace_id_of(id),
-                  engine_->sim_of(nodes_[c]).now(),
-                  engine_->sim_of(nodes_[c]).now() + delay);
+                  "job.backoff", trace_id_of(id), ring_.cell(c).now(),
+                  ring_.cell(c).now() + delay);
   }
-  engine_->sim_of(nodes_[c]).schedule_in(delay,
-                                         [this, id] { forward_job(id); });
+  ring_.cell(c).schedule_in(delay, [this, id] { forward_job(id); });
 }
 
 void ClusterExperiment::launch_tracked(std::uint64_t id) {
@@ -405,13 +375,13 @@ void ClusterExperiment::launch_tracked(std::uint64_t id) {
   obs::SpanRef run_span;
   if (tracer_ != nullptr && tracer_->sampled(tid)) {
     run_span = tracer_->begin(static_cast<std::uint32_t>(c), obs::kTrackJob,
-                              "job.run", tid, engine_->sim_of(nodes_[c]).now());
+                              "job.run", tid, ring_.cell(c).now());
   }
   apps::AppProcess::launch(
       cells_[c]->env(), cells_[c]->specs()[job.app_index],
       cells_[c]->options().mode,
       [this, id, c, epoch, run_span](const apps::AppResult&) {
-        const TimePoint at = engine_->sim_of(nodes_[c]).now();
+        const TimePoint at = ring_.cell(c).now();
         // The span closes either way (an abandoned attempt genuinely
         // ran until this exit event); the ref travels by value because
         // a ghost must not touch the job record below.
@@ -470,19 +440,14 @@ void ClusterExperiment::forward_job(std::uint64_t id) {
   auto join = std::make_shared<Join>(Join{std::move(transformed)});
   auto leg = [this, join, c, dst]() mutable {
     if (--join->remaining != 0) return;
-    // Both legs done on shard c: cross to the neighbor's shard (the
-    // registered ring edge) and re-materialize there.
-    popcorn::ThreadStack arrived = std::move(join->stack);
-    if (drain_arrivals_[c].connected()) {
-      drain_arrivals_[c].deliver(
-          [this, dst, arrived = std::move(arrived)]() mutable {
-            land_job(dst, std::move(arrived));
-          });
-      return;
-    }
-    land_job(dst, std::move(arrived));
+    // Both legs done on shard c: cross one ring hop to the neighbor's
+    // shard and re-materialize there.
+    ring_.next(c).deliver(
+        [this, dst, arrived = std::move(join->stack)]() mutable {
+          land_job(dst, std::move(arrived));
+        });
   };
-  sim::Simulation& src = engine_->sim_of(nodes_[c]);
+  sim::Simulation& src = ring_.cell(c);
   const std::uint64_t tid = trace_id_of(id);
   if (tracer_ != nullptr && tracer_->sampled(tid)) {
     const auto lane = static_cast<std::uint32_t>(c);
@@ -498,7 +463,7 @@ void ClusterExperiment::forward_job(std::uint64_t id) {
                                        "drain.transfer", tid, src.now());
     src.schedule_in(transform_cost, leg);
     drain_channels_[c]->send(payload, [this, c, span, leg]() mutable {
-      tracer_->end(span, engine_->sim_of(nodes_[c]).now());
+      tracer_->end(span, ring_.cell(c).now());
       leg();
     });
     return;
@@ -520,11 +485,10 @@ void ClusterExperiment::land_job(std::size_t dst,
     // this marker lands on the *destination* lane, which is what
     // stitches one job's spans across cells.
     tracer_->instant(static_cast<std::uint32_t>(dst), obs::kTrackJob,
-                     "job.land", trace_id_of(t.job),
-                     engine_->sim_of(nodes_[dst]).now());
+                     "job.land", trace_id_of(t.job), ring_.cell(dst).now());
   }
   // If dst is dead too, place_job forwards onward around the ring --
-  // the plan's kill budget guarantees a survivor.
+  // FaultPlan::validate refuses plans that leave no cell alive.
   place_job(t.job);
 }
 
@@ -556,7 +520,7 @@ void ClusterExperiment::set_link_down_impl(std::size_t l, bool down) {
 }
 
 bool ClusterExperiment::run_until_jobs_complete(Duration horizon) {
-  sim::ShardedSimulation& ssim = engine_->engine();
+  sim::ShardedSimulation& ssim = ring_.engine();
   const TimePoint h = ssim.now() + horizon;
   while (completed_jobs() < jobs_.size() && ssim.now() < h) {
     ssim.run_until(std::min(h, ssim.now() + cluster_.completion_poll));

@@ -1,25 +1,21 @@
-// Cluster experiment: N testbed cells on the sharded engine, derived.
+// Cluster experiment: N testbed cells joined by an Ethernet ring.
 //
 // A ClusterExperiment builds an N-cell cluster from a declarative
-// ClusterSpec: it registers each cell as one node of a sim::Topology
-// (cell i is affinity group i -- a testbed's x86 host, FPGA card and
-// ARM server always share a shard), registers the inter-cell links (a
-// ring, each carrying the modeled Ethernet latency) as edges, and lets
-// the partitioner map the graph onto ShardedSimulation shards,
-// auto-picking the largest legal epoch.  The suite is compiled once
-// for the whole cluster; each cell is then a full exp::Experiment
-// (threshold table, scheduler, executor) on that shared suite,
-// constructed against its shard's engine through the testbed's
-// shard-aware hook, so the sharded core is the default execution
-// engine rather than a hand-wired special case:
+// ClusterSpec on a sim::CellRing: cell i (a testbed's x86 host, FPGA
+// card and ARM server) runs on shard i, and the ring links, cell i ->
+// cell (i + 1) mod N, each carry the modeled Ethernet latency, which
+// is also the window length unless the spec forces a shorter one.  The
+// suite is compiled once for the whole cluster; each cell is then a
+// full exp::Experiment (threshold table, scheduler, executor) on that
+// shared suite, constructed against its shard's engine through the
+// testbed's shard-aware hook:
 //
 //   * 1 cell degenerates to one shard whose trace is identical to
 //     exp::Experiment on the classic single-queue testbed (pinned by
-//     tests/topology_test.cpp);
+//     tests/cluster_test.cpp);
 //   * N cells run the same per-cell model on N shards, serial or
 //     parallel, trace-identical either way, with cross-cell job
-//     handoffs riding the inter-cell links through the derived
-//     channels.
+//     handoffs and checkpoint drains riding the ring's hops.
 //
 // Background load scales with the cluster: set_background_load spreads
 // the cohort over the cells through apps::ShardedLoadGenerator, whose
@@ -44,10 +40,10 @@
 #include "obs/trace.hpp"
 #include "popcorn/checkpoint.hpp"
 #include "popcorn/state_transform.hpp"
+#include "sim/cell_ring.hpp"
 #include "sim/exec_options.hpp"
 #include "sim/fault.hpp"
 #include "sim/shard.hpp"
-#include "sim/topology.hpp"
 
 namespace xartrek::exp {
 
@@ -57,18 +53,17 @@ struct ClusterSpec {
   /// Per-cell platform (every cell is one paper testbed by default).
   platform::TestbedConfig cell_config = {};
   /// The cell-to-cell interconnect (ring: cell i feeds cell (i+1) mod
-  /// N).  Its latency is the lookahead the partitioner derives the
-  /// epoch from.
+  /// N).  Its latency is the ring hop, and the epoch unless one is
+  /// forced.
   hw::LinkSpec intercell = hw::ethernet_1gbps();
-  /// Force a synchronization window; unset auto-picks the largest
-  /// legal epoch (the minimum cross-cell latency).
+  /// Force a synchronization window, at most the hop latency when
+  /// there are two or more cells (sim::CellRing throws otherwise).
   std::optional<Duration> epoch;
   /// Run shards on threads.  Traces are identical either way.
   bool parallel = false;
   /// Worker mapping (0 workers = one lane per cell) and deterministic
-  /// cell stealing, forwarded wholesale down through
-  /// Topology::PartitionOptions to the engine.  Neither changes the
-  /// trace -- only wall-clock behavior.
+  /// cell stealing, forwarded wholesale to the engine.  Neither changes
+  /// the trace -- only wall-clock behavior.
   sim::ExecOptions exec;
   /// How often run_until_complete re-checks the completion count.
   /// Completions carry exact event timestamps, so this affects polling
@@ -109,14 +104,11 @@ class ClusterExperiment {
   ClusterExperiment& operator=(const ClusterExperiment&) = delete;
 
   [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }
-  [[nodiscard]] sim::PartitionedEngine& engine() { return *engine_; }
-  [[nodiscard]] const sim::Topology& topology() const {
-    return engine_->topology();
-  }
+  /// The ring the cells run on; its engine() is the ShardedSimulation.
+  [[nodiscard]] sim::CellRing& engine() { return ring_; }
 
-  /// Cell i's full experiment stack.  Cells are numbered like their
-  /// shards (cell i is affinity group i, hence shard i).  Use it to
-  /// launch apps and read results; drive time through *this* (the
+  /// Cell i's full experiment stack (cell i runs on shard i).  Use it
+  /// to launch apps and read results; drive time through *this* (the
   /// sharded engine), not through the cell's own run_until_complete.
   [[nodiscard]] Experiment& cell(std::size_t i) {
     XAR_EXPECTS(i < cells_.size());
@@ -145,8 +137,8 @@ class ClusterExperiment {
 
   /// Hand a job off from cell `from` to its ring neighbor: `bytes` of
   /// state ride the inter-cell link, and `on_arrival` fires on the
-  /// neighbor's shard once the last byte lands (plus the registered
-  /// edge latency).  Requires a multi-cell cluster.
+  /// neighbor's shard once the last byte lands (plus one ring hop).
+  /// Requires a multi-cell cluster.
   void handoff(std::size_t from, std::uint64_t bytes,
                sim::UniqueCallback on_arrival);
   [[nodiscard]] std::size_t handoff_target(std::size_t from) const {
@@ -172,7 +164,7 @@ class ClusterExperiment {
     return cells_[i]->results();
   }
 
-  [[nodiscard]] TimePoint now() const { return engine_->engine().now(); }
+  [[nodiscard]] TimePoint now() const { return ring_.engine().now(); }
 
   // --- fault injection & tracked jobs -----------------------------------
   //
@@ -184,9 +176,12 @@ class ClusterExperiment {
   // runs memory-safe in parallel mode AND trace-identical to serial.
 
   /// Schedule every event of `plan` onto its victim's shard and start
-  /// health checks on every cell's scheduler.  Call between runs; all
-  /// events must lie in the future.  An empty plan changes nothing --
-  /// the subsequent run is bit-identical to never having called this.
+  /// health checks on every cell's scheduler.  Call between runs.  A
+  /// plan this cluster cannot apply -- one FaultPlan::validate rejects
+  /// for its cell and link counts, or one with an event in the past --
+  /// throws xartrek::Error before anything is scheduled or changed.  An
+  /// empty plan changes nothing -- the subsequent run is bit-identical
+  /// to never having called this.
   void apply_fault_plan(const sim::FaultPlan& plan,
                         FaultInjectionOptions opts = {});
 
@@ -305,9 +300,7 @@ class ClusterExperiment {
 
  private:
   ClusterSpec cluster_;
-  /// One topology node per cell (index = cell).
-  std::vector<sim::NodeId> nodes_;
-  std::unique_ptr<sim::PartitionedEngine> engine_;
+  sim::CellRing ring_;
   std::vector<std::unique_ptr<Experiment>> cells_;
   /// Ring link i: cell i -> cell (i+1) mod N (empty for one cell).
   std::vector<std::unique_ptr<hw::Link>> intercell_;
@@ -334,13 +327,12 @@ class ClusterExperiment {
   /// degradations hit both -- and its completions fire on the *sender's*
   /// shard, which is what lets the reliable channel keep all its retry
   /// state on one shard), a ReliableChannel restoring exactly-once
-  /// delivery over it, and the registered ring edge as the cross-shard
-  /// arrival hop -- checkpoints transform on the dying shard and
-  /// re-materialize on the neighbor's.
+  /// delivery over it, and the ring hop as the cross-shard arrival --
+  /// checkpoints transform on the dying shard and re-materialize on the
+  /// neighbor's.
   std::unique_ptr<popcorn::StateTransformer> drain_transformer_;
   std::vector<std::unique_ptr<hw::Link>> drain_links_;
   std::vector<std::unique_ptr<hw::ReliableChannel>> drain_channels_;
-  std::vector<sim::CrossShardChannel> drain_arrivals_;
 
   // Observability.  The registry owns the job-latency histogram (one
   // lane per cell: completions record on the completing cell's shard);

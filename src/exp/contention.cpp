@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,7 +10,7 @@
 #include "common/assert.hpp"
 #include "fpga/device.hpp"
 #include "hw/link.hpp"
-#include "sim/topology.hpp"
+#include "sim/cell_ring.hpp"
 
 namespace xartrek::exp {
 
@@ -38,7 +39,7 @@ struct CellState {
   /// Whole-image baseline: one single-kernel image per tenant, packed
   /// with as many CUs as the fabric holds (equal area budget).
   std::vector<fpga::XclbinImage> images;
-  sim::CrossShardChannel spill;     ///< ring edge to the next cell
+  sim::CrossShardChannel spill;  ///< ring hop to the next cell
   CellState* next_cell = nullptr;
 
   std::uint64_t arrivals = 0;
@@ -130,13 +131,7 @@ void on_arrival(Workload& w, CellState& cell, std::uint32_t tenant,
   // Spilled arrivals don't re-spill (no amplification loop).
   if (tenant == 0 && !spilled && w.cells.size() > 1) {
     CellState* next = cell.next_cell;
-    auto deliver = [&w, next] { on_arrival(w, *next, 0, true); };
-    if (cell.spill.connected()) {
-      cell.spill.deliver(std::move(deliver));
-    } else {
-      // Neighbor shares the shard: same latency, local event.
-      cell.sim->schedule_in(w.spec.spill_latency, std::move(deliver));
-    }
+    cell.spill.deliver([&w, next] { on_arrival(w, *next, 0, true); });
   }
 }
 
@@ -176,27 +171,13 @@ ContentionResult run_fpga_contention(const ContentionSpec& spec) {
     w.kernels.push_back(std::move(k));
   }
 
-  sim::Topology topo;
-  std::vector<sim::NodeId> nodes;
-  for (std::size_t c = 0; c < spec.cells; ++c) {
-    nodes.push_back(topo.add_node("cell" + std::to_string(c) + "/fpga",
-                                  static_cast<sim::CellId>(c)));
-  }
-  std::vector<sim::EdgeId> ring;
-  if (spec.cells > 1) {
-    for (std::size_t c = 0; c < spec.cells; ++c) {
-      ring.push_back(topo.add_edge(nodes[c], nodes[(c + 1) % spec.cells],
-                                   spec.spill_latency));
-    }
-  }
-  sim::Topology::PartitionOptions popts;
-  popts.parallel = spec.parallel;
-  sim::PartitionedEngine engine(std::move(topo), popts);
+  sim::CellRing ring(spec.cells, spec.spill_latency, std::nullopt,
+                     spec.parallel);
 
   for (std::size_t c = 0; c < spec.cells; ++c) {
     auto cell = std::make_unique<CellState>();
     cell->index = static_cast<std::uint32_t>(c);
-    cell->sim = &engine.sim_of(nodes[c]);
+    cell->sim = &ring.cell(c);
     cell->pcie = std::make_unique<hw::Link>(*cell->sim, hw::pcie_gen3());
     cell->device = std::make_unique<fpga::FpgaDevice>(*cell->sim, *cell->pcie,
                                                       card);
@@ -218,7 +199,7 @@ ContentionResult run_fpga_contention(const ContentionSpec& spec) {
         cell->images.push_back(std::move(image));
       }
     }
-    if (spec.cells > 1) cell->spill = engine.channel(ring[c]);
+    cell->spill = ring.next(c);
     w.cells.push_back(std::move(cell));
   }
   for (std::size_t c = 0; c < spec.cells; ++c) {
@@ -236,10 +217,10 @@ ContentionResult run_fpga_contention(const ContentionSpec& spec) {
     }
   }
 
-  engine.engine().run_until(w.end);
+  ring.engine().run_until(w.end);
 
   ContentionResult r;
-  r.executed_events = engine.engine().executed_events();
+  r.executed_events = ring.engine().executed_events();
   r.trace_hash = kFnvOffset;
   for (const auto& cell : w.cells) {
     r.arrivals += cell->arrivals;

@@ -15,9 +15,9 @@
 // BENCH_fpga "slots" gate measures virtualization, not extra silicon.
 //
 // The hot tenant's arrivals also spill a mirrored arrival to the next
-// cell around the ring (through the partitioned engine's cross-shard
-// channels), so the serial-vs-parallel trace-identity claim is
-// exercised by real cross-cell traffic, not independent cells.
+// cell around the ring (one sim::CellRing hop, a cross-shard channel),
+// so the serial-vs-parallel trace-identity claim is exercised by real
+// cross-cell traffic, not independent cells.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,7 @@ struct ContentionSpec {
   double hot_factor = 4.0;
   Duration hot_phase = Duration::ms(60.0);
   Duration span = Duration::seconds(2.0);
-  /// Ring-edge latency between neighboring cells (the epoch source).
+  /// Ring-hop latency between neighboring cells (the epoch).
   Duration spill_latency = Duration::ms(2.0);
   bool parallel = false;
   std::uint64_t items = 4096;  ///< work items per invocation

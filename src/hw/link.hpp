@@ -19,7 +19,6 @@
 #include "sim/shard.hpp"
 #include "sim/simulation.hpp"
 #include "sim/slot_pool.hpp"
-#include "sim/topology.hpp"
 
 namespace xartrek::hw {
 
@@ -81,23 +80,18 @@ class Link {
   /// dropped frame's callback never fires at all.  Allocation-free:
   /// `on_complete` waits in a link-owned slot until the frame lands,
   /// so the link must be route-less (its completions fire on this
-  /// shard; see register_route).
+  /// shard; see route).
   using VerifiedCallback = sim::UniqueFunction<void(bool)>;
   void transfer_verified(std::uint64_t bytes, std::uint64_t checksum,
                          VerifiedCallback on_complete);
 
-  /// Topology registration: this link's sending end is node `self`,
-  /// its receiving end node `receiver`, and the partitioner already
-  /// derived where both live.  Completions are routed to the far end's
-  /// shard through the registered `self -> receiver` edge's channel --
-  /// or stay local when the partitioner put both on one shard.  This
-  /// replaces hand-assembled CrossShardChannel wiring at call sites.
-  /// Completions stay pooled: the in-pool event captures only
-  /// {this, slot}, so the steady state remains allocation-free.
-  void register_route(sim::PartitionedEngine& eng, sim::NodeId self,
-                      sim::NodeId receiver) {
-    delivery_ = eng.channel_between(self, receiver);
-  }
+  /// Deliver completions on the receiving end's shard: each one rides
+  /// `delivery` (a ring hop, sim::CellRing::next) after its last byte
+  /// lands.  A route-less link -- the default, or an inert channel --
+  /// fires completions on its own shard.  Completions stay pooled: the
+  /// in-pool event captures only {this, slot}, so the steady state
+  /// remains allocation-free.
+  void route(sim::CrossShardChannel delivery) { delivery_ = delivery; }
 
   /// Fault injection: partition the link.  While down, new admissions
   /// park FIFO instead of entering the wire; transfers already in their

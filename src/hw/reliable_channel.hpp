@@ -11,9 +11,9 @@
 //
 // Shard discipline: the channel's state lives on the sending side, so
 // it requires a route-less link -- one whose completions fire on the
-// sender's own shard (the drain/control-plane shape; see
-// Link::register_route).  All timers and retries then run on one shard
-// and the retry trace is deterministic.
+// sender's own shard (the drain/control-plane shape; see Link::route).
+// All timers and retries then run on one shard and the retry trace is
+// deterministic.
 #pragma once
 
 #include <algorithm>

@@ -30,11 +30,10 @@ struct TestbedConfig {
   /// after construction.  Unset keeps whole-image residency.
   std::optional<fpga::SlotConfig> fpga_slots;
   /// Shard-aware construction: build every component against this
-  /// externally-owned engine (a ShardedSimulation shard picked by the
-  /// topology partitioner) instead of a testbed-owned one.  The
-  /// testbed then is one *cell* of a partitioned cluster; null keeps
-  /// the classic self-contained single-queue testbed.  The engine must
-  /// outlive the testbed.
+  /// externally-owned engine (a cell's shard of a sim::CellRing)
+  /// instead of a testbed-owned one.  The testbed then is one *cell* of
+  /// a cluster; null keeps the classic self-contained single-queue
+  /// testbed.  The engine must outlive the testbed.
   sim::Simulation* external_sim = nullptr;
   Logger log = {};
 };

@@ -1,9 +1,9 @@
 // Execution-lane options shared by every layer that drives the sharded
 // engine.
 //
-// ShardedSimulation::Options, Topology::PartitionOptions and
-// exp::ClusterSpec embed this one struct and forward it wholesale, so
-// a knob is never mirrored field-by-field across the three layers.
+// ShardedSimulation::Options and exp::ClusterSpec embed this one
+// struct, and sim::CellRing forwards it wholesale between them, so a
+// knob is never mirrored field-by-field across the three layers.
 #pragma once
 
 #include <cstddef>

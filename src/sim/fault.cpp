@@ -4,6 +4,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -55,6 +56,13 @@ namespace {
          kind == FaultEvent::Kind::kLinkDegraded;
 }
 
+/// Kinds that drain over the victim's ring link: a kill ships the
+/// cell's jobs to its neighbor, drain corruption hits that transfer.
+[[nodiscard]] bool needs_neighbor(FaultEvent::Kind kind) {
+  return kind == FaultEvent::Kind::kCellKill ||
+         kind == FaultEvent::Kind::kDsmCorrupt;
+}
+
 [[nodiscard]] bool carries_probability(FaultEvent::Kind kind) {
   return kind == FaultEvent::Kind::kLinkDegraded ||
          kind == FaultEvent::Kind::kPortFlaky ||
@@ -79,6 +87,8 @@ void describe(const FaultEvent& e, std::string_view what,
 
 bool FaultPlan::validate(std::uint32_t cells, std::uint32_t links,
                          std::string* error) const {
+  std::vector<bool> killed(cells, false);
+  std::uint32_t kills = 0;
   for (auto it = events_.begin(); it != events_.end(); ++it) {
     const FaultEvent& e = *it;
     const std::uint32_t limit = targets_link(e.kind) ? links : cells;
@@ -87,6 +97,21 @@ bool FaultPlan::validate(std::uint32_t cells, std::uint32_t links,
                                        : "cell index out of range",
                error);
       return false;
+    }
+    if (needs_neighbor(e.kind) && cells < 2) {
+      describe(e, "needs a ring neighbor to drain to; a one-cell cluster "
+                  "has none",
+               error);
+      return false;
+    }
+    if (e.kind == FaultEvent::Kind::kCellKill && !killed[e.index]) {
+      killed[e.index] = true;
+      if (++kills == cells) {
+        describe(e, "kills the last live cell; drained jobs need a "
+                    "survivor",
+                 error);
+        return false;
+      }
     }
     if (!is_degraded(e.kind)) continue;
     if (e.until <= e.at) {

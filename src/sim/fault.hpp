@@ -126,8 +126,12 @@ class FaultPlan {
   /// Events of one kind (diagnostics / tests).
   [[nodiscard]] std::size_t count(FaultEvent::Kind kind) const;
 
-  /// Build-time victim-range check: every cell-targeting event's index
-  /// must be < `cells` and every link-targeting event's < `links`, and
+  /// Build-time check that a cluster of `cells` cells and `links` ring
+  /// links can apply the plan: every cell-targeting event's index must
+  /// be < `cells` and every link-targeting event's < `links`; kills and
+  /// drain corruption need a ring neighbor, so a one-cell cluster takes
+  /// neither; the kills must leave at least one cell alive, since
+  /// drained jobs circle the ring until they land on a live cell; and
   /// degraded events must carry a sane window (`until` > `at`) and a
   /// magnitude in [0, 1] for the probability kinds.  Two windows of one
   /// kind on one target must not overlap: the first one's `until` would

@@ -1,9 +1,8 @@
 // Epoch-synchronized sharded simulation core.
 //
 // A ShardedSimulation partitions a discrete-event model into N shards
-// (one per component group: hw, fpga, popcorn, runtime -- or one per
-// datacenter cell), each owning a private `sim::Simulation` with its
-// pooled 4-ary heap.  Shards advance in lock-step synchronization
+// (in every experiment, one per testbed cell: see sim::CellRing), each
+// owning a private `sim::Simulation` with its pooled 4-ary heap.  Shards advance in lock-step synchronization
 // windows ("epochs"): within a window every shard drains its local
 // queue up to the window end with no locks and no shared state;
 // a cross-shard event waits in its source shard's outbox until the
@@ -139,8 +138,8 @@ class ShardedSimulation {
     /// thread.  Off = every window round-robin on the calling thread.
     /// Traces are identical either way.
     bool parallel = false;
-    /// Worker mapping and stealing, shared with
-    /// Topology::PartitionOptions and exp::ClusterSpec.
+    /// Worker mapping and stealing, shared with exp::ClusterSpec
+    /// (through sim::CellRing).
     ExecOptions exec{};
   };
 
@@ -325,11 +324,11 @@ class ShardedSimulation {
   std::unique_ptr<Pool> pool_;
 };
 
-/// A typed edge between two component groups living on different
-/// shards: "deliver this completion to the other side, `latency`
-/// later".  Components hold one and stay topology-agnostic; a
-/// default-constructed channel is inert (`connected()` is false) and
-/// the component falls back to its in-shard behavior.  The latency
+/// A typed edge between two components living on different shards:
+/// "deliver this completion to the other side, `latency` later".
+/// Components hold one and stay layout-agnostic; a default-constructed
+/// channel is inert (`connected()` is false) and the component falls
+/// back to its in-shard behavior.  The latency
 /// must be >= the engine's epoch() so the lookahead contract holds;
 /// delivery timing is then identical for every shard count.
 /// Channels name shards, not workers: a rebalance move never

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "apps/benchmark_spec.hpp"
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "exp/cluster.hpp"
 #include "exp/threshold_estimator.hpp"
@@ -155,6 +156,59 @@ TEST(ChaosClusterTest, KillCellDrainsRunningJobsExactlyOnce) {
   }
   // Health checks were live from the moment the plan was applied.
   EXPECT_TRUE(cluster.cell(0).server().health_checks_active());
+}
+
+/// Events queued on every cell's shard.
+std::size_t queued_events(exp::ClusterExperiment& cluster) {
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < cluster.cell_count(); ++c) {
+    total += cluster.engine().cell(c).queued_events();
+  }
+  return total;
+}
+
+TEST(ChaosClusterTest, RejectedPlanThrowsAndSchedulesNothing) {
+  // A plan the cluster cannot apply is refused whole: none of its
+  // events is scheduled, not even those ahead of the one at fault, and
+  // no health check starts.
+  const auto specs = apps::paper_benchmarks();
+
+  // One cell: a slow window, then a kill with no neighbor to drain to.
+  exp::ClusterExperiment lone(specs, shared_table());
+  sim::FaultPlan lone_plan;
+  lone_plan.add({sim::FaultEvent::Kind::kCellSlow, TimePoint::at_ms(1.0), 0,
+                 0.25, TimePoint::at_ms(2.0)});
+  lone_plan.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(5.0), 0});
+  const std::size_t lone_queued = queued_events(lone);
+  EXPECT_THROW(lone.apply_fault_plan(lone_plan), Error);
+  EXPECT_EQ(queued_events(lone), lone_queued);
+  EXPECT_FALSE(lone.cell(0).server().health_checks_active());
+
+  // Two cells, both killed: the tracked jobs would circle a dead ring.
+  exp::ClusterSpec spec;
+  spec.cells = 2;
+  exp::ClusterExperiment pair(specs, shared_table(), spec);
+  for (std::size_t i = 0; i < 4; ++i) pair.submit(i % 2, "facedet320");
+  sim::FaultPlan both;
+  both.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(10.0), 0});
+  both.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(20.0), 1});
+  const std::size_t pair_queued = queued_events(pair);
+  EXPECT_THROW(pair.apply_fault_plan(both), Error);
+  EXPECT_EQ(queued_events(pair), pair_queued);
+  EXPECT_FALSE(pair.cell(0).server().health_checks_active());
+  ASSERT_TRUE(pair.run_until_jobs_complete());
+  EXPECT_EQ(pair.job_stats().retries, 0u);  // no kill ever fired
+
+  // An event in the past: refused whole as well.
+  sim::FaultPlan stale;
+  stale.add({sim::FaultEvent::Kind::kCellSlow, TimePoint::at_ms(1.0), 0,
+             0.25, TimePoint::at_ms(2.0)});
+  stale.add({sim::FaultEvent::Kind::kCellSlow,
+             pair.now() + Duration::ms(10.0), 1, 0.25,
+             pair.now() + Duration::ms(20.0)});
+  const std::size_t stale_queued = queued_events(pair);
+  EXPECT_THROW(pair.apply_fault_plan(stale), Error);
+  EXPECT_EQ(queued_events(pair), stale_queued);
 }
 
 TEST(ChaosClusterTest, DeadCellBackoffRetriesOntoRingNeighbor) {

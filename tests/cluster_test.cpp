@@ -1,9 +1,10 @@
-// Tests for the topology auto-partitioner and the cluster experiment:
-// deterministic shard maps, lookahead validation with named edges,
-// largest-legal-epoch auto-pick, derived channel wiring, and the
-// 1-cell ClusterExperiment reproducing exp::Experiment's trace exactly.
+// Tests for the cell ring and the cluster experiment: the ring's
+// lookahead contract as ClusterSpec sets it, ring-hop channels across a
+// worker remap, Link::route, and the 1-cell ClusterExperiment
+// reproducing exp::Experiment's trace exactly.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,216 +14,131 @@
 #include "exp/experiment.hpp"
 #include "exp/threshold_estimator.hpp"
 #include "hw/link.hpp"
-#include "sim/topology.hpp"
+#include "sim/cell_ring.hpp"
 
 namespace xartrek {
 namespace {
-
-// --- partitioner ------------------------------------------------------------
-
-TEST(TopologyTest, ShardMapIsDeterministicAndSortedByCell) {
-  // Cells registered out of order: the map must order shards by
-  // ascending CellId, independent of registration order.
-  sim::Topology a;
-  const auto a9 = a.add_node("nine", 9);
-  const auto a2 = a.add_node("two", 2);
-  const auto a5 = a.add_node("five", 5);
-  const auto a2b = a.add_node("two-bis", 2);
-  const auto plan_a = a.plan();
-
-  EXPECT_EQ(plan_a.shards, 3u);
-  EXPECT_EQ(plan_a.shard_cell, (std::vector<sim::CellId>{2, 5, 9}));
-  EXPECT_EQ(plan_a.shard_of(a2), 0u);
-  EXPECT_EQ(plan_a.shard_of(a2b), 0u);
-  EXPECT_EQ(plan_a.shard_of(a5), 1u);
-  EXPECT_EQ(plan_a.shard_of(a9), 2u);
-
-  // Same graph, different registration order: same cell -> shard map.
-  sim::Topology b;
-  const auto b2 = b.add_node("two", 2);
-  const auto b5 = b.add_node("five", 5);
-  const auto b9 = b.add_node("nine", 9);
-  const auto plan_b = b.plan();
-  EXPECT_EQ(plan_b.shard_cell, plan_a.shard_cell);
-  EXPECT_EQ(plan_b.shard_of(b2), plan_a.shard_of(a2));
-  EXPECT_EQ(plan_b.shard_of(b5), plan_a.shard_of(a5));
-  EXPECT_EQ(plan_b.shard_of(b9), plan_a.shard_of(a9));
-
-  // Planning twice is bit-identical (pure function of the graph).
-  const auto plan_a2 = a.plan();
-  EXPECT_EQ(plan_a2.node_shard, plan_a.node_shard);
-  EXPECT_EQ(plan_a2.epoch, plan_a.epoch);
-}
-
-TEST(TopologyTest, AutoPicksLargestLegalEpoch) {
-  sim::Topology topo;
-  const auto a = topo.add_node("a", 0);
-  const auto b = topo.add_node("b", 1);
-  const auto c = topo.add_node("c", 2);
-  topo.add_edge(a, b, Duration::ms(3.0));
-  topo.add_edge(b, c, Duration::ms(2.0));       // the binding constraint
-  topo.add_edge(a, a, Duration::micros(1.0));   // in-cell: no constraint
-  const auto plan = topo.plan();
-  EXPECT_EQ(plan.epoch, Duration::ms(2.0));
-  EXPECT_EQ(plan.cross_edges, 2u);
-}
-
-TEST(TopologyTest, HonoursForcedLegalEpoch) {
-  // A forced epoch below the tightest cross edge (2 ms) is legal and
-  // used as given, not widened to the auto-pick.
-  sim::Topology topo;
-  const auto a = topo.add_node("a", 0);
-  const auto b = topo.add_node("b", 1);
-  topo.add_edge(a, b, Duration::ms(3.0));
-  topo.add_edge(b, a, Duration::ms(2.0));
-  sim::Topology::PartitionOptions opts;
-  opts.epoch = Duration::ms(0.5);
-  EXPECT_EQ(topo.plan(opts).epoch, Duration::ms(0.5));
-}
-
-TEST(TopologyTest, FallbackEpochWhenNothingCrosses) {
-  sim::Topology topo;
-  const auto a = topo.add_node("a", 0);
-  topo.add_edge(a, a, Duration::zero());
-  const auto plan = topo.plan();
-  EXPECT_EQ(plan.shards, 1u);
-  EXPECT_EQ(plan.cross_edges, 0u);
-  EXPECT_EQ(plan.epoch, Duration::micros(100.0));
-}
-
-TEST(TopologyTest, RejectsEpochAboveCrossLatencyWithNamedEdge) {
-  sim::Topology topo;
-  const auto a = topo.add_node("cell0/x86", 0);
-  const auto b = topo.add_node("cell1/x86", 1);
-  topo.add_edge(a, b, Duration::ms(0.5));
-  sim::Topology::PartitionOptions opts;
-  opts.epoch = Duration::ms(1.0);
-  try {
-    (void)topo.plan(opts);
-    FAIL() << "expected a lookahead-contract error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("cell0/x86 -> cell1/x86"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("lookahead"), std::string::npos) << what;
-    EXPECT_NE(what.find("0.5 ms"), std::string::npos) << what;
-  }
-}
-
-TEST(TopologyTest, RejectsZeroLatencyCrossEdge) {
-  sim::Topology topo;
-  const auto a = topo.add_node("a", 0);
-  const auto b = topo.add_node("b", 1);
-  topo.add_edge(a, b, Duration::zero());
-  EXPECT_THROW((void)topo.plan(), Error);
-}
-
-// --- derived channels -------------------------------------------------------
-
-TEST(PartitionedEngineTest, DerivesInertAndMailboxChannels) {
-  sim::Topology topo;
-  const auto a = topo.add_node("a", 0);
-  const auto a2 = topo.add_node("a2", 0);
-  const auto b = topo.add_node("b", 1);
-  topo.add_edge(a, a2, Duration::micros(1.0));
-  const auto cross = topo.add_edge(a, b, Duration::ms(2.0));
-  sim::PartitionedEngine eng(std::move(topo));
-
-  // Same shard: inert channel, the component keeps local behavior.
-  EXPECT_FALSE(eng.channel_between(a, a2).connected());
-  // Cross shard: mailbox channel carrying the edge's modeled latency.
-  const auto channel = eng.channel(cross);
-  EXPECT_TRUE(channel.connected());
-  EXPECT_EQ(channel.latency(), Duration::ms(2.0));
-  // Undeclared interaction: refused, not silently zero-latency.
-  EXPECT_THROW((void)eng.channel_between(a2, b), Error);
-
-  // End to end: a delivery crosses shards at the modeled latency.
-  double arrived_at = -1.0;
-  eng.sim_of(a).schedule_at(TimePoint::at_ms(1.0), [&] {
-    channel.deliver([&eng, &arrived_at, b] {
-      arrived_at = eng.sim_of(b).now().to_ms();
-    });
-  });
-  eng.engine().run();
-  EXPECT_DOUBLE_EQ(arrived_at, 3.0);
-}
-
-TEST(PartitionedEngineTest, LiveRemapMovesShardsAndKeepsChannelsValid) {
-  // Three cells on two workers.  The plan fixes the node -> shard map
-  // forever; the live shard -> worker map starts round-robin and may
-  // be rewritten between runs.  Channels name shards, so a remap never
-  // invalidates one -- a channel derived before the move and one
-  // re-derived after must behave identically.
-  sim::Topology topo;
-  const auto a = topo.add_node("a", 0);
-  const auto b = topo.add_node("b", 1);
-  const auto c = topo.add_node("c", 2);
-  const auto ab = topo.add_edge(a, b, Duration::ms(2.0));
-  topo.add_edge(b, c, Duration::ms(2.0));
-  sim::Topology::PartitionOptions opts;
-  opts.exec.workers = 2;
-  sim::PartitionedEngine eng(std::move(topo), opts);
-
-  ASSERT_EQ(eng.engine().worker_count(), 2u);
-  EXPECT_EQ(eng.worker_of(a), 0u);
-  EXPECT_EQ(eng.worker_of(b), 1u);
-  EXPECT_EQ(eng.worker_of(c), 0u);
-
-  const auto before = eng.channel(ab);
-  double first = -1.0;
-  eng.sim_of(a).schedule_at(TimePoint::at_ms(1.0), [&] {
-    before.deliver([&] { first = eng.sim_of(b).now().to_ms(); });
-  });
-  eng.engine().run();
-  EXPECT_DOUBLE_EQ(first, 3.0);
-
-  // Move node a's shard to worker 1 between runs; the node -> shard
-  // map is untouched, only the execution lane changes.
-  eng.engine().set_worker_of(eng.shard_of(a), 1);
-  EXPECT_EQ(eng.worker_of(a), 1u);
-  EXPECT_EQ(eng.shard_of(a), 0u);
-  EXPECT_EQ(eng.engine().steal_moves(), 1u);
-
-  // The old channel still delivers, and re-deriving it yields the
-  // same shard pair and latency.
-  const auto after = eng.channel(ab);
-  EXPECT_TRUE(after.connected());
-  EXPECT_EQ(after.latency(), before.latency());
-  double second = -1.0;
-  eng.sim_of(a).schedule_in(Duration::ms(1.0), [&] {
-    before.deliver([&] { second = eng.sim_of(b).now().to_ms(); });
-  });
-  eng.engine().run();
-  EXPECT_GT(second, first);
-}
-
-TEST(PartitionedEngineTest, LinkRegistersRouteAcrossCells) {
-  sim::Topology topo;
-  const auto src = topo.add_node("cell0/x86", 0);
-  const auto dst = topo.add_node("cell1/x86", 1);
-  topo.add_edge(src, dst, Duration::ms(2.0));
-  sim::PartitionedEngine eng(std::move(topo));
-
-  hw::Link link(eng.sim_of(src), hw::LinkSpec{"wire", 1.0,
-                                              Duration::ms(0.25)});
-  link.register_route(eng, src, dst);
-  double arrived_at = -1.0;
-  eng.sim_of(src).schedule_at(TimePoint::at_ms(1.0), [&] {
-    link.transfer(0, [&] { arrived_at = eng.sim_of(dst).now().to_ms(); });
-  });
-  eng.engine().run();
-  // send + link latency + 0-byte payload + registered edge latency.
-  EXPECT_NEAR(arrived_at, 1.0 + 0.25 + 2.0, 1e-9);
-}
-
-// --- cluster experiment -----------------------------------------------------
 
 const runtime::ThresholdTable& shared_table() {
   static const exp::EstimationResult result =
       exp::ThresholdEstimator().estimate(apps::paper_benchmarks());
   return result.table;
 }
+
+// --- lookahead contract -----------------------------------------------------
+
+TEST(CellRingTest, RejectsForcedEpochAboveTheHopNamingBoth) {
+  exp::ClusterSpec spec;
+  spec.cells = 2;
+  spec.epoch = Duration::ms(1.0);  // over the default 120 us link
+  try {
+    exp::ClusterExperiment cluster(apps::paper_benchmarks(), shared_table(),
+                                   spec);
+    FAIL() << "expected a lookahead-contract error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1 ms"), std::string::npos) << what;
+    EXPECT_NE(what.find("0.12 ms"), std::string::npos) << what;
+    EXPECT_NE(what.find("lookahead"), std::string::npos) << what;
+  }
+}
+
+TEST(CellRingTest, RejectsZeroLatencyHopAndNonPositiveEpoch) {
+  exp::ClusterSpec spec;
+  spec.cells = 2;
+  spec.intercell.latency = Duration::zero();
+  EXPECT_THROW(exp::ClusterExperiment(apps::paper_benchmarks(),
+                                      shared_table(), spec),
+               Error);
+  // One cell has no hop, but a forced epoch must still be positive.
+  EXPECT_THROW(sim::CellRing(1, Duration::zero(), Duration::zero()), Error);
+}
+
+TEST(CellRingTest, ForcedEpochBelowTheHopIsUsedAsGiven) {
+  exp::ClusterSpec spec;
+  spec.cells = 2;
+  spec.epoch = Duration::micros(50.0);
+  exp::ClusterExperiment forced(apps::paper_benchmarks(), shared_table(),
+                                spec);
+  EXPECT_EQ(forced.engine().engine().epoch(), Duration::micros(50.0));
+  // Unforced, the epoch is the hop; one cell runs the engine default.
+  spec.epoch.reset();
+  exp::ClusterExperiment picked(apps::paper_benchmarks(), shared_table(),
+                                spec);
+  EXPECT_EQ(picked.engine().engine().epoch(), Duration::micros(120.0));
+  EXPECT_EQ(sim::CellRing(1, Duration::zero()).engine().epoch(),
+            Duration::micros(100.0));
+}
+
+// --- ring hops --------------------------------------------------------------
+
+TEST(CellRingTest, OneCellHopIsInert) {
+  sim::CellRing ring(1, Duration::ms(2.0));
+  EXPECT_EQ(ring.engine().shard_count(), 1u);
+  EXPECT_FALSE(ring.next(0).connected());
+}
+
+TEST(CellRingTest, HopDeliversAtItsLatencyAcrossAWorkerRemap) {
+  // Three cells on two workers.  Cell i stays on shard i for good; the
+  // live shard -> worker map starts round-robin and may be rewritten
+  // between runs.  Channels name shards, so a remap never invalidates
+  // one.
+  sim::ExecOptions exec;
+  exec.workers = 2;
+  sim::CellRing ring(3, Duration::ms(2.0), std::nullopt, false, exec);
+  sim::ShardedSimulation& eng = ring.engine();
+  ASSERT_EQ(eng.worker_count(), 2u);
+  EXPECT_EQ(eng.epoch(), Duration::ms(2.0));
+  EXPECT_EQ(eng.worker_of(0), 0u);
+  EXPECT_EQ(eng.worker_of(1), 1u);
+  EXPECT_EQ(eng.worker_of(2), 0u);
+
+  const sim::CrossShardChannel hop = ring.next(0);
+  ASSERT_TRUE(hop.connected());
+  EXPECT_EQ(hop.latency(), Duration::ms(2.0));
+  double first = -1.0;
+  ring.cell(0).schedule_at(TimePoint::at_ms(1.0), [&] {
+    hop.deliver([&] { first = ring.cell(1).now().to_ms(); });
+  });
+  eng.run();
+  EXPECT_DOUBLE_EQ(first, 3.0);
+
+  // Move cell 0's shard to worker 1: only the execution lane changes.
+  eng.set_worker_of(0, 1);
+  EXPECT_EQ(eng.worker_of(0), 1u);
+  EXPECT_EQ(eng.steal_moves(), 1u);
+  double second = -1.0;
+  const TimePoint sent = eng.now() + Duration::ms(1.0);
+  ring.cell(0).schedule_at(sent, [&] {
+    hop.deliver([&] { second = ring.cell(1).now().to_ms(); });
+  });
+  eng.run();
+  EXPECT_DOUBLE_EQ(second, sent.to_ms() + 2.0);
+
+  // The last cell's hop wraps around to cell 0.
+  double wrapped = -1.0;
+  const TimePoint from_last = eng.now() + Duration::ms(1.0);
+  ring.cell(2).schedule_at(from_last, [&] {
+    ring.next(2).deliver([&] { wrapped = ring.cell(0).now().to_ms(); });
+  });
+  eng.run();
+  EXPECT_DOUBLE_EQ(wrapped, from_last.to_ms() + 2.0);
+}
+
+TEST(CellRingTest, RoutedLinkCompletesOnTheNeighborOneHopLater) {
+  sim::CellRing ring(2, Duration::ms(2.0));
+  hw::Link link(ring.cell(0), hw::LinkSpec{"wire", 1.0, Duration::ms(0.25)});
+  link.route(ring.next(0));
+  double arrived_at = -1.0;
+  ring.cell(0).schedule_at(TimePoint::at_ms(1.0), [&] {
+    link.transfer(0, [&] { arrived_at = ring.cell(1).now().to_ms(); });
+  });
+  ring.engine().run();
+  // send + link latency + 0-byte payload + one ring hop.
+  EXPECT_NEAR(arrived_at, 1.0 + 0.25 + 2.0, 1e-9);
+}
+
+// --- cluster experiment -----------------------------------------------------
 
 TEST(ClusterExperimentTest, OneCellTraceIdenticalToExperiment) {
   // The acceptance bar: a 1-cell ClusterExperiment reproduces
@@ -397,8 +313,8 @@ TEST(ClusterExperimentTest, HandoffRidesTheIntercellLink) {
   exp::ClusterSpec spec;
   spec.cells = 2;
   exp::ClusterExperiment cluster(specs, shared_table(), spec);
-  // Auto-picked epoch: the 1 Gbps intercell latency (120 us).
-  EXPECT_EQ(cluster.engine().plan().epoch, Duration::micros(120.0));
+  // The epoch is the ring hop: the 1 Gbps intercell latency (120 us).
+  EXPECT_EQ(cluster.engine().engine().epoch(), Duration::micros(120.0));
 
   double arrived_at = -1.0;
   cluster.cell(0).simulation().schedule_at(TimePoint::at_ms(1.0), [&] {
@@ -407,7 +323,7 @@ TEST(ClusterExperimentTest, HandoffRidesTheIntercellLink) {
     });
   });
   cluster.run_for(Duration::ms(10.0));
-  // send + link latency + registered edge latency (two 120 us hops).
+  // send + link latency + one ring hop (two 120 us legs).
   EXPECT_NEAR(arrived_at, 1.0 + 0.12 + 0.12, 1e-9);
   EXPECT_EQ(cluster.handoffs(), 1u);
 }

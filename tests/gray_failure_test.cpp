@@ -22,9 +22,9 @@
 #include "fpga/slots.hpp"
 #include "hw/link.hpp"
 #include "hw/reliable_channel.hpp"
+#include "sim/cell_ring.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulation.hpp"
-#include "sim/topology.hpp"
 
 namespace xartrek {
 namespace {
@@ -124,6 +124,36 @@ TEST(GrayFaultPlanTest, ValidateRejectsBadVictimsWindowsAndMagnitudes) {
   sim::FaultPlan binary;
   binary.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(1.0), 3});
   EXPECT_TRUE(binary.validate(4, 4));
+
+  // Kills must leave a cell alive: drained jobs circle the ring until
+  // they land on one.  Killing a cell twice still counts one cell.
+  sim::FaultPlan all_killed;
+  all_killed.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(1.0), 0});
+  all_killed.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(2.0), 0});
+  EXPECT_TRUE(all_killed.validate(2, 2, &error)) << error;
+  all_killed.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(3.0), 1});
+  EXPECT_FALSE(all_killed.validate(2, 2, &error));
+  EXPECT_NE(error.find("last live cell"), std::string::npos) << error;
+
+  // A one-cell cluster has no ring neighbor to drain to: it takes no
+  // kill and no drain corruption, though it takes the other cell kinds.
+  sim::FaultPlan lone_kill;
+  lone_kill.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(1.0), 0});
+  EXPECT_FALSE(lone_kill.validate(1, 0, &error));
+  EXPECT_NE(error.find("ring neighbor"), std::string::npos) << error;
+  sim::FaultPlan lone_corrupt;
+  lone_corrupt.add({sim::FaultEvent::Kind::kDsmCorrupt,
+                    TimePoint::at_ms(1.0), 0, 0.5, TimePoint::at_ms(2.0)});
+  EXPECT_FALSE(lone_corrupt.validate(1, 0, &error));
+  EXPECT_NE(error.find("ring neighbor"), std::string::npos) << error;
+  sim::FaultPlan lone_gray;
+  lone_gray.add({sim::FaultEvent::Kind::kCellSlow, TimePoint::at_ms(1.0), 0,
+                 0.25, TimePoint::at_ms(2.0)});
+  lone_gray.add({sim::FaultEvent::Kind::kPortFlaky, TimePoint::at_ms(1.0), 0,
+                 0.5, TimePoint::at_ms(2.0)});
+  lone_gray.add({sim::FaultEvent::Kind::kReconfigureFail,
+                 TimePoint::at_ms(1.0), 0});
+  EXPECT_TRUE(lone_gray.validate(1, 0, &error)) << error;
 }
 
 // --- reliable channel over a degraded link ----------------------------------
@@ -220,14 +250,9 @@ TEST(VerifiedLinkTest, VerdictFiresOnceAndUnfiredFramesFreeTheirCallback) {
 }
 
 TEST(VerifiedLinkTest, RoutedLinkRefusesVerifiedFrames) {
-  sim::Topology topo;
-  const auto src = topo.add_node("cell0/x86", 0);
-  const auto dst = topo.add_node("cell1/x86", 1);
-  topo.add_edge(src, dst, Duration::ms(2.0));
-  sim::PartitionedEngine eng(std::move(topo));
-  hw::Link link(eng.sim_of(src), hw::LinkSpec{"wire", 1.0,
-                                              Duration::ms(0.25)});
-  link.register_route(eng, src, dst);
+  sim::CellRing ring(2, Duration::ms(2.0));
+  hw::Link link(ring.cell(0), hw::LinkSpec{"wire", 1.0, Duration::ms(0.25)});
+  link.route(ring.next(0));
   EXPECT_THROW(link.transfer_verified(64, 1, [](bool) {}), ContractViolation);
 }
 
