@@ -11,6 +11,32 @@
 
 namespace xartrek::exp {
 
+namespace {
+
+/// How often the run_until_* loops re-check their completion count.
+/// Completions carry exact event timestamps, so this sets polling
+/// granularity only, never the trace.
+constexpr Duration kCompletionPoll = Duration::seconds(1.0);
+/// Re-placement delay after finding a dead cell: attempt k waits
+/// kDeadCellBackoff.delay(k).
+constexpr hw::Backoff kDeadCellBackoff = {Duration::ms(1.0), 6};
+/// Working-set bytes shipped alongside a drained job's checkpoint.
+constexpr std::uint64_t kDrainPayloadBytes = 64 * 1024;
+/// Latency inflation on a kLinkDegraded ring link (the drop probability
+/// rides in the fault event's magnitude).
+constexpr double kDegradedLatencyFactor = 4.0;
+/// Shape of the reliable drain channels.  The timeout must clear one
+/// drain payload's worst healthy transfer; attempts are generous because
+/// an abandoned drain is a lost job.
+constexpr hw::ReliableChannel::Options kDrainChannel = {
+    Duration::ms(10.0), {Duration::ms(1.0), 6}, 0.25, 16};
+/// Seed of the gray-fault randomness streams (drop/corrupt/flaky draws
+/// and retry jitter), split per victim and kind so injection never
+/// perturbs the workload's own draws.
+constexpr std::uint64_t kGraySeed = 0x6772617946616CULL;  // "grayFal"
+
+}  // namespace
+
 ClusterExperiment::ClusterExperiment(
     std::vector<apps::BenchmarkSpec> specs,
     const runtime::ThresholdTable& seed_table, ClusterSpec cluster,
@@ -18,7 +44,6 @@ ClusterExperiment::ClusterExperiment(
     : cluster_(std::move(cluster)),
       ring_(cluster_.cells, cluster_.intercell.latency, cluster_.epoch,
             cluster_.parallel, cluster_.exec) {
-  XAR_EXPECTS(cluster_.completion_poll > Duration::zero());
   const std::size_t n = cluster_.cells;
 
   // One full experiment stack per cell, constructed against the cell's
@@ -57,15 +82,20 @@ ClusterExperiment::ClusterExperiment(
     // parks or drops on both -- see set_link_down_impl and
     // apply_fault_plan), a ReliableChannel restoring exactly-once
     // delivery over it, and the ring hop carrying the checkpoint to the
-    // neighbor's shard.
+    // neighbor's shard.  Each channel's jitter stream is split per cell
+    // from the gray seed: deterministic, but de-synchronized across
+    // cells.
     drain_transformer_ = std::make_unique<popcorn::StateTransformer>(
         popcorn::drain_metadata());
     drain_links_.reserve(n);
+    drain_channels_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       drain_links_.push_back(
           std::make_unique<hw::Link>(ring_.cell(i), cluster_.intercell));
+      drain_channels_.push_back(std::make_unique<hw::ReliableChannel>(
+          ring_.cell(i), *drain_links_[i], kDrainChannel,
+          Rng(kGraySeed).split(0x5000 + i)));
     }
-    build_drain_channels();
   }
 
   // Observability: registration allocates everything up front (pooled
@@ -89,27 +119,7 @@ void ClusterExperiment::register_all_metrics() {
     }
     if (i < drain_links_.size()) {
       drain_links_[i]->register_metrics(registry_, prefix + ".drain.link");
-    }
-    if (i < drain_channels_.size()) {
-      // The drain channels are torn down and rebuilt by
-      // apply_fault_plan (build_drain_channels), so linking their
-      // counter addresses would dangle.  Probes re-resolve the current
-      // channel at snapshot time instead -- never on the hot path.
-      const auto probe = [&](const char* name,
-                             std::uint64_t hw::ReliableChannel::Stats::*f) {
-        registry_.probe(prefix + ".drain." + name, [this, i, f]() {
-          return i < drain_channels_.size()
-                     ? static_cast<double>(drain_channels_[i]->stats().*f)
-                     : 0.0;
-        });
-      };
-      probe("sends", &hw::ReliableChannel::Stats::sends);
-      probe("retries", &hw::ReliableChannel::Stats::retries);
-      probe("corrupt_detected", &hw::ReliableChannel::Stats::corrupt_detected);
-      probe("duplicates_suppressed",
-            &hw::ReliableChannel::Stats::duplicates_suppressed);
-      probe("delivered", &hw::ReliableChannel::Stats::delivered);
-      probe("abandoned", &hw::ReliableChannel::Stats::abandoned);
+      drain_channels_[i]->register_metrics(registry_, prefix + ".drain");
     }
   }
 }
@@ -119,19 +129,6 @@ void ClusterExperiment::enable_tracing(obs::Tracer::Options opts) {
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     cells_[i]->server().set_tracer(tracer_.get(),
                                    static_cast<std::uint32_t>(i));
-  }
-}
-
-void ClusterExperiment::build_drain_channels() {
-  const std::size_t n = cells_.size();
-  drain_channels_.clear();
-  drain_channels_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Each channel's jitter stream is split per cell from the gray
-    // seed: deterministic, but de-synchronized across cells.
-    drain_channels_.push_back(std::make_unique<hw::ReliableChannel>(
-        ring_.cell(i), *drain_links_[i], fault_opts_.drain_channel,
-        Rng(fault_opts_.gray_seed).split(0x5000 + i)));
   }
 }
 
@@ -174,7 +171,7 @@ bool ClusterExperiment::run_until_complete(std::size_t expected,
   sim::ShardedSimulation& ssim = ring_.engine();
   const TimePoint h = ssim.now() + horizon;
   while (completed_apps() < expected && ssim.now() < h) {
-    ssim.run_until(std::min(h, ssim.now() + cluster_.completion_poll));
+    ssim.run_until(std::min(h, ssim.now() + kCompletionPoll));
   }
   return completed_apps() >= expected;
 }
@@ -185,15 +182,22 @@ void ClusterExperiment::run_for(Duration d) {
   ssim.run_until(ssim.now() + d);
 }
 
-void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
-                                         FaultInjectionOptions opts) {
+void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan) {
   // An empty plan must leave the run bit-identical to never having
-  // called this: no health checks, and `opts` is not kept either (a
-  // later kill_cell would drain and back off with it).
+  // called this: no health checks, and it does not use up the cluster's
+  // one plan.
   if (plan.empty()) return;
-  const std::size_t n = cells_.size();
   // Reject before touching anything: a refused plan schedules nothing
-  // and keeps the previous options.
+  // and leaves the cluster free to take another.  Only one plan is
+  // taken, because validate() checks the kill survivor rule and the
+  // window overlaps within one plan -- a second plan could kill the last
+  // live cell or reopen a window the first one has open.
+  if (plan_applied_) {
+    throw Error(
+        "fault plan rejected: this cluster already took its fault plan; "
+        "merge the events into one plan");
+  }
+  const std::size_t n = cells_.size();
   std::string error;
   if (!plan.validate(static_cast<std::uint32_t>(n),
                      static_cast<std::uint32_t>(intercell_.size()),
@@ -206,12 +210,11 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
                 " ms, lies before now (" + std::to_string(now().to_ms()) +
                 " ms)");
   }
-  fault_opts_ = opts;
-  if (n > 1) build_drain_channels();  // pick up opts.drain_channel
+  plan_applied_ = true;
   // Every gray draw stream is split from (kind, victim): reproducible
   // from the seed, independent of event order, and never perturbing the
   // workload's own randomness.
-  const Rng gray(fault_opts_.gray_seed);
+  const Rng gray(kGraySeed);
   const auto stream = [&gray](sim::FaultEvent::Kind kind,
                               std::size_t victim, std::uint64_t leg) {
     return gray.split((static_cast<std::uint64_t>(kind) << 32) |
@@ -259,7 +262,7 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
         // degrade together (distinct drop streams: they are separate
         // flows on it).
         const double drop = ev.magnitude;
-        const double factor = fault_opts_.degraded_latency_factor;
+        const double factor = kDegradedLatencyFactor;
         Rng ic = stream(ev.kind, victim, 0);
         Rng dr = stream(ev.kind, victim, 1);
         shard.schedule_at(ev.at, [this, victim, factor, drop, ic, dr] {
@@ -300,19 +303,6 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
     }
   }
   for (auto& cell : cells_) cell->server().start_health_checks();
-}
-
-void ClusterExperiment::kill_cell(std::size_t i) {
-  XAR_EXPECTS(cells_.size() > 1 && i < cells_.size());
-  // Route through the victim's shard so the immediate form and a
-  // FaultPlan event produce the same trace.
-  ring_.cell(i).schedule_at(now(), [this, i] { kill_cell_impl(i); });
-}
-
-void ClusterExperiment::set_link_down(std::size_t i, bool down) {
-  XAR_EXPECTS(cells_.size() > 1 && i < intercell_.size());
-  ring_.cell(i).schedule_at(now(),
-                            [this, i, down] { set_link_down_impl(i, down); });
 }
 
 std::uint64_t ClusterExperiment::submit(std::size_t i,
@@ -357,7 +347,7 @@ void ClusterExperiment::place_job(std::uint64_t id) {
   // which stays live in the simulation -- only the modeled cell died.
   ++job.attempts;
   job.state = JobState::kBackoff;
-  const Duration delay = fault_opts_.backoff.delay(job.attempts);
+  const Duration delay = kDeadCellBackoff.delay(job.attempts);
   if (tracer_ != nullptr && tracer_->sampled(trace_id_of(id))) {
     tracer_->emit(static_cast<std::uint32_t>(c), obs::kTrackJob,
                   "job.backoff", trace_id_of(id), ring_.cell(c).now(),
@@ -431,7 +421,7 @@ void ClusterExperiment::forward_job(std::uint64_t id) {
       drain_transformer_->transform_stack(stack, isa::IsaKind::kX86_64);
   const Duration transform_cost =
       drain_transformer_->stack_transform_cost(stack);
-  const std::uint64_t payload = fault_opts_.drain_payload_bytes +
+  const std::uint64_t payload = kDrainPayloadBytes +
                                 transformed.total_frame_bytes() + 64 * 8;
   struct Join {
     popcorn::ThreadStack stack;
@@ -523,7 +513,7 @@ bool ClusterExperiment::run_until_jobs_complete(Duration horizon) {
   sim::ShardedSimulation& ssim = ring_.engine();
   const TimePoint h = ssim.now() + horizon;
   while (completed_jobs() < jobs_.size() && ssim.now() < h) {
-    ssim.run_until(std::min(h, ssim.now() + cluster_.completion_poll));
+    ssim.run_until(std::min(h, ssim.now() + kCompletionPoll));
   }
   return completed_jobs() >= jobs_.size();
 }

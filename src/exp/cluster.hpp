@@ -21,6 +21,10 @@
 // the cohort over the cells through apps::ShardedLoadGenerator, whose
 // attach/detach bookkeeping is batched per shard -- the million-user
 // sweep no longer funnels through one CpuCluster process table.
+//
+// Faults enter through one sim::FaultPlan per cluster (apply_fault_plan),
+// with fixed backoff, drain and gray-fault settings, so the plan's
+// validation covers every kill and partition the cluster will see.
 #pragma once
 
 #include <atomic>
@@ -65,32 +69,6 @@ struct ClusterSpec {
   /// cell stealing, forwarded wholesale to the engine.  Neither changes
   /// the trace -- only wall-clock behavior.
   sim::ExecOptions exec;
-  /// How often run_until_complete re-checks the completion count.
-  /// Completions carry exact event timestamps, so this affects polling
-  /// granularity only, never the trace.
-  Duration completion_poll = Duration::seconds(1.0);
-};
-
-/// Tunables for fault handling (apply_fault_plan).
-struct FaultInjectionOptions {
-  /// Re-placement delay after finding a dead cell: attempt k waits
-  /// backoff.delay(k).
-  hw::Backoff backoff = {Duration::ms(1.0), 6};
-  /// Working-set bytes shipped alongside a drained job's checkpoint.
-  std::uint64_t drain_payload_bytes = 64 * 1024;
-  /// Latency inflation on a kLinkDegraded ring link (the drop
-  /// probability rides in the fault event's magnitude).
-  double degraded_latency_factor = 4.0;
-  /// Shape of the reliable drain channels (end-to-end retry of
-  /// checkpoint payloads).  The timeout must clear one drain payload's
-  /// worst healthy transfer; attempts are generous because an abandoned
-  /// drain is a lost job.
-  hw::ReliableChannel::Options drain_channel = {
-      Duration::ms(10.0), {Duration::ms(1.0), 6}, 0.25, 16};
-  /// Seed of the gray-fault randomness streams (drop/corrupt/flaky
-  /// draws and retry jitter), split per victim and kind so injection
-  /// never perturbs the workload's own draws.
-  std::uint64_t gray_seed = 0x6772617946616CULL;  // "grayFal"
 };
 
 /// N cells, one shard each, one experiment stack per cell.
@@ -176,18 +154,17 @@ class ClusterExperiment {
   // runs memory-safe in parallel mode AND trace-identical to serial.
 
   /// Schedule every event of `plan` onto its victim's shard and start
-  /// health checks on every cell's scheduler.  Call between runs.  A
-  /// plan this cluster cannot apply -- one FaultPlan::validate rejects
-  /// for its cell and link counts, or one with an event in the past --
-  /// throws xartrek::Error before anything is scheduled or changed.  An
-  /// empty plan changes nothing -- the subsequent run is bit-identical
-  /// to never having called this.
-  void apply_fault_plan(const sim::FaultPlan& plan,
-                        FaultInjectionOptions opts = {});
+  /// health checks on every cell's scheduler.  Call between runs.  This
+  /// is the cluster's only fault input, and it takes one non-empty plan,
+  /// so FaultPlan::validate sees every fault the cluster will get.  A
+  /// plan it cannot apply -- a second non-empty plan, one validate
+  /// rejects for its cell and link counts, or one with an event in the
+  /// past -- throws xartrek::Error before anything is scheduled or
+  /// changed, and does not count as the cluster's plan.  Neither does an
+  /// empty plan, which changes nothing: the subsequent run is
+  /// bit-identical to never having called this.
+  void apply_fault_plan(const sim::FaultPlan& plan);
 
-  /// Immediate conveniences (tests): inject one fault at now().
-  void kill_cell(std::size_t i);
-  void set_link_down(std::size_t i, bool down);
   [[nodiscard]] bool cell_dead(std::size_t i) const {
     XAR_EXPECTS(i < cell_dead_.size());
     return cell_dead_[i] != 0;
@@ -283,8 +260,7 @@ class ClusterExperiment {
     TimePoint completed_at;
   };
 
-  /// Register every stable component's counters (and probes for the
-  /// rebuildable drain channels) with registry_.  Construction only.
+  /// Register every component's counters with registry_.  Construction only.
   void register_all_metrics();
 
   // All of these run on the owning cell's shard.
@@ -295,8 +271,6 @@ class ClusterExperiment {
   void land_job(std::size_t dst, popcorn::ThreadStack stack);
   void kill_cell_impl(std::size_t c);
   void set_link_down_impl(std::size_t l, bool down);
-  /// (Re)build the per-cell reliable drain channels from fault_opts_.
-  void build_drain_channels();
 
  private:
   ClusterSpec cluster_;
@@ -310,11 +284,12 @@ class ClusterExperiment {
   std::atomic<std::uint64_t> handoffs_{0};
 
   // Fault-injection state (see the ownership discipline above).
-  FaultInjectionOptions fault_opts_;
+  /// Set once apply_fault_plan accepts a non-empty plan.
+  bool plan_applied_ = false;
   /// Tracked jobs by id.  The vector grows only between runs (submit);
   /// during runs each element is touched only by its owner's shard.
   std::vector<TrackedJob> jobs_;
-  /// Ids owned by each cell, in arrival order -- what kill_cell drains.
+  /// Ids owned by each cell, in arrival order -- what a kill drains.
   /// cell_jobs_[c] is owned by shard c (submit appends between runs).
   std::vector<std::vector<std::uint64_t>> cell_jobs_;
   /// cell_dead_[c] / cell_epoch_[c] are owned by shard c.  The epoch
@@ -329,7 +304,8 @@ class ClusterExperiment {
   /// state on one shard), a ReliableChannel restoring exactly-once
   /// delivery over it, and the ring hop as the cross-shard arrival --
   /// checkpoints transform on the dying shard and re-materialize on the
-  /// neighbor's.
+  /// neighbor's.  All are built once, at construction, and live as long
+  /// as the cluster, so registry_ links the channels' counters directly.
   std::unique_ptr<popcorn::StateTransformer> drain_transformer_;
   std::vector<std::unique_ptr<hw::Link>> drain_links_;
   std::vector<std::unique_ptr<hw::ReliableChannel>> drain_channels_;

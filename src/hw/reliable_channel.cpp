@@ -116,13 +116,11 @@ Duration ReliableChannel::backoff_for(std::uint32_t retry_number) {
 void ReliableChannel::register_metrics(obs::Registry& registry,
                                        const std::string& prefix) const {
   registry.link_counter(prefix + ".sends", &stats_.sends);
-  registry.link_counter(prefix + ".attempts", &stats_.attempts);
   registry.link_counter(prefix + ".retries", &stats_.retries);
-  registry.link_counter(prefix + ".timeouts", &stats_.timeouts);
-  registry.link_counter(prefix + ".duplicates_suppressed",
-                        &stats_.duplicates_suppressed);
   registry.link_counter(prefix + ".corrupt_detected",
                         &stats_.corrupt_detected);
+  registry.link_counter(prefix + ".duplicates_suppressed",
+                        &stats_.duplicates_suppressed);
   registry.link_counter(prefix + ".delivered", &stats_.delivered);
   registry.link_counter(prefix + ".abandoned", &stats_.abandoned);
 }

@@ -91,10 +91,11 @@ class ReliableChannel {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const Options& options() const { return opts_; }
 
-  /// Link the stats counters into a metrics registry under `prefix`.
-  /// Only for channels that outlive the registry's snapshots --
-  /// rebuildable channels (the cluster drain path) should be read
-  /// through Registry::probe instead.
+  /// Link six stats counters into a metrics registry under `prefix`,
+  /// in this order: sends, retries, corrupt_detected,
+  /// duplicates_suppressed, delivered, abandoned.  The channel must
+  /// outlive the registry.  Snapshot digests fold values in
+  /// registration order, so keep the order.
   void register_metrics(obs::Registry& registry,
                         const std::string& prefix) const;
 

@@ -4,11 +4,12 @@
 //
 // Design: components keep their cheap `Stats` structs as the storage
 // (they remain valid views); the registry *links* to those fields at
-// registration and only reads them when a snapshot is taken.  Values
-// that live in objects which can be rebuilt mid-run (e.g. the drain
-// `ReliableChannel`s, torn down and rebuilt by `apply_fault_plan`) are
-// registered as probes -- a callable evaluated at snapshot time -- so
-// no dangling pointer can ever be dereferenced on the hot path.
+// registration and only reads them when a snapshot is taken, so every
+// linked component must outlive the registry.  Values that are not a
+// plain stored uint64_t -- counters settled on read (the scheduler's
+// heartbeat counts), size_t gauges, per-pair engine high-water marks --
+// are registered as probes: a callable evaluated at snapshot time,
+// never on the hot path.
 //
 // Histograms are lane-sharded: each lane is written by exactly one
 // shard/worker thread during an epoch window and merged in lane order
@@ -149,8 +150,7 @@ class Registry {
   Counter* counter(std::string name);
 
   // Linked scalar: reads `*cell` at snapshot time.  The cell must
-  // outlive the registry or be unregistered-by-destruction of the
-  // whole registry; use probe() for rebuildable objects.
+  // outlive the registry; use probe() for a value read through a call.
   void link_counter(std::string name, const std::uint64_t* cell);
   void link_gauge(std::string name, const std::uint64_t* cell);
   void link_value(std::string name, const double* cell,

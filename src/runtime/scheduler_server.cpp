@@ -90,7 +90,7 @@ SchedulerServer::SchedulerServer(sim::Simulation& sim, LoadMonitor& monitor,
   // kernel in its catalog: placement decisions then trade slots in a
   // capacity market instead of swapping whole images.
   if (device_.slot_mode()) {
-    slots_ = std::make_unique<fpga::SlotScheduler>(device_, opts_.slot_policy);
+    slots_ = std::make_unique<fpga::SlotScheduler>(device_);
     for (const auto& image : xclbins_) {
       for (const auto& k : image.kernels) slots_->register_kernel(k);
     }

@@ -91,9 +91,6 @@ class SchedulerServer final : private fpga::OfflineWatcher {
     /// XCLBIN loads.  Off = traditional blocking configure-on-use
     /// (ablation 3 in DESIGN.md).
     bool hide_reconfiguration = true;
-    /// Eviction/replication tunables for the slot scheduler the server
-    /// builds when the device is in slot mode.  Ignored otherwise.
-    fpga::SlotScheduler::Options slot_policy;
   };
 
   struct Stats {

@@ -209,6 +209,22 @@ TEST(ChaosClusterTest, RejectedPlanThrowsAndSchedulesNothing) {
   const std::size_t stale_queued = queued_events(pair);
   EXPECT_THROW(pair.apply_fault_plan(stale), Error);
   EXPECT_EQ(queued_events(pair), stale_queued);
+
+  // The same two kills split over two plans, each valid alone: the
+  // cluster takes the first, so the second is refused too.
+  sim::FaultPlan kill0;
+  kill0.add({sim::FaultEvent::Kind::kCellKill,
+             pair.now() + Duration::ms(10.0), 0});
+  pair.apply_fault_plan(kill0);
+  sim::FaultPlan kill1;
+  kill1.add({sim::FaultEvent::Kind::kCellKill,
+             pair.now() + Duration::ms(20.0), 1});
+  const std::size_t kill_queued = queued_events(pair);
+  EXPECT_THROW(pair.apply_fault_plan(kill1), Error);
+  EXPECT_EQ(queued_events(pair), kill_queued);
+  pair.run_for(Duration::ms(30.0));
+  EXPECT_TRUE(pair.cell_dead(0));
+  EXPECT_FALSE(pair.cell_dead(1));
 }
 
 TEST(ChaosClusterTest, DeadCellBackoffRetriesOntoRingNeighbor) {
@@ -219,7 +235,9 @@ TEST(ChaosClusterTest, DeadCellBackoffRetriesOntoRingNeighbor) {
   options.mode = apps::SystemMode::kXarTrek;
   exp::ClusterExperiment cluster(specs, shared_table(), spec, options);
 
-  cluster.kill_cell(1);
+  sim::FaultPlan kill;
+  kill.add({sim::FaultEvent::Kind::kCellKill, cluster.now(), 1});
+  cluster.apply_fault_plan(kill);
   cluster.run_for(Duration::ms(1.0));
   ASSERT_TRUE(cluster.cell_dead(1));
 
@@ -259,6 +277,41 @@ TEST(ChaosClusterTest, KillWithPartitionedDrainPathStillConservesJobs) {
   EXPECT_EQ(stats.drained, 2u);
   // Nothing could land before the link healed.
   EXPECT_GE(stats.max_latency_ms, 150.0);
+}
+
+TEST(ChaosClusterTest, SecondPlanIsRefusedWhileDrainsAreInFlight) {
+  const auto specs = apps::paper_benchmarks();
+  exp::ClusterSpec spec;
+  spec.cells = 3;
+  exp::ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  exp::ClusterExperiment cluster(specs, shared_table(), spec, options);
+
+  cluster.submit(1, "facedet320");
+  cluster.submit(1, "facedet320");
+  sim::FaultPlan plan;
+  plan.add({sim::FaultEvent::Kind::kLinkDown, TimePoint::at_ms(40.0), 1});
+  plan.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(50.0), 1});
+  plan.add({sim::FaultEvent::Kind::kLinkUp, TimePoint::at_ms(150.0), 1});
+  cluster.apply_fault_plan(plan);
+
+  // Cell 1 is dead and both checkpoints are parked on its downed drain
+  // link.  A second plan -- here, an earlier repair of that link -- is
+  // refused whole, and the drain channels carrying the checkpoints are
+  // left alone.
+  cluster.run_for(Duration::ms(60.0));
+  ASSERT_TRUE(cluster.cell_dead(1));
+  sim::FaultPlan second;
+  second.add({sim::FaultEvent::Kind::kLinkUp,
+              cluster.now() + Duration::ms(10.0), 1});
+  const std::size_t queued = queued_events(cluster);
+  EXPECT_THROW(cluster.apply_fault_plan(second), Error);
+  EXPECT_EQ(queued_events(cluster), queued);
+
+  ASSERT_TRUE(cluster.run_until_jobs_complete());
+  const auto stats = cluster.job_stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.drained, 2u);
 }
 
 std::vector<double> run_chaos_cluster(bool parallel) {
@@ -335,16 +388,11 @@ std::vector<double> run_kill_after_empty_plan(bool apply_empty_plan) {
   exp::ClusterExperiment cluster(specs, shared_table(), spec, options);
   cluster.submit(0, "facedet320");
   cluster.submit(0, "digit500");
-  if (apply_empty_plan) {
-    // Options that would change a drain if they were kept: a heavier
-    // checkpoint payload and a slower backoff.
-    exp::FaultInjectionOptions opts;
-    opts.drain_payload_bytes = 512 * 1024;
-    opts.backoff.base = Duration::ms(50.0);
-    cluster.apply_fault_plan(sim::FaultPlan{}, opts);
-  }
+  if (apply_empty_plan) cluster.apply_fault_plan(sim::FaultPlan{});
   cluster.run_for(Duration::ms(5.0));
-  cluster.kill_cell(0);
+  sim::FaultPlan kill;
+  kill.add({sim::FaultEvent::Kind::kCellKill, cluster.now(), 0});
+  cluster.apply_fault_plan(kill);
   EXPECT_TRUE(cluster.run_until_jobs_complete());
   return cluster.job_completion_times_ms();
 }
@@ -356,7 +404,8 @@ TEST(ChaosClusterTest, EmptyFaultPlanIsBitIdenticalNoOp) {
   for (std::size_t i = 0; i < baseline.size(); ++i) {
     EXPECT_DOUBLE_EQ(baseline[i], with_empty_plan[i]) << "job " << i;
   }
-  // Nor does it leave its options behind for a later hand-made kill.
+  // Nor does it use up the cluster's one plan: a later kill plan is
+  // taken and runs exactly as on a cluster that never saw the empty one.
   const auto killed = run_kill_after_empty_plan(false);
   const auto killed_after_empty_plan = run_kill_after_empty_plan(true);
   ASSERT_EQ(killed.size(), killed_after_empty_plan.size());

