@@ -13,15 +13,15 @@ LoadGenerator::LoadGenerator(platform::Testbed& testbed, int processes,
   XAR_EXPECTS(opts_.run_demand > Duration::zero());
   XAR_EXPECTS(opts_.demand_jitter >= 0.0);
   // Batched bookkeeping: ONE process-table update (and, for cluster
-  // sweeps, one pool/heap reservation) for the whole cohort, then one
-  // O(log n) submit per job -- nothing else scales with the count.
+  // sweeps, one job-pool reservation) for the whole cohort, then one
+  // O(log n) submit per job in one pool batch, which arms the pool's
+  // completion event once -- nothing else scales with the count.
   testbed_.x86().attach_processes(processes);
   if (opts_.reserve) {
-    const auto n = static_cast<std::size_t>(processes);
-    testbed_.x86().reserve_jobs(n + 16);
-    testbed_.simulation().reserve_events(n + 64);
+    testbed_.x86().reserve_jobs(static_cast<std::size_t>(processes) + 16);
   }
   lanes_.resize(static_cast<std::size_t>(processes));
+  const auto batch = testbed_.x86().batch();
   for (std::uint32_t lane = 0;
        lane < static_cast<std::uint32_t>(processes); ++lane) {
     spawn(lane);
@@ -53,9 +53,12 @@ void LoadGenerator::stop() {
   if (!running_) return;
   running_ = false;
   ++generation_;  // invalidate every parked respawn token
-  for (auto id : lanes_) {
-    testbed_.x86().cancel(id);  // false for a just-finished run: its
-                                // respawn token is stale anyway
+  {
+    const auto batch = testbed_.x86().batch();  // one re-arm for all
+    for (auto id : lanes_) {
+      testbed_.x86().cancel(id);  // false for a just-finished run: its
+                                  // respawn token is stale anyway
+    }
   }
   lanes_.clear();
   testbed_.x86().detach_processes(processes_);

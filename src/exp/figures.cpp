@@ -110,27 +110,30 @@ ThroughputResult run_throughput_experiment(
 
   for (int load : config.background_loads) {
     for (apps::SystemMode system : config.systems) {
+      // No seed, set or option depends on the run index, so every run
+      // of a cell is the same simulation: run it once and weigh its
+      // sample `runs` times.
+      ExperimentOptions options = config.base_options;
+      options.mode = system;
+      Experiment exp(specs, compiled, seed_table, options);
+      exp.add_background_load(load);
+
+      bool finished = false;
+      apps::MultiImageResult mi_result;
+      apps::MultiImageFaceApp::launch(
+          exp.env(), face, system, config.image_config,
+          [&finished, &mi_result](const apps::MultiImageResult& r) {
+            finished = true;
+            mi_result = r;
+          });
+      const TimePoint horizon = exp.simulation().now() +
+                                config.image_config.deadline +
+                                Duration::minutes(5);
+      while (!finished && exp.simulation().step_one(horizon)) {
+      }
+      XAR_ENSURES(finished);
       RunningStats images;
       for (int run = 0; run < config.runs; ++run) {
-        ExperimentOptions options = config.base_options;
-        options.mode = system;
-        Experiment exp(specs, compiled, seed_table, options);
-        exp.add_background_load(load);
-
-        bool finished = false;
-        apps::MultiImageResult mi_result;
-        apps::MultiImageFaceApp::launch(
-            exp.env(), face, system, config.image_config,
-            [&finished, &mi_result](const apps::MultiImageResult& r) {
-              finished = true;
-              mi_result = r;
-            });
-        const TimePoint horizon =
-            exp.simulation().now() + config.image_config.deadline +
-            Duration::minutes(5);
-        while (!finished && exp.simulation().step_one(horizon)) {
-        }
-        XAR_ENSURES(finished);
         images.add(static_cast<double>(mi_result.images_processed));
       }
       ThroughputCell cell;
@@ -299,25 +302,29 @@ ProfitabilityResult run_profitability_experiment(
     const runtime::ThresholdTable& seed_table,
     const ProfitabilityConfig& config) {
   XAR_EXPECTS(!config.cg_counts.empty());
+  XAR_EXPECTS(!config.systems.empty() && config.runs >= 1);
   const auto compiled = compile_suite(specs);
   ProfitabilityResult result;
 
   for (int cg : config.cg_counts) {
     XAR_EXPECTS(cg >= 0 && cg <= config.set_size);
     for (apps::SystemMode system : config.systems) {
+      // As in Figure 6, every run of a cell is the same simulation: run
+      // it once and add its samples once per run, in run order, so the
+      // mean is the one `runs` separate simulations give, to the bit.
+      ExperimentOptions options = config.base_options;
+      options.mode = system;
+      Experiment exp(specs, compiled, seed_table, options);
+      exp.add_background_load(
+          std::max(0, config.total_processes - config.set_size));
+      for (int i = 0; i < config.set_size; ++i) {
+        exp.launch(i < cg ? "cg_a" : "digit2000");
+      }
+      const bool done = exp.run_until_complete(
+          static_cast<std::size_t>(config.set_size));
+      XAR_ENSURES(done);
       RunningStats stats;
       for (int run = 0; run < config.runs; ++run) {
-        ExperimentOptions options = config.base_options;
-        options.mode = system;
-        Experiment exp(specs, compiled, seed_table, options);
-        exp.add_background_load(
-            std::max(0, config.total_processes - config.set_size));
-        for (int i = 0; i < config.set_size; ++i) {
-          exp.launch(i < cg ? "cg_a" : "digit2000");
-        }
-        const bool done = exp.run_until_complete(
-            static_cast<std::size_t>(config.set_size));
-        XAR_ENSURES(done);
         for (const auto& r : exp.results()) stats.add(r.elapsed().to_ms());
       }
       result.cells.push_back(ProfitabilityCell{system, cg, stats.mean()});

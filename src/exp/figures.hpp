@@ -1,10 +1,13 @@
 // Experiment runners for every figure in the paper's evaluation.
 //
 // Each runner compiles the suite once, builds a fresh Experiment on it
-// per (system, run), executes the workload the paper describes, and
+// per simulation, executes the workload the paper describes, and
 // returns structured results; the bench binaries format them into the
 // paper's tables and series.  All runners are deterministic given the
-// seed.
+// seed.  The paper averages repeated hardware runs; Figures 3-5 draw a
+// new random set per run, but a Figure 6 or 9 run depends on nothing
+// that varies between runs, so those runners simulate each cell once
+// and let `runs` weigh its samples.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +73,10 @@ struct AvgExecResult {
 struct ThroughputConfig {
   std::vector<int> background_loads = {0, 25, 50, 75, 100};
   std::vector<apps::SystemMode> systems;
+  /// Runs per cell (>= 1).  Each cell is simulated once; its sample is
+  /// added `runs` times, as `runs` identical simulations would add it.
   int runs = 10;
+  /// Read by nothing; kept only because the harnesses set it.
   std::uint64_t seed = 42;
   apps::MultiImageConfig image_config = {};
   std::string face_app = "facedet320";
@@ -139,6 +145,7 @@ struct PeriodicTputConfig {
   Duration load_step_interval = Duration::seconds(15);
   int app_runs = 10;  ///< sequential 60 s face-detection runs
   std::vector<apps::SystemMode> systems;
+  /// Read by nothing; kept only because the harnesses set it.
   std::uint64_t seed = 42;
   apps::MultiImageConfig image_config = {};
   std::string face_app = "facedet320";
@@ -168,7 +175,11 @@ struct ProfitabilityConfig {
   int set_size = 10;
   int total_processes = 120;
   std::vector<apps::SystemMode> systems;
+  /// Runs per cell (>= 1).  Each cell is simulated once; its samples
+  /// are added `runs` times in run order, as `runs` identical
+  /// simulations would add them.
   int runs = 10;
+  /// Read by nothing; kept only because the harnesses set it.
   std::uint64_t seed = 42;
   ExperimentOptions base_options = {};
 };

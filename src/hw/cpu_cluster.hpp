@@ -67,6 +67,14 @@ class CpuCluster {
   /// Abort a job (used when an app is torn down at a horizon).
   bool cancel(JobId id) { return pool_.cancel(id); }
 
+  /// A scope in which any number of runs and cancels re-arm the pool's
+  /// completion event once, when it closes (sim::PsResource::Batch).
+  /// A load generator opens one around its cohort's submits and
+  /// around its teardown's cancels.
+  [[nodiscard]] sim::PsResource::Batch batch() {
+    return sim::PsResource::Batch(pool_);
+  }
+
   /// A process arrived on / departed from this server.
   void attach_process() {
     notify_watcher();

@@ -106,11 +106,10 @@ void PsResource::reschedule() {
   } else {
     arm_seq_ = sim_.reserve_seq();
   }
-  // Inside a tick the armed event is the one running, and the tick arms
-  // the next one when its callbacks return.
-  if (in_tick_) return;
-  sim_.cancel(pending_);
-  arm();
+  // The armed completion is stale: cancel it, once per batch.  A tick
+  // has already forgotten its own event, which is the one running.
+  if (pending_.generation != 0) sim_.cancel(std::exchange(pending_, {}));
+  if (batch_depth_ == 0) arm();
 }
 
 void PsResource::arm() {
@@ -124,17 +123,10 @@ void PsResource::arm() {
 void PsResource::on_tick() {
   // Until the callbacks return, every reschedule() -- this tick's own
   // and any a callback causes -- only reserves a sequence number; the
-  // guard computes the next instant once and arms it under the last
+  // scope computes the next instant once and arms it under the last
   // number, also when a callback throws.
-  struct ArmOnExit {
-    PsResource& ps;
-    ~ArmOnExit() {
-      ps.in_tick_ = false;
-      ps.arm();
-    }
-  };
-  in_tick_ = true;
-  const ArmOnExit guard{*this};
+  const Batch batch(*this);
+  pending_ = {};  // fired: nothing to cancel
   advance();
   // Collect finished jobs first, then run their callbacks after internal
   // state is consistent: callbacks routinely resubmit work to this very

@@ -30,14 +30,16 @@
 // submission sequence number).
 //
 // A job is due once its residual demand is rounding noise, or once the
-// instant it would finish at rounds to now.  One completion tick arms
-// one engine event: while the tick's callbacks run, every re-arm they
-// cause (resubmit, cancel, rescale) only draws a reserved engine
-// sequence number; when they return, the tick computes the next instant
-// once, from the final state, and arms it under the last number drawn.
-// The skipped events could never have fired, so the surviving (time,
-// seq) key -- and every trace -- is the one eager cancel-and-reschedule
-// would have left.
+// instant it would finish at rounds to now.  One batch of mutations arms
+// one engine event: inside a Batch scope -- a completion tick runs its
+// callbacks in one, and a caller may open one around a burst of submits
+// or cancels -- a re-arm only cancels the armed completion, if one is
+// still armed, and draws a reserved engine sequence number; when the
+// outermost scope closes, it computes the next instant once, from the
+// final state, and arms it under the last number drawn.  The skipped
+// events could never have fired, so the surviving (time, seq) key --
+// and every trace -- is the one eager cancel-and-reschedule would have
+// left.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +75,26 @@ class PsResource {
   PsResource(Simulation& sim, Config cfg);
   PsResource(const PsResource&) = delete;
   PsResource& operator=(const PsResource&) = delete;
+
+  /// A scope whose submits, cancels and rescales re-arm the completion
+  /// event once: the first cancels the armed event, each draws its
+  /// engine sequence number, and the outermost scope's end arms the
+  /// next completion at the final state under the last number.  Scopes
+  /// nest; one opened inside a completion callback arms nothing itself,
+  /// since the tick's own scope is open.  No event may run while a
+  /// scope is open.
+  class Batch {
+   public:
+    explicit Batch(PsResource& ps) : ps_(ps) { ++ps_.batch_depth_; }
+    ~Batch() {
+      if (--ps_.batch_depth_ == 0) ps_.arm();
+    }
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+   private:
+    PsResource& ps_;
+  };
 
   /// Submit a job demanding `demand` service units (>= 0).  `on_complete`
   /// fires from the event loop when the job's demand has been served.
@@ -174,9 +196,9 @@ class PsResource {
   /// given a clock advanced to now.
   [[nodiscard]] TimePoint finish_at(HeapKey key);
 
-  /// Reap husks, rebase an idle clock and reserve a sequence number for
-  /// the next completion; outside a tick, cancel the armed completion
-  /// and arm the new one at once.
+  /// Reap husks, rebase an idle clock, reserve a sequence number for
+  /// the next completion and cancel the armed one; outside a Batch, arm
+  /// the new one at once.
   void reschedule();
 
   /// Arm the root job's completion under the number the last
@@ -184,7 +206,7 @@ class PsResource {
   void arm();
 
   /// Event body: complete every job whose finish virtual time has been
-  /// reached.
+  /// reached, inside one Batch.
   void on_tick();
 
   Simulation& sim_;
@@ -202,13 +224,14 @@ class PsResource {
     double rate = 0.0;
   };
   RateMemo rate_memo_[2];  ///< by live-count parity; reset on rescale
-  /// The armed completion event.  A raw id: this resource never
-  /// outlives its Simulation.
+  /// The armed completion event, or the default id once it is
+  /// cancelled or running.  A raw id: this resource never outlives its
+  /// Simulation.
   Simulation::EventId pending_;
   /// The next completion's reserved sequence number, from the last
   /// reschedule(); empty once armed, or when no job is live.
   Simulation::SeqTicket arm_seq_;
-  bool in_tick_ = false;  ///< completion callbacks running: defer arm()
+  int batch_depth_ = 0;  ///< open Batch scopes: defer arm() to the last
   /// (submission seq, callback) of the jobs completing in the current
   /// tick; reused across ticks.  Kept as pairs so a batch containing
   /// near-ties (finish times equal up to rounding) can be put back into

@@ -290,6 +290,22 @@ TEST(LoadGeneratorTest, StopIsIdempotentAndDestructorSafe) {
   EXPECT_EQ(testbed.x86().load(), 0);
 }
 
+TEST(LoadGeneratorTest, CohortAttachAndStopArmTheCpuPoolOnce) {
+  // The cohort's submits share one pool batch, and so do stop()'s
+  // cancels: one engine event for the whole attach, none for the
+  // teardown that empties the pool.
+  platform::Testbed testbed;
+  sim::Simulation& sim = testbed.simulation();
+  const std::uint64_t before = sim.scheduled_events();
+  LoadGenerator gen(testbed, 100);
+  EXPECT_EQ(sim.scheduled_events(), before + 1);
+  EXPECT_EQ(testbed.x86().active_jobs(), 100);
+  gen.stop();
+  EXPECT_EQ(sim.scheduled_events(), before + 1);
+  EXPECT_EQ(testbed.x86().active_jobs(), 0);
+  EXPECT_EQ(sim.run(), 0u);
+}
+
 // --- Multi-image app --------------------------------------------------------
 
 TEST_F(AppProcessFixture, MultiImageAppHitsDeadline) {

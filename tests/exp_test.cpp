@@ -8,6 +8,8 @@
 #include <iterator>
 #include <set>
 
+#include "apps/multi_image_app.hpp"
+#include "common/stats.hpp"
 #include "exp/experiment.hpp"
 #include "exp/figures.hpp"
 #include "exp/threshold_estimator.hpp"
@@ -252,6 +254,111 @@ TEST(FigureExperimentTest, ProfitabilityMixMonotoneForVanilla) {
   const double xartrek_digits =
       result.cell(apps::SystemMode::kXarTrek, 0).mean_ms;
   EXPECT_LT(xartrek_digits, vanilla_digits / 2.0);
+}
+
+// The Figure 6 and 9 runners simulate each cell once and weigh it
+// `runs` times.  That is right only while every run of a cell is the
+// same simulation; these references build and run one Experiment per
+// run, as the paper's repeated runs do, so a per-run seed or set would
+// make them disagree with the runner.
+double throughput_reference(const ThroughputConfig& config,
+                            apps::SystemMode system, int load) {
+  const auto specs = apps::paper_benchmarks();
+  const auto compiled = compile_suite(specs);
+  RunningStats images;
+  for (int run = 0; run < config.runs; ++run) {
+    ExperimentOptions options = config.base_options;
+    options.mode = system;
+    Experiment exp(specs, compiled, shared_estimate_table(), options);
+    exp.add_background_load(load);
+    bool finished = false;
+    apps::MultiImageResult mi_result;
+    apps::MultiImageFaceApp::launch(
+        exp.env(), apps::benchmark_by_name(specs, config.face_app), system,
+        config.image_config,
+        [&finished, &mi_result](const apps::MultiImageResult& r) {
+          finished = true;
+          mi_result = r;
+        });
+    const TimePoint horizon = exp.simulation().now() +
+                              config.image_config.deadline +
+                              Duration::minutes(5);
+    while (!finished && exp.simulation().step_one(horizon)) {
+    }
+    EXPECT_TRUE(finished);
+    images.add(static_cast<double>(mi_result.images_processed));
+  }
+  return images.mean();
+}
+
+double profitability_reference(const ProfitabilityConfig& config,
+                               apps::SystemMode system, int cg) {
+  const auto specs = apps::paper_benchmarks();
+  const auto compiled = compile_suite(specs);
+  RunningStats stats;
+  for (int run = 0; run < config.runs; ++run) {
+    ExperimentOptions options = config.base_options;
+    options.mode = system;
+    Experiment exp(specs, compiled, shared_estimate_table(), options);
+    exp.add_background_load(config.total_processes - config.set_size);
+    for (int i = 0; i < config.set_size; ++i) {
+      exp.launch(i < cg ? "cg_a" : "digit2000");
+    }
+    EXPECT_TRUE(
+        exp.run_until_complete(static_cast<std::size_t>(config.set_size)));
+    for (const auto& r : exp.results()) stats.add(r.elapsed().to_ms());
+  }
+  return stats.mean();
+}
+
+TEST(FigureExperimentTest, ThroughputCellsEqualSeparateRuns) {
+  ThroughputConfig config;
+  config.background_loads = {25};
+  config.systems = {apps::SystemMode::kVanillaX86, apps::SystemMode::kXarTrek,
+                    apps::SystemMode::kAlwaysFpga};
+  config.runs = 3;
+  const auto result = run_throughput_experiment(
+      apps::paper_benchmarks(), shared_estimate_table(), config);
+  ASSERT_EQ(result.cells.size(), 3u);
+  for (apps::SystemMode system : config.systems) {
+    EXPECT_EQ(result.cell(system, 25).mean_images,
+              throughput_reference(config, system, 25))
+        << apps::to_string(system);
+  }
+}
+
+TEST(FigureExperimentTest, ProfitabilityCellsEqualSeparateRuns) {
+  ProfitabilityConfig config;
+  config.cg_counts = {2, 8};
+  config.systems = {apps::SystemMode::kVanillaX86,
+                    apps::SystemMode::kXarTrek};
+  config.runs = 3;
+  const auto result = run_profitability_experiment(
+      apps::paper_benchmarks(), shared_estimate_table(), config);
+  ASSERT_EQ(result.cells.size(), 4u);
+  for (int cg : config.cg_counts) {
+    for (apps::SystemMode system : config.systems) {
+      EXPECT_EQ(result.cell(system, cg).mean_ms,
+                profitability_reference(config, system, cg))
+          << apps::to_string(system) << " cg " << cg;
+    }
+  }
+}
+
+TEST(FigureExperimentTest, ProfitabilityNeedsRunsAndSystems) {
+  // The same preconditions as the throughput runner, checked up front.
+  ProfitabilityConfig config;
+  config.cg_counts = {0};
+  config.systems = {apps::SystemMode::kVanillaX86};
+  config.runs = 0;
+  EXPECT_THROW((void)run_profitability_experiment(
+                   apps::paper_benchmarks(), shared_estimate_table(), config),
+               ContractViolation);
+  config.runs = 1;
+  config.systems.clear();
+  EXPECT_THROW((void)run_profitability_experiment(
+                   apps::paper_benchmarks(), shared_estimate_table(), config),
+               ContractViolation);
 }
 
 TEST(ExperimentTest, ColdStartStillCompletes) {

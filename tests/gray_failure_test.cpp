@@ -481,33 +481,5 @@ TEST(GrayClusterTest, DrainChannelCountersFollowTheirDrainLink) {
   EXPECT_EQ(duplicates, stats.duplicates_suppressed);
 }
 
-std::vector<double> run_gray_fault_free(bool apply_empty_plan) {
-  const auto specs = apps::paper_benchmarks();
-  exp::ClusterSpec spec;
-  spec.cells = 2;
-  exp::ExperimentOptions options;
-  options.mode = apps::SystemMode::kXarTrek;
-  exp::ClusterExperiment cluster(specs, shared_table(), spec, options);
-  cluster.submit(0, "facedet320");
-  cluster.submit(1, "digit500");
-  if (apply_empty_plan) {
-    // An empty plan must not schedule a single event or start health
-    // checks.
-    cluster.apply_fault_plan(sim::FaultPlan{});
-    EXPECT_FALSE(cluster.cell(0).server().health_checks_active());
-  }
-  EXPECT_TRUE(cluster.run_until_jobs_complete());
-  return cluster.job_completion_times_ms();
-}
-
-TEST(GrayClusterTest, EmptyPlanIsBitIdenticalNoOp) {
-  const auto baseline = run_gray_fault_free(false);
-  const auto with_empty_plan = run_gray_fault_free(true);
-  ASSERT_EQ(baseline.size(), with_empty_plan.size());
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_DOUBLE_EQ(baseline[i], with_empty_plan[i]) << "job " << i;
-  }
-}
-
 }  // namespace
 }  // namespace xartrek

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -444,6 +445,153 @@ TEST(PsVirtualTimeTest, ThrowingCompletionLeavesResourceArmed) {
   sim.run();
   EXPECT_EQ(done, "aB");
   EXPECT_DOUBLE_EQ(sim.now().to_ms(), 5.0);
+  EXPECT_EQ(cpu.active_jobs(), 0u);
+}
+
+// --- Batch scopes ------------------------------------------------------------
+
+// Completion instant (bits) and job index, in firing order.
+using CompletionLog = std::vector<std::pair<std::uint64_t, int>>;
+
+void log_completion(CompletionLog& log, const Simulation& sim, int job) {
+  const double now = sim.now().to_ms();
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &now, sizeof(bits));
+  log.emplace_back(bits, job);
+}
+
+TEST(PsBatchTest, SubmitBurstArmsOnceAndCompletesAsEagerly) {
+  // 512 submits on a resource already holding a job: eagerly each one
+  // cancels the armed completion and arms another; in one scope only
+  // the scope's end arms.  Same instants, same order, to the bit.
+  constexpr int kJobs = 512;
+  CompletionLog logs[2];
+  std::uint64_t armed[2] = {};
+  for (const bool batched : {false, true}) {
+    Simulation sim;
+    PsResource cpu(sim, {"cpu", 6.0, 1.0});
+    CompletionLog& log = logs[batched];
+    cpu.submit(3.0, [&] { log_completion(log, sim, -1); });
+    const std::uint64_t before = sim.scheduled_events();
+    {
+      std::optional<PsResource::Batch> batch;
+      if (batched) batch.emplace(cpu);
+      for (int j = 0; j < kJobs; ++j) {
+        const double demand = 0.5 + 0.25 * (j % 37);  // ties every 37 jobs
+        cpu.submit(demand, [&, j] { log_completion(log, sim, j); });
+      }
+    }
+    armed[batched] = sim.scheduled_events() - before;
+    sim.run();
+    EXPECT_EQ(log.size(), kJobs + 1u);
+    EXPECT_EQ(cpu.active_jobs(), 0u);
+  }
+  EXPECT_EQ(armed[false], static_cast<std::uint64_t>(kJobs));
+  EXPECT_EQ(armed[true], 1u);
+  EXPECT_EQ(logs[true], logs[false]);
+}
+
+TEST(PsBatchTest, ArmKeepsSameInstantOrderWithEngineEvents) {
+  // The scope arms under the number the last submit drew, so due
+  // completions order against engine events scheduled inside the scope
+  // exactly as eager re-arming orders them: 'P' submits a zero-demand
+  // job, 'E' schedules an engine event at now.
+  const struct {
+    const char* calls;
+    const char* fired;
+  } cases[] = {{"PE", "PE"}, {"EP", "EP"}, {"PEP", "EPP"}};
+  for (const auto& c : cases) {
+    for (const bool batched : {false, true}) {
+      Simulation sim;
+      PsResource cpu(sim, {"cpu", 1.0, 1.0});
+      std::string order;
+      {
+        std::optional<PsResource::Batch> batch;
+        if (batched) batch.emplace(cpu);
+        for (const char* call = c.calls; *call != '\0'; ++call) {
+          if (*call == 'P') {
+            cpu.submit(0.0, [&] { order += 'P'; });
+          } else {
+            sim.schedule_in(Duration::zero(), [&] { order += 'E'; });
+          }
+        }
+      }
+      sim.run();
+      EXPECT_EQ(order, c.fired) << c.calls << (batched ? " batched" : "");
+    }
+  }
+}
+
+TEST(PsBatchTest, CancellingEveryJobLeavesNoLiveCompletion) {
+  constexpr int kJobs = 64;
+  double delivered[2] = {};
+  for (const bool batched : {false, true}) {
+    Simulation sim;
+    PsResource cpu(sim, {"cpu", 4.0, 1.0});
+    std::vector<PsResource::JobId> ids;
+    for (int j = 0; j < kJobs; ++j) {
+      ids.push_back(cpu.submit(10.0 + j, [] { ADD_FAILURE(); }));
+    }
+    sim.run_until(TimePoint::at_ms(25.0));
+    {
+      std::optional<PsResource::Batch> batch;
+      if (batched) batch.emplace(cpu);
+      for (const auto id : ids) EXPECT_TRUE(cpu.cancel(id));
+    }
+    EXPECT_EQ(cpu.active_jobs(), 0u);
+    EXPECT_EQ(sim.run(), 0u);  // no completion left armed
+    delivered[batched] = cpu.delivered_work();
+  }
+  EXPECT_EQ(delivered[true], delivered[false]);
+  EXPECT_DOUBLE_EQ(delivered[true], 25.0 * 4.0);
+}
+
+TEST(PsBatchTest, ScopeInsideACompletionArmsNothingItself) {
+  // The tick's own scope is open while its callbacks run, so a scope a
+  // callback opens only nests: the tick arms once, after the callback.
+  Simulation sim;
+  PsResource cpu(sim, {"cpu", 2.0, 1.0});
+  int finished = 0;
+  std::uint64_t at_inner_close = 0;
+  std::uint64_t at_callback_start = 0;
+  cpu.submit(1.0, [&] {
+    at_callback_start = sim.scheduled_events();
+    {
+      const PsResource::Batch batch(cpu);
+      for (int j = 0; j < 8; ++j) cpu.submit(1.0 + j, [&] { ++finished; });
+    }
+    at_inner_close = sim.scheduled_events();
+  });
+  ASSERT_TRUE(sim.step_one(TimePoint::at_ms(1.0)));
+  EXPECT_EQ(at_inner_close, at_callback_start);
+  EXPECT_EQ(sim.scheduled_events(), at_callback_start + 1);
+  sim.run();
+  EXPECT_EQ(finished, 8);
+}
+
+TEST(PsBatchTest, ThrowInsideAScopeStillArms) {
+  // A callback throws out of a scope it opened, and a caller throws out
+  // of one outside any tick: both unwind through the scopes, and the
+  // outermost still arms the next completion.
+  Simulation sim;
+  PsResource cpu(sim, {"cpu", 2.0, 1.0});
+  std::string done;
+  cpu.submit(1.0, [&] {
+    const PsResource::Batch batch(cpu);
+    cpu.submit(1.0, [&] { done += 'a'; });
+    throw std::runtime_error("completion failed");
+  });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(cpu.active_jobs(), 1u);
+  const auto caller = [&] {
+    const PsResource::Batch batch(cpu);
+    cpu.submit(3.0, [&] { done += 'B'; });
+    throw std::runtime_error("caller failed");
+  };
+  EXPECT_THROW(caller(), std::runtime_error);
+  EXPECT_EQ(cpu.active_jobs(), 2u);
+  sim.run();
+  EXPECT_EQ(done, "aB");
   EXPECT_EQ(cpu.active_jobs(), 0u);
 }
 
