@@ -7,7 +7,7 @@
 // (sum over shards of events per busy-CPU-second, the same metric
 // BENCH_sim_core.json's sharded section gates).  A second section
 // measures the million-job attach/detach sweep through
-// apps::ShardedLoadGenerator -- per-shard batched bookkeeping --
+// ClusterExperiment's per-cell cohorts -- per-shard batched bookkeeping --
 // against the same cohort funneled through one CpuCluster process
 // table.  A third section measures fault-handling overhead: the same
 // tracked-job workload with and without a chaos plan (cell kill with a
@@ -61,10 +61,11 @@ bool smoke_mode() { return std::getenv("XARTREK_BENCH_SMOKE") != nullptr; }
 /// spread per lane so completions pave the timeline instead of landing
 /// on one tick.  The job count is what the schedulers' load metric
 /// sees; the demand sets the event rate.
-apps::ShardedLoadGenerator::Options churn_options() {
-  apps::ShardedLoadGenerator::Options opts;
+apps::LoadGenerator::Options churn_options() {
+  apps::LoadGenerator::Options opts;
   opts.run_demand = Duration::ms(0.05);
   opts.demand_jitter = 0.5;
+  opts.reserve = true;
   return opts;
 }
 
@@ -84,8 +85,8 @@ ConfigResult run_single_queue(std::uint64_t total_jobs,
   exp::ExperimentOptions options;
   exp::Experiment exp(apps::paper_benchmarks(), runtime::ThresholdTable{},
                       options);
-  std::vector<platform::Testbed*> cells{&exp.testbed()};
-  apps::ShardedLoadGenerator load(cells, total_jobs, churn_options());
+  apps::LoadGenerator load(exp.testbed(), static_cast<int>(total_jobs),
+                           churn_options());
   sim::Simulation& sim = exp.simulation();
   const std::uint64_t before = sim.executed_events();
   const double cpu0 = thread_cpu_seconds();

@@ -11,15 +11,12 @@
 #include "compiler/xar_compiler.hpp"
 #include "hls/xclbin.hpp"
 #include "isa/symbol.hpp"
-#include "popcorn/fat_binary_io.hpp"
 #include "popcorn/state_transform.hpp"
 #include "runtime/protocol.hpp"
 #include "sim/ps_resource.hpp"
 #include "sim/simulation.hpp"
 #include "workloads/bfs.hpp"
-#include "workloads/digitrec.hpp"
 #include "workloads/face_detect.hpp"
-#include "workloads/mg.hpp"
 
 namespace {
 
@@ -120,19 +117,6 @@ void BM_XclbinPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_XclbinPartition);
 
-void BM_DigitrecClassify(benchmark::State& state) {
-  Rng rng(1);
-  const auto ds = workloads::make_synthetic_digits(rng, 180, 100, 3.0);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& test = ds.tests[i++ % ds.tests.size()];
-    benchmark::DoNotOptimize(
-        workloads::knn_classify(ds.training, test.bits, 3));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DigitrecClassify);
-
 void BM_FaceDetect(benchmark::State& state) {
   Rng rng(2);
   const auto scene = workloads::make_scene(rng, 320, 240, 3);
@@ -173,29 +157,6 @@ void BM_ProtocolRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ProtocolRoundTrip);
-
-void BM_FatBinaryRoundTrip(benchmark::State& state) {
-  const auto ir = compiler::make_app_ir("bench", "hot", 600, 250);
-  const compiler::MultiIsaBuilder builder;
-  const auto binary = builder.build(ir);
-  for (auto _ : state) {
-    const auto image = popcorn::write_fat_binary(binary);
-    benchmark::DoNotOptimize(popcorn::read_fat_binary(image));
-  }
-}
-BENCHMARK(BM_FatBinaryRoundTrip);
-
-void BM_MgVcycle(benchmark::State& state) {
-  Rng rng(5);
-  const int n = 16;
-  const auto rhs = workloads::mg_random_rhs(rng, n);
-  workloads::Grid3 u(n, 0.0);
-  for (auto _ : state) {
-    workloads::mg_vcycle(u, rhs);
-    benchmark::DoNotOptimize(u.data().data());
-  }
-}
-BENCHMARK(BM_MgVcycle);
 
 }  // namespace
 

@@ -85,9 +85,10 @@ int run_chaos_phase() {
   const obs::Snapshot obs_before = cluster.registry().snapshot();
 
   // Mid-spike churn load so the faults land on busy cells.
-  apps::ShardedLoadGenerator::Options churn;
+  apps::LoadGenerator::Options churn;
   churn.run_demand = Duration::ms(2.0);
   churn.demand_jitter = 0.5;
+  churn.reserve = true;
   cluster.set_background_load(kCells * 60, churn);
 
   const std::vector<std::string> jobs = {"facedet320", "digit500",
@@ -169,9 +170,10 @@ int run_gray_phase() {
   if (obs_export_dir() != nullptr) cluster.enable_tracing();
   const obs::Snapshot obs_before = cluster.registry().snapshot();
 
-  apps::ShardedLoadGenerator::Options churn;
+  apps::LoadGenerator::Options churn;
   churn.run_demand = Duration::ms(2.0);
   churn.demand_jitter = 0.5;
+  churn.reserve = true;
   cluster.set_background_load(kCells * 60, churn);
 
   const std::vector<std::string> jobs = {"facedet320", "digit500",
@@ -379,9 +381,10 @@ int main() {
     // (the scheduler samples the process count, not the demand), but
     // each run completes in milliseconds, so the cells' queues churn
     // hundreds of thousands of events while the tenants run.
-    apps::ShardedLoadGenerator::Options churn;
+    apps::LoadGenerator::Options churn;
     churn.run_demand = Duration::ms(2.0);
     churn.demand_jitter = 0.5;
+    churn.reserve = true;
     cluster.set_background_load(kCells * kSpikePerCell, churn);
     for (std::size_t c = 0; c < kCells; ++c) {
       for (const auto& t : tenants) cluster.launch(c, t);

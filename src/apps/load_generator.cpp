@@ -1,7 +1,5 @@
 #include "apps/load_generator.hpp"
 
-#include <limits>
-
 #include "common/assert.hpp"
 
 namespace xartrek::apps {
@@ -62,31 +60,6 @@ void LoadGenerator::stop() {
   }
   lanes_.clear();
   testbed_.x86().detach_processes(processes_);
-}
-
-// --- ShardedLoadGenerator ---------------------------------------------------
-
-ShardedLoadGenerator::ShardedLoadGenerator(
-    std::vector<platform::Testbed*> cells, std::uint64_t total_jobs,
-    Options opts)
-    : total_(total_jobs) {
-  XAR_EXPECTS(!cells.empty());
-  LoadGenerator::Options cell_opts;
-  cell_opts.run_demand = opts.run_demand;
-  cell_opts.demand_jitter = opts.demand_jitter;
-  cell_opts.reserve = opts.reserve;
-  const std::uint64_t n = cells.size();
-  cells_.reserve(n);
-  for (std::uint64_t c = 0; c < n; ++c) {
-    const std::uint64_t jobs = total_jobs / n + (c < total_jobs % n ? 1 : 0);
-    XAR_EXPECTS(jobs <= std::numeric_limits<int>::max());
-    cells_.push_back(std::make_unique<LoadGenerator>(
-        *cells[c], static_cast<int>(jobs), cell_opts));
-  }
-}
-
-void ShardedLoadGenerator::stop() {
-  for (auto& cell : cells_) cell->stop();
 }
 
 }  // namespace xartrek::apps

@@ -15,10 +15,7 @@
 // allocations after construction.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "apps/benchmark_spec.hpp"
@@ -60,7 +57,6 @@ class LoadGenerator {
   /// Cancel all loops (in-flight work is abandoned).  Idempotent.
   void stop();
 
-  [[nodiscard]] int processes() const { return processes_; }
   [[nodiscard]] bool running() const { return running_; }
 
  private:
@@ -76,53 +72,6 @@ class LoadGenerator {
   std::uint32_t generation_ = 1;
   /// The in-flight run of each lane (index = lane).
   std::vector<hw::CpuCluster::JobId> lanes_;
-};
-
-/// Cluster-scale background load: `total_jobs` looping MG-B processes
-/// split across the cells of a partitioned cluster, one LoadGenerator
-/// cohort per cell, each living entirely on that cell's shard.  All
-/// bookkeeping is batched per shard -- one process-table update and
-/// one pool reservation per cell instead of one per job -- so a
-/// million-concurrent-job sweep costs one heap submit per job and
-/// nothing else, and the per-cell event churn runs on the cells' own
-/// queues instead of funneling through one CpuCluster process table.
-class ShardedLoadGenerator {
- public:
-  /// Same knobs as LoadGenerator::Options, but reservation defaults on
-  /// (a cluster sweep's attach burst is the point).
-  struct Options {
-    Duration run_demand = mg_b_run_demand();
-    double demand_jitter = 0.0;
-    bool reserve = true;
-  };
-
-  /// Starts `total_jobs` loops spread round-robin over `cells` (cell i
-  /// of n gets total/n jobs plus one of the remainder's first slots).
-  ShardedLoadGenerator(std::vector<platform::Testbed*> cells,
-                       std::uint64_t total_jobs, Options opts);
-  ShardedLoadGenerator(std::vector<platform::Testbed*> cells,
-                       std::uint64_t total_jobs)
-      : ShardedLoadGenerator(std::move(cells), total_jobs, Options{}) {}
-  ShardedLoadGenerator(const ShardedLoadGenerator&) = delete;
-  ShardedLoadGenerator& operator=(const ShardedLoadGenerator&) = delete;
-  ~ShardedLoadGenerator() { stop(); }
-
-  /// Cancel every cohort (one batched process-table update per cell).
-  /// Idempotent.
-  void stop();
-
-  [[nodiscard]] std::uint64_t total_jobs() const { return total_; }
-  [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }
-  [[nodiscard]] std::uint64_t jobs_in_cell(std::size_t cell) const {
-    return static_cast<std::uint64_t>(cells_[cell]->processes());
-  }
-  [[nodiscard]] bool running() const {
-    return !cells_.empty() && cells_.front()->running();
-  }
-
- private:
-  std::uint64_t total_;
-  std::vector<std::unique_ptr<LoadGenerator>> cells_;  ///< one per cell
 };
 
 }  // namespace xartrek::apps

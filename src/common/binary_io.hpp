@@ -1,21 +1,15 @@
-// Little-endian binary encoding helpers.
+// Little-endian binary encoding helpers for the scheduler wire protocol.
 //
-// Shared by the scheduler wire protocol, the fat-binary image format,
-// and the workload dataset files.  Writer appends -- either into its
-// own buffer or into a caller-supplied scratch buffer so hot paths can
-// reuse one allocation across messages; it can also patch a previously
-// reserved length field in place (single-pass framing).  Reader is
-// strictly bounds-checked and throws xartrek::Error on truncation
-// (never reads past the buffer).  The stream helpers at the bottom move
-// whole little-endian blocks through iostreams instead of a byte at a
-// time.
+// Writer appends -- either into its own buffer or into a caller-supplied
+// scratch buffer so hot paths can reuse one allocation across messages;
+// it can also patch a previously reserved length field in place
+// (single-pass framing).  Reader is strictly bounds-checked and throws
+// xartrek::Error on truncation (never reads past the buffer).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <istream>
-#include <ostream>
 #include <span>
 #include <string>
 #include <string_view>
@@ -25,8 +19,7 @@
 
 namespace xartrek {
 
-// Canonical little-endian packing, shared by the in-memory writer and
-// the iostream block helpers below.
+// Canonical little-endian packing for the writer.
 inline void put_le_u16(unsigned char* dst, std::uint16_t v) {
   for (int i = 0; i < 2; ++i) dst[i] = (v >> (8 * i)) & 0xFF;
 }
@@ -35,20 +28,6 @@ inline void put_le_u32(unsigned char* dst, std::uint32_t v) {
 }
 inline void put_le_u64(unsigned char* dst, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) dst[i] = (v >> (8 * i)) & 0xFF;
-}
-[[nodiscard]] inline std::uint32_t get_le_u32(const unsigned char* src) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(src[i]) << (8 * i);
-  }
-  return v;
-}
-[[nodiscard]] inline std::uint64_t get_le_u64(const unsigned char* src) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(src[i]) << (8 * i);
-  }
-  return v;
 }
 
 /// Append-only little-endian writer.  Default-constructed it owns its
@@ -178,26 +157,5 @@ class BinaryReader {
   std::span<const std::byte> data_;
   std::size_t pos_ = 0;
 };
-
-// --- iostream block helpers ------------------------------------------------
-//
-// Encode into a caller-provided staging array with the `put_le*`
-// helpers above, flush the whole record with one `os.write`; mirror
-// with one `is.read` and `get_le*`.  Replaces per-byte put/get loops
-// on dataset hot paths.
-
-inline void write_block(std::ostream& os, const unsigned char* data,
-                        std::size_t n) {
-  os.write(reinterpret_cast<const char*>(data),
-           static_cast<std::streamsize>(n));
-}
-/// Reads exactly `n` bytes or throws `Error(context + ": truncated file")`.
-inline void read_block(std::istream& is, unsigned char* data, std::size_t n,
-                       const char* context) {
-  is.read(reinterpret_cast<char*>(data), static_cast<std::streamsize>(n));
-  if (static_cast<std::size_t>(is.gcount()) != n) {
-    throw Error(std::string(context) + ": truncated file");
-  }
-}
 
 }  // namespace xartrek

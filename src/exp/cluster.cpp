@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "apps/application.hpp"
@@ -132,23 +133,25 @@ void ClusterExperiment::enable_tracing(obs::Tracer::Options opts) {
   }
 }
 
-std::vector<platform::Testbed*> ClusterExperiment::testbeds() {
-  std::vector<platform::Testbed*> out;
-  out.reserve(cells_.size());
-  for (auto& cell : cells_) out.push_back(&cell->testbed());
-  return out;
-}
-
 void ClusterExperiment::set_background_load(std::uint64_t total_jobs) {
-  set_background_load(total_jobs, apps::ShardedLoadGenerator::Options{});
+  apps::LoadGenerator::Options opts;
+  opts.reserve = true;
+  set_background_load(total_jobs, opts);
 }
 
 void ClusterExperiment::set_background_load(
-    std::uint64_t total_jobs, apps::ShardedLoadGenerator::Options opts) {
-  load_.reset();  // the old cohort detaches before the new one attaches
-  if (total_jobs > 0) {
-    load_ = std::make_unique<apps::ShardedLoadGenerator>(testbeds(),
-                                                         total_jobs, opts);
+    std::uint64_t total_jobs, apps::LoadGenerator::Options opts) {
+  const std::uint64_t n = cells_.size();
+  // Cell 0's share, ceil(total / n), is the largest.
+  XAR_EXPECTS((total_jobs + n - 1) / n <=
+              static_cast<std::uint64_t>(std::numeric_limits<int>::max()));
+  load_.clear();  // the old cohorts detach before the new ones attach
+  if (total_jobs == 0) return;
+  load_.reserve(n);
+  for (std::uint64_t c = 0; c < n; ++c) {
+    const std::uint64_t jobs = total_jobs / n + (c < total_jobs % n ? 1 : 0);
+    load_.push_back(std::make_unique<apps::LoadGenerator>(
+        cells_[c]->testbed(), static_cast<int>(jobs), opts));
   }
 }
 

@@ -18,7 +18,7 @@
 //     handoffs and checkpoint drains riding the ring's hops.
 //
 // Background load scales with the cluster: set_background_load spreads
-// the cohort over the cells through apps::ShardedLoadGenerator, whose
+// the cohort over the cells, one apps::LoadGenerator per cell, so
 // attach/detach bookkeeping is batched per shard -- the million-user
 // sweep no longer funnels through one CpuCluster process table.
 //
@@ -93,25 +93,21 @@ class ClusterExperiment {
     return *cells_[i];
   }
 
-  /// Every cell's testbed (the ShardedLoadGenerator input).
-  [[nodiscard]] std::vector<platform::Testbed*> testbeds();
-
   /// Launch one run of `app_name` on cell `i` now.
   void launch(std::size_t i, const std::string& app_name) {
     cell(i).launch(app_name);
   }
 
-  /// Spread `total_jobs` background processes across the cells (0
-  /// tears the current cohort down).  Bookkeeping is batched per
-  /// shard; see apps::ShardedLoadGenerator.  The two-argument form
-  /// picks the looped run's shape (demand, jitter) -- the load metric
-  /// each scheduler samples depends only on the job count.
+  /// Spread `total_jobs` background processes across the cells, one
+  /// apps::LoadGenerator cohort per cell: cell c of n gets total/n, plus
+  /// one while c < total mod n (0 tears the current cohorts down).
+  /// Bookkeeping is batched per shard.  The one-argument form reserves
+  /// each cell's job pool for its cohort; the two-argument form takes
+  /// the cohorts' options whole (demand, jitter, reserve) -- the load
+  /// metric each scheduler samples depends only on the job count.
   void set_background_load(std::uint64_t total_jobs);
   void set_background_load(std::uint64_t total_jobs,
-                           apps::ShardedLoadGenerator::Options opts);
-  [[nodiscard]] apps::ShardedLoadGenerator* background_load() {
-    return load_.get();
-  }
+                           apps::LoadGenerator::Options opts);
 
   /// Hand a job off from cell `from` to its ring neighbor: `bytes` of
   /// state ride the inter-cell link, and `on_arrival` fires on the
@@ -278,7 +274,8 @@ class ClusterExperiment {
   std::vector<std::unique_ptr<Experiment>> cells_;
   /// Ring link i: cell i -> cell (i+1) mod N (empty for one cell).
   std::vector<std::unique_ptr<hw::Link>> intercell_;
-  std::unique_ptr<apps::ShardedLoadGenerator> load_;
+  /// The background cohorts, one per cell (empty when there are none).
+  std::vector<std::unique_ptr<apps::LoadGenerator>> load_;
   /// Atomic: in parallel mode every cell's shard thread may hand off
   /// concurrently.
   std::atomic<std::uint64_t> handoffs_{0};

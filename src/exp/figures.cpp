@@ -155,6 +155,7 @@ std::vector<PeriodicExecCell> run_periodic_exec_experiment(
     const runtime::ThresholdTable& seed_table,
     const PeriodicExecConfig& config) {
   XAR_EXPECTS(config.waves >= 1 && config.apps_per_wave >= 1);
+  XAR_EXPECTS(!config.systems.empty());
   std::vector<PeriodicExecCell> cells;
 
   // The same wave schedule (same random sets) is replayed per system.
@@ -225,8 +226,12 @@ std::vector<PeriodicTputCell> run_periodic_throughput_experiment(
     const std::vector<apps::BenchmarkSpec>& specs,
     const runtime::ThresholdTable& seed_table,
     const PeriodicTputConfig& config) {
-  XAR_EXPECTS(config.app_runs >= 1);
+  XAR_EXPECTS(!config.systems.empty() && config.app_runs >= 1);
   XAR_EXPECTS(config.max_load >= config.min_load);
+  // A zero period feeds fmod(t, 0) into the wave, and a zero step
+  // re-arms the load controller at the same instant for ever.
+  XAR_EXPECTS(config.load_period > Duration::zero());
+  XAR_EXPECTS(config.load_step_interval > Duration::zero());
   std::vector<PeriodicTputCell> cells;
   const apps::BenchmarkSpec& face =
       apps::benchmark_by_name(specs, config.face_app);

@@ -17,7 +17,6 @@ Testbed::Testbed(TestbedConfig cfg) : log_(std::move(cfg.log)) {
   pcie_ = std::make_unique<hw::Link>(*sim_, cfg.pcie);
   fpga_ = std::make_unique<fpga::FpgaDevice>(*sim_, *pcie_, cfg.fpga, log_);
   if (cfg.fpga_slots.has_value()) fpga_->enable_slots(*cfg.fpga_slots);
-  xrt_ = std::make_unique<xrt::Device>(*sim_, *fpga_, *pcie_);
 }
 
 }  // namespace xartrek::platform

@@ -15,7 +15,6 @@
 #include "hw/cpu_cluster.hpp"
 #include "hw/link.hpp"
 #include "sim/simulation.hpp"
-#include "xrt/xrt.hpp"
 
 namespace xartrek::platform {
 
@@ -49,7 +48,6 @@ class Testbed {
   [[nodiscard]] hw::Link& ethernet() { return *ethernet_; }
   [[nodiscard]] hw::Link& pcie() { return *pcie_; }
   [[nodiscard]] fpga::FpgaDevice& fpga() { return *fpga_; }
-  [[nodiscard]] xrt::Device& xrt_device() { return *xrt_; }
   [[nodiscard]] const Logger& log() const { return log_; }
 
   /// Total cores across both servers (102 in the paper; Table 3's
@@ -69,7 +67,6 @@ class Testbed {
   std::unique_ptr<hw::Link> ethernet_;
   std::unique_ptr<hw::Link> pcie_;
   std::unique_ptr<fpga::FpgaDevice> fpga_;
-  std::unique_ptr<xrt::Device> xrt_;
 };
 
 }  // namespace xartrek::platform

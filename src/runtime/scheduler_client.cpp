@@ -6,11 +6,17 @@
 
 namespace xartrek::runtime {
 
+namespace {
+/// Processes added to a threshold per "increase": one, the load
+/// metric's granularity.
+constexpr int kIncreaseStep = 1;
+/// Sanity cap on raised thresholds.
+constexpr int kThresholdCap = 4096;
+}  // namespace
+
 SchedulerClient::SchedulerClient(ThresholdTable& table, Options opts,
                                  Logger log)
-    : table_(table), opts_(opts), log_(std::move(log)) {
-  XAR_EXPECTS(opts_.increase_step >= 1);
-}
+    : table_(table), opts_(opts), log_(std::move(log)) {}
 
 AppId SchedulerClient::resolve(const std::string& app) {
   // One client instance serves one application in the paper's design,
@@ -36,7 +42,7 @@ ThresholdUpdate SchedulerClient::on_function_return(
   }
 
   auto raise = [&](int& thr) {
-    thr = std::min(thr + opts_.increase_step, opts_.threshold_cap);
+    thr = std::min(thr + kIncreaseStep, kThresholdCap);
   };
 
   switch (obs.executed_on) {

@@ -15,7 +15,7 @@
 //     FPGA_THR.
 //
 // The paper does not specify the "increase" step; we raise by one
-// process (the load metric's granularity), configurable for ablation.
+// process (the load metric's granularity), up to a sanity cap.
 #pragma once
 
 #include <string>
@@ -63,8 +63,6 @@ struct RunObservation {
 class SchedulerClient {
  public:
   struct Options {
-    int increase_step = 1;      ///< processes added per "increase"
-    int threshold_cap = 4096;   ///< sanity cap on raised thresholds
     bool refinement_enabled = true;  ///< ablation switch
   };
 

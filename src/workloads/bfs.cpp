@@ -1,6 +1,5 @@
 #include "workloads/bfs.hpp"
 
-#include <algorithm>
 #include <deque>
 
 #include "common/assert.hpp"
@@ -57,19 +56,6 @@ std::vector<std::int32_t> bfs_depths(const CsrGraph& graph, int source) {
     }
   }
   return depth;
-}
-
-hls::OpProfile bfs_op_profile(double avg_degree) {
-  // Body = one frontier edge: depth check + enqueue (regular) around two
-  // data-dependent gathers (neighbour id, depth entry) -- the
-  // FPGA-hostile part (paper §4.4: pointer chasing on a PCIe-attached
-  // FPGA).  One work item = one visited node expanding avg_degree edges.
-  hls::OpProfile ops;
-  ops.int_ops = 5;
-  ops.mem_ops = 1;
-  ops.irregular_mem_ops = 2;
-  ops.iterations_per_item = std::max(1.0, avg_degree);
-  return ops;
 }
 
 }  // namespace xartrek::workloads

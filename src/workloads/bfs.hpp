@@ -3,16 +3,14 @@
 // The paper's §4.4 "profitable workloads" study uses BFS as the
 // archetypal pointer-chasing application that FPGAs lose badly on
 // (Table 4: x86 wins by multiple orders of magnitude at every graph
-// size).  The implementation is a standard frontier BFS; its op profile
-// marks almost every access irregular, which is what makes the HLS
-// latency model produce Table 4's shape.
+// size).  The implementation is a standard frontier BFS, which the
+// Table 4 harness runs on every graph size it reports.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "hls/hls_compiler.hpp"
 
 namespace xartrek::workloads {
 
@@ -36,9 +34,5 @@ struct CsrGraph {
 /// The selected function: BFS depths from `source` (-1 = unreachable).
 [[nodiscard]] std::vector<std::int32_t> bfs_depths(const CsrGraph& graph,
                                                    int source);
-
-/// Per-node op profile for the HLS model: frontier expansion is
-/// dominated by data-dependent neighbour-list gathers.
-[[nodiscard]] hls::OpProfile bfs_op_profile(double avg_degree);
 
 }  // namespace xartrek::workloads

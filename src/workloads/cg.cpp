@@ -1,5 +1,6 @@
 #include "workloads/cg.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -62,79 +63,6 @@ void spmv(const CsrMatrix& a, const std::vector<double>& x,
     }
     y[static_cast<std::size_t>(i)] = sum;
   }
-}
-
-namespace {
-[[nodiscard]] double dot(const std::vector<double>& a,
-                         const std::vector<double>& b) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-}  // namespace
-
-double conj_grad(const CsrMatrix& a, const std::vector<double>& x,
-                 std::vector<double>& z, int iterations) {
-  const auto n = static_cast<std::size_t>(a.n);
-  z.assign(n, 0.0);
-  std::vector<double> r = x;
-  std::vector<double> p = r;
-  std::vector<double> q(n, 0.0);
-  double rho = dot(r, r);
-
-  for (int it = 0; it < iterations; ++it) {
-    spmv(a, p, q);
-    const double alpha = rho / dot(p, q);
-    for (std::size_t i = 0; i < n; ++i) {
-      z[i] += alpha * p[i];
-      r[i] -= alpha * q[i];
-    }
-    const double rho_new = dot(r, r);
-    const double beta = rho_new / rho;
-    rho = rho_new;
-    for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + beta * p[i];
-  }
-
-  // NPB reports ||x - A z|| as the residual.
-  spmv(a, z, q);
-  double norm = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = x[i] - q[i];
-    norm += d * d;
-  }
-  return std::sqrt(norm);
-}
-
-CgResult cg_benchmark(const CsrMatrix& a, const CgClass& cls) {
-  const auto n = static_cast<std::size_t>(a.n);
-  std::vector<double> x(n, 1.0);
-  std::vector<double> z;
-  CgResult result;
-  for (int outer = 0; outer < cls.outer_iters; ++outer) {
-    result.final_residual = conj_grad(a, x, z);
-    result.zeta = cls.shift + 1.0 / dot(x, z);
-    const double znorm = std::sqrt(dot(z, z));
-    XAR_ASSERT(znorm > 0.0);
-    for (std::size_t i = 0; i < n; ++i) x[i] = z[i] / znorm;
-    ++result.outer_iterations;
-  }
-  return result;
-}
-
-hls::OpProfile cg_op_profile(const CgClass& cls) {
-  // Body = one SpMV nonzero: multiply-accumulate plus a data-dependent
-  // x[col] gather (irregular on a PCIe/HBM FPGA).  One work item = one
-  // outer iteration = 25 CG steps over n rows x nz nonzeros, plus vector
-  // updates folded into the per-iteration regular cost.
-  const auto n = static_cast<double>(cls.n);
-  const auto nz = static_cast<double>(cls.nz_per_row);
-  hls::OpProfile ops;
-  ops.fp_ops = 2;
-  ops.int_ops = 1;
-  ops.mem_ops = 1;
-  ops.irregular_mem_ops = 1;  // the x[col] gather
-  ops.iterations_per_item = 25.0 * n * nz * (1.0 + 10.0 / nz);
-  return ops;
 }
 
 }  // namespace xartrek::workloads

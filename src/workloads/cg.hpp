@@ -1,19 +1,17 @@
-// NPB-style CG: conjugate-gradient eigenvalue estimation.
+// NPB-style CG's core: a random sparse SPD matrix and its SpMV.
 //
 // The paper uses NAS Parallel Benchmarks CG class A as the representative
 // application that is *slower* on the FPGA than on x86 (Table 1's first
 // row, and the "non-compute-intensive" pole of Figure 9): the sparse
-// matrix-vector product's column gathers are irregular.  Structure
-// follows NPB: an outer inverse-power iteration calls an inner 25-step
-// conjugate-gradient solve on a random sparse symmetric positive-definite
-// matrix and sharpens an eigenvalue estimate `zeta`.
+// matrix-vector product's column gathers are irregular.  The simulated
+// CG-A is set by hand in apps::BenchmarkSpec; this is the SpMV kernel
+// itself, run for real by examples/custom_kernel.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "hls/hls_compiler.hpp"
 
 namespace xartrek::workloads {
 
@@ -36,37 +34,5 @@ struct CsrMatrix {
 /// y = A x.
 void spmv(const CsrMatrix& a, const std::vector<double>& x,
           std::vector<double>& y);
-
-/// Result of the full benchmark run.
-struct CgResult {
-  double zeta = 0.0;            ///< eigenvalue estimate
-  double final_residual = 0.0;  ///< ||r|| from the last inner solve
-  int outer_iterations = 0;
-};
-
-/// NPB problem-class parameters.
-struct CgClass {
-  int n;
-  int nz_per_row;
-  int outer_iters;
-  double shift;
-
-  /// Class A: n=14000, 11 nonzeros/row, 15 outer iterations, shift 20
-  /// (the paper's CG-A).
-  [[nodiscard]] static CgClass class_a() { return {14'000, 11, 15, 20.0}; }
-  /// Scaled-down class for unit tests.
-  [[nodiscard]] static CgClass class_t() { return {256, 7, 4, 10.0}; }
-};
-
-/// Inner solve: 25 CG iterations on A z = x; returns ||r||.
-double conj_grad(const CsrMatrix& a, const std::vector<double>& x,
-                 std::vector<double>& z, int iterations = 25);
-
-/// The selected function: full outer iteration (NPB main loop).
-[[nodiscard]] CgResult cg_benchmark(const CsrMatrix& a, const CgClass& cls);
-
-/// Per-outer-iteration op profile for the HLS model: SpMV column gathers
-/// are data-dependent -- irregular on a PCIe FPGA.
-[[nodiscard]] hls::OpProfile cg_op_profile(const CgClass& cls);
 
 }  // namespace xartrek::workloads

@@ -155,21 +155,4 @@ std::vector<Detection> detect_faces(const GrayImage& image,
   return non_max_suppress(std::move(raw), params.nms_iou);
 }
 
-hls::OpProfile face_detect_op_profile(int width, int height) {
-  // Body = one feature evaluation on one window: 8 integral-image
-  // fetches, address math + compares, two normalization divides.  Window
-  // count across the scale pyramid is ~2.8x the base-scale count for a
-  // 1.25 step; the cascade kills most windows at stage 1, so ~2 feature
-  // evaluations happen per window on average.  One work item = one image.
-  const double base_windows =
-      (static_cast<double>(width) / 2.0) * (static_cast<double>(height) / 2.0);
-  hls::OpProfile ops;
-  ops.int_ops = 10;
-  ops.mem_ops = 8;
-  ops.fp_ops = 2;
-  ops.irregular_mem_ops = 0;  // raster scan -- FPGA-friendly
-  ops.iterations_per_item = 2.8 * base_windows * 2.0;
-  return ops;
-}
-
 }  // namespace xartrek::workloads

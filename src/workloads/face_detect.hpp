@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "hls/hls_compiler.hpp"
 #include "workloads/image.hpp"
 
 namespace xartrek::workloads {
@@ -98,8 +97,5 @@ struct DetectParams {
 [[nodiscard]] std::vector<Detection> detect_faces(
     const GrayImage& image, const Cascade& cascade = Cascade::default_frontal(),
     const DetectParams& params = {});
-
-/// Per-image op profile for the HLS model.
-[[nodiscard]] hls::OpProfile face_detect_op_profile(int width, int height);
 
 }  // namespace xartrek::workloads

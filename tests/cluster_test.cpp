@@ -200,9 +200,10 @@ TwoCellRun run_two_cell_cluster(bool parallel) {
   exp::ExperimentOptions options;
   options.mode = apps::SystemMode::kXarTrek;
   exp::ClusterExperiment cluster(specs, shared_table(), spec, options);
-  apps::ShardedLoadGenerator::Options churn;
+  apps::LoadGenerator::Options churn;
   churn.run_demand = Duration::ms(0.02);
   churn.demand_jitter = 0.5;
+  churn.reserve = true;
   cluster.set_background_load(16, churn);
   cluster.launch(0, "facedet320");
   cluster.launch(0, "cg_a");
@@ -336,8 +337,6 @@ TEST(ClusterExperimentTest, ShardedBackgroundLoadBatchesPerCell) {
   cluster.set_background_load(11);
   EXPECT_EQ(cluster.cell(0).testbed().x86().load(), 6);
   EXPECT_EQ(cluster.cell(1).testbed().x86().load(), 5);
-  ASSERT_NE(cluster.background_load(), nullptr);
-  EXPECT_EQ(cluster.background_load()->total_jobs(), 11u);
   cluster.run_for(Duration::seconds(1.0));
   EXPECT_EQ(cluster.cell(0).testbed().x86().load(), 6);  // loops persist
   cluster.set_background_load(0);

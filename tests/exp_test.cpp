@@ -361,6 +361,44 @@ TEST(FigureExperimentTest, ProfitabilityNeedsRunsAndSystems) {
                ContractViolation);
 }
 
+// The Figure 7 and 8 runners check their config before they simulate
+// anything: a zero load step would otherwise re-arm the load controller
+// at one instant for ever, and a zero period would feed fmod(t, 0) into
+// the load wave.
+TEST(FigureExperimentTest, PeriodicExecNeedsSystems) {
+  PeriodicExecConfig config;
+  EXPECT_THROW((void)run_periodic_exec_experiment(
+                   apps::paper_benchmarks(), shared_estimate_table(), config),
+               ContractViolation);
+}
+
+TEST(FigureExperimentTest, PeriodicTputNeedsSystems) {
+  PeriodicTputConfig config;
+  EXPECT_THROW((void)run_periodic_throughput_experiment(
+                   apps::paper_benchmarks(), shared_estimate_table(), config),
+               ContractViolation);
+}
+
+TEST(FigureExperimentTest, PeriodicTputNeedsPositiveLoadPeriod) {
+  PeriodicTputConfig config;
+  config.systems = {apps::SystemMode::kXarTrek};
+  config.app_runs = 1;
+  config.load_period = Duration::zero();
+  EXPECT_THROW((void)run_periodic_throughput_experiment(
+                   apps::paper_benchmarks(), shared_estimate_table(), config),
+               ContractViolation);
+}
+
+TEST(FigureExperimentTest, PeriodicTputNeedsPositiveLoadStep) {
+  PeriodicTputConfig config;
+  config.systems = {apps::SystemMode::kXarTrek};
+  config.app_runs = 1;
+  config.load_step_interval = Duration::zero();
+  EXPECT_THROW((void)run_periodic_throughput_experiment(
+                   apps::paper_benchmarks(), shared_estimate_table(), config),
+               ContractViolation);
+}
+
 TEST(ExperimentTest, ColdStartStillCompletes) {
   // Ablation 4: no step-G seeding.  Zero thresholds route everything
   // with a resident kernel to the FPGA; runs must still complete.

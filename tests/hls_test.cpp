@@ -1,15 +1,9 @@
-// Tests for the HLS toolchain model (steps D/E/F) and the XRT-style
-// host runtime.
+// Tests for the HLS toolchain model (steps D/E/F).
 #include <gtest/gtest.h>
-
-#include <cstring>
 
 #include "fpga/device.hpp"
 #include "hls/hls_compiler.hpp"
 #include "hls/xclbin.hpp"
-#include "hw/link.hpp"
-#include "sim/simulation.hpp"
-#include "xrt/xrt.hpp"
 
 namespace xartrek {
 namespace {
@@ -151,79 +145,6 @@ TEST(XclbinBuildTest, ImageCarriesKernelsAndSize) {
   EXPECT_EQ(image.kernels.size(), 3u);
   EXPECT_GT(image.size_bytes, 2u * 1024 * 1024);  // shell base + regions
   EXPECT_TRUE(image.contains_kernel("KNL_1"));
-}
-
-// --- XRT ------------------------------------------------------------
-
-struct XrtFixture : ::testing::Test {
-  sim::Simulation sim;
-  hw::Link pcie{sim, hw::pcie_gen3()};
-  fpga::FpgaDevice card{sim, pcie, fpga::alveo_u50_spec()};
-  xrt::Device device{sim, card, pcie};
-
-  fpga::XclbinImage image() {
-    const hls::HlsCompiler hls;
-    const hls::XclbinBuilder builder(fpga::alveo_u50_spec());
-    hls::XclbinSpec spec;
-    spec.id = "img";
-    spec.xos.push_back(hls.compile(simple_source("KNL_X")));
-    return builder.build(spec);
-  }
-};
-
-TEST_F(XrtFixture, BufferSyncMovesBytesOverPcie) {
-  xrt::Buffer buf(device, 256);
-  std::memset(buf.host().data(), 0x5A, buf.host().size());
-  bool synced = false;
-  buf.sync_to_device([&] { synced = true; });
-  sim.run();
-  EXPECT_TRUE(synced);
-  for (auto b : buf.device_shadow()) EXPECT_EQ(b, std::byte{0x5A});
-
-  // Mutate the shadow path in reverse.
-  std::memset(buf.host().data(), 0, buf.host().size());
-  buf.sync_from_device([] {});
-  sim.run();
-  for (auto b : buf.host()) EXPECT_EQ(b, std::byte{0x5A});
-}
-
-TEST_F(XrtFixture, KernelEnqueueRequiresLoadedXclbin) {
-  xrt::Kernel kernel(device, "KNL_X");
-  EXPECT_THROW(kernel.enqueue(1, [] {}), Error);
-  device.load_xclbin(image(), [](fpga::ReconfigureResult) {});
-  sim.run();
-  EXPECT_TRUE(device.kernel_ready("KNL_X"));
-  bool done = false;
-  kernel.enqueue(1, [&] { done = true; });
-  sim.run();
-  EXPECT_TRUE(done);
-}
-
-TEST_F(XrtFixture, OffloadChainsInKernelOut) {
-  device.load_xclbin(image(), [](fpga::ReconfigureResult) {});
-  sim.run();
-  xrt::Kernel kernel(device, "KNL_X");
-  xrt::Buffer in(device, 1024 * 1024);
-  xrt::Buffer out(device, 64 * 1024);
-  std::memset(in.host().data(), 0x11, in.host().size());
-  const double t0 = sim.now().to_ms();
-  bool done = false;
-  xrt::offload(device, kernel, &in, &out, 1, [&] { done = true; });
-  sim.run();
-  EXPECT_TRUE(done);
-  EXPECT_GT(sim.now().to_ms(), t0);  // DMA + kernel time elapsed
-  for (auto b : in.device_shadow()) EXPECT_EQ(b, std::byte{0x11});
-  EXPECT_EQ(card.kernel_invocations(), 1u);
-}
-
-TEST_F(XrtFixture, OffloadWithoutBuffers) {
-  device.load_xclbin(image(), [](fpga::ReconfigureResult) {});
-  sim.run();
-  xrt::Kernel kernel(device, "KNL_X");
-  bool done = false;
-  xrt::offload(device, kernel, nullptr, nullptr, 2, [&] { done = true; });
-  sim.run();
-  EXPECT_TRUE(done);
 }
 
 }  // namespace

@@ -457,17 +457,17 @@ TEST_F(ClientFixture, DisappointingFpgaRunRaisesFpgaThr) {
 }
 
 TEST_F(ClientFixture, RefinementCanBeDisabled) {
-  SchedulerClient off(table, SchedulerClient::Options{1, 4096, false});
+  SchedulerClient off(table, SchedulerClient::Options{false});
   RunObservation obs{"face", Target::kX86, Duration::ms(400), 12};
   EXPECT_EQ(off.on_function_return(obs), ThresholdUpdate::kDisabled);
   EXPECT_EQ(table.at("face").fpga_threshold, 16);  // untouched
 }
 
 TEST_F(ClientFixture, RaisesAreCapped) {
-  table.upsert(entry("face", 16, 4095, 175, 642, 332));
-  SchedulerClient capped(table, SchedulerClient::Options{10, 4096, true});
+  table.upsert(entry("face", 16, 4096, 175, 642, 332));
   RunObservation obs{"face", Target::kArm, Duration::ms(9999), 40};
-  capped.on_function_return(obs);
+  EXPECT_EQ(client.on_function_return(obs),
+            ThresholdUpdate::kRaisedArmThreshold);
   EXPECT_EQ(table.at("face").arm_threshold, 4096);
 }
 

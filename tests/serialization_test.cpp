@@ -1,12 +1,9 @@
-// Tests for the serialization layers: the scheduler wire protocol, the
-// threshold-table text format, and the fat-binary image format.
+// Tests for the serialization layers: the scheduler wire protocol and
+// the threshold-table text format.
 #include <gtest/gtest.h>
 
 #include "apps/benchmark_spec.hpp"
 #include "common/rng.hpp"
-#include "compiler/multi_isa_builder.hpp"
-#include "popcorn/fat_binary_io.hpp"
-#include "popcorn/state_transform.hpp"
 #include "runtime/protocol.hpp"
 #include "runtime/threshold_table_io.hpp"
 
@@ -289,84 +286,6 @@ TEST(ThresholdTableIoTest, EstimatorOutputRoundTrips) {
   const auto parsed = runtime::parse_threshold_table_string(
       runtime::serialize_threshold_table(table));
   EXPECT_TRUE(parsed.contains(two[0].name));
-}
-
-// --- fat binary -----------------------------------------------------------
-
-TEST(FatBinaryTest, RoundTripsRealBuild) {
-  const auto ir = compiler::make_app_ir("demo", "hot", 500, 200, 4096);
-  const compiler::MultiIsaBuilder builder;
-  const auto binary = builder.build(ir);
-
-  const auto image = popcorn::write_fat_binary(binary);
-  EXPECT_GT(image.size(), 64u);
-  const auto back = popcorn::read_fat_binary(image);
-
-  EXPECT_EQ(back.name(), binary.name());
-  EXPECT_EQ(back.isas(), binary.isas());
-  for (isa::IsaKind kind : binary.isas()) {
-    EXPECT_EQ(back.sections_for(kind).text, binary.sections_for(kind).text);
-    EXPECT_EQ(back.sections_for(kind).rodata,
-              binary.sections_for(kind).rodata);
-    EXPECT_EQ(back.sections_for(kind).bss, binary.sections_for(kind).bss);
-    EXPECT_EQ(back.image_file_bytes(kind), binary.image_file_bytes(kind));
-  }
-  EXPECT_EQ(back.file_bytes(), binary.file_bytes());
-  EXPECT_EQ(back.layout().image_span, binary.layout().image_span);
-  EXPECT_EQ(back.layout().vaddr_of, binary.layout().vaddr_of);
-  EXPECT_EQ(back.metadata().sites().size(), binary.metadata().sites().size());
-  EXPECT_EQ(back.metadata().encoded_size_bytes(),
-            binary.metadata().encoded_size_bytes());
-
-  // A migration point survives with its live values intact.
-  const auto* site = back.metadata().find("main", 1);
-  ASSERT_NE(site, nullptr);
-  const auto* orig = binary.metadata().find("main", 1);
-  EXPECT_EQ(site->live_values.size(), orig->live_values.size());
-  EXPECT_EQ(site->frame_size, orig->frame_size);
-}
-
-TEST(FatBinaryTest, RejectsCorruptImages) {
-  const auto ir = compiler::make_app_ir("demo", "hot", 400, 150);
-  const compiler::MultiIsaBuilder builder;
-  const auto image = popcorn::write_fat_binary(builder.build(ir));
-
-  auto bad_magic = image;
-  bad_magic[0] = std::byte{0};
-  EXPECT_THROW((void)popcorn::read_fat_binary(bad_magic), Error);
-
-  auto bad_version = image;
-  bad_version[4] = std::byte{9};
-  EXPECT_THROW((void)popcorn::read_fat_binary(bad_version), Error);
-
-  std::vector<std::byte> truncated(image.begin(),
-                                   image.begin() + image.size() / 2);
-  EXPECT_THROW((void)popcorn::read_fat_binary(truncated), Error);
-
-  auto trailing = image;
-  trailing.push_back(std::byte{1});
-  EXPECT_THROW((void)popcorn::read_fat_binary(trailing), Error);
-}
-
-TEST(FatBinaryTest, TransformerWorksOnDeserializedMetadata) {
-  // End-to-end: metadata that crossed the serialization boundary still
-  // drives a correct state transformation.
-  const auto ir = compiler::make_app_ir("demo", "hot", 400, 150);
-  const compiler::MultiIsaBuilder builder;
-  const auto back =
-      popcorn::read_fat_binary(popcorn::write_fat_binary(builder.build(ir)));
-
-  const popcorn::StateTransformer transformer(back.metadata());
-  const auto* site = back.metadata().find("hot", 0);
-  // `hot` has no call sites; use main@1 (the hot call site) instead.
-  if (site == nullptr) site = back.metadata().find("main", 1);
-  ASSERT_NE(site, nullptr);
-  popcorn::MachineState x86(isa::IsaKind::kX86_64, site->function,
-                            site->site_id,
-                            site->frame_size_for(isa::IsaKind::kX86_64));
-  const auto arm = transformer.transform(x86, isa::IsaKind::kAarch64);
-  EXPECT_EQ(arm.frame_size(),
-            site->frame_size_for(isa::IsaKind::kAarch64));
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
-// Tests for the IR validation pass, workload artifact serialization,
-// the table-sync broadcast, Algorithm-1 boundary conditions, and the
-// threshold->decision property that ties step G to the run-time.
+// Tests for the IR validation pass, the table-sync broadcast,
+// Algorithm-1 boundary conditions, and the threshold->decision property
+// that ties step G to the run-time.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "apps/benchmark_spec.hpp"
 #include "compiler/validate.hpp"
@@ -12,7 +10,6 @@
 #include "runtime/protocol.hpp"
 #include "runtime/scheduler_client.hpp"
 #include "runtime/scheduler_server.hpp"
-#include "workloads/serialization.hpp"
 
 namespace xartrek {
 namespace {
@@ -77,75 +74,6 @@ TEST(ValidateIrTest, DuplicateCallSiteIdsRejected) {
   ir.functions[0].call_sites.push_back({"load_input", 0});  // id 0 reused
   EXPECT_THROW(compiler::validate_ir_or_throw(ir), Error);
 }
-
-// --- workload serialization -------------------------------------------------
-
-TEST(WorkloadSerializationTest, DigitDatasetRoundTrip) {
-  Rng rng(3);
-  const auto ds = workloads::make_synthetic_digits(rng, 12, 30, 3.0);
-  std::stringstream ss;
-  workloads::write_digit_dataset(ss, ds);
-  const auto back = workloads::read_digit_dataset(ss);
-  ASSERT_EQ(back.training.size(), ds.training.size());
-  ASSERT_EQ(back.tests.size(), ds.tests.size());
-  for (std::size_t i = 0; i < ds.training.size(); ++i) {
-    EXPECT_EQ(back.training[i].bits, ds.training[i].bits);
-    EXPECT_EQ(back.training[i].label, ds.training[i].label);
-  }
-  // Classification results identical on the round-tripped corpus.
-  EXPECT_EQ(workloads::digitrec_kernel(back).correct,
-            workloads::digitrec_kernel(ds).correct);
-}
-
-TEST(WorkloadSerializationTest, DigitDatasetRejectsGarbage) {
-  std::stringstream bad("NOPE");
-  EXPECT_THROW((void)workloads::read_digit_dataset(bad), Error);
-  // Truncated body.
-  Rng rng(4);
-  const auto ds = workloads::make_synthetic_digits(rng, 4, 2, 1.0);
-  std::stringstream ss;
-  workloads::write_digit_dataset(ss, ds);
-  std::string bytes = ss.str();
-  bytes.resize(bytes.size() / 2);
-  std::stringstream truncated(bytes);
-  EXPECT_THROW((void)workloads::read_digit_dataset(truncated), Error);
-}
-
-TEST(WorkloadSerializationTest, CascadeRoundTripPreservesDetections) {
-  const auto cascade = workloads::Cascade::default_frontal();
-  const auto text = workloads::cascade_to_string(cascade);
-  const auto back = workloads::cascade_from_string(text);
-  ASSERT_EQ(back.stages.size(), cascade.stages.size());
-  EXPECT_EQ(back.base_window, cascade.base_window);
-
-  Rng rng(17);
-  const auto scene = workloads::make_scene(rng, 160, 120, 1, 28, 48);
-  const auto d1 = workloads::detect_faces(scene.image, cascade);
-  const auto d2 = workloads::detect_faces(scene.image, back);
-  ASSERT_EQ(d1.size(), d2.size());
-  for (std::size_t i = 0; i < d1.size(); ++i) {
-    EXPECT_EQ(d1[i].x, d2[i].x);
-    EXPECT_EQ(d1[i].size, d2[i].size);
-  }
-}
-
-class CascadeErrorTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(CascadeErrorTest, RejectsMalformedCascade) {
-  EXPECT_THROW((void)workloads::cascade_from_string(GetParam()), Error);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cases, CascadeErrorTest,
-    ::testing::Values("stage\nend\n",                        // no header
-                      "cascade window 24\n",                 // no stages
-                      "cascade window 24\nstage\nend\n",     // empty stage
-                      "cascade window 24\nstage\n"
-                      "  feature A 0 0 24 6 B 0 6 24 4 thr 0.1\n",  // no end
-                      "cascade window 24\nstage\n"
-                      "  feature A 0 0 0 6 B 0 6 24 4 thr 0.1\nend\n",
-                      "cascade window 2\nstage\n"
-                      "  feature A 0 0 24 6 B 0 6 24 4 thr 0.1\nend\n"));
 
 // --- table-sync broadcast ----------------------------------------------------
 

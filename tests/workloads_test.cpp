@@ -9,69 +9,11 @@
 
 #include "workloads/bfs.hpp"
 #include "workloads/cg.hpp"
-#include "workloads/digitrec.hpp"
 #include "workloads/face_detect.hpp"
 #include "workloads/image.hpp"
-#include "workloads/mg.hpp"
 
 namespace xartrek::workloads {
 namespace {
-
-// --- digitrec ----------------------------------------------------------
-
-TEST(DigitrecTest, PopcountAndHamming) {
-  DigitBits zero{};
-  EXPECT_EQ(popcount196(zero), 0);
-  DigitBits a{};
-  a[0] = 0b1011;  // 3 bits
-  EXPECT_EQ(popcount196(a), 3);
-  DigitBits b{};
-  b[0] = 0b0011;
-  EXPECT_EQ(hamming196(a, b), 1);
-  EXPECT_EQ(hamming196(a, a), 0);
-  // Bits above 196 are masked out.
-  DigitBits top{};
-  top[3] = 0xFFFF'FFFF'FFFF'FFF0ull;  // only low 4 bits of word 3 count
-  EXPECT_EQ(popcount196(top), 0);
-}
-
-TEST(DigitrecTest, KnnFindsExactMatch) {
-  Rng rng(1);
-  const auto ds = make_synthetic_digits(rng, 20, 0, 0.5);
-  // Classify a training sample itself: its own digest is distance 0.
-  for (int i = 0; i < 10; ++i) {
-    const auto& t = ds.training[static_cast<std::size_t>(i) * 20];
-    EXPECT_EQ(knn_classify(ds.training, t.bits, 1), t.label);
-  }
-}
-
-TEST(DigitrecTest, HighAccuracyAtLowNoise) {
-  Rng rng(7);
-  const auto ds = make_synthetic_digits(rng, 50, 400, 3.0);
-  const auto result = digitrec_kernel(ds, 3);
-  EXPECT_EQ(result.total, 400);
-  EXPECT_GT(result.accuracy(), 0.95);
-}
-
-TEST(DigitrecTest, AccuracyDegradesWithNoise) {
-  Rng rng(7);
-  const auto clean = make_synthetic_digits(rng, 50, 300, 2.0);
-  Rng rng2(7);
-  const auto noisy = make_synthetic_digits(rng2, 50, 300, 60.0);
-  EXPECT_GT(digitrec_kernel(clean).accuracy(),
-            digitrec_kernel(noisy).accuracy());
-}
-
-TEST(DigitrecTest, KnnRequiresTraining) {
-  std::vector<LabeledDigit> empty;
-  EXPECT_THROW((void)knn_classify(empty, DigitBits{}, 3), ContractViolation);
-}
-
-TEST(DigitrecTest, OpProfileStreamsTraining) {
-  const auto ops = digitrec_op_profile(18'000);
-  EXPECT_DOUBLE_EQ(ops.iterations_per_item, 18'000.0);
-  EXPECT_EQ(ops.irregular_mem_ops, 0u);  // streaming, FPGA-friendly
-}
 
 // --- BFS ----------------------------------------------------------------
 
@@ -127,11 +69,6 @@ TEST(BfsTest, GraphShapeMatchesRequest) {
   EXPECT_NEAR(static_cast<double>(g.edges()) / g.nodes, 10.0, 1.0);
   EXPECT_EQ(g.row_ptr.size(), 1001u);
   EXPECT_EQ(g.row_ptr.back(), static_cast<std::int32_t>(g.adj.size()));
-}
-
-TEST(BfsTest, OpProfileIsIrregular) {
-  const auto ops = bfs_op_profile(10.0);
-  EXPECT_GT(ops.irregular_mem_ops, 0u);  // the FPGA-hostile signature
 }
 
 // --- images -------------------------------------------------------------
@@ -275,101 +212,6 @@ TEST(CgTest, MatrixIsSymmetricAndDiagonallyDominant) {
     }
     EXPECT_GT(diag, off);
   }
-}
-
-TEST(CgTest, ConjGradReducesResidual) {
-  Rng rng(29);
-  const auto a = make_spd_matrix(rng, 128, 6);
-  std::vector<double> x(128, 1.0);
-  std::vector<double> z;
-  const double r25 = conj_grad(a, x, z, 25);
-  std::vector<double> z5;
-  const double r5 = conj_grad(a, x, z5, 5);
-  EXPECT_LT(r25, r5);
-  EXPECT_LT(r25, 1e-6);  // SPD + dominance: fast convergence
-}
-
-TEST(CgTest, BenchmarkConvergesZeta) {
-  Rng rng(31);
-  const auto cls = CgClass::class_t();
-  const auto a = make_spd_matrix(rng, cls.n, cls.nz_per_row);
-  const auto result = cg_benchmark(a, cls);
-  EXPECT_EQ(result.outer_iterations, cls.outer_iters);
-  // zeta = shift + 1/(x . z) with A close to I-scale: finite, near shift.
-  EXPECT_GT(result.zeta, cls.shift);
-  EXPECT_LT(result.zeta, cls.shift + 5.0);
-  EXPECT_LT(result.final_residual, 1e-6);
-}
-
-TEST(CgTest, ClassAParametersMatchNpb) {
-  const auto a = CgClass::class_a();
-  EXPECT_EQ(a.n, 14'000);
-  EXPECT_EQ(a.outer_iters, 15);
-  EXPECT_DOUBLE_EQ(a.shift, 20.0);
-}
-
-TEST(CgTest, OpProfileIsIrregular) {
-  const auto ops = cg_op_profile(CgClass::class_a());
-  EXPECT_GT(ops.irregular_mem_ops, 0u);
-  EXPECT_GT(ops.iterations_per_item, 1e6);
-}
-
-// --- MG --------------------------------------------------------------------
-
-TEST(MgTest, VcycleReducesResidual) {
-  Rng rng(37);
-  const int n = 16;
-  const auto rhs = mg_random_rhs(rng, n);
-  Grid3 u(n, 0.0);
-  const double r0 = mg_residual_norm(u, rhs);
-  mg_vcycle(u, rhs);
-  const double r1 = mg_residual_norm(u, rhs);
-  mg_vcycle(u, rhs);
-  const double r2 = mg_residual_norm(u, rhs);
-  EXPECT_LT(r1, r0 * 0.5);
-  EXPECT_LT(r2, r1);
-}
-
-TEST(MgTest, SmoothingAloneConvergesSlowerThanVcycles) {
-  // Multigrid's advantage is on the low-frequency error modes that
-  // point smoothing barely touches; compare at equal smoothing work
-  // (one V-cycle ~ 7 fine-grid sweeps) over several cycles.
-  Rng rng(41);
-  const int n = 16;
-  const auto rhs = mg_random_rhs(rng, n);
-  Grid3 smoothed(n, 0.0);
-  for (int i = 0; i < 28; ++i) mg_smooth(smoothed, rhs);
-  Grid3 cycled(n, 0.0);
-  for (int i = 0; i < 4; ++i) mg_vcycle(cycled, rhs);
-  EXPECT_LT(mg_residual_norm(cycled, rhs),
-            mg_residual_norm(smoothed, rhs));
-}
-
-TEST(MgTest, RestrictionAveragesChildren) {
-  Grid3 fine(8, 2.0);
-  Grid3 coarse(4);
-  mg_restrict(fine, coarse);
-  for (double v : coarse.data()) EXPECT_DOUBLE_EQ(v, 2.0);
-}
-
-TEST(MgTest, PeriodicIndexingWraps) {
-  Grid3 g(4);
-  g.set(0, 0, 0, 9.0);
-  EXPECT_DOUBLE_EQ(g.at(4, 4, 4), 9.0);
-  EXPECT_DOUBLE_EQ(g.at(-4, 0, 0), 9.0);
-}
-
-TEST(MgTest, WorkModelGrowsWithGrid) {
-  EXPECT_GT(mg_vcycle_points(32), mg_vcycle_points(16));
-  EXPECT_GT(mg_vcycle_points(16), 7ull * 16 * 16 * 16);
-}
-
-TEST(MgTest, RandomRhsIsZeroMean) {
-  Rng rng(43);
-  const auto rhs = mg_random_rhs(rng, 8);
-  double sum = 0.0;
-  for (double v : rhs.data()) sum += v;
-  EXPECT_NEAR(sum, 0.0, 1e-9);
 }
 
 }  // namespace
