@@ -40,15 +40,10 @@ METRICS = {
     "sim_core": [
         ("events.steady_churn.pooled.alloc_calls_per_event", "abs", False),
         ("events.cancel_churn.pooled.alloc_calls_per_event", "abs", False),
-        ("protocol.single_pass.alloc_calls_per_request", "abs", False),
-        ("protocol.borrowed_view.alloc_calls_per_request", "abs", False),
         ("events.speedup", "higher", False),
-        ("protocol.speedup", "higher", False),
-        ("protocol.borrowed_speedup", "higher", False),
         ("sharded.ratio_1shard_vs_single_queue", "higher", False),
         ("sharded.aggregate_speedup_4_shards", "higher", False),
         ("events.steady_churn.pooled.events_per_sec", "higher", True),
-        ("protocol.single_pass.requests_per_sec", "higher", True),
         ("sharded.single_queue.wall_events_per_sec", "higher", True),
     ],
     "ps_resource": [
@@ -60,13 +55,9 @@ METRICS = {
         ("scaling.pooled.0.schedules_per_event", "exact", False),
         ("scaling.pooled.1.schedules_per_event", "exact", False),
         ("scaling.pooled.2.schedules_per_event", "exact", False),
-        ("batch_decode.per_frame.alloc_calls_per_request", "abs", False),
-        ("batch_decode.vectorized.alloc_calls_per_request", "abs", False),
-        ("batch_decode.speedup", "higher", False),
         ("scaling.pooled.0.ns_per_event", "lower", True),
         ("scaling.pooled.2.ns_per_event", "lower", True),
         ("request_loop.requests_per_sec", "higher", True),
-        ("batch_decode.vectorized.ns_per_request", "lower", True),
     ],
     "cluster": [
         # Same-run capacity ratios (single queue vs 1/2/4 cells measured

@@ -12,7 +12,6 @@
 #include "hls/xclbin.hpp"
 #include "isa/symbol.hpp"
 #include "popcorn/state_transform.hpp"
-#include "runtime/protocol.hpp"
 #include "sim/ps_resource.hpp"
 #include "sim/simulation.hpp"
 #include "workloads/bfs.hpp"
@@ -146,17 +145,6 @@ void BM_BfsTraversal(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * nodes);
 }
 BENCHMARK(BM_BfsTraversal)->Arg(1'000)->Arg(5'000);
-
-void BM_ProtocolRoundTrip(benchmark::State& state) {
-  const runtime::ThresholdReportMsg msg{"digit2000", runtime::Target::kFpga,
-                                        1229.5, 67};
-  for (auto _ : state) {
-    const auto bytes = runtime::encode_message(msg);
-    benchmark::DoNotOptimize(runtime::decode_message(bytes));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProtocolRoundTrip);
 
 }  // namespace
 

@@ -1,6 +1,6 @@
 // PsResource scaling + end-to-end request-loop benchmark.
 //
-// Three measurements land in BENCH_ps_resource.json:
+// Two measurements land in BENCH_ps_resource.json:
 //
 //  1. `scaling`: per-event cost of the virtual-time PsResource with 1k,
 //     10k and 100k resident jobs churning short jobs through
@@ -11,15 +11,10 @@
 //     exactly 1 when every completion tick arms one engine event.
 //
 //  2. `request_loop`: the whole steady-state placement loop -- PS-pool
-//     submit -> wire encode -> borrowed decode -> Algorithm-2 decide ->
-//     decision callback -- through a real SchedulerServer/LoadMonitor/
-//     FpgaDevice stack, with a global counting-allocator hook asserting
-//     zero steady-state allocations per request.
-//
-//  3. `batch_decode`: a spike tick's packed request arena decoded with
-//     one vectorized sweep (decode_placement_request_arena, the
-//     server's batch pass) against per-frame decode_message_view calls
-//     -- the per-request ns delta of the vectorized decode.
+//     submit -> request -> Algorithm-2 decide -> decision callback --
+//     through a real SchedulerServer/LoadMonitor/FpgaDevice stack, with
+//     a global counting-allocator hook asserting zero steady-state
+//     allocations per request.
 //
 // Schema: docs/perf.md.
 #include <chrono>
@@ -39,7 +34,6 @@
 #include "hw/cpu_cluster.hpp"
 #include "hw/link.hpp"
 #include "runtime/load_monitor.hpp"
-#include "runtime/protocol.hpp"
 #include "runtime/scheduler_server.hpp"
 #include "runtime/threshold_table.hpp"
 #include "sim/ps_resource.hpp"
@@ -229,8 +223,8 @@ struct LoopResult {
 
 /// Drives the full placement loop: each decision callback submits a
 /// short job to the x86 PS pool and immediately issues the next request,
-/// so every round trip exercises submit -> encode -> decode -> decide ->
-/// callback.  Measured after a warmup phase that primes every pool.
+/// so every round trip exercises submit -> request -> decide -> callback.
+/// Measured after a warmup phase that primes every pool.
 LoopResult run_request_loop(std::uint64_t requests, std::uint64_t warmup) {
   sim::Simulation sim;
   hw::CpuCluster x86(sim, hw::xeon_bronze_3104());
@@ -281,63 +275,6 @@ LoopResult run_request_loop(std::uint64_t requests, std::uint64_t warmup) {
   return r;
 }
 
-// --- vectorized batch decode ------------------------------------------------
-
-struct DecodeResult {
-  std::uint64_t requests = 0;
-  double seconds = 0;
-  AllocSnapshot allocs{};
-};
-
-/// Decode `batches` copies of a packed `frames`-request arena, either
-/// per frame through decode_message_view or in one vectorized sweep.
-/// The accumulated app-name length keeps the optimizer honest.
-std::pair<DecodeResult, DecodeResult> run_batch_decode(
-    std::uint64_t batches, std::uint64_t frames, std::uint64_t warmup) {
-  using namespace xartrek::runtime;
-  // A spike tick's arena: many requests, few distinct apps.
-  const char* apps[4] = {"facedet320", "facedet640", "digit2000", "cg_a"};
-  std::vector<std::byte> arena;
-  std::vector<std::size_t> offsets;
-  for (std::uint64_t i = 0; i < frames; ++i) {
-    offsets.push_back(arena.size());
-    encode_placement_request_append(apps[i % 4], {}, 0, arena);
-  }
-  offsets.push_back(arena.size());
-
-  std::size_t checksum = 0;
-  auto per_frame_pass = [&] {
-    for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
-      const auto view = decode_message_view(
-          std::span<const std::byte>(arena).subspan(
-              offsets[i], offsets[i + 1] - offsets[i]));
-      checksum += std::get<PlacementRequestView>(view).app.size();
-    }
-  };
-  std::vector<PlacementRequestView> views;
-  auto vectorized_pass = [&] {
-    decode_placement_request_arena(arena, frames, views);
-    for (const auto& v : views) checksum += v.app.size();
-  };
-
-  auto measure = [&](auto&& pass) {
-    for (std::uint64_t b = 0; b < warmup; ++b) pass();
-    const AllocSnapshot before = alloc_snapshot();
-    const auto start = Clock::now();
-    for (std::uint64_t b = 0; b < batches; ++b) pass();
-    DecodeResult r;
-    r.seconds = seconds_since(start);
-    const AllocSnapshot after = alloc_snapshot();
-    r.requests = batches * frames;
-    r.allocs = {after.calls - before.calls, after.bytes - before.bytes};
-    return r;
-  };
-  auto per_frame = measure(per_frame_pass);
-  auto vectorized = measure(vectorized_pass);
-  if (checksum == 0) std::cerr << "";  // consume
-  return {per_frame, vectorized};
-}
-
 // --- report ----------------------------------------------------------------
 
 void emit_point(std::ostream& os, const ScalePoint& p, bool last) {
@@ -364,9 +301,6 @@ int bench_main() {
   const std::uint64_t kLegacyWarmup = smoke ? 100 : 400;
   const std::uint64_t kRequests = smoke ? 40'000 : 200'000;
   const std::uint64_t kRequestWarmup = smoke ? 4'000 : 20'000;
-  const std::uint64_t kDecodeBatches = smoke ? 2'000 : 20'000;
-  const std::uint64_t kDecodeFrames = 64;
-  const std::uint64_t kDecodeWarmup = smoke ? 200 : 2'000;
 
   std::vector<ScalePoint> pooled;
   for (const std::size_t resident : {1'000u, 10'000u, 100'000u}) {
@@ -386,14 +320,6 @@ int bench_main() {
   std::cerr << "[ps_resource_bench] end-to-end request loop: " << kRequests
             << " placements...\n";
   const LoopResult loop = run_request_loop(kRequests, kRequestWarmup);
-
-  std::cerr << "[ps_resource_bench] batch decode: " << kDecodeBatches
-            << " arenas of " << kDecodeFrames << " frames...\n";
-  const auto [per_frame, vectorized] =
-      run_batch_decode(kDecodeBatches, kDecodeFrames, kDecodeWarmup);
-  const auto decode_ns = [](const DecodeResult& r) {
-    return 1e9 * r.seconds / static_cast<double>(r.requests);
-  };
 
   const auto ns_per = [](const ScalePoint& p) {
     return 1e9 * p.seconds / static_cast<double>(p.events);
@@ -426,24 +352,6 @@ int bench_main() {
       << ",\n    \"alloc_bytes_per_request\": "
       << static_cast<double>(loop.allocs.bytes) /
              static_cast<double>(loop.requests)
-      << "\n  },\n  \"batch_decode\": {\n"
-      << "    \"frames_per_batch\": " << kDecodeFrames << ",\n"
-      << "    \"batches\": " << kDecodeBatches << ",\n"
-      << "    \"per_frame\": {\"seconds\": " << per_frame.seconds
-      << ", \"ns_per_request\": " << decode_ns(per_frame)
-      << ", \"alloc_calls_per_request\": "
-      << static_cast<double>(per_frame.allocs.calls) /
-             static_cast<double>(per_frame.requests)
-      << "},\n"
-      << "    \"vectorized\": {\"seconds\": " << vectorized.seconds
-      << ", \"ns_per_request\": " << decode_ns(vectorized)
-      << ", \"alloc_calls_per_request\": "
-      << static_cast<double>(vectorized.allocs.calls) /
-             static_cast<double>(vectorized.requests)
-      << "},\n"
-      << "    \"delta_ns_per_request\": "
-      << decode_ns(per_frame) - decode_ns(vectorized) << ",\n"
-      << "    \"speedup\": " << decode_ns(per_frame) / decode_ns(vectorized)
       << "\n  }\n}\n";
   out.close();
 
@@ -459,11 +367,6 @@ int bench_main() {
             << " req/s, allocs/request="
             << static_cast<double>(loop.allocs.calls) /
                    static_cast<double>(loop.requests)
-            << "\n[ps_resource_bench] batch decode: per-frame "
-            << decode_ns(per_frame) << " ns/request, vectorized "
-            << decode_ns(vectorized) << " ns/request (delta "
-            << decode_ns(per_frame) - decode_ns(vectorized) << " ns, "
-            << decode_ns(per_frame) / decode_ns(vectorized) << "x)"
             << "\n[ps_resource_bench] wrote BENCH_ps_resource.json\n";
   return 0;
 }

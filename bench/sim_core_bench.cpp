@@ -1,12 +1,12 @@
-// Hot-path benchmark for the event engine and the scheduler wire codec.
+// Hot-path benchmark for the event engine.
 //
-// Drives >= 1M events through the pooled simulation core and >= 100k
-// placement round-trips through the single-pass protocol codec, and
-// compares both against faithful replicas of the pre-refactor designs
-// (shared_ptr-per-event priority_queue core; two-BinaryWriter concat
-// framing).  A global counting-allocator hook measures bytes and calls
-// allocated per event/request.  Results land in BENCH_sim_core.json so
-// future perf PRs have a tracked trajectory (schema: docs/perf.md).
+// Drives >= 1M events through the pooled simulation core and compares
+// it against a faithful replica of the pre-refactor design
+// (shared_ptr-per-event priority_queue core), then times the sharded
+// engine against one queue.  A global counting-allocator hook measures
+// bytes and calls allocated per event.  Results land in
+// BENCH_sim_core.json so future perf PRs have a tracked trajectory
+// (schema: docs/perf.md).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -21,10 +21,8 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/binary_io.hpp"
 #include "common/cpu_time.hpp"
 #include "common/time.hpp"
-#include "runtime/protocol.hpp"
 #include "sim/shard.hpp"
 #include "sim/simulation.hpp"
 
@@ -121,42 +119,6 @@ class LegacySimulation {
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 
-// --- legacy protocol framing (two writers + concat) ------------------------
-
-std::vector<std::byte> legacy_encode_request(
-    const runtime::PlacementRequestMsg& m) {
-  BinaryWriter payload;
-  payload.str(m.app);
-  payload.str(m.kernel);
-  payload.u32(m.pid);
-  BinaryWriter framed;
-  framed.u16(runtime::kProtocolMagic);
-  framed.u8(runtime::kProtocolVersion);
-  framed.u8(static_cast<std::uint8_t>(runtime::MessageType::kPlacementRequest));
-  framed.u32(static_cast<std::uint32_t>(payload.size()));
-  auto out = framed.take();
-  auto body = payload.take();
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
-}
-
-std::vector<std::byte> legacy_encode_reply(
-    const runtime::PlacementReplyMsg& m) {
-  BinaryWriter payload;
-  payload.u8(static_cast<std::uint8_t>(m.target));
-  payload.u8(m.wait_for_fpga ? 1 : 0);
-  payload.i32(m.observed_load);
-  BinaryWriter framed;
-  framed.u16(runtime::kProtocolMagic);
-  framed.u8(runtime::kProtocolVersion);
-  framed.u8(static_cast<std::uint8_t>(runtime::MessageType::kPlacementReply));
-  framed.u32(static_cast<std::uint32_t>(payload.size()));
-  auto out = framed.take();
-  auto body = payload.take();
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
-}
-
 // --- workloads -------------------------------------------------------------
 
 /// Self-rescheduling chain: each fired event schedules its successor,
@@ -225,96 +187,6 @@ ChurnResult run_churn(std::uint64_t total_events, std::uint64_t warmup,
   ChurnResult r;
   r.seconds = secs;
   r.events = ran;
-  r.allocs = {after.calls - before.calls, after.bytes - before.bytes};
-  return r;
-}
-
-struct ProtoResult {
-  double seconds = 0;
-  std::uint64_t round_trips = 0;
-  AllocSnapshot allocs{};
-};
-
-ProtoResult run_protocol_pooled(std::uint64_t round_trips) {
-  runtime::PlacementRequestMsg request{"facedet320", "KNL_HW_FD320", 4242};
-  runtime::PlacementReplyMsg reply{runtime::Target::kFpga, false, 17};
-  std::vector<std::byte> scratch;
-  // Warm the scratch buffer and the decode path once.
-  runtime::encode_message_into(request, scratch);
-  (void)runtime::decode_message(scratch);
-  std::uint64_t decoded = 0;
-  const AllocSnapshot before = alloc_snapshot();
-  const auto start = Clock::now();
-  for (std::uint64_t i = 0; i < round_trips; ++i) {
-    runtime::encode_message_into(request, scratch);
-    const auto req = runtime::decode_message(scratch);
-    decoded += std::get<runtime::PlacementRequestMsg>(req).pid != 0;
-    runtime::encode_message_into(reply, scratch);
-    const auto rep = runtime::decode_message(scratch);
-    decoded +=
-        std::get<runtime::PlacementReplyMsg>(rep).observed_load != 0;
-  }
-  const double secs = seconds_since(start);
-  const AllocSnapshot after = alloc_snapshot();
-  if (decoded != 2 * round_trips) std::abort();  // defeat dead-code elim
-  ProtoResult r;
-  r.seconds = secs;
-  r.round_trips = round_trips;
-  r.allocs = {after.calls - before.calls, after.bytes - before.bytes};
-  return r;
-}
-
-ProtoResult run_protocol_view(std::uint64_t round_trips) {
-  // Borrowed decode: same framed round trips, but the decode side hands
-  // back string_views into the frame instead of owning strings.
-  runtime::PlacementRequestMsg request{"facedet320", "KNL_HW_FD320", 4242};
-  runtime::PlacementReplyMsg reply{runtime::Target::kFpga, false, 17};
-  std::vector<std::byte> scratch;
-  runtime::encode_message_into(request, scratch);
-  (void)runtime::decode_message_view(scratch);
-  std::uint64_t decoded = 0;
-  const AllocSnapshot before = alloc_snapshot();
-  const auto start = Clock::now();
-  for (std::uint64_t i = 0; i < round_trips; ++i) {
-    runtime::encode_message_into(request, scratch);
-    const auto req = runtime::decode_message_view(scratch);
-    decoded += std::get<runtime::PlacementRequestView>(req).pid != 0;
-    runtime::encode_message_into(reply, scratch);
-    const auto rep = runtime::decode_message_view(scratch);
-    decoded +=
-        std::get<runtime::PlacementReplyMsg>(rep).observed_load != 0;
-  }
-  const double secs = seconds_since(start);
-  const AllocSnapshot after = alloc_snapshot();
-  if (decoded != 2 * round_trips) std::abort();
-  ProtoResult r;
-  r.seconds = secs;
-  r.round_trips = round_trips;
-  r.allocs = {after.calls - before.calls, after.bytes - before.bytes};
-  return r;
-}
-
-ProtoResult run_protocol_legacy(std::uint64_t round_trips) {
-  runtime::PlacementRequestMsg request{"facedet320", "KNL_HW_FD320", 4242};
-  runtime::PlacementReplyMsg reply{runtime::Target::kFpga, false, 17};
-  std::uint64_t decoded = 0;
-  const AllocSnapshot before = alloc_snapshot();
-  const auto start = Clock::now();
-  for (std::uint64_t i = 0; i < round_trips; ++i) {
-    const auto wire_req = legacy_encode_request(request);
-    const auto req = runtime::decode_message(wire_req);
-    decoded += std::get<runtime::PlacementRequestMsg>(req).pid != 0;
-    const auto wire_rep = legacy_encode_reply(reply);
-    const auto rep = runtime::decode_message(wire_rep);
-    decoded +=
-        std::get<runtime::PlacementReplyMsg>(rep).observed_load != 0;
-  }
-  const double secs = seconds_since(start);
-  const AllocSnapshot after = alloc_snapshot();
-  if (decoded != 2 * round_trips) std::abort();
-  ProtoResult r;
-  r.seconds = secs;
-  r.round_trips = round_trips;
   r.allocs = {after.calls - before.calls, after.bytes - before.bytes};
   return r;
 }
@@ -460,21 +332,6 @@ void emit_engine(std::ostream& os, const char* key, const ChurnResult& r) {
      << "\n    }";
 }
 
-void emit_proto(std::ostream& os, const char* key, const ProtoResult& r) {
-  os << "    \"" << key << "\": {\n"
-     << "      \"seconds\": " << r.seconds << ",\n"
-     << "      \"requests_per_sec\": "
-     << static_cast<double>(r.round_trips) / r.seconds << ",\n"
-     << "      \"alloc_calls_per_request\": "
-     << static_cast<double>(r.allocs.calls) /
-            static_cast<double>(r.round_trips)
-     << ",\n"
-     << "      \"alloc_bytes_per_request\": "
-     << static_cast<double>(r.allocs.bytes) /
-            static_cast<double>(r.round_trips)
-     << "\n    }";
-}
-
 double rate(const ChurnResult& r) {
   return static_cast<double>(r.events) / r.seconds;
 }
@@ -506,9 +363,6 @@ int bench_main() {
   const std::uint64_t kEvents = smoke ? 100'000 : 1'000'000;
   const std::uint64_t kWarmup = smoke ? 5'000 : 50'000;
   constexpr std::size_t kChains = 256;
-  // The codec section is microseconds-per-10k cheap; smoke mode keeps
-  // it at full scale so its speedup ratios stay out of the noise floor.
-  const std::uint64_t kRoundTrips = 100'000;
   const std::uint64_t kShardEvents = smoke ? 250'000 : 1'500'000;
   // The sharded section models the wide regime the ROADMAP targets:
   // 4x the chain count of the churn scenarios, so each epoch carries
@@ -542,16 +396,6 @@ int bench_main() {
   const auto legacy_cancel = best2([&] {
     return run_churn<LegacySimulation, LegacySimulation::Handle>(
         kEvents, kWarmup, kChains, true);
-  });
-
-  std::cerr << "[sim_core_bench] protocol: " << kRoundTrips
-            << " placement round-trips...\n";
-  const auto proto_pooled = best2([&] {
-    return run_protocol_pooled(kRoundTrips);
-  });
-  const auto proto_view = best2([&] { return run_protocol_view(kRoundTrips); });
-  const auto proto_legacy = best2([&] {
-    return run_protocol_legacy(kRoundTrips);
   });
 
   std::cerr << "[sim_core_bench] sharded engine: " << kShardEvents
@@ -600,9 +444,6 @@ int bench_main() {
       static_cast<double>(legacy_steady.events + legacy_cancel.events) /
       (legacy_steady.seconds + legacy_cancel.seconds);
   const double event_speedup = pooled_rate / legacy_rate;
-  const double proto_speedup =
-      (static_cast<double>(proto_pooled.round_trips) / proto_pooled.seconds) /
-      (static_cast<double>(proto_legacy.round_trips) / proto_legacy.seconds);
 
   std::ofstream out("BENCH_sim_core.json");
   out.precision(6);
@@ -615,19 +456,6 @@ int bench_main() {
   out << ",\n    \"pooled_events_per_sec\": " << pooled_rate
       << ",\n    \"legacy_events_per_sec\": " << legacy_rate
       << ",\n    \"speedup\": " << event_speedup << "\n  },\n"
-      << "  \"protocol\": {\n"
-      << "    \"round_trips\": " << kRoundTrips << ",\n";
-  emit_proto(out, "single_pass", proto_pooled);
-  out << ",\n";
-  emit_proto(out, "borrowed_view", proto_view);
-  out << ",\n";
-  emit_proto(out, "legacy_concat", proto_legacy);
-  out << ",\n    \"speedup\": " << proto_speedup
-      << ",\n    \"borrowed_speedup\": "
-      << (static_cast<double>(proto_view.round_trips) / proto_view.seconds) /
-             (static_cast<double>(proto_legacy.round_trips) /
-              proto_legacy.seconds)
-      << "\n  },\n"
       << "  \"sharded\": {\n"
       << "    \"total_events\": " << kShardEvents << ",\n"
       << "    \"chains\": " << kShardChains << ",\n"
@@ -659,12 +487,6 @@ int bench_main() {
                    static_cast<double>(legacy_steady.events +
                                       legacy_cancel.events)
             << "\n"
-            << "[sim_core_bench] requests/sec single_pass="
-            << static_cast<double>(proto_pooled.round_trips) /
-                   proto_pooled.seconds
-            << " legacy=" << static_cast<double>(proto_legacy.round_trips) /
-                                 proto_legacy.seconds
-            << " speedup=" << proto_speedup << "\n"
             << "[sim_core_bench] sharded: single_queue=" << single_rate
             << " ev/s, 1-shard ratio=" << one_shard_ratio
             << ", 4-shard aggregate="

@@ -81,16 +81,6 @@ std::vector<std::uint64_t> Histogram::merged_buckets() const {
   return out;
 }
 
-double Histogram::bucket_lower_edge(std::size_t bucket) const {
-  if (bucket == 0) return 0.0;
-  if (bucket >= n_buckets_ - 1) return std::ldexp(1.0, max_exp2_);
-  const std::size_t k = bucket - 1;
-  const auto octave = static_cast<int>(k / kSubBuckets);
-  const auto sub = static_cast<double>(k % kSubBuckets);
-  return std::ldexp(1.0, min_exp2_ + octave) *
-         (1.0 + sub / static_cast<double>(kSubBuckets));
-}
-
 double Histogram::percentile_from_buckets(
     const std::vector<std::uint64_t>& buckets, std::uint64_t count,
     int min_exp2, double q, double clamp_lo, double clamp_hi) {
@@ -131,16 +121,6 @@ double Histogram::percentile(double q) const {
   if (c == 0) return 0.0;
   return percentile_from_buckets(merged_buckets(), c, min_exp2_, q, min(),
                                  max());
-}
-
-void Histogram::reset() {
-  for (auto& l : lanes_) {
-    std::fill(l.buckets.begin(), l.buckets.end(), 0);
-    l.count = 0;
-    l.sum = 0.0;
-    l.min = std::numeric_limits<double>::infinity();
-    l.max = -std::numeric_limits<double>::infinity();
-  }
 }
 
 // --- Snapshot ---------------------------------------------------------------

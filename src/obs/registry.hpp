@@ -67,10 +67,7 @@ class Histogram {
   std::size_t lanes() const { return lanes_.size(); }
   std::size_t bucket_count() const { return n_buckets_; }
   std::vector<std::uint64_t> merged_buckets() const;
-  double bucket_lower_edge(std::size_t bucket) const;
   int min_exp2() const { return min_exp2_; }
-
-  void reset();
 
   // Shared with Snapshot deltas: lower-edge percentile over an
   // arbitrary bucket array laid out like this histogram's.

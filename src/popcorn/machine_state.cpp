@@ -96,11 +96,6 @@ const MachineState& ThreadStack::top() const {
   return frames_.back();
 }
 
-MachineState& ThreadStack::top_mutable() {
-  XAR_EXPECTS(!frames_.empty());
-  return frames_.back();
-}
-
 std::uint64_t ThreadStack::total_frame_bytes() const {
   std::uint64_t total = 0;
   for (const auto& f : frames_) total += f.frame_size();

@@ -84,7 +84,6 @@ class ThreadStack {
     return frames_;
   }
   [[nodiscard]] const MachineState& top() const;
-  [[nodiscard]] MachineState& top_mutable();
 
   /// Total stack bytes across all frames (transfer-size accounting).
   [[nodiscard]] std::uint64_t total_frame_bytes() const;

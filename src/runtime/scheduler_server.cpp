@@ -5,7 +5,6 @@
 
 #include "common/assert.hpp"
 #include "obs/registry.hpp"
-#include "runtime/protocol.hpp"
 
 namespace xartrek::runtime {
 
@@ -95,16 +94,6 @@ SchedulerServer::SchedulerServer(sim::Simulation& sim, LoadMonitor& monitor,
       for (const auto& k : image.kernels) slots_->register_kernel(k);
     }
   }
-}
-
-std::vector<std::vector<std::byte>> SchedulerServer::broadcast_table()
-    const {
-  std::vector<std::vector<std::byte>> frames(table_.size());
-  std::size_t i = 0;
-  for (const ThresholdEntry& entry : table_.entries()) {
-    encode_table_sync_into(entry, frames[i++]);
-  }
-  return frames;
 }
 
 const fpga::XclbinImage* SchedulerServer::image_with(
@@ -341,19 +330,27 @@ void SchedulerServer::request_placement(std::string_view app,
                                         std::uint32_t pid,
                                         DecisionCallback on_decision) {
   XAR_EXPECTS(on_decision != nullptr);
-  // The client marshals its request over the socket; the server decodes
-  // it after the round-trip delay.  Running the real codec on every
-  // request keeps the wire format honest in every experiment.  The
-  // callback parks in a pooled PendingRequest slot and the wire frame
-  // packs into the open batch's arena, back to back with every other
-  // request arriving at this same instant -- so a whole spike tick
-  // shares ONE scheduled event, one vectorized decode sweep, one load
-  // sample and one residency probe per app.  The event captures only
-  // {this, batch} -- trivially copyable, inside the engine's inline
-  // buffer, zero per-request allocations.
+  // The name resolves to its dense AppId now, so the decision pass reads
+  // the row by index and the caller's string may die before it runs.  A
+  // name without a row is the caller's error: it throws here, before a
+  // slot or a batch is taken.
+  const AppId app_id = table_.id_of(app);
+  if (app_id == kInvalidAppId) {
+    throw Error("threshold table has no entry for `" + std::string(app) +
+                "`");
+  }
+  // The request parks in a pooled PendingRequest slot, chained behind
+  // every other request arriving at this same instant -- so a whole
+  // spike tick shares ONE scheduled event, one load sample and one
+  // residency probe per app.  The event captures only {this, batch} --
+  // trivially copyable, inside the engine's inline buffer, zero
+  // per-request allocations.
   const std::uint32_t slot = pending_.acquire();
-  pending_[slot].on_decision = std::move(on_decision);
-  pending_[slot].next = sim::SlotPool<int>::kNoSlot;
+  PendingRequest& request = pending_[slot];
+  request.on_decision = std::move(on_decision);
+  request.app = app_id;
+  request.pid = pid;
+  request.next = sim::SlotPool<int>::kNoSlot;
 
   if (open_batch_ == sim::SlotPool<int>::kNoSlot ||
       open_batch_at_ != sim_.now()) {
@@ -361,21 +358,13 @@ void SchedulerServer::request_placement(std::string_view app,
     // round-trip deadline.  A still-open earlier batch keeps its
     // already-scheduled pass; it just stops accepting requests.
     open_batch_ = batches_.acquire();
-    // Recycled slots keep old values; reset fields individually so the
-    // arena's warm capacity survives.
-    Batch& fresh = batches_[open_batch_];
-    fresh.head = sim::SlotPool<int>::kNoSlot;
-    fresh.tail = sim::SlotPool<int>::kNoSlot;
-    fresh.count = 0;
-    fresh.arena.clear();
-    fresh.at = sim_.now();
+    batches_[open_batch_] = Batch{.at = sim_.now()};
     open_batch_at_ = sim_.now();
     const std::uint32_t batch_slot = open_batch_;
-    sim_.schedule_in(opts_.request_overhead,
+    sim_.schedule_in(kRequestOverhead,
                      [this, batch_slot] { finish_batch(batch_slot); });
   }
   Batch& batch = batches_[open_batch_];
-  encode_placement_request_append(app, /*kernel=*/{}, pid, batch.arena);
   if (batch.tail == sim::SlotPool<int>::kNoSlot) {
     batch.head = slot;
   } else {
@@ -387,31 +376,16 @@ void SchedulerServer::request_placement(std::string_view app,
 
 void SchedulerServer::finish_batch(std::uint32_t batch_slot) {
   if (open_batch_ == batch_slot) open_batch_ = sim::SlotPool<int>::kNoSlot;
-  // Swap (not copy) the arena out: the batch slot inherits the old
-  // scratch buffer, so both capacities keep cycling without a single
-  // allocation, and a decision callback that re-enters
-  // request_placement writes into a *different* batch's arena while the
-  // views below stay stable.
-  Batch& finishing = batches_[batch_slot];
-  arena_scratch_.swap(finishing.arena);
-  const std::uint32_t head = finishing.head;
-  const std::uint32_t count = finishing.count;
-  const TimePoint opened_at = finishing.at;
+  const Batch finishing = batches_[batch_slot];
   batches_.release(batch_slot);
   ++stats_.batches;
-  if (count > stats_.max_batch) stats_.max_batch = count;
+  if (finishing.count > stats_.max_batch) stats_.max_batch = finishing.count;
   if (tracer_ != nullptr && tracer_->sampled(0)) {
     // The pass itself runs at one instant; the span covers the socket
     // round trip the batch spent in flight.
     tracer_->emit(trace_lane_, obs::kTrackSched, "sched.batch",
-                  /*trace_id=*/0, opened_at, sim_.now());
+                  /*trace_id=*/0, finishing.at, sim_.now());
   }
-
-  // ONE vectorized decode sweep over the packed arena replaces the
-  // per-request decode_message_view calls: a single pass touches the
-  // frames in memory order and skips the per-frame variant dispatch.
-  // Every view aliases arena_scratch_.
-  decode_placement_request_arena(arena_scratch_, count, views_scratch_);
 
   // ONE load-monitor sample serves the whole batch: every same-instant
   // request sees the same sampled load, exactly as the paper's
@@ -419,41 +393,31 @@ void SchedulerServer::finish_batch(std::uint32_t batch_slot) {
   const int load = monitor_.x86_load();
   probe_cache_.clear();
 
-  std::uint32_t slot = head;
-  std::uint32_t index = 0;
+  std::uint32_t slot = finishing.head;
   std::exception_ptr deferred;
   while (slot != sim::SlotPool<int>::kNoSlot) {
     // The callback inside finish_one may re-enter request_placement and
     // recycle slots, so read the link before processing.
     const std::uint32_t next = pending_[slot].next;
     try {
-      finish_one(slot, load, views_scratch_[index]);
+      finish_one(slot, load);
     } catch (...) {
-      // One bad request must not swallow its batch-mates' decisions:
-      // under the old per-request events they would each have fired
-      // independently.  Answer the rest, then propagate the first
-      // error (finish_one already released the failed slot).
+      // A throwing callback must not swallow its batch-mates'
+      // decisions: answer the rest, then propagate the first error
+      // (finish_one released the slot before the callback ran).
       if (deferred == nullptr) deferred = std::current_exception();
     }
     slot = next;
-    ++index;
   }
   if (deferred != nullptr) std::rethrow_exception(deferred);
 }
 
-void SchedulerServer::finish_one(std::uint32_t slot, int load,
-                                 const PlacementRequestView& request) {
+void SchedulerServer::finish_one(std::uint32_t slot, int load) {
   ++stats_.requests;
-  // Borrowed resolve: `request.app` aliases the batch arena, and
-  // resolves against the table's interned AppId index without a single
-  // string copy.
-  const AppId app_id = table_.id_of(request.app);
-  if (app_id == kInvalidAppId) {
-    std::string app(request.app);  // the view dies with the batch pass
-    pending_[slot].on_decision = nullptr;  // drop the callback's captures
-    pending_.release(slot);
-    throw Error("threshold table has no entry for `" + app + "`");
-  }
+  // Read the request out of its slot up front: a re-entrant request
+  // from a callback can grow the pool and move every slot.
+  const AppId app_id = pending_[slot].app;
+  const std::uint32_t pid = pending_[slot].pid;
   const ThresholdEntry& entry = table_.at(app_id);
 
   // Residency probes are shared across the batch: one lookup per
@@ -545,22 +509,19 @@ void SchedulerServer::finish_one(std::uint32_t slot, int load,
     case Target::kArm:  ++stats_.to_arm; break;
     case Target::kFpga: ++stats_.to_fpga; break;
   }
-  log_.trace("server: app=", request.app, " load=", load, " -> ",
+  log_.trace("server: app=", entry.app, " load=", load, " -> ",
              to_string(decision.target));
-  if (tracer_ != nullptr && request.pid != 0 &&
-      tracer_->sampled(request.pid)) {
-    // Stitch the decision to the submitting job via the wire-carried
-    // trace id (PlacementRequestMsg::pid).
-    tracer_->instant(trace_lane_, obs::kTrackSched, "sched.decide",
-                     request.pid, sim_.now());
+  if (tracer_ != nullptr && pid != 0 && tracer_->sampled(pid)) {
+    // Stitch the decision to the submitting job via its trace id.
+    tracer_->instant(trace_lane_, obs::kTrackSched, "sched.decide", pid,
+                     sim_.now());
     if (decision.reconfiguration_started) {
       tracer_->instant(trace_lane_, obs::kTrackSched, "sched.reconfigure",
-                       request.pid, sim_.now());
+                       pid, sim_.now());
     }
   }
-  // The request view stays valid (it aliases the pass's arena scratch,
-  // not the slot); the callback runs last so it may immediately issue
-  // the next request.
+  // The callback runs last so it may immediately issue the next
+  // request.
   DecisionCallback cb = std::move(pending_[slot].on_decision);
   pending_.release(slot);
   cb(decision);

@@ -10,25 +10,21 @@
 // reconfiguration while the function continues on a CPU -- hiding the
 // transfer and programming latency (paper §3.4).
 //
-// Steady-state request path (submit -> encode -> decode -> decide ->
-// callback) is allocation-free and O(log n): the decision callback
-// lives in a pooled PendingRequest slot, the wire frame packs into its
-// batch's arena, the scheduled event captures only {server, batch}
-// (trivially copyable, stays inside the engine's inline buffer), the
-// decode borrows string_views straight from the arena, and the app
-// name is interned to a dense AppId against the threshold table
-// without materializing a std::string.
+// Steady-state request path (submit -> decide -> callback) is
+// allocation-free and O(log n): the app name resolves to its dense
+// AppId against the threshold table when the request is submitted, the
+// id, the caller's pid and the decision callback live in a pooled
+// PendingRequest slot, and the scheduled event captures only
+// {server, batch} (trivially copyable, stays inside the engine's inline
+// buffer).  The client-server socket is modeled as a fixed round trip,
+// kRequestOverhead; nothing is marshalled across it.
 //
 // Requests arriving at the same instant (a spike tick) are batched into
 // ONE decision pass: they share a single pooled Batch, one scheduled
-// event, one *vectorized decode sweep* over the packed frame arena
-// (decode_placement_request_arena -- a single pass in memory order
-// instead of one decode_message_view call per request), one
-// load-monitor sample, and one kernel-residency probe per distinct app
-// -- the per-request constant at spike scale is a handful of bounds
-// checks plus the Algorithm-2 arithmetic.  A batch of one behaves
-// exactly like the unbatched path, so request/decision semantics are
-// unchanged.
+// event, one load-monitor sample, and one kernel-residency probe per
+// distinct app -- the per-request constant at spike scale is the
+// Algorithm-2 arithmetic.  A batch of one behaves exactly like the
+// unbatched path, so request/decision semantics are unchanged.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +40,6 @@
 #include "fpga/device.hpp"
 #include "fpga/slots.hpp"
 #include "runtime/load_monitor.hpp"
-#include "runtime/protocol.hpp"
 #include "runtime/target.hpp"
 #include "runtime/threshold_table.hpp"
 #include "sim/callback.hpp"
@@ -85,8 +80,6 @@ class SchedulerServer final : private fpga::OfflineWatcher {
   using DecisionCallback = sim::UniqueFunction<void(PlacementDecision)>;
 
   struct Options {
-    /// Socket round trip between client and server (loopback).
-    Duration request_overhead = Duration::micros(80.0);
     /// Algorithm 2's latency hiding: keep running on a CPU while the
     /// XCLBIN loads.  Off = traditional blocking configure-on-use
     /// (ablation 3 in DESIGN.md).
@@ -141,6 +134,9 @@ class SchedulerServer final : private fpga::OfflineWatcher {
     kEvicted,   ///< dead: kernels read absent until an in-time reply
   };
 
+  /// Socket round trip between client and server (loopback): a request
+  /// is decided this long after it is made.
+  static constexpr Duration kRequestOverhead = Duration::micros(80.0);
   /// Ping cadence.
   static constexpr Duration kHeartbeatPeriod = Duration::ms(10.0);
   /// Device-side round trip of one ping when the card is up, before
@@ -184,16 +180,18 @@ class SchedulerServer final : private fpga::OfflineWatcher {
   ~SchedulerServer() { release_offline_watch(); }
 
   /// Handle one client request for `app` (Algorithm 2 main loop body).
-  /// The callback fires after the socket round trip with the decision.
+  /// The callback fires kRequestOverhead later with the decision.
+  /// Throws xartrek::Error when the threshold table has no row for
+  /// `app`, before the request takes a slot or opens a batch.
   void request_placement(std::string_view app, DecisionCallback on_decision) {
     request_placement(app, /*pid=*/0, std::move(on_decision));
   }
 
   /// Same, carrying the caller's trace context: `pid` rides in the
-  /// existing PlacementRequestMsg::pid wire field through the batch
-  /// pass, so an attached tracer can tag the per-request decision with
-  /// the submitting job's trace id.  0 = untracked (the default
-  /// overload); the decision itself is identical either way.
+  /// request's pending slot through the batch pass, so an attached
+  /// tracer can tag the per-request decision with the submitting job's
+  /// trace id.  0 = untracked (the default overload); the decision
+  /// itself is identical either way.
   void request_placement(std::string_view app, std::uint32_t pid,
                          DecisionCallback on_decision);
 
@@ -274,11 +272,6 @@ class SchedulerServer final : private fpga::OfflineWatcher {
     return slots_.get();
   }
 
-  /// Marshal the whole threshold table as TableSync wire messages (the
-  /// server pushes these to clients so their local copies track the
-  /// refined thresholds).
-  [[nodiscard]] std::vector<std::vector<std::byte>> broadcast_table() const;
-
   /// Link the stats counters into a metrics registry under `prefix`
   /// (and the slot scheduler's, when present, under `prefix + ".slots"`).
   /// The counters a skipped ping moves read settled, like stats().
@@ -298,25 +291,22 @@ class SchedulerServer final : private fpga::OfflineWatcher {
   }
 
  private:
-  /// One in-flight request: the client's decision callback.  The wire
-  /// frame itself lives packed in its batch's arena (below).  Slots
-  /// recycle through the pool's free list; `next` chains same-instant
-  /// requests into their batch's intrusive FIFO.
+  /// One in-flight request: the client's decision callback, the app's
+  /// row and the caller's trace id.  Slots recycle through the pool's
+  /// free list; `next` chains same-instant requests into their batch's
+  /// intrusive FIFO.
   struct PendingRequest {
     DecisionCallback on_decision;
+    AppId app = kInvalidAppId;
+    std::uint32_t pid = 0;
     std::uint32_t next = sim::SlotPool<int>::kNoSlot;
   };
 
-  /// Same-instant requests awaiting the shared decision pass.  Their
-  /// encoded frames pack back to back into `arena` (one warm buffer per
-  /// batch slot, capacity kept across recycles), so the decision pass
-  /// decodes the whole spike tick in a single vectorized sweep instead
-  /// of one decode_message_view call per request.
+  /// Same-instant requests awaiting the shared decision pass.
   struct Batch {
     std::uint32_t head = sim::SlotPool<int>::kNoSlot;
     std::uint32_t tail = sim::SlotPool<int>::kNoSlot;
     std::uint32_t count = 0;
-    std::vector<std::byte> arena;
     TimePoint at;  ///< instant the batch opened (span start)
   };
 
@@ -367,13 +357,11 @@ class SchedulerServer final : private fpga::OfflineWatcher {
   void before_offline_change() override { wake(); }
   void release_offline_watch();
   /// Event body: one decision pass over every request in `batch_slot`
-  /// (one arena decode sweep, one load sample, shared residency
-  /// probes), answering each client.
+  /// (one load sample, shared residency probes), answering each client.
   void finish_batch(std::uint32_t batch_slot);
   /// Decide and answer the single request in `slot` against the
-  /// batch-shared load sample and its decoded view.
-  void finish_one(std::uint32_t slot, int load,
-                  const PlacementRequestView& request);
+  /// batch-shared load sample.
+  void finish_one(std::uint32_t slot, int load);
 
   sim::Simulation& sim_;
   LoadMonitor& monitor_;
@@ -403,12 +391,6 @@ class SchedulerServer final : private fpga::OfflineWatcher {
   /// resident answer keys on *its* slot's version, so batch-mates
   /// churning other slots don't force a re-probe.
   std::vector<std::pair<AppId, fpga::ResidencyView>> probe_cache_;
-  /// Decision-pass scratch: the finishing batch's arena is swapped in
-  /// here (a re-entrant request_placement from a decision callback
-  /// appends to a *new* batch's arena, never this one) and the decoded
-  /// views alias it.  Both keep their capacity across passes.
-  std::vector<std::byte> arena_scratch_;
-  std::vector<PlacementRequestView> views_scratch_;
 
   // Heartbeat state: one machine, two streaks.  Misses evict; gray
   // signals (misses and slow replies) trip.  The streaks stay separate

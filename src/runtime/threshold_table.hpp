@@ -67,8 +67,8 @@ inline constexpr AppId kInvalidAppId = 0xFFFF'FFFFu;
 /// object within the simulation's single event loop.)
 ///
 /// Rows live in a dense AppId-indexed vector; the string-keyed edge is
-/// a transparent (heterogeneous) index so a `string_view` straight off
-/// the wire resolves without materializing a temporary std::string.
+/// a transparent (heterogeneous) index so a caller's `string_view`
+/// resolves without materializing a temporary std::string.
 /// Components that run per-request should resolve their AppId once and
 /// use the id overloads, which are plain vector indexing.
 class ThresholdTable {

@@ -10,8 +10,8 @@
 //
 // The pool manages occupancy only.  Value cleanup stays with the
 // caller -- deliberately: the engine drops a callback's captures at
-// release time, while the scheduler keeps a released slot's wire buffer
-// warm so its capacity is reused.
+// release time, while plain-data values (a scheduler batch, a tracer
+// span) are simply overwritten by the slot's next occupant.
 #pragma once
 
 #include <cstdint>

@@ -188,16 +188,15 @@ TEST(ServerOptionsTest, RequestOverheadDelaysDecision) {
   e.kernel_name = "K";
   table.upsert(e);
   runtime::LoadMonitor monitor(testbed.simulation(), testbed.x86());
-  runtime::SchedulerServer::Options opts;
-  opts.request_overhead = Duration::ms(5);
   runtime::SchedulerServer server(testbed.simulation(), monitor,
-                                  testbed.fpga(), table, {}, opts);
-  double decided_at = -1;
+                                  testbed.fpga(), table, {});
+  TimePoint decided_at = TimePoint::at_ms(-1);
   server.request_placement("a", [&](runtime::PlacementDecision) {
-    decided_at = testbed.simulation().now().to_ms();
+    decided_at = testbed.simulation().now();
   });
   testbed.simulation().run_until(TimePoint::at_ms(100));
-  EXPECT_NEAR(decided_at, 5.0, 1e-9);
+  EXPECT_EQ(decided_at, TimePoint::origin() +
+                            runtime::SchedulerServer::kRequestOverhead);
 }
 
 }  // namespace

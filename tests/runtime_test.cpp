@@ -550,14 +550,20 @@ TEST_F(ServerFixture, VeryHighLoadWithoutKernelGoesToArm) {
 }
 
 TEST_F(ServerFixture, UnknownAppThrowsThroughRequest) {
-  bool threw = false;
-  server->request_placement("nope", [](PlacementDecision) {});
-  try {
-    testbed.simulation().run();
-  } catch (const Error&) {
-    threw = true;
-  }
-  EXPECT_TRUE(threw);
+  // The app resolves at the call: a name without a row throws there,
+  // and the requests made on either side of it share one pass.
+  int decisions = 0;
+  const auto count = [&](PlacementDecision) { ++decisions; };
+  server->request_placement("face", count);
+  EXPECT_THROW(server->request_placement("nope", count), Error);
+  server->request_placement("face", count);
+  testbed.simulation().run_until(TimePoint::at_ms(1.0));
+  EXPECT_EQ(decisions, 2);
+  EXPECT_EQ(server->stats().batches, 1u);
+  EXPECT_EQ(server->stats().max_batch, 2u);
+  // The server keeps serving new batches afterwards.
+  EXPECT_EQ(decide_now().target, Target::kX86);
+  EXPECT_EQ(server->stats().batches, 2u);
 }
 
 // --- Migration executor ------------------------------------------------------

@@ -1,14 +1,18 @@
 // Batched decision passes in the SchedulerServer: same-instant
 // requests share one scheduled event, one load-monitor sample and one
 // kernel-residency probe per distinct app, while per-request semantics
-// (decision values, round-trip delay, error propagation) stay exactly
-// the unbatched ones.
+// (decision values, round-trip delay, trace ids) stay exactly the
+// unbatched ones.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "fpga/device.hpp"
+#include "obs/trace.hpp"
 #include "platform/testbed.hpp"
 #include "runtime/load_monitor.hpp"
 #include "runtime/scheduler_server.hpp"
@@ -102,25 +106,72 @@ TEST_F(BatchFixture, CallbackMayImmediatelyIssueTheNextRequest) {
 }
 
 TEST_F(BatchFixture, UnknownAppStillThrowsButBatchMatesAreAnswered) {
+  // A name without a row throws at the call, before it takes a slot or
+  // opens a batch: the requests on either side of it share one pass.
   int decisions = 0;
   server->request_placement("alpha", [&](PlacementDecision) { ++decisions; });
-  server->request_placement("nope", [](PlacementDecision) {});
-  server->request_placement("beta", [&](PlacementDecision) { ++decisions; });
-  bool threw = false;
   try {
-    testbed.simulation().run_until(TimePoint::at_ms(10.0));
-  } catch (const Error&) {
-    threw = true;
+    server->request_placement("nope", [](PlacementDecision) {});
+    ADD_FAILURE() << "an unknown app must throw at the call";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("`nope`"), std::string::npos);
   }
-  EXPECT_TRUE(threw);
-  // Every valid request in the batch got its decision -- exactly as
-  // the old per-request events would have delivered them -- and the
-  // server keeps serving new batches afterwards.
+  server->request_placement("beta", [&](PlacementDecision) { ++decisions; });
+  testbed.simulation().run_until(TimePoint::at_ms(10.0));
   EXPECT_EQ(decisions, 2);
+  EXPECT_EQ(server->stats().batches, 1u);
+  EXPECT_EQ(server->stats().max_batch, 2u);
+  EXPECT_EQ(server->stats().requests, 2u);
+  // The server keeps serving new batches afterwards.
   server->request_placement("beta", [&](PlacementDecision) { ++decisions; });
   testbed.simulation().run_until(testbed.simulation().now() +
                                  Duration::ms(10.0));
   EXPECT_EQ(decisions, 3);
+  EXPECT_EQ(server->stats().batches, 2u);
+}
+
+TEST_F(BatchFixture, ThrowingCallbackDoesNotStrandItsBatchMates) {
+  // A decision callback that throws still lets the rest of its batch be
+  // answered; the pass then rethrows the first error.
+  int decisions = 0;
+  server->request_placement("alpha",
+                            [](PlacementDecision) { throw Error("cb"); });
+  server->request_placement("beta", [&](PlacementDecision) { ++decisions; });
+  EXPECT_THROW(testbed.simulation().run_until(TimePoint::at_ms(10.0)), Error);
+  EXPECT_EQ(decisions, 1);
+  EXPECT_EQ(server->stats().requests, 2u);
+}
+
+TEST_F(BatchFixture, PendingSlotCarriesTraceIdAndResolvedApp) {
+  // The pid tags the request's "sched.decide" span, and the app is
+  // resolved at the call, so the caller's name may die before the pass.
+  obs::Tracer tracer(1);
+  server->set_tracer(&tracer, 0);
+  // At load 1, gamma goes to ARM (past ARM_THR) and alpha stays on x86.
+  table.upsert(entry("gamma", "KNL_gamma", 1 << 20, 0));
+  testbed.x86().attach_process();
+  testbed.simulation().run_until(TimePoint::at_ms(50.0));
+
+  std::vector<Target> targets;
+  auto record = [&](PlacementDecision d) { targets.push_back(d.target); };
+  auto name = std::make_unique<std::string>("gamma");
+  server->request_placement(*name, /*pid=*/42, record);
+  name.reset();
+  server->request_placement("alpha", /*pid=*/0, record);
+  testbed.simulation().run_until(TimePoint::at_ms(60.0));
+
+  ASSERT_EQ(targets.size(), 2u);
+  EXPECT_EQ(targets[0], Target::kArm);
+  EXPECT_EQ(targets[1], Target::kX86);
+  EXPECT_EQ(server->stats().batches, 1u);
+  std::vector<std::uint64_t> decided;
+  for (const obs::Span& span : tracer.sorted_spans()) {
+    if (std::string_view(span.name) == "sched.decide") {
+      decided.push_back(span.trace_id);
+    }
+  }
+  // The pid-0 request is untracked and emits no decision span.
+  EXPECT_EQ(decided, std::vector<std::uint64_t>{42});
 }
 
 TEST_F(BatchFixture, MidBatchReconfigurationInvalidatesProbeCache) {

@@ -1,13 +1,12 @@
-// Tests for the IR validation pass, the table-sync broadcast,
-// Algorithm-1 boundary conditions, and the threshold->decision property
-// that ties step G to the run-time.
+// Tests for the IR validation pass, Algorithm-1 boundary conditions,
+// and the threshold->decision property that ties step G to the
+// run-time.
 #include <gtest/gtest.h>
 
 #include "apps/benchmark_spec.hpp"
 #include "compiler/validate.hpp"
 #include "exp/experiment.hpp"
 #include "exp/threshold_estimator.hpp"
-#include "runtime/protocol.hpp"
 #include "runtime/scheduler_client.hpp"
 #include "runtime/scheduler_server.hpp"
 
@@ -73,31 +72,6 @@ TEST(ValidateIrTest, DuplicateCallSiteIdsRejected) {
   auto ir = compiler::make_app_ir("demo", "hot", 400, 150);
   ir.functions[0].call_sites.push_back({"load_input", 0});  // id 0 reused
   EXPECT_THROW(compiler::validate_ir_or_throw(ir), Error);
-}
-
-// --- table-sync broadcast ----------------------------------------------------
-
-TEST(TableBroadcastTest, EveryRowArrivesIntact) {
-  const auto specs = apps::paper_benchmarks();
-  const auto estimation = exp::ThresholdEstimator().estimate(specs);
-  exp::ExperimentOptions options;
-  options.mode = apps::SystemMode::kXarTrek;
-  exp::Experiment exp(specs, estimation.table, options);
-
-  const auto frames = exp.server().broadcast_table();
-  ASSERT_EQ(frames.size(), 5u);
-  runtime::ThresholdTable mirror;
-  for (const auto& frame : frames) {
-    const auto msg = runtime::decode_message(frame);
-    ASSERT_TRUE(std::holds_alternative<runtime::TableSyncMsg>(msg));
-    mirror.upsert(std::get<runtime::TableSyncMsg>(msg).entry);
-  }
-  for (const auto& app : exp.table().app_names()) {
-    EXPECT_EQ(mirror.at(app).fpga_threshold,
-              exp.table().at(app).fpga_threshold);
-    EXPECT_EQ(mirror.at(app).arm_threshold,
-              exp.table().at(app).arm_threshold);
-  }
 }
 
 // --- Algorithm 1 boundary grid ------------------------------------------------
