@@ -55,6 +55,10 @@ METRICS = {
         ("scaling.pooled.0.schedules_per_event", "exact", False),
         ("scaling.pooled.1.schedules_per_event", "exact", False),
         ("scaling.pooled.2.schedules_per_event", "exact", False),
+        # A looping lane's lap re-enters inside PsResource: no callback,
+        # no allocation, one engine event per tick.  Counts, so exact.
+        ("lane_loop.alloc_calls_per_loop", "abs", False),
+        ("lane_loop.schedules_per_event", "exact", False),
         ("scaling.pooled.0.ns_per_event", "lower", True),
         ("scaling.pooled.2.ns_per_event", "lower", True),
         ("request_loop.requests_per_sec", "higher", True),

@@ -1,6 +1,6 @@
 // PsResource scaling + end-to-end request-loop benchmark.
 //
-// Two measurements land in BENCH_ps_resource.json:
+// Three measurements land in BENCH_ps_resource.json:
 //
 //  1. `scaling`: per-event cost of the virtual-time PsResource with 1k,
 //     10k and 100k resident jobs churning short jobs through
@@ -16,6 +16,12 @@
 //     a global counting-allocator hook asserting zero steady-state
 //     allocations per request.
 //
+//  3. `lane_loop`: churn4's cell on one testbed -- a 512-lane jittered
+//     apps::LoadGenerator looping short bursts as PsResource loop jobs
+//     on the x86 CpuCluster -- timed over a fixed tick count after
+//     warm-up.  `alloc_calls_per_loop` reads 0 and `schedules_per_event`
+//     exactly 1: a lap allocates nothing and each tick arms one event.
+//
 // Schema: docs/perf.md.
 #include <chrono>
 #include <cstdint>
@@ -30,9 +36,11 @@
 #include <utility>
 #include <vector>
 
+#include "apps/load_generator.hpp"
 #include "fpga/device.hpp"
 #include "hw/cpu_cluster.hpp"
 #include "hw/link.hpp"
+#include "platform/testbed.hpp"
 #include "runtime/load_monitor.hpp"
 #include "runtime/scheduler_server.hpp"
 #include "runtime/threshold_table.hpp"
@@ -275,6 +283,44 @@ LoopResult run_request_loop(std::uint64_t requests, std::uint64_t warmup) {
   return r;
 }
 
+// --- lane loop --------------------------------------------------------------
+
+struct LaneLoopResult {
+  std::uint64_t ticks = 0;
+  double seconds = 0;
+  AllocSnapshot allocs{};
+  std::uint64_t engine_scheduled = 0;  ///< engine events queued
+};
+
+/// One churn4 cell without its ring: 512 lanes of 0.05 ms bursts with
+/// churn4's 0.5 demand jitter, so nearly every completion tick serves
+/// one lap.  Runs `warmup` engine events, then times `ticks` more.
+LaneLoopResult run_lane_loop(std::uint64_t ticks, std::uint64_t warmup) {
+  platform::Testbed testbed;
+  sim::Simulation& sim = testbed.simulation();
+  apps::LoadGenerator::Options opts;
+  opts.run_demand = Duration::ms(0.05);
+  opts.demand_jitter = 0.5;
+  opts.reserve = true;
+  apps::LoadGenerator load(testbed, 512, opts);
+  const TimePoint horizon = TimePoint::at_ms(1e12);
+  for (std::uint64_t i = 0; i < warmup && sim.step_one(horizon); ++i) {
+  }
+  const AllocSnapshot before = alloc_snapshot();
+  const std::uint64_t scheduled_from = sim.scheduled_events();
+  const std::uint64_t executed_from = sim.executed_events();
+  const auto start = Clock::now();
+  for (std::uint64_t i = 0; i < ticks && sim.step_one(horizon); ++i) {
+  }
+  LaneLoopResult r;
+  r.seconds = seconds_since(start);
+  const AllocSnapshot after = alloc_snapshot();
+  r.ticks = sim.executed_events() - executed_from;
+  r.allocs = {after.calls - before.calls, after.bytes - before.bytes};
+  r.engine_scheduled = sim.scheduled_events() - scheduled_from;
+  return r;
+}
+
 // --- report ----------------------------------------------------------------
 
 void emit_point(std::ostream& os, const ScalePoint& p, bool last) {
@@ -301,6 +347,8 @@ int bench_main() {
   const std::uint64_t kLegacyWarmup = smoke ? 100 : 400;
   const std::uint64_t kRequests = smoke ? 40'000 : 200'000;
   const std::uint64_t kRequestWarmup = smoke ? 4'000 : 20'000;
+  const std::uint64_t kLaneTicks = smoke ? 200'000 : 2'000'000;
+  const std::uint64_t kLaneWarmup = smoke ? 20'000 : 200'000;
 
   std::vector<ScalePoint> pooled;
   for (const std::size_t resident : {1'000u, 10'000u, 100'000u}) {
@@ -320,6 +368,12 @@ int bench_main() {
   std::cerr << "[ps_resource_bench] end-to-end request loop: " << kRequests
             << " placements...\n";
   const LoopResult loop = run_request_loop(kRequests, kRequestWarmup);
+
+  std::cerr << "[ps_resource_bench] lane loop: 512 lanes, " << kLaneTicks
+            << " ticks...\n";
+  const LaneLoopResult lanes = run_lane_loop(kLaneTicks, kLaneWarmup);
+  const double lane_ns =
+      1e9 * lanes.seconds / static_cast<double>(lanes.ticks);
 
   const auto ns_per = [](const ScalePoint& p) {
     return 1e9 * p.seconds / static_cast<double>(p.events);
@@ -352,6 +406,17 @@ int bench_main() {
       << ",\n    \"alloc_bytes_per_request\": "
       << static_cast<double>(loop.allocs.bytes) /
              static_cast<double>(loop.requests)
+      << "\n  },\n  \"lane_loop\": {\n"
+      << "    \"lanes\": 512,\n"
+      << "    \"ticks\": " << lanes.ticks << ",\n"
+      << "    \"seconds\": " << lanes.seconds << ",\n"
+      << "    \"ns_per_event\": " << lane_ns << ",\n"
+      << "    \"alloc_calls_per_loop\": "
+      << static_cast<double>(lanes.allocs.calls) /
+             static_cast<double>(lanes.ticks)
+      << ",\n    \"schedules_per_event\": "
+      << static_cast<double>(lanes.engine_scheduled) /
+             static_cast<double>(lanes.ticks)
       << "\n  }\n}\n";
   out.close();
 
@@ -367,6 +432,8 @@ int bench_main() {
             << " req/s, allocs/request="
             << static_cast<double>(loop.allocs.calls) /
                    static_cast<double>(loop.requests)
+            << "\n[ps_resource_bench] lane loop: " << lane_ns
+            << " ns/event, allocs=" << lanes.allocs.calls
             << "\n[ps_resource_bench] wrote BENCH_ps_resource.json\n";
   return 0;
 }

@@ -18,11 +18,13 @@ LoadGenerator::LoadGenerator(platform::Testbed& testbed, int processes,
   if (opts_.reserve) {
     testbed_.x86().reserve_jobs(static_cast<std::size_t>(processes) + 16);
   }
-  lanes_.resize(static_cast<std::size_t>(processes));
+  // Each completed MG-B run immediately starts the next (the paper keeps
+  // the n background instances alive throughout the measurement).
+  lanes_.reserve(static_cast<std::size_t>(processes));
   const auto batch = testbed_.x86().batch();
   for (std::uint32_t lane = 0;
        lane < static_cast<std::uint32_t>(processes); ++lane) {
-    spawn(lane);
+    lanes_.push_back(testbed_.x86().run_loop(lane_demand(lane)));
   }
 }
 
@@ -33,30 +35,12 @@ Duration LoadGenerator::lane_demand(std::uint32_t lane) const {
                                        8191.0);
 }
 
-void LoadGenerator::spawn(std::uint32_t lane) {
-  // Each completed MG-B run immediately starts the next (the paper keeps
-  // the n background instances alive throughout the measurement).  The
-  // callback carries its spawn generation; after stop() bumps it, a
-  // straggler that somehow survived the cancel sweep reads as inert
-  // instead of resurrecting the loop.  {this, lane, gen} is trivially
-  // copyable and fits the engine's inline buffer: no allocation.
-  const std::uint32_t gen = generation_;
-  lanes_[lane] = testbed_.x86().run(lane_demand(lane), [this, lane, gen] {
-    if (gen != generation_) return;
-    spawn(lane);
-  });
-}
-
 void LoadGenerator::stop() {
   if (!running_) return;
   running_ = false;
-  ++generation_;  // invalidate every parked respawn token
   {
     const auto batch = testbed_.x86().batch();  // one re-arm for all
-    for (auto id : lanes_) {
-      testbed_.x86().cancel(id);  // false for a just-finished run: its
-                                  // respawn token is stale anyway
-    }
+    for (auto id : lanes_) testbed_.x86().cancel(id);
   }
   lanes_.clear();
   testbed_.x86().detach_processes(processes_);

@@ -6,13 +6,12 @@
 // cluster until stopped, occupying a run-queue slot and a fair share of
 // the cores -- exactly what the scheduler's load metric sees.
 //
-// Cancellation follows the engine's SlotPool idiom instead of a
-// heap-allocated shared flag: every parked respawn callback carries the
-// generation it was spawned under, and `stop()` bumps the generation,
-// so a stale completion reads as inert.  One in-flight JobId per lane
-// (overwritten on every respawn) keeps teardown exact without an
-// ever-growing id list, and the whole generator performs zero heap
-// allocations after construction.
+// Each process is one loop job of the x86 processor-sharing pool
+// (`hw::CpuCluster::run_loop`): the pool restarts a finished run itself,
+// so a lap costs no callback, and a lane keeps one JobId for its whole
+// life.  `stop()` cancels every lane's id, which ends its loop even when
+// the lane's run has just finished in the tick that is running.  The
+// generator performs no heap allocation after construction.
 #pragma once
 
 #include <cstdint>
@@ -61,16 +60,12 @@ class LoadGenerator {
 
  private:
   [[nodiscard]] Duration lane_demand(std::uint32_t lane) const;
-  void spawn(std::uint32_t lane);
 
   platform::Testbed& testbed_;
   int processes_;
   Options opts_;
   bool running_ = true;
-  /// Generation-checked cancel token: respawn callbacks capture
-  /// {this, lane, generation}; a bumped generation makes them inert.
-  std::uint32_t generation_ = 1;
-  /// The in-flight run of each lane (index = lane).
+  /// Each lane's loop job (index = lane).
   std::vector<hw::CpuCluster::JobId> lanes_;
 };
 

@@ -18,17 +18,6 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
   return (h ^ v) * kFnvPrime;
 }
 
-/// Checksum a byte buffer (frame payloads).
-[[nodiscard]] inline std::uint64_t fnv1a(const void* data,
-                                         std::uint64_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = kFnvOffset;
-  for (std::uint64_t i = 0; i < size; ++i) {
-    h = (h ^ p[i]) * kFnvPrime;
-  }
-  return h;
-}
-
 /// Checksum a logical frame described only by metadata (the simulator
 /// often models payloads as byte *counts*, not byte *contents*): mix
 /// the size and a caller-chosen tag (sequence number, page id).  Two

@@ -46,8 +46,6 @@ class MultiIsaBuilder {
   [[nodiscard]] std::uint64_t code_bytes(const IrFunction& fn,
                                          isa::IsaKind isa) const;
 
-  [[nodiscard]] const MultiIsaBuildOptions& options() const { return opts_; }
-
  private:
   MultiIsaBuildOptions opts_;
 };

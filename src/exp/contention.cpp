@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/hash.hpp"
 #include "fpga/device.hpp"
 #include "hw/link.hpp"
 #include "sim/cell_ring.hpp"
@@ -16,10 +17,8 @@ namespace xartrek::exp {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+/// FNV-1a over the eight bytes of `v`, low byte first.
+std::uint64_t fnv_mix_bytes(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xFFu;
     h *= kFnvPrime;
@@ -83,9 +82,9 @@ void on_arrival(Workload& w, CellState& cell, std::uint32_t tenant,
     if (device.has_kernel(name)) {
       device.execute(name, w.spec.items, [&cell, tenant] {
         ++cell.completions;
-        cell.hash = fnv_mix(cell.hash, cell.index);
-        cell.hash = fnv_mix(cell.hash, tenant);
-        cell.hash = fnv_mix(
+        cell.hash = fnv_mix_bytes(cell.hash, cell.index);
+        cell.hash = fnv_mix_bytes(cell.hash, tenant);
+        cell.hash = fnv_mix_bytes(
             cell.hash, std::bit_cast<std::uint64_t>(cell.sim->now().to_ms()));
       });
     } else {
@@ -99,9 +98,9 @@ void on_arrival(Workload& w, CellState& cell, std::uint32_t tenant,
     if (device.has_kernel(name)) {
       device.execute(name, w.spec.items, [&cell, tenant] {
         ++cell.completions;
-        cell.hash = fnv_mix(cell.hash, cell.index);
-        cell.hash = fnv_mix(cell.hash, tenant);
-        cell.hash = fnv_mix(
+        cell.hash = fnv_mix_bytes(cell.hash, cell.index);
+        cell.hash = fnv_mix_bytes(cell.hash, tenant);
+        cell.hash = fnv_mix_bytes(
             cell.hash, std::bit_cast<std::uint64_t>(cell.sim->now().to_ms()));
       });
     } else {
@@ -231,7 +230,7 @@ ContentionResult run_fpga_contention(const ContentionSpec& spec) {
       r.evictions += cell->sched->stats().evictions;
       r.replications += cell->sched->stats().replications;
     }
-    r.trace_hash = fnv_mix(r.trace_hash, cell->hash);
+    r.trace_hash = fnv_mix_bytes(r.trace_hash, cell->hash);
   }
   const double sim_seconds = spec.span.to_ms() / 1e3;
   r.completions_per_sim_sec =

@@ -201,7 +201,7 @@ void FpgaDevice::set_port_flaky(double fail_probability, Rng rng) {
   XAR_EXPECTS(fail_probability >= 0.0 && fail_probability <= 1.0);
   flaky_ = true;
   flaky_probability_ = fail_probability;
-  flaky_rng_ = rng;
+  flaky_rng_.emplace(std::move(rng));
 }
 
 bool FpgaDevice::draw_injected_failure() {
@@ -209,7 +209,7 @@ bool FpgaDevice::draw_injected_failure() {
     fail_armed_ = false;
     return true;
   }
-  return flaky_ && flaky_rng_.bernoulli(flaky_probability_);
+  return flaky_ && flaky_rng_->bernoulli(flaky_probability_);
 }
 
 void FpgaDevice::start_reconfigure() {

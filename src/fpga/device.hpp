@@ -365,7 +365,7 @@ class FpgaDevice {
   bool fail_armed_ = false;
   bool flaky_ = false;  ///< windowed probabilistic port failures
   double flaky_probability_ = 0.0;
-  Rng flaky_rng_{0};
+  std::optional<Rng> flaky_rng_;  ///< seeded when set_port_flaky arms it
   /// Offline transitions ever taken.  A programming attempt stamps this
   /// at start and re-checks at completion, so even an offline blip that
   /// heals before programming finishes tears the bitstream write.

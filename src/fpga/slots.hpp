@@ -93,7 +93,6 @@ class SlotScheduler {
   [[nodiscard]] std::uint32_t quarantined_slots() const;
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const Options& options() const { return opts_; }
 
   /// Link the stats counters into a metrics registry under `prefix`.
   void register_metrics(obs::Registry& registry,

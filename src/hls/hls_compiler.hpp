@@ -86,8 +86,6 @@ class HlsCompiler {
   /// a full U50-class device (such a function cannot be selected).
   [[nodiscard]] XoFile compile(const KernelSource& src) const;
 
-  [[nodiscard]] const HlsOptions& options() const { return opts_; }
-
  private:
   HlsOptions opts_;
 };

@@ -64,7 +64,14 @@ class CpuCluster {
     return pool_.submit(demand.to_ms(), std::move(on_complete));
   }
 
-  /// Abort a job (used when an app is torn down at a horizon).
+  /// Run `demand` milliseconds-at-full-speed of work in a loop: each
+  /// time a run finishes, the next starts at once under the same id
+  /// (sim::PsResource::submit_loop), until cancelled.  Requires
+  /// demand > 0.
+  JobId run_loop(Duration demand) { return pool_.submit_loop(demand.to_ms()); }
+
+  /// Abort a job or end a loop (used when an app is torn down at a
+  /// horizon).
   bool cancel(JobId id) { return pool_.cancel(id); }
 
   /// A scope in which any number of runs and cancels re-arm the pool's

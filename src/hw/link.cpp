@@ -35,7 +35,7 @@ void Link::transfer(std::uint64_t bytes, Callback on_complete) {
     parked_.push(ParkedTransfer{bytes, std::move(on_complete)});
     return;
   }
-  if (degraded_ && degrade_rng_.bernoulli(drop_probability_)) {
+  if (degraded_ && degrade_rng_->bernoulli(drop_probability_)) {
     // Lossy wire: the frame vanishes and its callback never fires.
     // The draw happens on this link's own shard, in admission order,
     // so serial and parallel runs lose the identical frames.
@@ -117,7 +117,7 @@ void Link::transfer_verified(std::uint64_t bytes, std::uint64_t checksum,
   if (corrupt_next_ > 0) {
     --corrupt_next_;
     intact = false;
-  } else if (corrupting_ && corrupt_rng_.bernoulli(corrupt_probability_)) {
+  } else if (corrupting_ && corrupt_rng_->bernoulli(corrupt_probability_)) {
     intact = false;
   }
   if (!intact) ++stats_.corrupted_transfers;
@@ -152,7 +152,7 @@ void Link::set_degraded(double latency_factor, double drop_probability,
   degraded_ = true;
   latency_factor_ = latency_factor;
   drop_probability_ = drop_probability;
-  degrade_rng_ = rng;
+  degrade_rng_.emplace(std::move(rng));
 }
 
 void Link::clear_degraded() {
@@ -165,7 +165,7 @@ void Link::set_corrupting(double corrupt_probability, Rng rng) {
   XAR_EXPECTS(corrupt_probability >= 0.0 && corrupt_probability <= 1.0);
   corrupting_ = true;
   corrupt_probability_ = corrupt_probability;
-  corrupt_rng_ = rng;
+  corrupt_rng_.emplace(std::move(rng));
 }
 
 void Link::clear_corrupting() {

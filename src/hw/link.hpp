@@ -8,6 +8,7 @@
 // the paper measures migration cost "in locus" rather than predicting it.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "common/hash.hpp"
@@ -73,7 +74,7 @@ class Link {
   void transfer(std::uint64_t bytes, Callback on_complete);
 
   /// Checksummed frame: the sender computes `checksum` over the frame
-  /// (fnv1a / fnv1a_frame) and the receiver re-derives it when the last
+  /// (fnv1a_frame) and the receiver re-derives it when the last
   /// byte lands.  `on_complete(ok)` reports whether the delivered frame
   /// still matches -- false when the wire corrupted the payload in
   /// flight (see set_corrupting).  Degraded-mode drops still apply: a
@@ -176,13 +177,15 @@ class Link {
   // honest across degradation edges: latency-phase events must fire in
   // admission order, so an admission never schedules its entry earlier
   // than the previous one's.
+  // The fault streams are seeded only when a fault first arms them: an
+  // Rng is a 2.5 KB Mersenne Twister, and most links never see one.
   bool degraded_ = false;
   double latency_factor_ = 1.0;
   double drop_probability_ = 0.0;
-  Rng degrade_rng_{0};
+  std::optional<Rng> degrade_rng_;
   bool corrupting_ = false;
   double corrupt_probability_ = 0.0;
-  Rng corrupt_rng_{0};
+  std::optional<Rng> corrupt_rng_;
   std::uint64_t corrupt_next_ = 0;  ///< one-shot corruption arm
   double last_entry_ms_ = 0.0;  ///< latest scheduled latency-phase exit
 };

@@ -89,7 +89,6 @@ class ReliableChannel {
   [[nodiscard]] std::size_t in_flight() const { return live_; }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const Options& options() const { return opts_; }
 
   /// Link six stats counters into a metrics registry under `prefix`,
   /// in this order: sends, retries, corrupt_detected,

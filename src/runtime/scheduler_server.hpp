@@ -200,7 +200,6 @@ class SchedulerServer final : private fpga::OfflineWatcher {
   /// instant <= now is counted.  Non-const because it folds the pings
   /// before now into the stored counters, which changes nothing else.
   [[nodiscard]] Stats stats();
-  [[nodiscard]] const Options& options() const { return opts_; }
 
   /// Start the heartbeat loop against the FPGA target: pings leave every
   /// kHeartbeatPeriod, the first one period from now.  A ping resolves

@@ -29,6 +29,18 @@
 // fire in submission order (the key breaks finish-time ties on a
 // submission sequence number).
 //
+// Two kinds of job share the pool.  A one-shot job (`submit`) runs its
+// callback once its demand is served.  A loop job (`submit_loop`) has no
+// callback: once served it re-enters with the same demand, as a
+// callback that resubmitted it at once would -- the paper's looping
+// MG-B background processes.  It re-enters at its callback's place in
+// the tick's submission order, draws its next sequence number there, and
+// is out of service (not in `active_jobs()`) for every callback of the
+// tick that runs before it; it keeps its JobId across laps.  When a tick
+// finds a loop job at the root and no other job due, the job takes its
+// next lap in place: one sift-down of the root; no slot is released and
+// no callback or completion-list entry moves.
+//
 // A job is due once its residual demand is rounding noise, or once the
 // instant it would finish at rounds to now.  One batch of mutations arms
 // one engine event: inside a Batch scope -- a completion tick runs its
@@ -103,9 +115,19 @@ class PsResource {
   /// callback moves once, into the job's slot.
   JobId submit(double demand, Callback&& on_complete);
 
-  /// Remove a job before completion.  Returns false if the job already
-  /// completed (or never existed).  The callback does not fire.
-  /// O(log n) amortized (the heap entry is reaped lazily).
+  /// Submit a loop job demanding `demand` service units (> 0: a zero
+  /// demand would re-enter at one instant forever) per lap.  Each time
+  /// its demand has been served it re-enters with the same demand, in
+  /// submission order among the tick's completions, until cancelled.
+  /// The id stays valid across laps.  A callback that throws out of a
+  /// tick stops the loop jobs that tick has not re-entered yet; cancel
+  /// still releases them.
+  JobId submit_loop(double demand);
+
+  /// Remove a job before completion, or end a loop job (also one that
+  /// its tick has served but not yet re-entered).  Returns false if the
+  /// job already completed (or never existed).  The callback does not
+  /// fire.  O(log n) amortized (the heap entry is reaped lazily).
   bool cancel(JobId id);
 
   /// Jobs currently in service.  This is the paper's "CPU load" metric
@@ -147,11 +169,27 @@ class PsResource {
   static constexpr std::uint32_t kNoSlot = SlotPool<int>::kNoSlot;
 
   /// One pooled job.  `finish_v` is the virtual-clock reading at which
-  /// the job's demand is exhausted.  Its heap key is (finish_v,
-  /// submission seq); the callback stays in the slab so sift operations
-  /// never touch it.
+  /// the job's demand is exhausted, or kParked.  Its heap key is
+  /// (finish_v, submission seq); the callback stays in the slab so sift
+  /// operations never touch it.  A loop job has a positive `loop_demand`
+  /// and no callback.
   struct JobSlot {
     double finish_v = 0.0;
+    double loop_demand = 0.0;
+    Callback on_complete;
+  };
+
+  /// `finish_v` of a loop job its tick has served and not yet re-entered:
+  /// out of service and out of the heap.  Attained service is never
+  /// negative, so no live finish reads this.
+  static constexpr double kParked = -1.0;
+
+  /// A job the running tick served, in the order its completion runs:
+  /// a one-shot's callback, or a loop job's (slot, generation).
+  struct Served {
+    std::uint64_t seq;
+    std::uint32_t loop_slot;  ///< kNoSlot for a one-shot job
+    std::uint32_t generation;
     Callback on_complete;
   };
 
@@ -189,12 +227,25 @@ class PsResource {
 
   void release_slot(std::uint32_t slot);
 
+  /// Put the job in `slot` into service with `demand` from now on.
+  JobId enter(std::uint32_t slot, double demand);
+
   /// Advance the virtual clock (and delivered-work accounting) to now.
   void advance();
 
   /// The instant the live job keyed `key` finishes at the current rate,
   /// given a clock advanced to now.
   [[nodiscard]] TimePoint finish_at(HeapKey key);
+
+  /// Whether the live job keyed `key` completes in the running tick, at
+  /// the rate of the current live count.
+  [[nodiscard]] bool due(HeapKey key);
+
+  /// With the root due and counted out of live_: true when no other job
+  /// is due in this tick.  The next-smallest key is one of the root's
+  /// children; false also when one of them is a husk, which could hide a
+  /// smaller live key below it.
+  [[nodiscard]] bool only_root_due();
 
   /// Reap husks, rebase an idle clock, reserve a sequence number for
   /// the next completion and cancel the armed one; outside a Batch, arm
@@ -232,11 +283,11 @@ class PsResource {
   /// reschedule(); empty once armed, or when no job is live.
   Simulation::SeqTicket arm_seq_;
   int batch_depth_ = 0;  ///< open Batch scopes: defer arm() to the last
-  /// (submission seq, callback) of the jobs completing in the current
-  /// tick; reused across ticks.  Kept as pairs so a batch containing
-  /// near-ties (finish times equal up to rounding) can be put back into
-  /// exact submission order before the callbacks run.
-  std::vector<std::pair<std::uint64_t, Callback>> done_scratch_;
+  /// The jobs completing in the current tick; reused across ticks.
+  /// Keyed by submission seq so a batch containing near-ties (finish
+  /// times equal up to rounding) can be put back into exact submission
+  /// order before the completions run.
+  std::vector<Served> done_scratch_;
 };
 
 }  // namespace xartrek::sim

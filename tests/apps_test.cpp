@@ -3,6 +3,8 @@
 // and the multi-image throughput app.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "apps/application.hpp"
 #include "apps/benchmark_spec.hpp"
 #include "apps/load_generator.hpp"
@@ -304,6 +306,31 @@ TEST(LoadGeneratorTest, CohortAttachAndStopArmTheCpuPoolOnce) {
   EXPECT_EQ(sim.scheduled_events(), before + 1);
   EXPECT_EQ(testbed.x86().active_jobs(), 0);
   EXPECT_EQ(sim.run(), 0u);
+}
+
+TEST(LoadGeneratorTest, StopInsideTheCohortsTickEndsEveryLane) {
+  // A run submitted just before a 12-lane cohort with the same demand
+  // falls due in the cohort's tick and completes first, before any lane
+  // re-enters.  Stopping the generator there ends the lanes that tick
+  // served: none re-enters, and the pool is left idle.
+  platform::Testbed testbed;
+  sim::Simulation& sim = testbed.simulation();
+  hw::CpuCluster& x86 = testbed.x86();
+  std::optional<LoadGenerator> gen;
+  int in_service = -1;
+  x86.run(Duration::ms(10), [&] {
+    in_service = x86.active_jobs();
+    gen->stop();
+  });
+  gen.emplace(testbed, 12, Duration::ms(10));
+  EXPECT_EQ(x86.active_jobs(), 13);
+  EXPECT_EQ(sim.run_until(TimePoint::at_ms(1000)), 1u);  // that tick only
+  EXPECT_DOUBLE_EQ(sim.now().to_ms(), 1000.0);
+  EXPECT_EQ(in_service, 0);
+  EXPECT_FALSE(gen->running());
+  EXPECT_EQ(x86.active_jobs(), 0);
+  EXPECT_EQ(x86.load(), 0);
+  EXPECT_DOUBLE_EQ(x86.pool().delivered_work(), 13 * 10.0);
 }
 
 // --- Multi-image app --------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "sim/ps_resource.hpp"
 #include "sim/simulation.hpp"
@@ -672,6 +673,205 @@ TEST(PsVirtualTimeTest, LoopingCohortCompletionsAreBitExact) {
             LoopingCohort::kFinalStopAt + LoopingCohort::kLanes - 2);
   EXPECT_EQ(cpu.active_jobs(), 0u);
   EXPECT_EQ(cohort.hash, 13796013386767895069ull);
+}
+
+// --- Loop jobs ---------------------------------------------------------------
+
+/// Looping lanes as they were before loop jobs: each completion's
+/// callback resubmits its lane (apps::LoadGenerator's respawn lambda).
+class RespawnLanes {
+ public:
+  RespawnLanes(PsResource& ps, const std::vector<double>& demands)
+      : ps_(ps), demands_(demands), ids_(demands.size()) {}
+  void start(std::size_t lane) {
+    ids_[lane] = ps_.submit(demands_[lane], [this, lane] { start(lane); });
+  }
+  [[nodiscard]] PsResource::JobId id(std::size_t lane) const {
+    return ids_[lane];
+  }
+
+ private:
+  PsResource& ps_;
+  std::vector<double> demands_;
+  std::vector<PsResource::JobId> ids_;
+};
+
+/// The same lanes as loop jobs.
+class LoopLanes {
+ public:
+  LoopLanes(PsResource& ps, const std::vector<double>& demands)
+      : ps_(ps), demands_(demands), ids_(demands.size()) {}
+  void start(std::size_t lane) { ids_[lane] = ps_.submit_loop(demands_[lane]); }
+  [[nodiscard]] PsResource::JobId id(std::size_t lane) const {
+    return ids_[lane];
+  }
+
+ private:
+  PsResource& ps_;
+  std::vector<double> demands_;
+  std::vector<PsResource::JobId> ids_;
+};
+
+struct LaneScenario {
+  explicit LaneScenario(std::vector<double> d) : demands(std::move(d)) {}
+
+  std::vector<double> demands;  ///< one per lane
+  /// When set, a one-shot probe job of `probe_demand` is submitted after
+  /// this many lanes and before the rest; its callback logs what it sees
+  /// and resubmits it, so it keeps its place in every tick's order.
+  std::optional<std::size_t> probe_after;
+  double probe_demand = 0.0;
+  /// When set, capacity drops to 0.75 at this instant and returns to
+  /// 1.0 at twice it.
+  std::optional<double> rescale_at_ms;
+  double horizon_ms = 30.0;
+};
+
+/// Everything a run lets a caller see, as bits, in order: after every
+/// engine event, the instant, active_jobs(), delivered_work() and each
+/// lane's remaining demand (a lane that completed in the event reads
+/// its fresh lap); in every probe callback, the instant, active_jobs()
+/// and delivered_work().
+using LaneLog = std::vector<std::uint64_t>;
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+template <typename Lanes>
+LaneLog run_lanes(const LaneScenario& sc) {
+  Simulation sim;
+  PsResource cpu(sim, {"cpu", 6.0, 1.0});
+  Lanes lanes(cpu, sc.demands);
+  LaneLog log;
+  const auto observe = [&] {
+    log.push_back(bits_of(sim.now().to_ms()));
+    log.push_back(cpu.active_jobs());
+    log.push_back(bits_of(cpu.delivered_work()));
+  };
+  std::function<void()> probe = [&] {
+    observe();
+    cpu.submit(sc.probe_demand, [&] { probe(); });
+  };
+  {
+    const PsResource::Batch batch(cpu);  // as LoadGenerator attaches
+    for (std::size_t lane = 0; lane < sc.demands.size(); ++lane) {
+      if (sc.probe_after == lane) cpu.submit(sc.probe_demand, [&] { probe(); });
+      lanes.start(lane);
+    }
+  }
+  if (sc.rescale_at_ms) {
+    sim.schedule_at(TimePoint::at_ms(*sc.rescale_at_ms),
+                    [&] { cpu.set_capacity_scale(0.75); });
+    sim.schedule_at(TimePoint::at_ms(2.0 * *sc.rescale_at_ms),
+                    [&] { cpu.set_capacity_scale(1.0); });
+  }
+  while (sim.step_one(TimePoint::at_ms(sc.horizon_ms))) {
+    observe();
+    for (std::size_t lane = 0; lane < sc.demands.size(); ++lane) {
+      log.push_back(bits_of(cpu.remaining_demand(lanes.id(lane))));
+    }
+  }
+  return log;
+}
+
+/// A 64-lane cohort with churn4's kind of spread: distinct demands,
+/// so most ticks serve one lap and a few serve near-ties together.
+std::vector<double> jittered_demands(std::size_t lanes) {
+  std::vector<double> d;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    d.push_back(0.05 * (1.0 + 0.5 * static_cast<double>(l) / 64.0));
+  }
+  return d;
+}
+
+/// One demand for a whole cohort, so every lane falls due in one tick.
+constexpr double kCohortDemand = 0.0513;
+
+void expect_same_as_respawn(const LaneScenario& sc) {
+  const LaneLog respawn = run_lanes<RespawnLanes>(sc);
+  const LaneLog loop = run_lanes<LoopLanes>(sc);
+  ASSERT_GT(respawn.size(), 1000u);
+  ASSERT_EQ(loop.size(), respawn.size());
+  const auto diff = std::mismatch(loop.begin(), loop.end(), respawn.begin());
+  EXPECT_TRUE(diff.first == loop.end())
+      << "first difference at word " << (diff.first - loop.begin());
+}
+
+TEST(PsLoopJobTest, JitteredCohortLapsLikeRespawnCallbacks) {
+  // Mostly one lap per tick (each re-enters at the root), with near-ties
+  // served together; a lone lane re-enters an idle, rebased clock.
+  expect_same_as_respawn(LaneScenario(jittered_demands(64)));
+  expect_same_as_respawn(LaneScenario(jittered_demands(1)));
+}
+
+TEST(PsLoopJobTest, CohortDueInOneTickLapsLikeRespawnCallbacks) {
+  // Identical demands: every lane falls due in one tick, the pool goes
+  // idle, and the lanes re-enter the rebased clock in submission order.
+  expect_same_as_respawn(LaneScenario(std::vector<double>(64, kCohortDemand)));
+}
+
+TEST(PsLoopJobTest, OneShotDueInTheCohortsTickSeesEarlierLanesOnly) {
+  // A one-shot probe between lanes 19 and 20, due in every cohort tick:
+  // its callback must see lanes 0-19 back in service and lanes 20-63
+  // still waiting for their turn, as the respawn callbacks left them.
+  LaneScenario sc(std::vector<double>(64, kCohortDemand));
+  sc.probe_after = 20;
+  sc.probe_demand = kCohortDemand;
+  expect_same_as_respawn(sc);
+  const LaneLog loop = run_lanes<LoopLanes>(sc);
+  EXPECT_EQ(loop[1], 20u);  // the first probe callback's active_jobs()
+}
+
+TEST(PsLoopJobTest, RescaleMidLoopKeepsRespawnInstants) {
+  LaneScenario sc(jittered_demands(64));
+  sc.rescale_at_ms = 7.0;
+  expect_same_as_respawn(sc);
+}
+
+TEST(PsLoopJobTest, CancelInAnEarlierCallbackEndsALaneDueInTheSameTick) {
+  // Lanes 0-2, a one-shot, lanes 3-7: all nine due at one instant.  The
+  // one-shot's callback runs after lanes 0-2 re-entered and cancels
+  // lane 5, which its tick has served but not yet re-entered.
+  Simulation sim;
+  PsResource cpu(sim, {"cpu", 6.0, 1.0});
+  constexpr std::size_t kLanes = 8;
+  std::vector<PsResource::JobId> lanes;
+  std::size_t before = 0;
+  std::size_t after = 0;
+  bool cancelled = false;
+  for (std::size_t l = 0; l < 3; ++l) lanes.push_back(cpu.submit_loop(1.0));
+  cpu.submit(1.0, [&] {
+    before = cpu.active_jobs();
+    cancelled = cpu.cancel(lanes[5]);
+    after = cpu.active_jobs();
+  });
+  for (std::size_t l = 3; l < kLanes; ++l) {
+    lanes.push_back(cpu.submit_loop(1.0));
+  }
+  ASSERT_TRUE(sim.step_one(TimePoint::at_ms(10.0)));
+  EXPECT_DOUBLE_EQ(sim.now().to_ms(), 1.5);  // nine jobs at rate 2/3
+  EXPECT_EQ(before, 3u);
+  EXPECT_TRUE(cancelled);
+  EXPECT_EQ(after, 3u);  // lane 5 was already out of service
+  EXPECT_EQ(cpu.active_jobs(), kLanes - 1);  // every lane but 5 is back
+  EXPECT_FALSE(cpu.cancel(lanes[5]));
+  // The seven survivors keep lapping; lane 5 never returns.
+  sim.run_until(TimePoint::at_ms(20.0));
+  EXPECT_EQ(cpu.active_jobs(), kLanes - 1);
+  EXPECT_DOUBLE_EQ(cpu.delivered_work(), 9.0 + 6.0 * (20.0 - 1.5));
+}
+
+TEST(PsLoopJobTest, ZeroDemandLoopIsRefused) {
+  // It would re-enter at one instant forever.
+  Simulation sim;
+  PsResource cpu(sim, {"cpu", 6.0, 1.0});
+  EXPECT_THROW(cpu.submit_loop(0.0), ContractViolation);
+  EXPECT_THROW(cpu.submit_loop(-1.0), ContractViolation);
+  EXPECT_EQ(cpu.active_jobs(), 0u);
+  EXPECT_EQ(sim.scheduled_events(), 0u);  // nothing armed
 }
 
 }  // namespace
