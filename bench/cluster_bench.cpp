@@ -179,9 +179,11 @@ struct SkewResult {
 /// epoch, the link latency itself.  The static map pairs
 /// the hot cell with a cold one on worker 0 (cells c and c+4 share
 /// worker c%4); stealing moves that cold cell off the hot worker at
-/// the first rebalance, shortening the critical path.  All three
-/// configs execute the identical event trace -- the bench asserts it
-/// -- so the capacity ratios measure pure engine overhead.
+/// the first rebalance, shortening the critical path.  Stealing is on
+/// by default, so `steal` = false is what pins the two fixed-map
+/// configs to that static map.  All three configs execute the
+/// identical event trace -- the bench asserts it -- so the capacity
+/// ratios measure pure engine overhead.
 SkewResult run_skew_config(bool plan_epoch, bool steal,
                            std::uint64_t jobs_per_cell, double hot_scale,
                            Duration sim_span) {
@@ -427,7 +429,10 @@ WindowsResult run_thin_config(const runtime::ThresholdTable& table,
 /// `workers` workers over a 100 us ring, so the ring runs 0.1 ms
 /// windows; 32 looping processes per cell, cell 0's bursts 3x
 /// shorter; one handoff per cell every 1 ms.  About 125 events per
-/// window, so the pool runs nearly every window.
+/// window, so the pool runs nearly every window.  Stealing is left at
+/// its default, as xbench leaves it: the 4-worker side moves cell 4
+/// off hot cell 0's worker at the first rebalance, and the serial side
+/// (one worker) never evaluates the rebalancer.
 WindowsResult run_dense_config(std::size_t workers, Duration sim_span) {
   constexpr std::size_t kCells = 8;
   constexpr double kHotScale = 3.0;

@@ -66,8 +66,9 @@ struct ClusterSpec {
   /// Run shards on threads.  Traces are identical either way.
   bool parallel = false;
   /// Worker mapping (0 workers = one lane per cell) and deterministic
-  /// cell stealing, forwarded wholesale to the engine.  Neither changes
-  /// the trace -- only wall-clock behavior.
+  /// cell stealing (on by default; it acts when 1 < workers < cells),
+  /// forwarded wholesale to the engine.  Neither changes the trace --
+  /// only wall-clock behavior.
   sim::ExecOptions exec;
 };
 

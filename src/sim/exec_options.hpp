@@ -20,9 +20,11 @@ struct ExecOptions {
   std::size_t workers = 0;
   /// Deterministic shard stealing across workers (parallel balance;
   /// evaluated -- map and stats maintained -- in serial mode too so
-  /// both modes agree on every decision).  Acts only when there are
-  /// fewer workers than shards.
-  bool steal = false;
+  /// both modes agree on every decision).  On by default; it acts only
+  /// when 1 < workers < shards.  `false` is the fixed round-robin map:
+  /// the reference that trace-identity tests and cluster_bench's skew
+  /// baseline compare stealing against.
+  bool steal = true;
 };
 
 }  // namespace xartrek::sim

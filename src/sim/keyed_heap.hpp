@@ -7,9 +7,9 @@
 // number in the low word.  Times are never negative (the clock starts at
 // the origin, virtual time is attained service), so the bit pattern
 // orders exactly like the double -- and a one-word-pair integer compare
-// lets sift-down pick the minimum child with conditional moves instead
-// of unpredictable branches.  Sequence numbers make keys unique, which
-// is what preserves FIFO order among equal times.
+// yields a flag that sift-down turns into the minimum child's index by
+// arithmetic instead of an unpredictable branch.  Sequence numbers make
+// keys unique, which is what preserves FIFO order among equal times.
 //
 // Entries carry a pool (slot, generation) pair next to the key, so the
 // owner keeps payloads in a slab and reaps cancelled entries lazily by
@@ -69,12 +69,23 @@ inline void sift_down_from_root(std::vector<HeapEntry>& heap,
     std::size_t best = first_child;
     if (first_child + kHeapArity <= n) {
       // Full block of four children: keys are unique, so a pairwise
-      // min tree is exact, and the unpredictable comparisons become
-      // conditional moves.
+      // min tree is exact.  Each pair's winner is its first index plus
+      // the compare result, and the final pick is a mask select, so the
+      // three comparisons feed arithmetic, not control flow.  Written
+      // as ternaries, the picks are the compiler's to lower, and gcc 12
+      // -O3 makes one of them a conditional jump; that jump mispredicts
+      // whenever sibling order is random, as it is for lap-shaped keys.
+      // Where sibling order is predictable (equal times ordered by
+      // seq), a predicted jump is a little faster than the reloads
+      // through computed indices here (docs/perf.md).
       const std::size_t c = first_child;
-      const std::size_t a = heap[c + 1].key < heap[c].key ? c + 1 : c;
-      const std::size_t b = heap[c + 3].key < heap[c + 2].key ? c + 3 : c + 2;
-      best = heap[b].key < heap[a].key ? b : a;
+      const std::size_t a =
+          c + static_cast<std::size_t>(heap[c + 1].key < heap[c].key);
+      const std::size_t b =
+          c + 2 + static_cast<std::size_t>(heap[c + 3].key < heap[c + 2].key);
+      const std::size_t take_b =
+          std::size_t{0} - static_cast<std::size_t>(heap[b].key < heap[a].key);
+      best = a ^ ((a ^ b) & take_b);
     } else {
       for (std::size_t c = first_child + 1; c < n; ++c) {
         if (heap[c].key < heap[best].key) best = c;

@@ -324,7 +324,11 @@ void ShardedSimulation::maybe_rebalance() {
 
 bool ShardedSimulation::plan_next_window(double horizon_ms,
                                          double min_next_ms) {
-  if (opts_.exec.steal && workers_ < shards_.size()) maybe_rebalance();
+  // One lane can never move a shard, and a lane per shard has none to
+  // move, so only 1 < workers < shards pays for the periodic scan.
+  if (opts_.exec.steal && 1 < workers_ && workers_ < shards_.size()) {
+    maybe_rebalance();
+  }
   if (min_next_ms == kInf || min_next_ms > horizon_ms) return false;
   window_end_ms_ = std::min(min_next_ms + opts_.epoch.to_ms(), horizon_ms);
   ++windows_;
@@ -534,9 +538,10 @@ void ShardedSimulation::register_metrics(obs::Registry& registry,
     registry.link_counter(base + "received", &st.received);
     registry.link_counter(base + "backpressure_stalls",
                           &st.backpressure_stalls);
-    // steals (like busy_seconds) is wall-clock scheduling state -- 0 in
-    // serial mode, worker-dependent in parallel -- so registering it
-    // would break the byte-identical serial-vs-parallel snapshot.
+    // steals (like busy_seconds) is execution-lane state: it depends on
+    // the worker count and on exec.steal, neither of which may move the
+    // snapshot, so registering it would break snapshot identity across
+    // lane layouts.
     registry.link_gauge(base + "mailbox_hwm", &st.mailbox_hwm);
   }
   for (std::size_t src = 0; src < n; ++src) {

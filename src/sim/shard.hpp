@@ -23,14 +23,15 @@
 // worker per shard; `exec.workers` packs more shards per lane.
 // Because shards share nothing inside a window, WHICH worker runs a
 // shard can never affect the trace -- which is what makes
-// deterministic shard stealing (`exec.steal`) safe: every 16 windows
-// (kStealPeriod, shard.cpp) the boundary step re-evaluates the live
-// shard->worker map from per-shard executed-event counters and moves
-// the busiest worker's coldest shard to the idlest worker, when that
-// lowers the maximum load by at least half the shard's load.  The
-// decision is a pure function of deterministic counters, so the map
-// evolves identically in serial and parallel runs, and the trace does
-// not depend on it at all.
+// deterministic shard stealing (`exec.steal`, on by default) safe:
+// whenever 1 < workers < shards, every 16 windows (kStealPeriod,
+// shard.cpp) the boundary step re-evaluates the live shard->worker
+// map from per-shard executed-event counters and moves the busiest
+// worker's coldest shard to the idlest worker, when that lowers the
+// maximum load by at least half the shard's load.  The decision is a
+// pure function of deterministic counters, so the map evolves
+// identically in serial and parallel runs, and the trace does not
+// depend on it at all.
 //
 // Who runs a window.  The caller's thread runs the window loop; in
 // parallel mode it picks, at every boundary, whether the next window

@@ -1,9 +1,12 @@
 // Tests for the cell ring and the cluster experiment: the ring's
 // lookahead contract as ClusterSpec sets it, ring-hop channels across a
-// worker remap, Link::route, and the 1-cell ClusterExperiment
-// reproducing exp::Experiment's trace exactly.
+// worker remap, Link::route, the 1-cell ClusterExperiment reproducing
+// exp::Experiment's trace exactly, and default cell stealing leaving
+// the trace and the registry alone.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "exp/experiment.hpp"
 #include "exp/threshold_estimator.hpp"
 #include "hw/link.hpp"
+#include "obs/export.hpp"
 #include "sim/cell_ring.hpp"
 
 namespace xartrek {
@@ -269,14 +273,13 @@ std::vector<std::vector<CellRun>> run_four_cell_cluster(
 }
 
 TEST(ClusterExperimentTest, StealingKeepsTheTraceIdentical) {
-  // Four cells on two workers with stealing on must reproduce the
-  // plain one-lane-per-cell serial trace exactly, serial and parallel
-  // alike.
+  // Four cells on two workers, stealing on by default, must reproduce
+  // the plain one-lane-per-cell serial trace exactly, serial and
+  // parallel alike.
   const auto baseline = run_four_cell_cluster(exp::ClusterSpec{});
   for (const bool parallel : {false, true}) {
     exp::ClusterSpec spec;
     spec.parallel = parallel;
-    spec.exec.steal = true;
     spec.exec.workers = 2;
     const auto tuned = run_four_cell_cluster(spec);
     for (std::size_t c = 0; c < 4; ++c) {
@@ -288,6 +291,66 @@ TEST(ClusterExperimentTest, StealingKeepsTheTraceIdentical) {
                          baseline[c][i].finished_ms);
       }
     }
+  }
+}
+
+struct HotCellRun {
+  std::string metrics;  ///< the registry snapshot, exported
+  std::uint64_t steals = 0;
+  std::vector<std::size_t> worker_of;  ///< by cell, after the run
+  std::uint64_t pooled_windows = 0;
+};
+
+/// sync8's shape at test size: 8 cells on 4 workers, 32 looping
+/// processes per cell, cell 0's bursts 3x shorter.  The static map puts
+/// cell 4 on hot cell 0's worker.
+HotCellRun run_hot_cell_cluster(exp::ClusterSpec spec) {
+  constexpr std::size_t kCells = 8;
+  spec.cells = kCells;
+  spec.exec.workers = 4;
+  exp::ClusterExperiment cluster(apps::paper_benchmarks(), shared_table(),
+                                 spec);
+  std::vector<std::unique_ptr<apps::LoadGenerator>> cohorts;
+  for (std::size_t c = 0; c < kCells; ++c) {
+    apps::LoadGenerator::Options lopts;
+    lopts.run_demand = Duration::ms(c == 0 ? 0.05 / 3.0 : 0.05);
+    lopts.demand_jitter = 0.5;
+    lopts.reserve = true;
+    cohorts.push_back(std::make_unique<apps::LoadGenerator>(
+        cluster.cell(c).testbed(), 32, lopts));
+  }
+  cluster.run_for(Duration::ms(20.0));
+  const sim::ShardedSimulation& eng = cluster.engine().engine();
+  HotCellRun out;
+  out.metrics = obs::metrics_json(cluster.registry().snapshot());
+  out.steals = eng.steal_moves();
+  for (sim::ShardId c = 0; c < kCells; ++c) {
+    out.worker_of.push_back(eng.worker_of(c));
+  }
+  out.pooled_windows = eng.pooled_windows();
+  return out;
+}
+
+TEST(ClusterExperimentTest, DefaultStealingIsolatesTheHotCell) {
+  // Stealing is on unless a spec turns it off: the first rebalance
+  // moves cell 4 off cell 0's worker, and no later one moves anything.
+  // The registry cannot tell the moved map from the static one.
+  for (const bool parallel : {false, true}) {
+    exp::ClusterSpec fixed;
+    fixed.parallel = parallel;
+    fixed.exec.steal = false;
+    const HotCellRun reference = run_hot_cell_cluster(fixed);
+    EXPECT_EQ(reference.steals, 0u);
+
+    exp::ClusterSpec spec;
+    spec.parallel = parallel;
+    const HotCellRun run = run_hot_cell_cluster(spec);
+    EXPECT_EQ(run.steals, 1u) << "parallel=" << parallel;
+    for (std::size_t c = 1; c < run.worker_of.size(); ++c) {
+      EXPECT_NE(run.worker_of[c], run.worker_of[0]) << "cell " << c;
+    }
+    EXPECT_EQ(run.metrics, reference.metrics) << "parallel=" << parallel;
+    EXPECT_EQ(run.pooled_windows > 0, parallel);
   }
 }
 

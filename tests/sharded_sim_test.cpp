@@ -355,7 +355,6 @@ TEST(ShardedSimulationTest, OrganicStealingIsDeterministicAcrossModes) {
   auto opts = [](bool parallel) {
     ShardedSimulation::Options o = ring_options(8, parallel);
     o.exec.workers = 4;
-    o.exec.steal = true;
     return o;
   };
   std::uint64_t serial_moves = 0;
@@ -418,7 +417,6 @@ TEST(ShardedSimulationTest, RebalancerIsolatesHotShard) {
     o.epoch = Duration::ms(1.0);
     o.parallel = parallel;
     o.exec.workers = 2;
-    o.exec.steal = true;
     ShardedSimulation ssim(o);
     traces.assign(4, {});
     std::vector<std::unique_ptr<Periodic>> chains;
@@ -496,7 +494,6 @@ TEST(ShardedSimulationTest, RebalancerStopsPingPong) {
     o.epoch = Duration::ms(1.0);
     o.parallel = parallel;
     o.exec.workers = 4;
-    o.exec.steal = true;
     ShardedSimulation ssim(o);
     Run run;
     run.traces.assign(8, {});
@@ -808,7 +805,6 @@ SwitchResult run_bursts_and_lulls(bool parallel) {
   constexpr ShardId kShards = 4;
   ShardedSimulation::Options opts = ring_options(kShards, parallel);
   opts.exec.workers = 2;
-  opts.exec.steal = true;
   ShardedSimulation ssim(opts);
   SwitchResult result;
   result.traces.resize(kShards);

@@ -366,6 +366,42 @@ TEST(KeyedHeapTest, RandomOpsMatchSortedReference) {
     }
     EXPECT_TRUE(reference.empty());
   }
+
+  // Lap-shaped keys, as a PsResource loop job re-keys its lane: the
+  // root is replaced by its own time plus that lane's fixed demand,
+  // spread like LoadGenerator's demand_jitter = 0.5.  n entries leave
+  // (n - 2) % 4 + 1 children in the last block: 1, 2 and 3 here (512
+  // lanes is churn4's cohort).
+  for (const std::uint32_t lanes : {510u, 511u, 512u}) {
+    std::vector<double> demand(lanes);
+    std::vector<HeapEntry> heap;
+    std::set<HeapKey> reference;
+    std::uint64_t next_seq = 0;
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+      demand[l] = 0.05 * (1.0 + 0.5 * static_cast<double>(l % 8191) / 8191.0);
+      const HeapEntry e{heap_key(demand[l], next_seq++), l, 0};
+      reference.insert(e.key);
+      heap_push(heap, e);
+    }
+    const auto check_root = [&] {
+      EXPECT_EQ(heap.front().key, *reference.begin()) << "lanes " << lanes;
+      reference.erase(reference.begin());
+    };
+    for (std::uint32_t lap = 0; lap < 40 * lanes; ++lap) {
+      const HeapEntry top = heap.front();
+      check_root();
+      const HeapEntry next{
+          heap_key(key_time(top.key) + demand[top.slot], next_seq++),
+          top.slot, 0};
+      reference.insert(next.key);
+      sift_down_from_root(heap, next);
+    }
+    while (!heap.empty()) {
+      check_root();
+      heap_pop_root(heap);
+    }
+    EXPECT_TRUE(reference.empty());
+  }
 }
 
 // --- Processor sharing ------------------------------------------------
