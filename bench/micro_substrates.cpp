@@ -1,17 +1,15 @@
 // Substrate microbenchmarks (google-benchmark).
 //
 // Measures the building blocks the reproduction rests on: the event
-// engine, the processor-sharing resource, cross-ISA state
-// transformation, symbol alignment, HLS synthesis, XCLBIN
-// partitioning, and the real workload kernels.
+// engine, the processor-sharing resource, symbol alignment, the full
+// compile pipeline (steps A-F), XCLBIN partitioning, and the real
+// workload kernels.
 #include <benchmark/benchmark.h>
 
 #include "apps/benchmark_spec.hpp"
-#include "compiler/multi_isa_builder.hpp"
 #include "compiler/xar_compiler.hpp"
 #include "hls/xclbin.hpp"
 #include "isa/symbol.hpp"
-#include "popcorn/state_transform.hpp"
 #include "sim/ps_resource.hpp"
 #include "sim/simulation.hpp"
 #include "workloads/bfs.hpp"
@@ -48,22 +46,6 @@ void BM_PsResourceChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * jobs);
 }
 BENCHMARK(BM_PsResourceChurn)->Arg(64)->Arg(512)->Arg(4096);
-
-void BM_StateTransform(benchmark::State& state) {
-  const auto ir = compiler::make_app_ir("bench", "hot", 600, 250);
-  const compiler::MultiIsaBuilder builder;
-  const auto metadata = builder.synthesize_metadata(ir);
-  const popcorn::StateTransformer transformer(metadata);
-  popcorn::MachineState x86(isa::IsaKind::kX86_64, "main", 1,
-                            metadata.find("main", 1)->frame_size_for(
-                                isa::IsaKind::kX86_64));
-  x86.write_register("rdi", 42);
-  for (auto _ : state) {
-    auto arm = transformer.transform(x86, isa::IsaKind::kAarch64);
-    benchmark::DoNotOptimize(arm);
-  }
-}
-BENCHMARK(BM_StateTransform);
 
 void BM_SymbolAlignment(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -64,28 +64,4 @@ std::string TextTable::render() const {
   return out.str();
 }
 
-std::string TextTable::render_csv() const {
-  auto esc = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"') out += "\"\"";
-      else out += c;
-    }
-    out += "\"";
-    return out;
-  };
-  std::ostringstream out;
-  auto row_csv = [&](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) out << ",";
-      out << esc(row[i]);
-    }
-    out << "\n";
-  };
-  if (!header_.empty()) row_csv(header_);
-  for (const auto& r : rows_) row_csv(r);
-  return out.str();
-}
-
 }  // namespace xartrek

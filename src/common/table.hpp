@@ -24,9 +24,6 @@ class TextTable {
   /// Render with box-drawing separators.
   [[nodiscard]] std::string render() const;
 
-  /// Render as comma-separated values (header + rows, no title).
-  [[nodiscard]] std::string render_csv() const;
-
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
 
  private:

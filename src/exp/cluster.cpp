@@ -7,7 +7,6 @@
 
 #include "apps/application.hpp"
 #include "common/assert.hpp"
-#include "popcorn/checkpoint.hpp"
 #include "runtime/scheduler_server.hpp"
 
 namespace xartrek::exp {
@@ -23,14 +22,26 @@ constexpr Duration kCompletionPoll = Duration::seconds(1.0);
 constexpr hw::Backoff kDeadCellBackoff = {Duration::ms(1.0), 6};
 /// Working-set bytes shipped alongside a drained job's checkpoint.
 constexpr std::uint64_t kDrainPayloadBytes = 64 * 1024;
+/// CPU time to checkpoint a drained job on the dying cell, charged
+/// concurrently with the wire leg.  It follows the shape of Popcorn's
+/// state-transform cost: 150 us fixed, plus 3 us for each of the
+/// checkpoint's 3 live values (job id, app, attempts), plus its 32 B
+/// frame at 8 us per KiB.
+constexpr Duration kDrainTransform = Duration::micros(159.25);
+/// Bytes one drain puts on the wire: the working set, the 32 B
+/// checkpoint frame and 512 B (64 words) of register state.
+constexpr std::uint64_t kDrainWireBytes = kDrainPayloadBytes + 32 + 512;
 /// Latency inflation on a kLinkDegraded ring link (the drop probability
 /// rides in the fault event's magnitude).
 constexpr double kDegradedLatencyFactor = 4.0;
 /// Shape of the reliable drain channels.  The timeout must clear one
 /// drain payload's worst healthy transfer; attempts are generous because
-/// an abandoned drain is a lost job.
+/// an abandoned drain waits out a dead-cell backoff before it is re-sent.
 constexpr hw::ReliableChannel::Options kDrainChannel = {
     Duration::ms(10.0), {Duration::ms(1.0), 6}, 0.25, 16};
+// An abandonment comes max_attempts timeouts after the send, so a
+// drain's transform leg has always finished by then.
+static_assert(kDrainTransform < kDrainChannel.timeout);
 /// Seed of the gray-fault randomness streams (drop/corrupt/flaky draws
 /// and retry jitter), split per victim and kind so injection never
 /// perturbs the workload's own draws.
@@ -82,12 +93,10 @@ ClusterExperiment::ClusterExperiment(
     // link (same spec as intercell_[i], so a partition or degradation
     // parks or drops on both -- see set_link_down_impl and
     // apply_fault_plan), a ReliableChannel restoring exactly-once
-    // delivery over it, and the ring hop carrying the checkpoint to the
+    // delivery over it, and the ring hop carrying the job id to the
     // neighbor's shard.  Each channel's jitter stream is split per cell
     // from the gray seed: deterministic, but de-synchronized across
     // cells.
-    drain_transformer_ = std::make_unique<popcorn::StateTransformer>(
-        popcorn::drain_metadata());
     drain_links_.reserve(n);
     drain_channels_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -399,90 +408,75 @@ void ClusterExperiment::forward_job(std::uint64_t id) {
   TrackedJob& job = jobs_[id];
   const std::size_t c = job.cell;
   job.state = JobState::kForwarding;
+  job.drain_legs = 2;
   auto& owned = cell_jobs_[c];
   const auto it = std::find(owned.begin(), owned.end(), id);
   XAR_ASSERT(it != owned.end());
   owned.erase(it);
 
-  // Snapshot the job as a drain ticket, lay it out as a real popcorn
-  // stack, and ship it through the reliable drain channel.  The state
-  // transform is charged concurrently with the (possibly re-sent) wire
-  // payload, exactly like MigrationExecutor::execute_arm overlaps them;
-  // the arrival fires on the neighbor's shard once both legs finish.
-  // Until then the record travels inside the channel message and nobody
-  // touches it -- every retry timer and duplicate-suppression decision
-  // runs on *this* (the sender's) shard, because the drain link is
-  // route-less.
-  popcorn::DrainTicket ticket;
-  ticket.job = id;
-  ticket.app_index = job.app_index;
-  ticket.attempts = job.attempts;
-  const popcorn::ThreadStack stack =
-      popcorn::checkpoint_drain(ticket, isa::IsaKind::kX86_64);
-  const std::size_t dst = handoff_target(c);
-  popcorn::ThreadStack transformed =
-      drain_transformer_->transform_stack(stack, isa::IsaKind::kX86_64);
-  const Duration transform_cost =
-      drain_transformer_->stack_transform_cost(stack);
-  const std::uint64_t payload = kDrainPayloadBytes +
-                                transformed.total_frame_bytes() + 64 * 8;
-  struct Join {
-    popcorn::ThreadStack stack;
-    int remaining = 2;
-  };
-  auto join = std::make_shared<Join>(Join{std::move(transformed)});
-  auto leg = [this, join, c, dst]() mutable {
-    if (--join->remaining != 0) return;
-    // Both legs done on shard c: cross one ring hop to the neighbor's
-    // shard and re-materialize there.
-    ring_.next(c).deliver(
-        [this, dst, arrived = std::move(join->stack)]() mutable {
-          land_job(dst, std::move(arrived));
-        });
-  };
+  // Checkpoint the job and ship it through the reliable drain channel.
+  // The checkpoint's CPU leg is charged concurrently with the (possibly
+  // re-sent) wire payload, as MigrationExecutor::execute_arm overlaps
+  // them; once both legs finish, the job id crosses one ring hop.  Until
+  // then the record stays on this (the sender's) shard, which runs both
+  // legs, every retry timer and every duplicate-suppression decision,
+  // because the drain link is route-less.
   sim::Simulation& src = ring_.cell(c);
   const std::uint64_t tid = trace_id_of(id);
+  obs::SpanRef transfer;
   if (tracer_ != nullptr && tracer_->sampled(tid)) {
     const auto lane = static_cast<std::uint32_t>(c);
     tracer_->instant(lane, obs::kTrackDrain, "drain.checkpoint", tid,
                      src.now());
     // The transform leg's duration is known up front; the transfer leg
-    // closes when the reliable channel delivers (retries included) --
-    // its completion fires on this shard because the drain link is
-    // route-less.
+    // closes when the reliable channel delivers (retries included) or
+    // gives up.
     tracer_->emit(lane, obs::kTrackDrain, "drain.transform", tid, src.now(),
-                  src.now() + transform_cost);
-    obs::SpanRef span = tracer_->begin(lane, obs::kTrackDrain,
-                                       "drain.transfer", tid, src.now());
-    src.schedule_in(transform_cost, leg);
-    drain_channels_[c]->send(payload, [this, c, span, leg]() mutable {
-      tracer_->end(span, ring_.cell(c).now());
-      leg();
-    });
-    return;
+                  src.now() + kDrainTransform);
+    transfer = tracer_->begin(lane, obs::kTrackDrain, "drain.transfer", tid,
+                              src.now());
   }
-  src.schedule_in(transform_cost, leg);
-  drain_channels_[c]->send(payload, leg);
+  src.schedule_in(kDrainTransform, [this, id] { finish_drain_leg(id); });
+  drain_channels_[c]->send(
+      kDrainWireBytes,
+      [this, id, c, transfer] {
+        if (tracer_ != nullptr) tracer_->end(transfer, ring_.cell(c).now());
+        finish_drain_leg(id);
+      },
+      [this, id, c, transfer] {
+        // Every attempt was lost.  The job goes back on the dead
+        // sender, whose backoff forwards it again: loss becomes delay.
+        if (tracer_ != nullptr) tracer_->end(transfer, ring_.cell(c).now());
+        cell_jobs_[c].push_back(id);
+        place_job(id);
+      });
 }
 
-void ClusterExperiment::land_job(std::size_t dst,
-                                 popcorn::ThreadStack stack) {
-  const popcorn::DrainTicket t = popcorn::decode_drain(stack);
-  TrackedJob& job = jobs_[t.job];
+void ClusterExperiment::finish_drain_leg(std::uint64_t id) {
+  TrackedJob& job = jobs_[id];
+  if (--job.drain_legs != 0) return;
+  // Both legs done on the sender's shard: the id crosses one ring hop,
+  // and with it the record's ownership.
+  const std::size_t c = job.cell;
+  const std::size_t dst = handoff_target(c);
+  ring_.next(c).deliver([this, dst, id] { land_job(dst, id); });
+}
+
+void ClusterExperiment::land_job(std::size_t dst, std::uint64_t id) {
+  TrackedJob& job = jobs_[id];
   job.cell = static_cast<std::uint32_t>(dst);
-  job.attempts = t.attempts;
   job.state = JobState::kPending;
-  cell_jobs_[dst].push_back(t.job);
-  if (tracer_ != nullptr && tracer_->sampled(trace_id_of(t.job))) {
-    // The ticket's job id is the trace context across the drain hop:
-    // this marker lands on the *destination* lane, which is what
-    // stitches one job's spans across cells.
+  cell_jobs_[dst].push_back(id);
+  if (tracer_ != nullptr && tracer_->sampled(trace_id_of(id))) {
+    // The job id is the trace context across the drain hop: this
+    // marker lands on the *destination* lane, which is what stitches
+    // one job's spans across cells.
     tracer_->instant(static_cast<std::uint32_t>(dst), obs::kTrackJob,
-                     "job.land", trace_id_of(t.job), ring_.cell(dst).now());
+                     "job.land", trace_id_of(id), ring_.cell(dst).now());
   }
   // If dst is dead too, place_job forwards onward around the ring --
   // FaultPlan::validate refuses plans that leave no cell alive.
-  place_job(t.job);
+  place_job(id);
 }
 
 void ClusterExperiment::kill_cell_impl(std::size_t c) {

@@ -42,8 +42,6 @@
 #include "hw/reliable_channel.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "popcorn/checkpoint.hpp"
-#include "popcorn/state_transform.hpp"
 #include "sim/cell_ring.hpp"
 #include "sim/exec_options.hpp"
 #include "sim/fault.hpp"
@@ -240,19 +238,22 @@ class ClusterExperiment {
   enum class JobState : std::uint8_t {
     kPending,     ///< placement event scheduled on the owner's shard
     kBackoff,     ///< owner found dead; forward scheduled after backoff
-    kForwarding,  ///< checkpoint in flight to the ring neighbor
+    kForwarding,  ///< drain in flight to the ring neighbor
     kRunning,     ///< launched as an AppProcess on the owner cell
     kCompleted,
   };
 
   /// One tracked job.  Owned by jobs_[id].cell's shard during runs;
-  /// ownership moves only inside the drain channel's messages.
+  /// ownership moves to the neighbor only when a drain's ring hop
+  /// carries the job id across.
   struct TrackedJob {
     std::uint32_t app_index = 0;  ///< index into cell(0).specs()
     std::uint32_t cell = 0;       ///< current owner
     std::uint32_t attempts = 0;   ///< dead-cell re-placements (backoff)
     std::uint32_t drains = 0;     ///< kill-time checkpoint drains
     JobState state = JobState::kPending;
+    /// kForwarding only: drain legs (transform, transfer) still running.
+    std::uint8_t drain_legs = 0;
     TimePoint submitted_at;
     TimePoint completed_at;
   };
@@ -264,8 +265,10 @@ class ClusterExperiment {
   void place_job(std::uint64_t id);
   void launch_tracked(std::uint64_t id);
   void forward_job(std::uint64_t id);
-  /// Re-materialize a drained checkpoint on `dst` (runs on dst's shard).
-  void land_job(std::size_t dst, popcorn::ThreadStack stack);
+  /// One drain leg finished; the last one sends the id over the ring hop.
+  void finish_drain_leg(std::uint64_t id);
+  /// Re-place a drained job on `dst` (runs on dst's shard).
+  void land_job(std::size_t dst, std::uint64_t id);
   void kill_cell_impl(std::size_t c);
   void set_link_down_impl(std::size_t l, bool down);
 
@@ -301,10 +304,10 @@ class ClusterExperiment {
   /// shard, which is what lets the reliable channel keep all its retry
   /// state on one shard), a ReliableChannel restoring exactly-once
   /// delivery over it, and the ring hop as the cross-shard arrival --
-  /// checkpoints transform on the dying shard and re-materialize on the
-  /// neighbor's.  All are built once, at construction, and live as long
-  /// as the cluster, so registry_ links the channels' counters directly.
-  std::unique_ptr<popcorn::StateTransformer> drain_transformer_;
+  /// a drain's legs run on the dying shard and the job is re-placed on
+  /// the neighbor's.  All are built once, at construction, and live as
+  /// long as the cluster, so registry_ links the channels' counters
+  /// directly.
   std::vector<std::unique_ptr<hw::Link>> drain_links_;
   std::vector<std::unique_ptr<hw::ReliableChannel>> drain_channels_;
 

@@ -1,7 +1,6 @@
 #include "exp/trace.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/assert.hpp"
 
@@ -45,19 +44,6 @@ TraceRecorder::Summary TraceRecorder::summarize(
   for (double v : s.values) sum += v;
   out.mean = sum / static_cast<double>(s.values.size());
   return out;
-}
-
-std::string TraceRecorder::to_csv() const {
-  std::ostringstream os;
-  os << "time_ms";
-  for (const auto& [probe, s] : probes_) os << "," << s.name;
-  os << "\n";
-  for (std::size_t i = 0; i < timestamps_.size(); ++i) {
-    os << timestamps_[i].to_ms();
-    for (const auto& [probe, s] : probes_) os << "," << s.values[i];
-    os << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace xartrek::exp

@@ -9,11 +9,9 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/table.hpp"
 #include "common/time.hpp"
 #include "sim/simulation.hpp"
 
@@ -56,9 +54,6 @@ class TraceRecorder {
     double max = 0.0;
   };
   [[nodiscard]] Summary summarize(const std::string& name) const;
-
-  /// CSV: time_ms,series1,series2,...
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   void tick();

@@ -1,7 +1,6 @@
 #include "hls/xclbin.hpp"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -63,42 +62,6 @@ std::vector<XclbinSpec> XclbinPartitioner::partition(
       spec.xos.push_back(xo);
       bins.push_back(std::move(spec));
     }
-  }
-  return bins;
-}
-
-std::vector<XclbinSpec> XclbinPartitioner::partition_manual(
-    const std::vector<XoFile>& xos,
-    const std::vector<std::vector<std::string>>& groups,
-    const std::string& id_prefix) const {
-  auto find_xo = [&](const std::string& name) -> const XoFile& {
-    for (const auto& xo : xos) {
-      if (xo.kernel_name == name) return xo;
-    }
-    throw Error("XCLBIN manual partitioning: unknown kernel `" + name + "`");
-  };
-
-  std::set<std::string> assigned;
-  std::vector<XclbinSpec> bins;
-  const fpga::FpgaResources cap = platform_.usable();
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    XclbinSpec spec;
-    spec.id = id_prefix + std::to_string(g);
-    for (const auto& name : groups[g]) {
-      if (!assigned.insert(name).second) {
-        throw Error("XCLBIN manual partitioning: kernel `" + name +
-                    "` assigned twice");
-      }
-      spec.xos.push_back(find_xo(name));
-    }
-    if (!fpga::FpgaResources::fits_within(spec.total_resources(), cap)) {
-      throw Error("XCLBIN manual partitioning: group " + spec.id +
-                  " exceeds the platform's free area");
-    }
-    bins.push_back(std::move(spec));
-  }
-  if (assigned.size() != xos.size()) {
-    throw Error("XCLBIN manual partitioning: not every kernel was assigned");
   }
   return bins;
 }

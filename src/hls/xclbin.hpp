@@ -4,10 +4,9 @@
 // hardware platform (total fabric minus the static shell) and groups the
 // kernels into as few XCLBIN images as possible; when everything fits in
 // one image the FPGA never needs run-time reconfiguration between
-// applications.  The partitioner supports both the automatic mode
-// (first-fit decreasing over the dominant resource fraction) and the
-// paper's manual mode, where the designer pins high-priority functions
-// into the same image.
+// applications.  The partitioner packs them first-fit decreasing over
+// the dominant resource fraction.  (The paper also lets the designer pin
+// high-priority functions into one image by hand; no run here does.)
 //
 // Step F "implements" each group and emits a loadable XclbinImage with a
 // size model (shell bitstream + per-kernel region bits).
@@ -43,14 +42,6 @@ class XclbinPartitioner {
   /// area.  Produces deterministic ids "<prefix>0", "<prefix>1", ...
   [[nodiscard]] std::vector<XclbinSpec> partition(
       const std::vector<XoFile>& xos,
-      const std::string& id_prefix = "xclbin") const;
-
-  /// Manual partitioning: `groups[i]` lists the kernel names assigned to
-  /// image i.  Throws if a name is unknown, duplicated, missing, or a
-  /// group overflows the free area.
-  [[nodiscard]] std::vector<XclbinSpec> partition_manual(
-      const std::vector<XoFile>& xos,
-      const std::vector<std::vector<std::string>>& groups,
       const std::string& id_prefix = "xclbin") const;
 
   [[nodiscard]] const fpga::FpgaSpec& platform() const { return platform_; }

@@ -17,7 +17,8 @@ ReliableChannel::ReliableChannel(sim::Simulation& sim, Link& link,
 }
 
 std::uint64_t ReliableChannel::send(std::uint64_t bytes,
-                                    Callback on_delivered) {
+                                    Callback on_delivered,
+                                    Callback on_abandoned) {
   XAR_EXPECTS(on_delivered != nullptr);
   const std::uint32_t slot = messages_.acquire();
   Message& m = messages_[slot];
@@ -25,6 +26,7 @@ std::uint64_t ReliableChannel::send(std::uint64_t bytes,
   m.bytes = bytes;
   m.attempts = 0;
   m.on_delivered = std::move(on_delivered);
+  m.on_abandoned = std::move(on_abandoned);
   ++live_;
   ++stats_.sends;
   const std::uint64_t seq = m.seq;
@@ -73,6 +75,7 @@ void ReliableChannel::copy_landed(std::uint32_t slot,
   m.timer.cancel();
   Callback done = std::move(m.on_delivered);
   m.on_delivered = nullptr;
+  m.on_abandoned = nullptr;
   messages_.release(slot);
   --live_;
   ++stats_.delivered;
@@ -88,10 +91,13 @@ void ReliableChannel::attempt_timed_out(std::uint32_t slot,
   ++stats_.timeouts;
   Message& m = messages_[slot];
   if (m.attempts >= opts_.max_attempts) {
+    Callback gave_up = std::move(m.on_abandoned);
     m.on_delivered = nullptr;
+    m.on_abandoned = nullptr;
     messages_.release(slot);
     --live_;
     ++stats_.abandoned;
+    if (gave_up != nullptr) gave_up();
     return;
   }
   ++stats_.retries;

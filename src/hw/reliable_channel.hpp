@@ -7,7 +7,8 @@
 // under capped exponential backoff with deterministic seed-split
 // jitter, and copies of an already-delivered message (a slow first
 // attempt racing its own retry) are suppressed by the sequence number
-// so the completion callback fires exactly once.
+// so the completion callback fires exactly once.  A message whose every
+// attempt is lost is abandoned, and the sender hears of it.
 //
 // Shard discipline: the channel's state lives on the sending side, so
 // it requires a route-less link -- one whose completions fire on the
@@ -57,8 +58,8 @@ class ReliableChannel {
     /// channel's split Rng -- deterministic, but de-synchronized across
     /// channels seeded from different streams.
     double jitter_fraction = 0.25;
-    /// Attempts before the message is abandoned (stat only; with drop
-    /// probability p the residual loss chance is p^max_attempts).
+    /// Attempts before the message is abandoned (with drop probability
+    /// p, the chance of that is p^max_attempts).
     std::uint32_t max_attempts = 12;
   };
 
@@ -79,11 +80,12 @@ class ReliableChannel {
   ReliableChannel(const ReliableChannel&) = delete;
   ReliableChannel& operator=(const ReliableChannel&) = delete;
 
-  /// Send `bytes`; `on_delivered` fires exactly once when the first
-  /// copy of the message lands (or never, if every attempt is lost and
-  /// the message is abandoned -- see Stats::abandoned).  Returns the
-  /// message's sequence number.
-  std::uint64_t send(std::uint64_t bytes, Callback on_delivered);
+  /// Send `bytes`.  Exactly one of the two callbacks fires, on this
+  /// channel's shard: `on_delivered` when the first copy of the message
+  /// lands, or `on_abandoned` (when given) once max_attempts attempts
+  /// have all been lost.  Returns the message's sequence number.
+  std::uint64_t send(std::uint64_t bytes, Callback on_delivered,
+                     Callback on_abandoned = nullptr);
 
   /// Messages accepted but not yet delivered or abandoned.
   [[nodiscard]] std::size_t in_flight() const { return live_; }
@@ -104,6 +106,7 @@ class ReliableChannel {
     std::uint64_t bytes = 0;
     std::uint32_t attempts = 0;
     Callback on_delivered;
+    Callback on_abandoned;
     sim::Simulation::EventHandle timer;
   };
 

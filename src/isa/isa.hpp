@@ -1,13 +1,12 @@
 // ISA descriptions for the multi-ISA substrate.
 //
-// The Popcorn-style migration machinery needs, for each ISA: the register
-// file, the calling convention (where arguments/returns/locals live), and
-// the data layout.  Two ISAs are modelled -- the two in the paper's
-// testbed -- but everything is table-driven so adding RISC-V is a data
-// change.
+// The multi-ISA compiler needs, for each ISA, the registers that carry
+// integer arguments (the migration-point metadata places live values
+// there) and the code density that sizes each ISA's image (paper
+// Figure 10).  Two ISAs are modelled -- the two in the paper's testbed
+// -- but everything is table-driven so adding RISC-V is a data change.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -26,44 +25,19 @@ enum class IsaKind { kX86_64, kAarch64 };
 /// All ISAs known to the library, in canonical order.
 [[nodiscard]] std::vector<IsaKind> all_isas();
 
-/// One architectural register.
-struct Register {
-  std::string name;
-  bool callee_saved = false;
-};
-
-/// Primitive data layout facts the state transformer relies on.
-struct DataLayout {
-  unsigned pointer_bytes = 8;
-  unsigned stack_alignment = 16;
-  bool little_endian = true;
-  /// x86-64 red zone (bytes below rsp usable without adjustment);
-  /// aarch64 has none.
-  unsigned red_zone_bytes = 0;
-};
-
-/// Calling convention facts: which registers carry arguments and results.
+/// Calling convention facts: which registers carry integer arguments.
 struct CallingConvention {
   std::vector<std::string> integer_arg_regs;
-  std::string integer_ret_reg;
-  std::string stack_pointer;
-  std::string frame_pointer;
-  std::string link_register;  ///< empty when return addresses live on stack
 };
 
 /// A complete ISA description.
 struct IsaInfo {
   IsaKind kind;
-  std::vector<Register> general_regs;
   CallingConvention cc;
-  DataLayout layout;
 
   /// Average encoded bytes per abstract IR operation; drives the
   /// multi-ISA binary size model (paper Figure 10).
   double code_bytes_per_op = 4.0;
-
-  [[nodiscard]] bool has_register(const std::string& name) const;
-  [[nodiscard]] bool is_callee_saved(const std::string& name) const;
 };
 
 /// Description of the System V x86-64 ABI subset Xar-Trek needs.

@@ -11,8 +11,9 @@
 // Trace context rides with the work it tags: the tracked-job trace id
 // (cluster job id + 1; 0 means "untracked infrastructure work") is
 // carried as the placement request's pid through the scheduler's batch
-// pass and in `popcorn::DrainTicket::job` across the checkpointed drain
-// hop, which is what lets one job's spans stitch across cells.
+// pass, and its job id rides in the drain's callbacks across the
+// checkpointed drain hop, which is what lets one job's spans stitch
+// across cells.
 //
 // Sampling: `sampling == 0` disables tracing entirely (a bit-identical
 // no-op -- the tracer never touches simulation state, so attached or

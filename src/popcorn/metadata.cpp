@@ -4,12 +4,6 @@
 
 namespace xartrek::popcorn {
 
-std::uint64_t CallSiteMetadata::frame_size_for(isa::IsaKind isa) const {
-  auto it = frame_size.find(isa);
-  XAR_EXPECTS(it != frame_size.end());
-  return it->second;
-}
-
 void MigrationMetadata::add_site(CallSiteMetadata site) {
   XAR_EXPECTS(find(site.function, site.site_id) == nullptr);
   sites_.push_back(std::move(site));

@@ -3,9 +3,12 @@
 // The multi-ISA compiler emits, for every migration point (a call site
 // where program state is provably equivalent across ISAs), the set of
 // live values together with each value's location *per ISA* -- a register
-// or a stack slot -- and the frame size per ISA.  The run-time state
-// transformer consumes this to re-materialize a thread's state in the
-// destination ISA's format (paper §2, "Heterogeneous-ISA Platforms").
+// or a stack slot -- and the frame size per ISA.  Popcorn's run-time
+// state transformer consumes this to re-materialize a thread's state in
+// the destination ISA's format (paper §2, "Heterogeneous-ISA
+// Platforms").  Here the table is built and sized: MultiIsaBinary counts
+// its encoded bytes in the multi-ISA binary (Figure 10), while each
+// migration charges its transform as a per-benchmark constant.
 #pragma once
 
 #include <cstdint>
@@ -71,14 +74,12 @@ struct LiveValue {
   std::map<isa::IsaKind, ValueLocation> location;
 };
 
-/// Everything the transformer needs about one migration point.
+/// Everything a state transformer needs about one migration point.
 struct CallSiteMetadata {
   std::string function;
   int site_id = 0;
   std::vector<LiveValue> live_values;
   std::map<isa::IsaKind, std::uint64_t> frame_size;
-
-  [[nodiscard]] std::uint64_t frame_size_for(isa::IsaKind isa) const;
 };
 
 /// The per-binary migration metadata table (one entry per migration

@@ -13,8 +13,8 @@
 //
 // UniqueFunction<R(Args...)> is the general form used by components
 // whose completions carry a payload (a PlacementDecision, an elapsed
-// Duration, a migrated MachineState); UniqueCallback is the void()
-// alias the event engine schedules.
+// Duration, a link frame's checksum verdict); UniqueCallback is the
+// void() alias the event engine schedules.
 #pragma once
 
 #include <cstddef>

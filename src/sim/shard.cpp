@@ -197,7 +197,6 @@ void ShardedSimulation::set_worker_of(ShardId id, std::size_t worker) {
   XAR_EXPECTS(worker < workers_);
   if (cell_worker_[id] == worker) return;
   cell_worker_[id] = static_cast<std::uint32_t>(worker);
-  ++shards_[id]->stats.steals;
   ++steal_moves_;
 }
 
@@ -313,7 +312,6 @@ void ShardedSimulation::maybe_rebalance() {
         std::max({hot - pick_delta, cold + pick_delta, rest});
     if (owned >= 2 && after < hot && 2 * (hot - after) >= pick_delta) {
       cell_worker_[pick] = static_cast<std::uint32_t>(wmin);
-      ++shards_[pick]->stats.steals;
       ++steal_moves_;
     }
   }
@@ -538,10 +536,8 @@ void ShardedSimulation::register_metrics(obs::Registry& registry,
     registry.link_counter(base + "received", &st.received);
     registry.link_counter(base + "backpressure_stalls",
                           &st.backpressure_stalls);
-    // steals (like busy_seconds) is execution-lane state: it depends on
-    // the worker count and on exec.steal, neither of which may move the
-    // snapshot, so registering it would break snapshot identity across
-    // lane layouts.
+    // busy_seconds is execution-lane state: it depends on the worker
+    // layout and the host, neither of which may move the snapshot.
     registry.link_gauge(base + "mailbox_hwm", &st.mailbox_hwm);
   }
   for (std::size_t src = 0; src < n; ++src) {

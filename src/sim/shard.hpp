@@ -107,8 +107,6 @@ struct ShardStats {
   /// shards measures aggregate processing capacity even on an
   /// oversubscribed host.
   double busy_seconds = 0.0;
-  /// Times the rebalancer moved this shard to another worker.
-  std::uint64_t steals = 0;
   /// Most cross-shard messages delivered here at one boundary.
   std::uint64_t mailbox_hwm = 0;
 };
@@ -216,9 +214,8 @@ class ShardedSimulation {
 
   /// Register per-shard counters and per-(src,dst) high-water gauges
   /// under `prefix` (e.g. "sim").  Only deterministic values are
-  /// registered (wall-clock busy_seconds and the scheduling-dependent
-  /// steals counter are deliberately skipped), so serial and parallel
-  /// runs snapshot identically.
+  /// registered (wall-clock busy_seconds is deliberately skipped), so
+  /// serial and parallel runs snapshot identically.
   void register_metrics(obs::Registry& registry,
                         const std::string& prefix) const;
 

@@ -1,12 +1,14 @@
 // Cluster-scale chaos: deterministic fault plans, cell kills with
-// checkpointed drain, partitioned ring links, and the conservation
-// invariant -- every submitted job completes exactly once, serial and
-// parallel runs trace-identical under the same FaultPlan, and an empty
-// plan is a bit-identical no-op.
+// checkpointed drain, partitioned and lossy ring links, and the
+// conservation invariant -- every submitted job completes exactly once
+// (even when a drain is abandoned), serial and parallel runs
+// trace-identical under the same FaultPlan, and an empty plan is a
+// bit-identical no-op.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "apps/benchmark_spec.hpp"
@@ -15,6 +17,7 @@
 #include "exp/cluster.hpp"
 #include "exp/threshold_estimator.hpp"
 #include "hw/link.hpp"
+#include "obs/registry.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulation.hpp"
 
@@ -277,6 +280,104 @@ TEST(ChaosClusterTest, KillWithPartitionedDrainPathStillConservesJobs) {
   EXPECT_EQ(stats.drained, 2u);
   // Nothing could land before the link healed.
   EXPECT_GE(stats.max_latency_ms, 150.0);
+}
+
+/// Completions the cluster's job-latency histogram recorded: one per
+/// job that completed, so a job completing twice shows here.
+std::uint64_t recorded_completions(exp::ClusterExperiment& cluster) {
+  for (const obs::Snapshot::Hist& h : cluster.registry().snapshot().hists) {
+    if (h.name == "cluster.job.latency_ms") return h.count;
+  }
+  ADD_FAILURE() << "no cluster.job.latency_ms histogram";
+  return 0;
+}
+
+double abandoned_drains(exp::ClusterExperiment& cluster, std::size_t cell) {
+  const std::string name = "cell" + std::to_string(cell) + ".drain.abandoned";
+  for (const obs::Snapshot::Scalar& s : cluster.registry().snapshot().scalars) {
+    if (s.name == name) return s.value;
+  }
+  ADD_FAILURE() << "no " << name;
+  return 0.0;
+}
+
+/// Kill `victim` at 50 ms with its drain path dropping frames at
+/// probability `drop` from 20 ms to 5 s.
+sim::FaultPlan lossy_drain_plan(std::size_t victim, double drop) {
+  sim::FaultPlan plan;
+  plan.add({sim::FaultEvent::Kind::kLinkDegraded, TimePoint::at_ms(20.0),
+            static_cast<std::uint32_t>(victim), drop,
+            TimePoint::at_ms(5000.0)});
+  plan.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(50.0),
+            static_cast<std::uint32_t>(victim)});
+  return plan;
+}
+
+TEST(ChaosClusterTest, AbandonedDrainIsForwardedAgain) {
+  // Every frame on cell 1's drain path is lost for ~5 s, so each drain
+  // out of the dead cell uses up its channel's 16 attempts and is
+  // abandoned.  The job goes back on the dead cell, whose backoff
+  // forwards it again, until the link heals: loss becomes delay.
+  const auto specs = apps::paper_benchmarks();
+  exp::ClusterSpec spec;
+  spec.cells = 3;
+  exp::ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  exp::ClusterExperiment cluster(specs, shared_table(), spec, options);
+  cluster.submit(1, "facedet320");
+  cluster.submit(1, "facedet320");
+  cluster.apply_fault_plan(lossy_drain_plan(1, 1.0));
+
+  ASSERT_TRUE(cluster.run_until_jobs_complete(Duration::seconds(60.0)));
+  const auto stats = cluster.job_stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(recorded_completions(cluster), 2u);
+  EXPECT_EQ(stats.drained, 2u);
+  // Each abandonment re-entered the dead cell's backoff.
+  EXPECT_GE(abandoned_drains(cluster, 1), 2.0);
+  EXPECT_GE(stats.retries, 2u);
+  // Nothing could land before the link healed.
+  for (const double t : cluster.job_completion_times_ms()) {
+    EXPECT_GT(t, 5000.0);
+  }
+}
+
+TEST(ChaosClusterTest, LossyDrainPathConservesJobsForEveryVictim) {
+  // At drop probability 0.9 a drain is abandoned with probability
+  // 0.9^16 ~ 0.19: some drains get through, some are abandoned and
+  // re-sent.  Each victim's drain link and channel draw from their own
+  // split streams, so the three victims are three seeds.  Threaded runs
+  // must complete every job at the serial run's instants.
+  const auto specs = apps::paper_benchmarks();
+  double abandoned = 0.0;
+  for (std::size_t victim = 0; victim < 3; ++victim) {
+    std::vector<double> serial;
+    for (const bool parallel : {false, true}) {
+      exp::ClusterSpec spec;
+      spec.cells = 3;
+      spec.parallel = parallel;
+      exp::ExperimentOptions options;
+      options.mode = apps::SystemMode::kXarTrek;
+      exp::ClusterExperiment cluster(specs, shared_table(), spec, options);
+      for (int j = 0; j < 4; ++j) cluster.submit(victim, "facedet320");
+      cluster.apply_fault_plan(lossy_drain_plan(victim, 0.9));
+
+      ASSERT_TRUE(cluster.run_until_jobs_complete(Duration::seconds(60.0)))
+          << "victim " << victim << " parallel " << parallel;
+      const auto stats = cluster.job_stats();
+      EXPECT_EQ(stats.completed, 4u) << "victim " << victim;
+      EXPECT_EQ(recorded_completions(cluster), 4u) << "victim " << victim;
+      EXPECT_EQ(stats.drained, 4u) << "victim " << victim;
+      if (!parallel) {
+        serial = cluster.job_completion_times_ms();
+        abandoned += abandoned_drains(cluster, victim);
+      } else {
+        EXPECT_EQ(cluster.job_completion_times_ms(), serial)
+            << "victim " << victim;
+      }
+    }
+  }
+  EXPECT_GT(abandoned, 0.0);  // the abandonment path was taken
 }
 
 TEST(ChaosClusterTest, SecondPlanIsRefusedWhileDrainsAreInFlight) {

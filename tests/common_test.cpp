@@ -146,15 +146,6 @@ TEST(TableTest, RendersAlignedColumns) {
   EXPECT_NE(out.find("| b     | 22    |"), std::string::npos);
 }
 
-TEST(TableTest, CsvEscapesCommasAndQuotes) {
-  TextTable t("csv");
-  t.set_header({"a", "b"});
-  t.add_row({"x,y", "he said \"hi\""});
-  const std::string csv = t.render_csv();
-  EXPECT_NE(csv.find("\"x,y\""), std::string::npos);
-  EXPECT_NE(csv.find("\"he said \"\"hi\"\"\""), std::string::npos);
-}
-
 TEST(TableTest, RowWidthMustMatchHeader) {
   TextTable t("bad");
   t.set_header({"a", "b"});

@@ -2,6 +2,7 @@
 // binary-size model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "apps/benchmark_spec.hpp"
@@ -199,10 +200,12 @@ TEST(MultiIsaBuilderTest, MetadataLocationsAreAbiValid) {
     for (const auto& value : site.live_values) {
       for (const auto& [isa_kind, loc] : value.location) {
         if (loc.kind == popcorn::ValueLocation::Kind::kRegister) {
-          EXPECT_TRUE(isa::info_for(isa_kind).has_register(loc.reg));
+          const auto& regs = isa::info_for(isa_kind).cc.integer_arg_regs;
+          EXPECT_NE(std::find(regs.begin(), regs.end(), loc.reg), regs.end())
+              << loc.reg;
         } else {
           EXPECT_LE(loc.offset + popcorn::size_of(value.type),
-                    site.frame_size_for(isa_kind));
+                    site.frame_size.at(isa_kind));
         }
       }
     }

@@ -210,6 +210,38 @@ TEST(ReliableChannelTest, SlowCopiesSuppressedAsDuplicates) {
   EXPECT_EQ(link.stats().dropped_transfers, 0u);
 }
 
+TEST(ReliableChannelTest, AbandonedMessageIsReportedToTheSender) {
+  sim::Simulation sim;
+  hw::Link link(sim, hw::LinkSpec{"dead", 1.0, Duration::micros(100)});
+  link.set_degraded(1.0, 1.0, Rng(5));  // every frame vanishes
+
+  hw::ReliableChannel::Options opts;
+  opts.timeout = Duration::ms(2.0);
+  opts.max_attempts = 3;
+  hw::ReliableChannel channel(sim, link, opts, Rng(7));
+
+  std::uint64_t delivered = 0;
+  std::uint64_t abandoned = 0;
+  double abandoned_at = -1.0;
+  channel.send(
+      256, [&delivered] { ++delivered; },
+      [&] {
+        ++abandoned;
+        abandoned_at = sim.now().to_ms();
+      });
+  // Without an abandonment callback the loss is only counted.
+  channel.send(256, [&delivered] { ++delivered; });
+  sim.run();
+
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(abandoned, 1u);
+  EXPECT_EQ(channel.stats().abandoned, 2u);
+  EXPECT_EQ(channel.stats().attempts, 6u);
+  EXPECT_EQ(channel.in_flight(), 0u);
+  // Reported when the last attempt's deadline expired, not before.
+  EXPECT_GE(abandoned_at, 3 * opts.timeout.to_ms());
+}
+
 // --- verified link frames ---------------------------------------------------
 
 TEST(VerifiedLinkTest, VerdictFiresOnceAndUnfiredFramesFreeTheirCallback) {

@@ -1,8 +1,10 @@
-// Tests for the HLS toolchain model (steps D/E/F).
+// Tests for the HLS toolchain model (steps D/E/F) and the Vitis-style
+// reports.
 #include <gtest/gtest.h>
 
 #include "fpga/device.hpp"
 #include "hls/hls_compiler.hpp"
+#include "hls/report.hpp"
 #include "hls/xclbin.hpp"
 
 namespace xartrek {
@@ -113,28 +115,6 @@ TEST(XclbinPartitionTest, SingleOversizedKernelThrows) {
   EXPECT_THROW(partitioner.partition(make_xos(1, 5000)), Error);
 }
 
-TEST(XclbinPartitionTest, ManualGroupingRespected) {
-  const hls::XclbinPartitioner partitioner(fpga::alveo_u50_spec());
-  const auto xos = make_xos(4, 50);
-  const auto bins = partitioner.partition_manual(
-      xos, {{"KNL_0", "KNL_3"}, {"KNL_1", "KNL_2"}});
-  ASSERT_EQ(bins.size(), 2u);
-  EXPECT_TRUE(bins[0].contains_kernel("KNL_0"));
-  EXPECT_TRUE(bins[0].contains_kernel("KNL_3"));
-  EXPECT_TRUE(bins[1].contains_kernel("KNL_1"));
-}
-
-TEST(XclbinPartitionTest, ManualErrors) {
-  const hls::XclbinPartitioner partitioner(fpga::alveo_u50_spec());
-  const auto xos = make_xos(2, 50);
-  EXPECT_THROW(partitioner.partition_manual(xos, {{"KNL_0", "NOPE"}}),
-               Error);  // unknown kernel
-  EXPECT_THROW(partitioner.partition_manual(xos, {{"KNL_0", "KNL_0"}}),
-               Error);  // duplicate
-  EXPECT_THROW(partitioner.partition_manual(xos, {{"KNL_0"}}),
-               Error);  // KNL_1 unassigned
-}
-
 TEST(XclbinBuildTest, ImageCarriesKernelsAndSize) {
   const hls::XclbinPartitioner partitioner(fpga::alveo_u50_spec());
   const hls::XclbinBuilder builder(fpga::alveo_u50_spec());
@@ -145,6 +125,44 @@ TEST(XclbinBuildTest, ImageCarriesKernelsAndSize) {
   EXPECT_EQ(image.kernels.size(), 3u);
   EXPECT_GT(image.size_bytes, 2u * 1024 * 1024);  // shell base + regions
   EXPECT_TRUE(image.contains_kernel("KNL_1"));
+}
+
+// --- reports -----------------------------------------------------------
+
+TEST(ReportTest, UtilizationReportContainsEveryResource) {
+  const hls::HlsCompiler hls;
+  hls::KernelSource src;
+  src.kernel_name = "KNL_R";
+  src.source_function = "r_fn";
+  src.ops = {20, 4, 6, 0, 1e6};
+  src.iface = {64 * 1024, 4 * 1024};
+  src.compute_units = 2;
+  const auto xo = hls.compile(src);
+  const auto report = hls::utilization_report(xo, fpga::alveo_u50_spec());
+  for (const char* needle :
+       {"KNL_R", "LUT", "BRAM", "DSP", "compute units: 2", "latency"}) {
+    EXPECT_NE(report.find(needle), std::string::npos) << needle;
+  }
+}
+
+TEST(ReportTest, XclbinReportSummarizesImage) {
+  const hls::HlsCompiler hls;
+  std::vector<hls::XoFile> xos;
+  for (int i = 0; i < 3; ++i) {
+    hls::KernelSource src;
+    src.kernel_name = "K" + std::to_string(i);
+    src.source_function = src.kernel_name;
+    src.ops = {20, 2, 6, 0, 1e6};
+    src.iface = {32 * 1024, 4 * 1024};
+    xos.push_back(hls.compile(src));
+  }
+  const hls::XclbinPartitioner partitioner(fpga::alveo_u50_spec());
+  const auto bins = partitioner.partition(xos);
+  ASSERT_EQ(bins.size(), 1u);
+  const auto report = hls::xclbin_report(bins[0], fpga::alveo_u50_spec());
+  EXPECT_NE(report.find("K0"), std::string::npos);
+  EXPECT_NE(report.find("K2"), std::string::npos);
+  EXPECT_NE(report.find("image total"), std::string::npos);
 }
 
 }  // namespace

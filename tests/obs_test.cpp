@@ -320,6 +320,20 @@ TEST(ObsClusterTest, DrainedJobSpansStitchAcrossCells) {
     }
   }
   EXPECT_GT(stitched, 0u);
+
+  // The drain's modeled cost: every transform leg is the checkpoint's
+  // constant CPU charge, and job 2 (running on cell 1 at the kill, so
+  // drained to cell 2) completes at the instant it always has.
+  std::size_t transforms = 0;
+  for (const obs::Span& s : cluster.tracer()->sorted_spans()) {
+    if (std::string_view(s.name) != "drain.transform") continue;
+    ++transforms;
+    EXPECT_EQ(s.end_ms,
+              (TimePoint::at_ms(s.start_ms) + Duration::micros(159.25))
+                  .to_ms());
+  }
+  EXPECT_GT(transforms, 0u);
+  EXPECT_EQ(cluster.job_completion_times_ms()[2], 237.37667472853477);
 }
 
 TEST(ObsClusterTest, MailboxPairHighWaterIsExportedAndExact) {
