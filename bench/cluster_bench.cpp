@@ -71,7 +71,10 @@ apps::LoadGenerator::Options churn_options() {
 
 struct ConfigResult {
   double wall_seconds = 0;
-  double busy_seconds = 0;  ///< summed per-shard thread-CPU time
+  /// Summed per-shard ShardStats::busy_seconds: steady-clock time for
+  /// the serial 1-cell run, thread-CPU time for the single queue and
+  /// for pooled spans.
+  double busy_seconds = 0;
   std::uint64_t events = 0;
   std::uint64_t posts = 0;
   /// Sum over shards of events_i / busy_i: capacity with one core per

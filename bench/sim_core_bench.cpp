@@ -226,7 +226,7 @@ struct ShardLane {
 
 struct ShardResult {
   double wall_seconds = 0;
-  double busy_seconds = 0;  ///< summed per-shard thread-CPU time
+  double busy_seconds = 0;  ///< summed per-shard ShardStats::busy_seconds
   std::uint64_t events = 0;
   std::uint64_t posts = 0;
   /// Sum over shards of events_i / busy_i: aggregate processing
@@ -422,9 +422,12 @@ int bench_main() {
   const auto shard_1 = best_sharded(1, /*parallel=*/false);
   const auto shard_2 = best_sharded(2, /*parallel=*/true);
   const auto shard_4 = best_sharded(4, /*parallel=*/true);
-  // Ratios compare CPU-time-based throughput (events per busy second):
-  // per-event cost, unpolluted by descheduling on a shared host.  The
-  // per-config wall numbers stay in the JSON for the ground truth.
+  // Ratios compare throughput per busy second: per-event cost.  The
+  // single queue's busy time is thread-CPU time; the serial 1-shard
+  // run's is steady-clock time (a caller stretch), so descheduling on a
+  // shared host lowers ratio_1shard_vs_single_queue.  The pooled 2- and
+  // 4-shard runs read thread-CPU time.  The per-config wall numbers
+  // stay in the JSON for the ground truth.
   const double single_rate = shard_single.aggregate_events_per_sec;
   const double one_shard_ratio =
       shard_1.aggregate_events_per_sec / single_rate;

@@ -39,6 +39,16 @@ constexpr std::uint64_t kDenseWindowEvents = 32;
 /// uint64 counters per cache line: pads each lane's tally row.
 constexpr std::size_t kLineWords = 64 / sizeof(std::uint64_t);
 
+/// Times the caller's stretches: a vDSO read (~40 ns on a 4-vCPU KVM
+/// guest), where the thread-CPU clock is a ~350 ns syscall.  A caller
+/// stretch never waits at a barrier, so the two differ only by time the
+/// host descheduled the thread.
+using StretchClock = std::chrono::steady_clock;
+
+double seconds_since(StretchClock::time_point start) {
+  return std::chrono::duration<double>(StretchClock::now() - start).count();
+}
+
 /// Sense-reversing barrier on a generation word, for the per-window
 /// boundary.  The last arriver runs the completion and bumps the
 /// generation; everyone else yields the CPU until the generation moves,
@@ -159,6 +169,7 @@ ShardedSimulation::ShardedSimulation(Options opts) : opts_(opts) {
     shards_.push_back(std::move(state));
   }
   delivered_.assign(n, 0);
+  next_ms_.assign(n, kInf);
 
   // Workers and the initial static shard -> worker map.  The map (and
   // the stealing that rewrites it) is maintained in serial mode too,
@@ -229,10 +240,13 @@ double ShardedSimulation::exchange() {
   for (auto& src : shards_) {
     for (Outgoing& m : src->outbox) {
       Simulation& dst = shards_[m.dst]->sim;
-      // post's rounding slack can put a message a hair before the
-      // destination's clock (the window end); it runs at the clock.
-      const double at = std::max(m.at_ms, dst.now().to_ms());
+      // post's rounding slack can put a message a hair before the window
+      // end; it runs at the window end, or at the destination's clock
+      // when that is later (a span's first exchange).  A destination that
+      // sat the window out still reads an earlier time.
+      const double at = std::max({m.at_ms, window_end_ms_, dst.now().to_ms()});
       dst.schedule_at(TimePoint::at_ms(at), std::move(m.cb));
+      next_ms_[m.dst] = std::min(next_ms_[m.dst], at);
       earliest = std::min(earliest, at);
       ++delivered_[m.dst];
       src->pairs[m.dst].window = 0;
@@ -334,11 +348,15 @@ bool ShardedSimulation::plan_next_window(double horizon_ms,
 }
 
 bool ShardedSimulation::boundary_step(double horizon_ms) {
-  double min_next = exchange();
-  for (auto& s : shards_) {
-    min_next = std::min(min_next, s->sim.next_event_time().to_ms());
-  }
+  exchange();
+  const double min_next = *std::min_element(next_ms_.begin(), next_ms_.end());
   return plan_next_window(horizon_ms, min_next);
+}
+
+void ShardedSimulation::read_next_events() {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    next_ms_[s] = shards_[s]->sim.next_event_time().to_ms();
+  }
 }
 
 void ShardedSimulation::charge_stretch(std::size_t row, double cpu,
@@ -370,32 +388,42 @@ std::size_t ShardedSimulation::run_span(TimePoint horizon) {
   const std::uint64_t before = executed_events();
   const double horizon_ms = horizon.to_ms();
   const bool poolable = opts_.parallel && workers_ > 1;
+  const std::size_t n = shards_.size();
   std::uint64_t* ran = ran_.data();  // row 0: the caller's stretch
-  double cpu0 = thread_cpu_seconds();
+  // Code between runs may have scheduled on any shard.
+  read_next_events();
+  auto start = StretchClock::now();
   while (boundary_step(horizon_ms)) {
     if (poolable && window_events_ >= kDenseWindowEvents) {
       // The last window was dense: close the caller's stretch and let
       // the pool run from here until a window comes in thin.
-      charge_stretch(0, thread_cpu_seconds() - cpu0, /*pooled=*/false);
+      charge_stretch(0, seconds_since(start), /*pooled=*/false);
       const bool more = run_pooled(horizon_ms);
-      cpu0 = thread_cpu_seconds();
+      start = StretchClock::now();
       if (!more) break;
-      continue;  // the pool left the next boundary step to us
+      read_next_events();  // the pool ran every shard
+      continue;            // the pool left the next boundary step to us
     }
     const TimePoint window_end = TimePoint::at_ms(window_end_ms_);
     window_events_ = 0;
-    for (ShardId s = 0; s < shards_.size(); ++s) {
+    for (ShardId s = 0; s < n; ++s) {
+      // Nothing due: the shard sits the window out, and its clock
+      // catches up when it next runs.
+      if (next_ms_[s] > window_end_ms_) continue;
       const std::uint64_t executed = run_shard(s, window_end);
       ran[s] += executed;
       window_events_ += executed;
+      next_ms_[s] = shards_[s]->sim.next_event_time().to_ms();
     }
   }
-  charge_stretch(0, thread_cpu_seconds() - cpu0, /*pooled=*/false);
-  if (horizon_ms < kInf) {
-    // Align every clock with the horizon (mirrors Simulation::run_until).
-    for (auto& s : shards_) {
-      if (s->sim.now() < horizon) s->sim.run_until(horizon);
-    }
+  charge_stretch(0, seconds_since(start), /*pooled=*/false);
+  // Align every clock with the horizon (mirrors Simulation::run_until),
+  // or for run() with the final window's end, which the shards that sat
+  // the last windows out have not reached.
+  const TimePoint end =
+      horizon_ms < kInf ? horizon : TimePoint::at_ms(window_end_ms_);
+  for (auto& s : shards_) {
+    if (s->sim.now() < end) s->sim.run_until(end);
   }
   return executed_events() - before;
 }

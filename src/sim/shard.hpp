@@ -50,14 +50,24 @@
 // records while the others yield the CPU, parking on the barrier's
 // generation word only if the wait runs long; it touches shard state
 // only to deliver the outboxes, and only when a lane reported posts.
-// The caller's loop, which ran every shard itself, walks the shards
-// instead.
+// The caller's loop keeps each shard's next-event time from the last
+// boundary, re-reads it only for the shards that ran or received a
+// message (and for every shard at span start and after the pool ran,
+// since code between runs or the pool may have scheduled on any), and
+// in each window runs only the shards with an event due in it.  A
+// shard that sits a window out keeps its clock until it next runs; a
+// message that lands on it still runs no earlier than the window end,
+// and a span ends with every clock aligned, so traces are unchanged.
 //
 // Busy time is read per stretch: the caller's run of windows between
 // two handoffs (a whole span, when nothing is dense), or one worker's
-// pooled span.  The thread-CPU clock -- a syscall, ~350 ns on a KVM
-// guest -- is read only at a stretch's two ends, and the stretch's time
-// is split over the shards it ran by their shares of its events.
+// pooled span.  A clock is read only at a stretch's two ends, and the
+// stretch's time is split over the shards it ran by their shares of
+// its events.  A pooled span reads the thread-CPU clock -- a syscall,
+// ~350 ns on a KVM guest -- so its parked barrier waits stay out of
+// busy time.  A caller stretch never waits at a barrier and reads the
+// steady clock (vDSO, ~40 ns), so it also counts any time the host
+// descheduled the caller's thread.
 //
 // Determinism: each shard's local execution is the ordinary (time,
 // insertion-seq) order of its own Simulation; at a boundary, the
@@ -98,14 +108,16 @@ struct ShardStats {
   /// Always 0: an outbox is unbounded, so no post ever waits.  Kept
   /// (and registered) for the benchmark, which reports it.
   std::uint64_t backpressure_stalls = 0;
-  /// Thread-CPU seconds spent on this shard: each stretch that ran it
-  /// (see the header) charges it the stretch's time times the shard's
-  /// share of the stretch's events -- all of it when the stretch ran
-  /// this shard alone, as a worker does under the identity map.  Leaves
-  /// out barrier waits (the yield-waits are measured and subtracted)
-  /// and time spent descheduled, so summing events/busy_seconds across
-  /// shards measures aggregate processing capacity even on an
-  /// oversubscribed host.
+  /// Seconds spent on this shard: each stretch that ran it (see the
+  /// header) charges it the stretch's time times the shard's share of
+  /// the stretch's events -- all of it when the stretch ran this shard
+  /// alone, as a worker does under the identity map.  Pooled spans
+  /// count thread-CPU time, leaving out barrier waits (the yield-waits
+  /// are measured and subtracted) and time spent descheduled, so
+  /// summing events/busy_seconds across shards measures aggregate
+  /// processing capacity even on an oversubscribed host.  Caller
+  /// stretches count steady-clock time, which includes any time the
+  /// host descheduled the caller's thread.
   double busy_seconds = 0.0;
   /// Most cross-shard messages delivered here at one boundary.
   std::uint64_t mailbox_hwm = 0;
@@ -118,9 +130,11 @@ struct ShardStats {
 /// these in too.
 struct WorkerStats {
   std::uint64_t executed = 0;  ///< events run on this lane
-  /// Thread-CPU time of the lane's stretches: event execution and the
-  /// boundary steps run in them, but not barrier waits (yield-waits
-  /// are subtracted) or time parked or descheduled.
+  /// Time of the lane's stretches: event execution and the boundary
+  /// steps run in them.  Pooled spans count thread-CPU time, without
+  /// barrier waits (yield-waits are subtracted) or time parked or
+  /// descheduled; caller stretches count steady-clock time, descheduled
+  /// time included.
   double busy_seconds = 0.0;
 };
 
@@ -247,16 +261,19 @@ class ShardedSimulation {
     std::vector<PairCount> pairs;  ///< by destination
   };
 
-  /// Deliver every outbox, sources in order, each FIFO, and clear them.
+  /// Deliver every outbox, sources in order, each FIFO, and clear them;
+  /// lower each receiver's `next_ms_` to what it scheduled there.
   /// Returns the earliest instant it scheduled, or +inf.
   double exchange();
   /// Execute one window on one shard; returns events executed.
   std::uint64_t run_shard(ShardId id, TimePoint window_end);
 
   /// The caller's boundary step: exchange, then plan the next window
-  /// from every shard's next event.  Returns false when no work remains
-  /// at or before `horizon_ms`.
+  /// from `next_ms_`.  Returns false when no work remains at or before
+  /// `horizon_ms`.
   bool boundary_step(double horizon_ms);
+  /// Re-read every shard's next event into `next_ms_`.
+  void read_next_events();
   /// Re-evaluate the shard->worker map, then size the next window from
   /// `min_next_ms`, the earliest pending work anywhere.  Runs
   /// single-threaded (the caller's loop, or the boundary barrier's
@@ -288,6 +305,9 @@ class ShardedSimulation {
   std::vector<std::unique_ptr<ShardState>> shards_;
   /// By destination: messages the exchange in progress delivered.
   std::vector<std::uint64_t> delivered_;
+  /// By shard: its next event's time (ms) as of the last boundary, for
+  /// the caller's loop.  Stale while the pool runs.
+  std::vector<double> next_ms_;
 
   // Live shard -> worker assignment.  Read by workers during a window,
   // written only at boundaries (single-threaded, barrier-ordered).

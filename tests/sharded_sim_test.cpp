@@ -1,8 +1,9 @@
 // Tests for the epoch-synchronized sharded simulation core: trace
 // determinism across shard counts and across serial/parallel execution,
 // outbox delivery (on time, FIFO, counted), lookahead-contract
-// enforcement, and the density switch that hands dense windows to the
-// worker pool.
+// enforcement, the density switch that hands dense windows to the
+// worker pool, and the thin windows that run only the shards with
+// work.
 #include <gtest/gtest.h>
 
 #if defined(__linux__)
@@ -871,6 +872,153 @@ TEST(ShardedSimulationTest, DensitySwitchCrossedManyTimesMatchesSerial) {
   EXPECT_EQ(parallel.by_worker, parallel.executed);
 }
 
+// --- thin windows skip idle shards ------------------------------------------
+
+// In a thin window the caller's loop runs only the shards with an event
+// due in it; the others keep their clocks until they next run.  Each
+// test below pins one guarantee that keeps the skip trace-neutral, in
+// both modes (thin windows run on the caller either way).
+
+TEST(ShardedSimulationTest, RunLeavesEveryClockAtTheFinalWindowEnd) {
+  for (const bool parallel : {false, true}) {
+    ShardedSimulation ssim(ring_options(3, parallel));
+    // Shards 0 and 1 are busy at disjoint times and shard 2 never is,
+    // so no window runs every shard.
+    int fired = 0;
+    ssim.shard(0).schedule_at(TimePoint::at_ms(1.0), [&] { ++fired; });
+    ssim.shard(1).schedule_at(TimePoint::at_ms(10.0), [&] { ++fired; });
+    EXPECT_EQ(ssim.run(), 2u);
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(ssim.windows(), 2u);
+    // The last window is [10, 11] ms.
+    for (ShardId s = 0; s < 3; ++s) {
+      EXPECT_EQ(ssim.shard(s).now().to_ms(), 11.0)
+          << "shard " << s << (parallel ? ", parallel" : ", serial");
+    }
+  }
+}
+
+TEST(ShardedSimulationTest, ScheduleBetweenRunsOnAnIdleShardRunsOnTime) {
+  for (const bool parallel : {false, true}) {
+    ShardedSimulation ssim(ring_options(2, parallel));
+    std::vector<std::pair<ShardId, double>> log;
+    const auto record = [&](ShardId s) {
+      log.emplace_back(s, ssim.shard(s).now().to_ms());
+    };
+    ssim.shard(0).schedule_at(TimePoint::at_ms(5.0), [&] { record(0); });
+    ssim.shard(1).schedule_at(TimePoint::at_ms(50.0), [&] { record(1); });
+    EXPECT_EQ(ssim.run_until(TimePoint::at_ms(10.0)), 1u);
+    // Shard 1 sat the span out with its next event at 50 ms.  An
+    // earlier one scheduled between runs must run at its instant, and
+    // so must the message it posts.
+    ssim.shard(1).schedule_at(TimePoint::at_ms(12.0), [&] {
+      record(1);
+      ssim.post(1, 0, TimePoint::at_ms(13.0), [&] { record(0); });
+    });
+    EXPECT_EQ(ssim.run_until(TimePoint::at_ms(30.0)), 2u);
+    EXPECT_EQ(ssim.run(), 1u);
+    const std::vector<std::pair<ShardId, double>> expected{
+        {0, 5.0}, {1, 12.0}, {0, 13.0}, {1, 50.0}};
+    EXPECT_EQ(log, expected) << (parallel ? "parallel" : "serial");
+    // One window per instant: a shard run late, in a later window,
+    // still reads its event's time, so only the count shows it.
+    EXPECT_EQ(ssim.windows(), 4u);
+  }
+}
+
+TEST(ShardedSimulationTest, SlackPostToAnIdleShardRunsAtTheWindowEnd) {
+  for (const bool parallel : {false, true}) {
+    ShardedSimulation ssim(ring_options(2, parallel));
+    std::vector<double> ran_at;
+    const auto record = [&] { ran_at.push_back(ssim.shard(1).now().to_ms()); };
+    // Shard 1's own event is at 10 ms, so it sits out the window
+    // [1, 2] ms and its clock still reads 0 when the message lands.
+    ssim.shard(1).schedule_at(TimePoint::at_ms(10.0), record);
+    ssim.shard(0).schedule_at(TimePoint::at_ms(1.0), [&] {
+      ssim.post(0, 1, TimePoint::at_ms(2.0 - 5e-10), record);
+    });
+    EXPECT_EQ(ssim.run(), 3u);
+    EXPECT_EQ(ran_at, (std::vector<double>{2.0, 10.0}))
+        << (parallel ? "parallel" : "serial");
+    EXPECT_EQ(ssim.stats(1).received, 1u);
+    // [1, 2], [2, 3] and [10, 11] ms: the message opens a window of its
+    // own, so its destination did not wait for its 10 ms event.
+    EXPECT_EQ(ssim.windows(), 3u);
+  }
+}
+
+// Thin -> dense -> thin, with posts in every phase: the Ticker above
+// posts from shard 0 all along, and at 5, 25 and 45 ms shard s posts
+// s + 1 messages to the next shard.  Ballast on every shard makes
+// 20-40 ms dense (~80 events per 1 ms window), so the pool runs the
+// middle and the caller both ends.
+struct PhaseResult {
+  std::vector<ShardTrace> traces;  // by shard
+  std::vector<std::uint64_t> hwm;  // ShardStats::mailbox_hwm
+  std::vector<std::uint64_t> received;
+  std::uint64_t executed = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t pooled_windows = 0;
+};
+
+PhaseResult run_thin_dense_thin(bool parallel) {
+  constexpr ShardId kShards = 4;
+  ShardedSimulation ssim(ring_options(kShards, parallel));
+  PhaseResult result;
+  result.traces.resize(kShards);
+  Ticker ticker{&ssim, &result.traces, 40};
+  ssim.shard(0).schedule_at(TimePoint::at_ms(0.3),
+                            [&ticker] { ticker.fire(); });
+  for (ShardId s = 0; s < kShards; ++s) {
+    const auto dst = static_cast<ShardId>((s + 1) % kShards);
+    for (const double at : {5.0, 25.0, 45.0}) {
+      ssim.shard(s).schedule_at(TimePoint::at_ms(at + 0.01 * s), [&, s, dst] {
+        for (ShardId k = 0; k <= s; ++k) {
+          ssim.post(s, dst, ssim.shard(s).now() + Duration::ms(1.0),
+                    [&, s, dst] {
+                      result.traces[dst].emplace_back(
+                          ssim.shard(dst).now().to_ms(), 200 + s);
+                    });
+        }
+      });
+    }
+  }
+  Ballast ballast;
+  for (ShardId s = 0; s < kShards; ++s) {
+    ballast.push_back(std::make_unique<BallastChain>(
+        BallastChain{&ssim.shard(s), Duration::ms(0.05), 400}));
+    BallastChain* chain = ballast.back().get();
+    chain->sim->schedule_at(TimePoint::at_ms(20.0), [chain] { chain->fire(); });
+  }
+  result.executed = ssim.run();
+  for (ShardId s = 0; s < kShards; ++s) {
+    result.hwm.push_back(ssim.stats(s).mailbox_hwm);
+    result.received.push_back(ssim.stats(s).received);
+  }
+  result.windows = ssim.windows();
+  result.pooled_windows = ssim.pooled_windows();
+  return result;
+}
+
+TEST(ShardedSimulationTest, ThinDenseThinPostsMatchSerial) {
+  const PhaseResult serial = run_thin_dense_thin(false);
+  const PhaseResult parallel = run_thin_dense_thin(true);
+  EXPECT_EQ(parallel.traces, serial.traces);
+  EXPECT_EQ(parallel.hwm, serial.hwm);
+  EXPECT_EQ(parallel.received, serial.received);
+  EXPECT_EQ(parallel.executed, serial.executed);
+  EXPECT_EQ(parallel.windows, serial.windows);
+  // Shard 3's four messages reach shard 0 at one boundary.
+  EXPECT_GE(serial.hwm[0], 4u);
+  // Every post arrived: 40 ticks, and 1 + 2 + 3 + 4 messages per round.
+  std::uint64_t received = 0;
+  for (const std::uint64_t r : serial.received) received += r;
+  EXPECT_EQ(received, 40u + 3 * 10u);
+  EXPECT_EQ(serial.pooled_windows, 0u);
+  EXPECT_GT(parallel.pooled_windows, 0u);
+  EXPECT_LT(parallel.pooled_windows, parallel.windows);
+}
+
 // --- API contracts ----------------------------------------------------------
 
 TEST(ShardedSimulationTest, ChannelLatencyMustCoverEpoch) {
@@ -883,7 +1031,8 @@ TEST(ShardedSimulationTest, ChannelLatencyMustCoverEpoch) {
 
 // An event at 1 ms with a 1 ms epoch runs in the window that ends at
 // 2 ms.  A post from it must land at or past that end, less 1e-9 ms of
-// rounding slack.
+// rounding slack (a post inside the slack runs at the window end:
+// SlackPostToAnIdleShardRunsAtTheWindowEnd).
 TEST(ShardedSimulationTest, PostBeforeWindowEndBreaksLookahead) {
   ShardedSimulation ssim(ring_options(2, false));
   bool ran = false;
@@ -893,20 +1042,6 @@ TEST(ShardedSimulationTest, PostBeforeWindowEndBreaksLookahead) {
   EXPECT_THROW(ssim.run(), ContractViolation);
   EXPECT_FALSE(ran);
   EXPECT_EQ(ssim.stats(0).posts, 0u);
-}
-
-TEST(ShardedSimulationTest, PostInsideSlackRunsAtWindowEnd) {
-  ShardedSimulation ssim(ring_options(2, false));
-  double ran_at = -1.0;
-  ssim.shard(0).schedule_at(TimePoint::at_ms(1.0), [&] {
-    ssim.post(0, 1, TimePoint::at_ms(2.0 - 5e-10),
-              [&] { ran_at = ssim.shard(1).now().to_ms(); });
-  });
-  EXPECT_EQ(ssim.run(), 2u);
-  // The destination's clock already reads the window end: the message
-  // runs there, never before it.
-  EXPECT_EQ(ran_at, 2.0);
-  EXPECT_EQ(ssim.stats(1).received, 1u);
 }
 
 TEST(ShardedSimulationTest, RunUntilAlignsEveryShardClock) {
